@@ -1,13 +1,14 @@
 """Moment relaxations of polynomial and measure-valued optimization problems.
 
 The pipeline: polynomials and graded-lex monomial indexing
-(`polynomials`), moment vectors and matrix stencils (`moments`), relaxation
-assembly for polynomial minimization (`relaxation`) and generalized moment
-problems with transport constraints (`gmp`), a dense primal-dual
-interior-point conic solver (`sdp`), rank certificates with atom extraction
-(`extraction`), pencil utilities and shadow sampling (`spectra`), built-in
-benchmark problems (`casestudies`), one text format for problem files
-(`problemfile`) and a command-line front end (`cli`).
+(`polynomials`), moment vectors and matrix stencils (`moments`), the one
+relaxation builder for polynomial minimization and generalized moment
+problems (`relaxation`), multi-measure problems with transport constraints
+(`gmp`), a dense primal-dual interior-point conic solver (`sdp`), rank
+certificates with atom extraction (`extraction`), pencil utilities and
+shadow sampling (`spectra`), built-in benchmark problems (`casestudies`),
+one text format for problem files (`problemfile`) and a command-line front
+end (`cli`).
 """
 
 from .extraction import (
@@ -19,6 +20,7 @@ from .extraction import (
     numerical_rank,
 )
 from .gmp import (
+    DegreeTooHighError,
     DynamicsProblem,
     DynamicsSpec,
     GMPProblem,
@@ -73,6 +75,7 @@ __all__ = [
     "Block",
     "Certificate",
     "ConicProgram",
+    "DegreeTooHighError",
     "DynamicsProblem",
     "DynamicsSpec",
     "ExtractionError",

@@ -25,13 +25,9 @@ import numpy as np
 from .extraction import Certificate, ExtractionError, certify
 from .gmp import resolve_minimal_time, solve_gmp, unscale_time_moments
 from .moments import MomentVector
-from .problemfile import GMPFileData, ProblemFileError, load_problem
-from .relaxation import (
-    OrderTooSmallError,
-    POPProblem,
-    bound_and_moments,
-)
-from .sdp import SolveOptions, solve
+from .problemfile import GMPFileData, ParsedProblem, ProblemFileError, load_problem
+from .relaxation import OrderTooSmallError, POPProblem, bound_and_moments, minimal_order
+from .sdp import SDPSolution, SolveOptions, solve
 from .spectra import defining_polynomials, shadow_support_points, shadow_table, unit_directions
 
 
@@ -55,6 +51,10 @@ class Report:
 
     def raw(self, line: str) -> None:
         self.lines.append(line)
+
+    def solver_stats(self, sol: SDPSolution) -> None:
+        for key in ("iterations", "gap", "primal_residual", "dual_residual"):
+            self.kv(key, getattr(sol, key))
 
     def moments(self, y: MomentVector, name: Optional[str] = None) -> None:
         self.section("moments" + (f" {name}" if name else ""))
@@ -87,17 +87,26 @@ def _options(args) -> SolveOptions:
     return SolveOptions(gap_tol=args.tol, feas_tol=args.tol, max_iter=args.max_iter)
 
 
-def _minimal_gmp_order(data: GMPFileData) -> int:
-    from .gmp import build_gmp_relaxation
+def _load(path: str) -> Optional[ParsedProblem]:
+    """The parsed problem file, or None after reporting why it could not be read."""
+    try:
+        return load_problem(path)
+    except (ProblemFileError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return None
 
-    for r in range(1, 24):
-        try:
-            g, _ = data.instantiate(r)
-            build_gmp_relaxation(g, r)
-            return r
-        except (ValueError, KeyError):
-            continue
-    raise ValueError("could not find a feasible relaxation order up to 23")
+
+def _minimal_gmp_order(data: GMPFileData) -> int:
+    """Least order whose moment degree 2r holds every polynomial of the problem.
+
+    Dynamics need r >= ceil(deg f / 2), and their transport rows then stay
+    within degree 2r, so the problem expanded at that order shows every
+    other degree.
+    """
+    cells = data.dynamics.cells if data.dynamics is not None else []
+    r_f = minimal_order(p for _, fs in cells for p in fs)
+    g, _ = data.instantiate(r_f)
+    return max(r_f, g.minimal_order())
 
 
 def _solve_pop(pop: POPProblem, args, report: Report) -> int:
@@ -112,10 +121,7 @@ def _solve_pop(pop: POPProblem, args, report: Report) -> int:
     report.kv("order", r)
     report.kv("status", sol.status)
     report.kv("bound", res.bound)
-    report.kv("iterations", sol.iterations)
-    report.kv("gap", sol.gap)
-    report.kv("primal_residual", sol.primal_residual)
-    report.kv("dual_residual", sol.dual_residual)
+    report.solver_stats(sol)
     report.kv("compactness_certified", str(res.info.compactness_certified).lower())
     report.moments(res.moments)
     if args.extract:
@@ -137,8 +143,8 @@ def _solve_pop(pop: POPProblem, args, report: Report) -> int:
 
 
 def _solve_gmp_file(data: GMPFileData, args, report: Report) -> int:
-    r = args.order if args.order is not None else _minimal_gmp_order(data)
     try:
+        r = args.order if args.order is not None else _minimal_gmp_order(data)
         g, dp = data.instantiate(r)
         res = solve_gmp(g, r, _options(args))
     except (ValueError, KeyError) as e:
@@ -154,10 +160,7 @@ def _solve_gmp_file(data: GMPFileData, args, report: Report) -> int:
     report.kv("order", r)
     report.kv("status", sol.status)
     report.kv("bound", res.bound)
-    report.kv("iterations", sol.iterations)
-    report.kv("gap", sol.gap)
-    report.kv("primal_residual", sol.primal_residual)
-    report.kv("dual_residual", sol.dual_residual)
+    report.solver_stats(sol)
     if dp is not None and dp.dynamics.autonomous:
         occ_mass = sum(float(moments[name].mass) for name, _ in dp.cells)
         report.kv("terminal_time", occ_mass)
@@ -180,10 +183,7 @@ def _solve_sdp(prog, args, report: Report) -> int:
     report.kv("status", sol.status)
     report.kv("objective", sol.dual_obj)
     report.kv("primal_objective", sol.primal_obj)
-    report.kv("iterations", sol.iterations)
-    report.kv("gap", sol.gap)
-    report.kv("primal_residual", sol.primal_residual)
-    report.kv("dual_residual", sol.dual_residual)
+    report.solver_stats(sol)
     report.section("y")
     for k, v in enumerate(sol.y, start=1):
         report.raw(f"{k}  {_fmt(v)}")
@@ -211,10 +211,8 @@ def _solve_pencil(pencil, args, report: Report) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        parsed = load_problem(args.file)
-    except (ProblemFileError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    parsed = _load(args.file)
+    if parsed is None:
         return 1
     report = Report()
     t0 = time.perf_counter()
@@ -232,10 +230,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_shadow(args) -> int:
-    try:
-        parsed = load_problem(args.file)
-    except (ProblemFileError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    parsed = _load(args.file)
+    if parsed is None:
         return 1
     if parsed.kind != "pop":
         print("error: shadow needs a pop file", file=sys.stderr)
@@ -266,17 +262,15 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_liouville(args) -> int:
-    try:
-        parsed = load_problem(args.file)
-    except (ProblemFileError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    parsed = _load(args.file)
+    if parsed is None:
         return 1
     if parsed.kind != "gmp" or parsed.gmp.dynamics is None:
         print("error: liouville needs a gmp file with a [dynamics] section", file=sys.stderr)
         return 1
     data = parsed.gmp
-    r = args.order if args.order is not None else _minimal_gmp_order(data)
     try:
+        r = args.order if args.order is not None else _minimal_gmp_order(data)
         g, dp = data.instantiate(r)
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 A problem consists of named measures with semialgebraic supports, linear
 constraints between their moments, and a linear moment objective.  The
-order-r relaxation gives every measure its own truncated moment vector
-(degree 2r), a moment-matrix block and localizing blocks per support
-constraint, and stacks the cross-measure rows on top.
+order-r relaxation is one call to `relaxation.assemble`, which gives every
+measure its own truncated moment vector (degree 2r), a moment-matrix block
+and localizing blocks per support constraint, and stacks the cross-measure
+rows on top.
 
 The module also generates the weak-form transport rows that tie an
 occupation measure of a polynomial ODE to its initial and terminal measures:
@@ -22,29 +23,22 @@ their own measure: the joint occupation measure over (t, x, u) carries them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .moments import MomentVector
-from .polynomials import (
-    Exponent,
-    Polynomial,
-    VarSpace,
-    exponents_up_to,
-    grlex_index,
-    monomial_count,
-)
+from .polynomials import Exponent, Polynomial, VarSpace, exponents_up_to
 from .relaxation import (
     AssembledProgram,
-    LinearRow,
-    MeasurePlan,
+    DegreeTooHighError,  # re-exported for callers of momentsdp.gmp
+    MomentConstraint,
     OrderTooSmallError,
     SemialgebraicSet,
     assemble,
-    measure_plan,
+    minimal_order,
 )
 from .sdp import SDPSolution, SolveOptions, solve
 
@@ -65,20 +59,6 @@ class MeasureDecl:
     def __post_init__(self) -> None:
         if not self.variables:
             raise ValueError(f"measure {self.name!r} needs at least one variable")
-
-
-@dataclass
-class MomentConstraint:
-    """Linear constraint sum_i <p_i, measure_i>  REL  rhs."""
-
-    terms: list[tuple[str, Polynomial]]
-    rhs: Union[Fraction, float]
-    relation: str = "eq"  # eq | le | ge
-    label: Optional[str] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.relation not in ("eq", "le", "ge"):
-            raise ValueError(f"unknown relation {self.relation!r}")
 
 
 @dataclass
@@ -112,6 +92,15 @@ class GMPProblem:
 
     def by_name(self) -> dict[str, MeasureDecl]:
         return {m.name: m for m in self.measures}
+
+    def minimal_order(self) -> int:
+        """Least order whose moment degree 2r holds every support, row and cost."""
+        polys = [p for _, p in self.objective]
+        for m in self.measures:
+            polys += m.support.effective_inequalities() + m.support.equalities
+        for con in self.constraints:
+            polys += [p for _, p in con.terms]
+        return minimal_order(polys)
 
 
 # -- dynamics ----------------------------------------------------------------
@@ -245,7 +234,7 @@ def piecewise_liouville(
     deg_f = max((p.degree for _, fs in cell_f for p in fs), default=0)
     vmax = 2 * r - max(0, deg_f - 1)
     if vmax < 1:
-        raise OrderTooSmallError(r, max(1, (deg_f + 1) // 2))
+        raise OrderTooSmallError(r, minimal_order(p for _, fs in cell_f for p in fs))
     trimmed = vmax < 2 * r
 
     n_occ = len(dyn.occupation_names())
@@ -489,77 +478,24 @@ class GMPInfo:
     compactness_certified: dict[str, bool]
 
 
-class DegreeTooHighError(ValueError):
-    def __init__(self, what: str, degree: int, r: int):
-        super().__init__(
-            f"{what} has degree {degree}, above the relaxation's moment degree 2r = {2 * r}"
-        )
-
-
 def build_gmp_relaxation(g: GMPProblem, r: int) -> tuple[AssembledProgram, GMPInfo]:
     """Order-r relaxation: per-measure moment/localizing blocks plus the rows."""
-    byname = g.by_name()
-    names = [m.name for m in g.measures]
-    plans: dict[str, MeasurePlan] = {}
-    for m in g.measures:
-        plans[m.name] = measure_plan(m.support, r)
-
-    for ci, con in enumerate(g.constraints):
-        for name, poly in con.terms:
-            if poly.degree > 2 * r:
-                raise DegreeTooHighError(f"constraint {ci + 1} (measure {name!r})", poly.degree, r)
-    for name, poly in g.objective:
-        if poly.degree > 2 * r:
-            raise DegreeTooHighError(f"objective term on measure {name!r}", poly.degree, r)
-
-    offsets: dict[str, int] = {}
-    total = 0
-    for name in names:
-        offsets[name] = total
-        total += monomial_count(len(byname[name].variables), 2 * r)
-
-    eq_rows: list[LinearRow] = []
-    ge_rows: list[LinearRow] = []
-    for con in g.constraints:
-        coeffs: dict[int, Fraction] = {}
-        for name, poly in con.terms:
-            off = offsets[name]
-            for exp, c in poly.terms.items():
-                k = off + grlex_index(exp)
-                coeffs[k] = coeffs.get(k, Fraction(0)) + Fraction(c)
-        rhs = Fraction(con.rhs)
-        if con.relation == "eq":
-            eq_rows.append(LinearRow(coeffs, rhs, "eq"))
-        elif con.relation == "ge":
-            ge_rows.append(LinearRow(coeffs, rhs, "ge"))
-        else:  # le: negate into a ge row
-            ge_rows.append(LinearRow({k: -c for k, c in coeffs.items()}, -rhs, "ge"))
-
-    obj_terms: dict[str, Polynomial] = {}
-    for name, poly in g.objective:
-        obj_terms[name] = obj_terms.get(name, Polynomial.zero(poly.nvars)) + poly
-
     asm = assemble(
-        plans=plans,
-        objective_terms=obj_terms,
-        objective_constant=g.objective_constant,
-        sense=g.sense,
-        extra_eq_rows=eq_rows,
-        extra_ge_rows=ge_rows,
-        measure_order=names,
+        {m.name: m.support for m in g.measures},
+        r,
+        g.constraints,
+        g.objective,
+        g.sense,
+        g.objective_constant,
     )
-    nb_psd = sum(len(plans[n].psd_stencils) for n in names)
+    blocks = asm.program.blocks
     info = GMPInfo(
         order=r,
-        measure_block_sizes={n: [st.side for st in plans[n].psd_stencils] for n in names},
-        moment_dims={n: monomial_count(len(byname[n].variables), 2 * r) for n in names},
-        eq_rows=next(
-            (blk.size for blk in asm.program.blocks[nb_psd:] if blk.kind == "zero"), 0
-        ),
-        ge_rows=next(
-            (blk.size for blk in asm.program.blocks[nb_psd:] if blk.kind == "nonneg"), 0
-        ),
-        compactness_certified={n: plans[n].compactness_certified for n in names},
+        measure_block_sizes={n: [st.side for st in p.psd_stencils] for n, p in asm.plans.items()},
+        moment_dims={n: len(e) for n, e in asm.measure_exponents.items()},
+        eq_rows=sum(blk.size for blk in blocks if blk.kind == "zero"),
+        ge_rows=sum(blk.size for blk in blocks if blk.kind == "nonneg"),
+        compactness_certified={n: p.compactness_certified for n, p in asm.plans.items()},
     )
     return asm, info
 
@@ -619,12 +555,9 @@ def resolve_minimal_time(
         objective=[(name, one) for name, _ in dp.cells],
         sense="min",
     )
-    phase2_options = options or SolveOptions()
-    phase2_options = SolveOptions(
-        gap_tol=max(1e-4, phase2_options.gap_tol),
-        feas_tol=max(1e-5, phase2_options.feas_tol),
-        max_iter=phase2_options.max_iter,
-        step_fraction=phase2_options.step_fraction,
+    base = options or SolveOptions()
+    phase2_options = replace(
+        base, gap_tol=max(1e-4, base.gap_tol), feas_tol=max(1e-5, base.feas_tol)
     )
     second = solve_gmp(g2, r, phase2_options)
     if second.solution.status != "optimal":

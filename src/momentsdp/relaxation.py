@@ -1,12 +1,22 @@
-"""Moment relaxations of polynomial optimization problems.
+"""Moment relaxations: one builder for polynomial and generalized moment problems.
 
-`build_relaxation` turns ``min p0(x) s.t. p_k(x) >= 0 / = 0`` into a conic
-program over the truncated moments y (grlex order, degree up to 2r): one PSD
-block for the order-r moment matrix, one PSD block per inequality for its
-localizing matrix of order r - ceil(deg/2), one equality row per product of
-an equality constraint with a monomial that fits the truncation, and the
-normalization row y_0 = 1.  The moments are the dual vector of the conic
-program, so the solver's dual objective is the relaxation bound.
+`assemble` is the only relaxation builder.  It takes named measures with
+semialgebraic supports, the order r, linear moment constraints and a linear
+moment objective, and returns one conic program over the stacked truncated
+moment vectors (grlex order, degree up to 2r per measure).  Each measure gets
+one PSD block for its order-r moment matrix, one PSD block per inequality for
+its localizing matrix of order r - ceil(deg/2), and one equality row per
+product of an equality constraint with a monomial that fits the truncation.
+The explicit moment constraints come first among the rows.  The moments are
+the dual vector of the conic program, so the solver's dual objective is the
+relaxation bound.
+
+A polynomial minimization ``min p0(x) s.t. p_k(x) >= 0 / = 0`` is the
+generalized moment problem of one probability measure: `build_relaxation`
+assembles the measure "mu" with the mass row <1, mu> = 1 and the objective
+<p0, mu>.  The objective is filled in a separate step
+(`AssembledProgram.set_objective`), so problems that differ only in their
+objective share one assembly.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -32,7 +42,6 @@ from .polynomials import (
     VarSpace,
     exponents_up_to,
     grlex_index,
-    monomial_count,
 )
 from .sdp import Block, ConicProgram, SDPSolution, SolveOptions, solve
 
@@ -40,6 +49,11 @@ from .sdp import Block, ConicProgram, SDPSolution, SolveOptions, solve
 def half_degree(p: Polynomial) -> int:
     """Smallest integer at or above half the total degree (0 for constants)."""
     return ceil(p.degree / 2)
+
+
+def minimal_order(polys: Iterable[Polynomial]) -> int:
+    """Least relaxation order r >= 1 whose moment degree 2r holds every polynomial."""
+    return max([1] + [half_degree(p) for p in polys])
 
 
 @dataclass
@@ -129,12 +143,8 @@ class POPProblem:
             raise ValueError("objective does not match the variable space")
 
     def minimal_order(self) -> int:
-        r = max(1, half_degree(self.objective))
-        for q in self.feasible_set.effective_inequalities():
-            r = max(r, half_degree(q))
-        for q in self.feasible_set.equalities:
-            r = max(r, half_degree(q))
-        return r
+        fs = self.feasible_set
+        return minimal_order([self.objective, *fs.effective_inequalities(), *fs.equalities])
 
 
 @dataclass
@@ -148,9 +158,32 @@ class RelaxationInfo:
 
 
 class OrderTooSmallError(ValueError):
-    def __init__(self, r: int, r_x: int):
-        super().__init__(f"relaxation order {r} is below the minimal order {r_x}")
+    def __init__(self, r: int, r_x: int, message: Optional[str] = None):
+        super().__init__(message or f"relaxation order {r} is below the minimal order {r_x}")
         self.minimal_order = r_x
+
+
+class DegreeTooHighError(OrderTooSmallError):
+    def __init__(self, what: str, degree: int, r: int):
+        super().__init__(
+            r,
+            ceil(degree / 2),
+            f"{what} has degree {degree}, above the relaxation's moment degree 2r = {2 * r}",
+        )
+
+
+@dataclass
+class MomentConstraint:
+    """Linear constraint sum_i <p_i, measure_i>  REL  rhs."""
+
+    terms: list[tuple[str, Polynomial]]
+    rhs: Union[Fraction, float]
+    relation: str = "eq"  # eq | le | ge
+    label: Optional[str] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.relation not in ("eq", "le", "ge"):
+            raise ValueError(f"unknown relation {self.relation!r}")
 
 
 # -- linear rows over the moment vector --------------------------------------
@@ -245,7 +278,7 @@ def measure_plan(supp: SemialgebraicSet, r: int) -> MeasurePlan:
     n = supp.space.n
     ineqs = supp.effective_inequalities()
     r_k = [half_degree(q) for q in ineqs] + [half_degree(q) for q in supp.equalities]
-    r_x = max([1] + r_k)
+    r_x = minimal_order(ineqs + supp.equalities)
     if r < r_x:
         raise OrderTooSmallError(r, r_x)
     stencils = [moment_matrix_stencil(n, r)]
@@ -281,12 +314,12 @@ class AssembledProgram:
     """A conic program plus the bookkeeping to read moments back out of it."""
 
     program: ConicProgram
-    objective: np.ndarray  # cost c over the moment vector: bound = c'y (+ constant)
-    objective_constant: float
-    sense: str  # "min" or "max"
+    plans: dict[str, MeasurePlan]
     measure_offsets: dict[str, int]
     measure_exponents: dict[str, list[Exponent]]
-    measure_orders: dict[str, int]
+    # filled by set_objective: cost c over the moment vector, bound = c'y + constant
+    objective: Optional[np.ndarray] = None
+    objective_constant: float = 0.0
 
     @property
     def num_moments(self) -> int:
@@ -295,76 +328,105 @@ class AssembledProgram:
     def moments_of(self, name: str, y: np.ndarray) -> MomentVector:
         off = self.measure_offsets[name]
         exps = self.measure_exponents[name]
-        nvars = len(exps[0])
-        return MomentVector(nvars, 2 * self.measure_orders[name], y[off : off + len(exps)])
+        return MomentVector(len(exps[0]), 2 * self.plans[name].order, y[off : off + len(exps)])
 
     def bound_from(self, sol: SDPSolution) -> float:
-        value = float(self.objective @ sol.y) + self.objective_constant
-        return value
+        return float(self.objective @ sol.y) + self.objective_constant
+
+    def set_objective(
+        self, objective: Sequence[tuple[str, Polynomial]], sense: str, constant: float = 0.0
+    ) -> None:
+        """Fill the cost c over the moment vector and the program's b; A and C stay.
+
+        Orientation: the moments y are the conic dual vector.  For sense "min"
+        the solver maximizes b'y with b = -c so that the relaxation bound is
+        c'y* = -max b'y; for "max", b = +c.
+        """
+        if sense not in ("min", "max"):
+            raise ValueError("sense must be 'min' or 'max'")
+        summed: dict[str, Polynomial] = {}
+        for name, poly in objective:
+            if name not in self.plans:
+                raise KeyError(f"objective references unknown measure {name!r}")
+            r = self.plans[name].order
+            if poly.degree > 2 * r:
+                raise DegreeTooHighError(f"objective term on measure {name!r}", poly.degree, r)
+            summed[name] = summed[name] + poly if name in summed else poly
+        c = np.zeros(self.program.m)
+        for name, poly in summed.items():
+            off = self.measure_offsets[name]
+            for exp, coef in poly.terms.items():
+                c[off + grlex_index(exp)] += float(coef)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("objective coefficients must be finite")
+        self.objective, self.objective_constant = c, constant
+        self.program.b = -c if sense == "min" else c.copy()
 
 
 def assemble(
-    plans: dict[str, MeasurePlan],
-    objective_terms: dict[str, Polynomial],
-    objective_constant: float,
+    supports: dict[str, SemialgebraicSet],
+    r: int,
+    constraints: Sequence[MomentConstraint],
+    objective: Sequence[tuple[str, Polynomial]],
     sense: str,
-    extra_eq_rows: list[LinearRow],
-    extra_ge_rows: list[LinearRow],
-    order: dict[str, int] | None = None,
-    measure_order: list[str] | None = None,
+    objective_constant: float = 0.0,
 ) -> AssembledProgram:
-    """Stack per-measure blocks and global rows into one conic program.
+    """Order-r relaxation of measures on `supports` under moment constraints.
 
-    Orientation: the moments y are the conic dual vector.  For sense "min"
-    the solver maximizes b'y with b = -c so that the relaxation bound is
-    c'y* = -max b'y; for "max", b = +c.
+    Rows are the explicit constraints first, then each measure's equality
+    products; exact duplicates go, and the pivoted-QR prune keeps the
+    earliest of linearly dependent equality rows.
     """
-    if sense not in ("min", "max"):
-        raise ValueError("sense must be 'min' or 'max'")
-    names = measure_order if measure_order is not None else list(plans)
+    plans = {name: measure_plan(supp, r) for name, supp in supports.items()}
     offsets: dict[str, int] = {}
     exps: dict[str, list[Exponent]] = {}
-    orders: dict[str, int] = {}
-    total = 0
-    for name in names:
-        plan = plans[name]
-        offsets[name] = total
-        exps[name] = exponents_up_to(plan.nvars, 2 * plan.order)
-        orders[name] = plan.order
-        total += len(exps[name])
+    m = 0
+    for name, plan in plans.items():
+        offsets[name] = m
+        exps[name] = exponents_up_to(plan.nvars, 2 * r)
+        m += len(exps[name])
+
+    eq_rows: list[LinearRow] = []
+    ge_rows: list[LinearRow] = []
+    for ci, con in enumerate(constraints):
+        coeffs: dict[int, Fraction] = {}
+        for name, poly in con.terms:
+            if poly.degree > 2 * r:
+                raise DegreeTooHighError(f"constraint {ci + 1} (measure {name!r})", poly.degree, r)
+            off = offsets[name]
+            for exp, c in poly.terms.items():
+                k = off + grlex_index(exp)
+                coeffs[k] = coeffs.get(k, Fraction(0)) + Fraction(c)
+        rhs = Fraction(con.rhs)
+        if con.relation == "eq":
+            eq_rows.append(LinearRow(coeffs, rhs, "eq"))
+        elif con.relation == "ge":
+            ge_rows.append(LinearRow(coeffs, rhs, "ge"))
+        else:  # le: negate into a ge row
+            ge_rows.append(LinearRow({k: -c for k, c in coeffs.items()}, -rhs, "ge"))
+    for name, plan in plans.items():
+        off = offsets[name]
+        for lhs, rhs in plan.equality_rows:
+            coeffs = {off + grlex_index(e): Fraction(c) for e, c in lhs.items()}
+            eq_rows.append(LinearRow(coeffs, Fraction(rhs), "eq"))
+    eq_rows = prune_dependent_rows(dedupe_rows(eq_rows), m)
+    ge_rows = dedupe_rows(ge_rows)
+    row_blocks = [(kind, rows) for kind, rows in (("nonneg", ge_rows), ("zero", eq_rows)) if rows]
 
     blocks: list[Block] = []
     block_sources: list[tuple[str, MatrixStencil]] = []
-    for name in names:
-        for st in plans[name].psd_stencils:
+    for name, plan in plans.items():
+        for st in plan.psd_stencils:
             blocks.append(Block("psd", st.side))
             block_sources.append((name, st))
+    blocks += [Block(kind, len(rows)) for kind, rows in row_blocks]
 
-    # localizer equality rows, in declaration order after the explicit rows
-    eq_rows: list[LinearRow] = list(extra_eq_rows)
-    for name in names:
-        off = offsets[name]
-        for lhs, rhs in plans[name].equality_rows:
-            coeffs = {off + grlex_index(e): Fraction(c) for e, c in lhs.items()}
-            eq_rows.append(LinearRow(coeffs, Fraction(rhs), "eq"))
-    eq_rows = prune_dependent_rows(dedupe_rows(eq_rows), total)
-    ge_rows = dedupe_rows(list(extra_ge_rows))
-
-    if ge_rows:
-        blocks.append(Block("nonneg", len(ge_rows)))
-    if eq_rows:
-        blocks.append(Block("zero", len(eq_rows)))
-
-    m = total
     A: list[np.ndarray] = []
     C: list[np.ndarray] = []
     for blk in blocks:
-        if blk.kind == "psd":
-            A.append(np.zeros((m, blk.size, blk.size)))
-            C.append(np.zeros((blk.size, blk.size)))
-        else:
-            A.append(np.zeros((m, blk.size)))
-            C.append(np.zeros(blk.size))
+        shape = (blk.size, blk.size) if blk.kind == "psd" else (blk.size,)
+        A.append(np.zeros((m, *shape)))
+        C.append(np.zeros(shape))
 
     # PSD blocks: Z_block = sum_k y_k S_k, i.e. C = 0 and A_k = -S_k
     for bi, (name, st) in enumerate(block_sources):
@@ -376,10 +438,10 @@ def assemble(
                 if i != j:
                     A[bi][k, j, i] -= float(c)
 
-    def _fill_rows(bi: int, rows: list[LinearRow]) -> None:
-        # rows are rescaled to unit maximum coefficient: mixed scales (constant
-        # terms like 1/1575 against unit leading coefficients) otherwise drag
-        # the Newton system's conditioning down
+    # rows are rescaled to unit maximum coefficient: mixed scales (constant
+    # terms like 1/1575 against unit leading coefficients) otherwise drag
+    # the Newton system's conditioning down
+    for bi, (_, rows) in enumerate(row_blocks, start=len(block_sources)):
         for ri, row in enumerate(rows):
             scale = max((abs(c) for c in row.coeffs.values()), default=Fraction(1))
             if scale == 0:
@@ -388,63 +450,33 @@ def assemble(
             for k, c in row.coeffs.items():
                 A[bi][k, ri] -= float(c / scale)
 
-    nb = len(block_sources)
-    if ge_rows:
-        _fill_rows(nb, ge_rows)
-        nb += 1
-    if eq_rows:
-        _fill_rows(nb, eq_rows)
-
-    c_obj = np.zeros(m)
-    for name, pol in objective_terms.items():
-        if name not in offsets:
-            raise KeyError(f"objective references unknown measure {name!r}")
-        off = offsets[name]
-        for exp, c in pol.terms.items():
-            if sum(exp) > 2 * orders[name]:
-                raise ValueError(
-                    f"objective degree {sum(exp)} exceeds 2r = {2 * orders[name]} for measure {name!r}"
-                )
-            c_obj[off + grlex_index(exp)] += float(c)
-
-    b = -c_obj if sense == "min" else c_obj.copy()
-    prog = ConicProgram(blocks=blocks, A=A, b=b, C=C)
-    return AssembledProgram(
-        program=prog,
-        objective=c_obj,
-        objective_constant=objective_constant,
-        sense=sense,
-        measure_offsets=offsets,
-        measure_exponents=exps,
-        measure_orders=orders,
-    )
+    prog = ConicProgram(blocks=blocks, A=A, b=np.zeros(m), C=C)
+    asm = AssembledProgram(prog, plans, offsets, exps)
+    asm.set_objective(objective, sense, objective_constant)
+    return asm
 
 
 _POP_MEASURE = "mu"
 
 
 def build_relaxation(pop: POPProblem, r: int) -> tuple[AssembledProgram, RelaxationInfo]:
-    """Order-r moment relaxation of a polynomial minimization problem."""
-    plan = measure_plan(pop.feasible_set, r)
-    if half_degree(pop.objective) > r:
-        raise OrderTooSmallError(r, half_degree(pop.objective))
+    """Order-r moment relaxation of a polynomial minimization problem.
+
+    This is the generalized moment problem of one probability measure on the
+    feasible set: the mass row <1, mu> = 1 and the objective <p0, mu>.
+    """
     n = pop.feasible_set.space.n
-    mass_row = LinearRow({0: Fraction(1)}, Fraction(1), "eq")  # y_0 = 1
+    mass = MomentConstraint([(_POP_MEASURE, Polynomial.constant(n, 1))], Fraction(1), "eq")
     asm = assemble(
-        plans={_POP_MEASURE: plan},
-        objective_terms={_POP_MEASURE: pop.objective},
-        objective_constant=0.0,
-        sense="min",
-        extra_eq_rows=[mass_row],
-        extra_ge_rows=[],
-        measure_order=[_POP_MEASURE],
+        {_POP_MEASURE: pop.feasible_set}, r, [mass], [(_POP_MEASURE, pop.objective)], "min"
     )
+    plan = asm.plans[_POP_MEASURE]
     info = RelaxationInfo(
         order=r,
         r_k=plan.r_k,
         r_x=plan.r_x,
         block_sizes=[st.side for st in plan.psd_stencils],
-        moment_dim=monomial_count(n, 2 * r),
+        moment_dim=len(asm.measure_exponents[_POP_MEASURE]),
         compactness_certified=plan.compactness_certified,
     )
     return asm, info

@@ -28,6 +28,7 @@ bisection.
 from __future__ import annotations
 
 import io
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
@@ -36,6 +37,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 BlockKind = Literal["psd", "nonneg", "zero"]
+
+_log = logging.getLogger(__name__)
 
 _REG = 1e-12  # diagonal regularization applied once on Cholesky failure
 
@@ -94,10 +97,6 @@ class ConicProgram:
     def m(self) -> int:
         return len(self.b)
 
-    def constraint_matrix(self, k: int) -> list[np.ndarray]:
-        """Blocks of A_k, in block order (copy)."""
-        return [self.A[bi][k].copy() for bi in range(len(self.blocks))]
-
 
 @dataclass
 class SolveOptions:
@@ -105,7 +104,6 @@ class SolveOptions:
     feas_tol: float = 1e-9
     max_iter: int = 200
     step_fraction: float = 0.98
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.gap_tol <= 0 or self.feas_tol <= 0 or self.max_iter <= 0:
@@ -329,11 +327,10 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
                 "step_d": last_steps[1],
             }
         )
-        if opt.verbose:
-            print(
-                f"  it {it:3d}  mu {mu:9.2e}  gap {pobj - dobj:10.3e}  "
-                f"pres {pres:8.2e}  dres {dres:8.2e}"
-            )
+        _log.debug(
+            "it %3d  mu %9.2e  gap %10.3e  pres %8.2e  dres %8.2e",
+            it, mu, pobj - dobj, pres, dres,
+        )
 
         if not (np.isfinite(mu) and np.isfinite(pobj) and np.isfinite(dobj)):
             status = "numerical_failure"

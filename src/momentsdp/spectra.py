@@ -8,7 +8,8 @@ its eigenvalues.  They are expanded here symbolically over exact rationals.
 `shadow_support_points` probes the projection of a moment relaxation's
 feasible set onto two chosen first-order moments: for each direction it
 maximizes the projected linear functional, returning support points and
-values whose halfspaces sandwich the projected set from outside.
+values whose halfspaces sandwich the projected set from outside.  The
+relaxation is assembled once; each direction swaps only its objective.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .polynomials import Polynomial
-from .relaxation import LinearRow, SemialgebraicSet, assemble, measure_plan
+from .relaxation import POPProblem, SemialgebraicSet, build_relaxation
 from .sdp import SolveOptions, solve
 
 MAX_SYMBOLIC_SIDE = 8
@@ -174,23 +175,13 @@ def shadow_support_points(
     i, j = projection
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError("projection must name two distinct variables")
-    plan = measure_plan(pop_set, r)
+    asm, _ = build_relaxation(POPProblem(Polynomial.zero(n), pop_set), r)
     out: list[ShadowPoint] = []
     ei = tuple(int(t == i) for t in range(n))
     ej = tuple(int(t == j) for t in range(n))
-    mass_row = LinearRow({0: Fraction(1)}, Fraction(1), "eq")
     for c in directions:
         cx, cy = float(c[0]), float(c[1])
-        objective = Polynomial(n, {ei: cx, ej: cy})
-        asm = assemble(
-            plans={"mu": plan},
-            objective_terms={"mu": objective},
-            objective_constant=0.0,
-            sense="max",
-            extra_eq_rows=[mass_row],
-            extra_ge_rows=[],
-            measure_order=["mu"],
-        )
+        asm.set_objective([("mu", Polynomial(n, {ei: cx, ej: cy}))], "max")
         sol = solve(asm.program, options)
         y = asm.moments_of("mu", sol.y)
         out.append(

@@ -1,5 +1,4 @@
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -177,10 +176,6 @@ class TestTrajectoryBuilders:
         assert len(pop.feasible_set.inequalities) == 3
 
 
-@pytest.mark.skipif(
-    not os.environ.get("MOMENTSDP_LONG"),
-    reason="long-running case; set MOMENTSDP_LONG=1 to enable",
-)
 def test_n6_long_running_bound_is_valid():
     from scipy.optimize import fsolve
 

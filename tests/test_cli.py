@@ -120,6 +120,17 @@ class TestSolve:
         assert code == 2
         assert report_values(out)["status"] == "max_iter"
 
+    def test_gmp_without_objective_or_dynamics(self, tmp_path, capsys):
+        path = tmp_path / "noobj.gmp"
+        path.write_text(
+            "kind: gmp\n\n[measures]\nmu: x1\n\n[support mu]\n1 - x1^2 >= 0\n\n"
+            "[constraints]\nmass(mu) == 1\n"
+        )
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: a gmp file without dynamics needs an [objective]\n"
+
 
 class TestShadow:
     def test_unit_disk_four_directions(self, capsys):
@@ -181,6 +192,18 @@ class TestLiouville:
         code, out, err = run(capsys, "liouville", fx("planar_nonconvex.pop"))
         assert code == 1
         assert "dynamics" in err
+
+    def test_default_order_from_dynamics_degree(self, tmp_path, capsys):
+        # the transport rows need 2r >= deg f = 48
+        path = tmp_path / "steep.gmp"
+        path.write_text(
+            "kind: gmp\n\n[dynamics]\nhorizon: free\nstate: x1\ninitial: point 1\n"
+            "terminal: point 0\nlagrangian: 1\ncell: occ\nf1: -x1^48\n"
+        )
+        code, out, _ = run(capsys, "liouville", str(path))
+        assert code == 0
+        assert report_values(out)["order"] == "24"
+        assert "v = x1: <-x1^48, occ> == -1" in out
 
 
 FIXTURE_SOLVES = [

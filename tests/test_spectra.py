@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from momentsdp.casestudies import build_polyopt, build_unit_disk
-from momentsdp.polynomials import VarSpace, parse_polynomial
+from momentsdp.gmp import GMPProblem, MeasureDecl, MomentConstraint, solve_gmp
+from momentsdp.polynomials import Polynomial, VarSpace, parse_polynomial
 from momentsdp.sdp import SolveOptions
 from momentsdp.spectra import (
     Pencil,
@@ -167,6 +168,27 @@ class TestShadow:
             found += 1
             for p in pts:
                 assert p.direction[0] * x[0] + p.direction[1] * x[1] <= p.value + 1e-6
+
+    def test_shared_assembly_matches_standalone_gmp(self):
+        # one assembly serves every direction; each point must equal the
+        # one-measure "max" GMP relaxed and solved for that direction alone
+        feas = build_polyopt().feasible_set
+        dirs = unit_directions(8)[1::2]
+        opts = SolveOptions(gap_tol=1e-7, feas_tol=1e-7)
+        pts = shadow_support_points(feas, 2, dirs, options=opts)
+        mass = MomentConstraint([("mu", Polynomial.constant(2, 1))], Fraction(1), "eq")
+        for p, (cx, cy) in zip(pts, dirs):
+            g = GMPProblem(
+                measures=[MeasureDecl("mu", feas)],
+                constraints=[mass],
+                objective=[("mu", Polynomial(2, {(1, 0): cx, (0, 1): cy}))],
+                sense="max",
+            )
+            res = solve_gmp(g, 2, opts)
+            y = res.moments["mu"]
+            assert p.status == res.solution.status == "optimal"
+            assert p.value == res.bound
+            assert p.point == (float(y.value((1, 0))), float(y.value((0, 1))))
 
     def test_table_format(self):
         disk = build_unit_disk()
