@@ -60,6 +60,7 @@ from .relaxation import (
 )
 from .sdp import (
     Block,
+    BlockData,
     ConicProgram,
     SDPSolution,
     SolveOptions,
@@ -73,6 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block",
+    "BlockData",
     "Certificate",
     "ConicProgram",
     "DegreeTooHighError",

@@ -69,8 +69,20 @@ def _count_exact(nvars: int, deg: int) -> int:
     return comb(deg + nvars - 1, nvars - 1)
 
 
+# grlex rank of every exponent tuple seen so far; only valid exponents enter
+_GRLEX_RANKS: dict[tuple, int] = {}
+
+
 def grlex_index(exponent: Exponent) -> int:
     """Rank of an exponent in the graded lexicographic order, starting at 0."""
+    key = exponent if type(exponent) is tuple else tuple(exponent)
+    idx = _GRLEX_RANKS.get(key)
+    if idx is None:
+        idx = _GRLEX_RANKS[key] = _grlex_rank(key)
+    return idx
+
+
+def _grlex_rank(exponent: tuple) -> int:
     n = len(exponent)
     if n == 0:
         return 0

@@ -43,7 +43,7 @@ from .polynomials import (
     exponents_up_to,
     grlex_index,
 )
-from .sdp import Block, ConicProgram, SDPSolution, SolveOptions, solve
+from .sdp import Block, BlockData, ConicProgram, SDPSolution, SolveOptions, solve
 
 
 def half_degree(p: Polynomial) -> int:
@@ -229,14 +229,16 @@ def dedupe_rows(rows: list[LinearRow]) -> list[LinearRow]:
 
 
 def prune_dependent_rows(rows: list[LinearRow], n_cols: int, rel_tol: float = 1e-11) -> list[LinearRow]:
-    """Keep a maximal independent subset of equality rows.
+    """Keep a maximal independent subset of equality rows, in their given order.
 
     Equality families built from products of one polynomial carry many exact
     linear dependencies; leaving them in makes the Newton systems singular.
     Rank analysis runs on the augmented [coefficients | rhs] matrix, so a row
     that is inconsistent with the others stays (and the solve reports
     infeasibility) while a redundant consistent row is dropped.  Rows enter
-    with unit infinity-norm, so the cutoff is scale-free.
+    with unit infinity-norm, so the cutoff is scale-free.  The subset is the
+    first `rank` pivots of a column-pivoted QR of the transposed matrix, which
+    picks rows by remaining norm: it need not be the earliest independent rows.
     """
     if len(rows) <= 1:
         return rows
@@ -248,7 +250,7 @@ def prune_dependent_rows(rows: list[LinearRow], n_cols: int, rel_tol: float = 1e
         norm = np.abs(A[ri]).max()
         if norm > 0:
             A[ri] /= norm
-    _, R, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
+    R, piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0:
         return []
@@ -374,8 +376,10 @@ def assemble(
     """Order-r relaxation of measures on `supports` under moment constraints.
 
     Rows are the explicit constraints first, then each measure's equality
-    products; exact duplicates go, and the pivoted-QR prune keeps the
-    earliest of linearly dependent equality rows.
+    products; exact duplicates go, and `prune_dependent_rows` keeps a maximal
+    independent subset of the equality rows (which subset is up to its
+    column-pivoted QR, not the row order).  Constraint data is built as its
+    nonzeros; no dense (m, s, s) array is allocated.
     """
     plans = {name: measure_plan(supp, r) for name, supp in supports.items()}
     offsets: dict[str, int] = {}
@@ -421,34 +425,43 @@ def assemble(
             block_sources.append((name, st))
     blocks += [Block(kind, len(rows)) for kind, rows in row_blocks]
 
-    A: list[np.ndarray] = []
+    A: list[BlockData] = []
     C: list[np.ndarray] = []
-    for blk in blocks:
-        shape = (blk.size, blk.size) if blk.kind == "psd" else (blk.size,)
-        A.append(np.zeros((m, *shape)))
-        C.append(np.zeros(shape))
 
     # PSD blocks: Z_block = sum_k y_k S_k, i.e. C = 0 and A_k = -S_k
-    for bi, (name, st) in enumerate(block_sources):
-        off = offsets[name]
+    for name, st in block_sources:
+        off, s = offsets[name], st.side
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
         for (i, j), pairs in st.cells.items():
+            cells = (i * s + j,) if i == j else (i * s + j, j * s + i)
             for exp, c in pairs:
                 k = off + grlex_index(exp)
-                A[bi][k, i, j] -= float(c)
-                if i != j:
-                    A[bi][k, j, i] -= float(c)
+                for cell in cells:
+                    rows.append(k)
+                    cols.append(cell)
+                    vals.append(-float(c))
+        A.append(BlockData(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)))
+        C.append(np.zeros((s, s)))
 
     # rows are rescaled to unit maximum coefficient: mixed scales (constant
     # terms like 1/1575 against unit leading coefficients) otherwise drag
     # the Newton system's conditioning down
-    for bi, (_, rows) in enumerate(row_blocks, start=len(block_sources)):
-        for ri, row in enumerate(rows):
+    for _, block_rows in row_blocks:
+        rows, cols, vals = [], [], []
+        rhs = np.zeros(len(block_rows))
+        for ri, row in enumerate(block_rows):
             scale = max((abs(c) for c in row.coeffs.values()), default=Fraction(1))
             if scale == 0:
                 scale = Fraction(1)
-            C[bi][ri] = -float(row.rhs / scale)
+            rhs[ri] = -float(row.rhs / scale)
             for k, c in row.coeffs.items():
-                A[bi][k, ri] -= float(c / scale)
+                rows.append(k)
+                cols.append(ri)
+                vals.append(-float(c / scale))
+        A.append(BlockData(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)))
+        C.append(rhs)
 
     prog = ConicProgram(blocks=blocks, A=A, b=np.zeros(m), C=C)
     asm = AssembledProgram(prog, plans, offsets, exps)

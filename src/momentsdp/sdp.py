@@ -23,12 +23,19 @@ eliminating the cone part leaves a saddle system in (dy, dx_free) which is
 solved by two Cholesky factorizations.  Step lengths use a
 fraction-to-boundary rule, locating the cone boundary with Cholesky-based
 bisection.
+
+Storage.  A program stores each block's constraint data as its nonzeros
+(`BlockData`: constraint index, cell, coefficient), since moment relaxations
+fill well under 1% of the dense (m, s, s) arrays.  `solve` expands each block
+once, on entry, into a dense working copy that lives only as long as the
+solve.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
@@ -54,18 +61,72 @@ class Block:
         if self.size <= 0:
             raise ValueError("block size must be positive")
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of one constraint's data, and of C, on this block."""
+        return (self.size, self.size) if self.kind == "psd" else (self.size,)
+
+
+@dataclass(eq=False)
+class BlockData:
+    """Nonzeros of one block's constraint data: A_k[cols[t]] = vals[t] for k = rows[t].
+
+    ``cols`` holds the flattened cell i*s + j of a psd block (both triangles
+    are stored) or the entry index of a nonneg or zero block.  Each
+    (row, col) pair occurs at most once.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def copy(self) -> "BlockData":
+        return BlockData(self.rows.copy(), self.cols.copy(), self.vals.copy())
+
+
+def _block_data(A, m: int, shape: tuple[int, ...], bi: int) -> BlockData:
+    """Checked nonzeros of block bi, sorted by (row, col), from BlockData or a dense array."""
+    width = math.prod(shape)
+    if not isinstance(A, BlockData):
+        A = np.asarray(A, dtype=float)
+        if A.shape != (m, *shape):
+            raise ValueError(f"block {bi}: A has shape {A.shape}")
+        flat = A.reshape(m, width)
+        rows, cols = np.nonzero(flat)
+        A = BlockData(rows, cols, flat[rows, cols])
+    rows, cols = np.asarray(A.rows), np.asarray(A.cols)
+    vals = np.asarray(A.vals, dtype=float)
+    if not (rows.ndim == 1 and rows.shape == cols.shape == vals.shape):
+        raise ValueError(f"block {bi}: rows, cols and vals must be 1-d and of one length")
+    if vals.size:  # an empty block may carry float indices: np.array([]) is float
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise ValueError(f"block {bi}: rows and cols must be integer arrays")
+        if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= width:
+            raise ValueError(f"block {bi}: entry index outside the ({m}, {width}) data")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"block {bi}: nonfinite data")
+    nonzero = vals != 0.0
+    rows, cols, vals = rows[nonzero].astype(np.intp), cols[nonzero].astype(np.intp), vals[nonzero]
+    order = np.argsort(rows * width + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
+        raise ValueError(f"block {bi}: an entry occurs more than once")
+    return BlockData(rows, cols, vals)
+
 
 @dataclass
 class ConicProgram:
     """Block conic program data.
 
-    ``A[bi]`` stacks the k-th constraint's block ``bi`` along axis 0: shape
-    (m, s, s) for psd blocks and (m, s) for vector blocks.  ``C[bi]`` is
+    ``A[bi]`` is block ``bi``'s constraint data as `BlockData`, sorted by
+    (constraint, cell) with explicit zeros dropped.  A dense array is also
+    accepted and converted at once: shape (m, s, s) for psd blocks and (m, s)
+    for vector blocks, the k-th constraint along axis 0.  ``C[bi]`` is dense,
     (s, s) or (s,) accordingly.  PSD data must be symmetric.
     """
 
     blocks: list[Block]
-    A: list[np.ndarray]
+    A: list[BlockData]
     b: np.ndarray
     C: list[np.ndarray]
 
@@ -75,23 +136,14 @@ class ConicProgram:
         if len(self.A) != len(self.blocks) or len(self.C) != len(self.blocks):
             raise ValueError("A and C must have one entry per block")
         for bi, blk in enumerate(self.blocks):
-            self.A[bi] = np.asarray(self.A[bi], dtype=float)
+            self.A[bi] = _block_data(self.A[bi], m, blk.shape, bi)
             self.C[bi] = np.asarray(self.C[bi], dtype=float)
-            if blk.kind == "psd":
-                if self.A[bi].shape != (m, blk.size, blk.size):
-                    raise ValueError(f"block {bi}: A has shape {self.A[bi].shape}")
-                if self.C[bi].shape != (blk.size, blk.size):
-                    raise ValueError(f"block {bi}: C has shape {self.C[bi].shape}")
-            else:
-                if self.A[bi].shape != (m, blk.size):
-                    raise ValueError(f"block {bi}: A has shape {self.A[bi].shape}")
-                if self.C[bi].shape != (blk.size,):
-                    raise ValueError(f"block {bi}: C has shape {self.C[bi].shape}")
+            if self.C[bi].shape != blk.shape:
+                raise ValueError(f"block {bi}: C has shape {self.C[bi].shape}")
+            if not np.all(np.isfinite(self.C[bi])):
+                raise ValueError(f"block {bi}: nonfinite data")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite")
-        for bi in range(len(self.blocks)):
-            if not (np.all(np.isfinite(self.A[bi])) and np.all(np.isfinite(self.C[bi]))):
-                raise ValueError(f"block {bi}: nonfinite data")
 
     @property
     def m(self) -> int:
@@ -227,10 +279,21 @@ class _Factorization:
         return dy, dxf
 
 
+def _dense_data(prog: ConicProgram) -> list[np.ndarray]:
+    """Dense (m, s, s) / (m, s) copies of each block's constraint data."""
+    out = []
+    for blk, data in zip(prog.blocks, prog.A):
+        dense = np.zeros((prog.m, math.prod(blk.shape)))
+        dense[data.rows, data.cols] = data.vals
+        out.append(dense.reshape(prog.m, *blk.shape))
+    return out
+
+
 def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolution:
     """Run the interior-point iteration on a conic program."""
     opt = options or SolveOptions()
     m = prog.m
+    A = _dense_data(prog)
     cone = [bi for bi, blk in enumerate(prog.blocks) if blk.kind != "zero"]
     free = [bi for bi, blk in enumerate(prog.blocks) if blk.kind == "zero"]
     if not cone:
@@ -239,7 +302,7 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
 
     # stacked free-variable data: F (m, p), c_f (p,)
     if free:
-        F = np.hstack([prog.A[bi] for bi in free])
+        F = np.hstack([A[bi] for bi in free])
         c_f = np.concatenate([prog.C[bi] for bi in free])
         p = F.shape[1]
     else:
@@ -284,18 +347,18 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         rp = prog.b.copy()
         for bi in cone:
             if prog.blocks[bi].kind == "psd":
-                rp -= np.einsum("kij,ij->k", prog.A[bi], X[bi])
+                rp -= np.einsum("kij,ij->k", A[bi], X[bi])
             else:
-                rp -= prog.A[bi] @ X[bi]
+                rp -= A[bi] @ X[bi]
         if p:
             rp -= F @ xf
         Rd: dict[int, np.ndarray] = {}
         dnorm2 = 0.0
         for bi in cone:
             At = (
-                np.einsum("kij,k->ij", prog.A[bi], y)
+                np.einsum("kij,k->ij", A[bi], y)
                 if prog.blocks[bi].kind == "psd"
-                else prog.A[bi].T @ y
+                else A[bi].T @ y
             )
             Rd[bi] = prog.C[bi] - At - Z[bi]
             dnorm2 += float(np.sum(Rd[bi] ** 2))
@@ -386,14 +449,14 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
                     cz = cho_factor(Z[bi], lower=True)
                     s = prog.blocks[bi].size
                     Zinv[bi] = cho_solve(cz, np.eye(s))
-                    AX = np.matmul(prog.A[bi], X[bi])  # (m,s,s)
+                    AX = np.matmul(A[bi], X[bi])  # (m,s,s)
                     T[bi] = np.matmul(Zinv[bi], AX)
-                    A2 = prog.A[bi].reshape(m, s * s)
+                    A2 = A[bi].reshape(m, s * s)
                     T2 = T[bi].transpose(0, 2, 1).reshape(m, s * s)
                     M += A2 @ T2.T
                 else:
                     w = X[bi] / Z[bi]
-                    M += (prog.A[bi] * w) @ prog.A[bi].T
+                    M += (A[bi] * w) @ A[bi].T
             M = 0.5 * (M + M.T)
             fact = _Factorization(M, F)
         except np.linalg.LinAlgError:
@@ -409,24 +472,24 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
                     if bi in E:
                         g = g - Zinv[bi] @ E[bi]
                     G[bi] = g
-                    h -= np.einsum("kij,ij->k", prog.A[bi], g)
+                    h -= np.einsum("kij,ij->k", A[bi], g)
                 else:
                     g = sigma_mu / Z[bi] - X[bi] - Rd[bi] * X[bi] / Z[bi]
                     if bi in E:
                         g = g - E[bi] / Z[bi]
                     G[bi] = g
-                    h -= prog.A[bi] @ g
+                    h -= A[bi] @ g
             dy, dxf = fact.solve(h, r_f if p else None, M)
             dX: dict[int, np.ndarray] = {}
             dZ: dict[int, np.ndarray] = {}
             for bi in cone:
                 if prog.blocks[bi].kind == "psd":
-                    Aty = np.einsum("kij,k->ij", prog.A[bi], dy)
+                    Aty = np.einsum("kij,k->ij", A[bi], dy)
                     dZ[bi] = Rd[bi] - Aty
                     dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
                     dX[bi] = 0.5 * (dxb + dxb.T)
                 else:
-                    Aty = prog.A[bi].T @ dy
+                    Aty = A[bi].T @ dy
                     dZ[bi] = Rd[bi] - Aty
                     dX[bi] = G[bi] + Aty * X[bi] / Z[bi]
             return dX, dy, dZ, dxf
@@ -598,23 +661,26 @@ def write_program_text(prog: ConicProgram, f) -> None:
         f.write("\n[b]\n")
         f.write(" ".join(repr(float(v)) for v in prog.b) + "\n")
 
-        def _entries(tag: str, mats: list[np.ndarray]) -> None:
-            f.write(f"\n[{tag}]\n")
-            for bi, mat in enumerate(mats):
-                if prog.blocks[bi].kind == "psd":
-                    s = mat.shape[0]
-                    for i in range(s):
-                        for j in range(i, s):
-                            if mat[i, j] != 0.0:
-                                f.write(f"{bi + 1} {i + 1} {j + 1} {repr(float(mat[i, j]))}\n")
-                else:
-                    for i, v in enumerate(mat):
-                        if v != 0.0:
-                            f.write(f"{bi + 1} {i + 1} {i + 1} {repr(float(v))}\n")
+        def _entries(bi: int, cols: np.ndarray, vals: np.ndarray) -> None:
+            # nonzeros of one block in cell order; psd blocks write the upper triangle
+            blk = prog.blocks[bi]
+            for col, v in zip(cols.tolist(), vals.tolist()):
+                i, j = divmod(col, blk.size) if blk.kind == "psd" else (col, col)
+                if i <= j:
+                    f.write(f"{bi + 1} {i + 1} {j + 1} {v!r}\n")
 
-        _entries("C", prog.C)
+        f.write("\n[C]\n")
+        for bi, mat in enumerate(prog.C):
+            flat = mat.reshape(-1)
+            (cols,) = np.nonzero(flat)
+            _entries(bi, cols, flat[cols])
+        # rows are sorted, so constraint k's entries of a block are one slice
+        starts = [np.searchsorted(data.rows, np.arange(prog.m + 1)) for data in prog.A]
         for k in range(prog.m):
-            _entries(f"A {k + 1}", [prog.A[bi][k] for bi in range(len(prog.blocks))])
+            f.write(f"\n[A {k + 1}]\n")
+            for bi, data in enumerate(prog.A):
+                lo, hi = starts[bi][k], starts[bi][k + 1]
+                _entries(bi, data.cols[lo:hi], data.vals[lo:hi])
     finally:
         if close:
             f.close()
@@ -706,38 +772,38 @@ def parse_program_text(text: str) -> ConicProgram:
         if not 1 <= k <= m:
             raise ProgramFormatError(f"constraint index {k} out of range (m = {m})", 0)
 
-    def _alloc() -> list[np.ndarray]:
-        return [
-            np.zeros((blk.size, blk.size)) if blk.kind == "psd" else np.zeros(blk.size)
-            for blk in blocks
-        ]
+    def _cells(bi: int, i: int, j: int) -> tuple[int, set[int]]:
+        # 0-based block and flattened cells of a 1-based entry (both triangles)
+        if not 1 <= bi <= len(blocks):
+            raise ProgramFormatError(f"block index {bi} out of range", 0)
+        blk = blocks[bi - 1]
+        if not (1 <= i <= blk.size and 1 <= j <= blk.size):
+            raise ProgramFormatError(f"entry ({i},{j}) outside block {bi}", 0)
+        if blk.kind == "psd":
+            return bi - 1, {(i - 1) * blk.size + j - 1, (j - 1) * blk.size + i - 1}
+        if i != j:
+            raise ProgramFormatError("vector blocks take diagonal entries only", 0)
+        return bi - 1, {i - 1}
 
-    def _fill(target: list[np.ndarray], entries) -> None:
-        for bi, i, j, v in entries:
-            if not 1 <= bi <= len(blocks):
-                raise ProgramFormatError(f"block index {bi} out of range", 0)
-            blk = blocks[bi - 1]
-            if not (1 <= i <= blk.size and 1 <= j <= blk.size):
-                raise ProgramFormatError(f"entry ({i},{j}) outside block {bi}", 0)
-            if blk.kind == "psd":
-                target[bi - 1][i - 1, j - 1] = v
-                target[bi - 1][j - 1, i - 1] = v
-            else:
-                if i != j:
-                    raise ProgramFormatError("vector blocks take diagonal entries only", 0)
-                target[bi - 1][i - 1] = v
-
-    C = _alloc()
-    _fill(C, centries)
-    A = [
-        np.zeros((m, blk.size, blk.size)) if blk.kind == "psd" else np.zeros((m, blk.size))
-        for blk in blocks
-    ]
+    C = [np.zeros(blk.shape) for blk in blocks]
+    for bi, i, j, v in centries:
+        b0, cols = _cells(bi, i, j)
+        C[b0].reshape(-1)[list(cols)] = v
+    # a later entry for the same cell overwrites an earlier one
+    cells: list[dict[tuple[int, int], float]] = [{} for _ in blocks]
     for k, entries in aentries.items():
-        tmp = _alloc()
-        _fill(tmp, entries)
-        for bi in range(len(blocks)):
-            A[bi][k - 1] = tmp[bi]
+        for bi, i, j, v in entries:
+            b0, cols = _cells(bi, i, j)
+            for col in cols:
+                cells[b0][(k - 1, col)] = v
+    A = [
+        BlockData(
+            np.array([k for k, _ in cell], dtype=np.intp),
+            np.array([col for _, col in cell], dtype=np.intp),
+            np.array(list(cell.values()), dtype=float),
+        )
+        for cell in cells
+    ]
     return ConicProgram(blocks=blocks, A=A, b=np.asarray(bvals), C=C)
 
 

@@ -173,7 +173,8 @@ class TestBuildRelaxation:
         assert [(b.kind, b.size) for b in pa.blocks] == [(b.kind, b.size) for b in pb.blocks]
         assert np.array_equal(pa.b, pb.b)
         for bi in range(len(pa.blocks)):
-            assert np.array_equal(pa.A[bi], pb.A[bi])
+            for part in ("rows", "cols", "vals"):
+                assert np.array_equal(getattr(pa.A[bi], part), getattr(pb.A[bi], part))
             assert np.array_equal(pa.C[bi], pb.C[bi])
 
     def test_lqr_first_relaxation_structure(self):

@@ -69,6 +69,14 @@ class TestGrlexOrder:
             for d in range(0, 9):
                 for e in exponents_up_to(n, d):
                     assert grlex_exponent(n, grlex_index(e)) == e
+        # the ranks are memoized now: a warm rank still inverts grlex_exponent,
+        # a list reads the same rank as its tuple, and validation still runs
+        for k in range(monomial_count(3, 6)):
+            e = grlex_exponent(3, k)
+            assert grlex_index(e) == grlex_index(list(e)) == k
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                grlex_index((2, -1, 1))
 
     def test_exponents_up_to_is_sorted(self):
         exps = exponents_up_to(3, 4)

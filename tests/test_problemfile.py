@@ -67,7 +67,8 @@ class TestFixtures:
             ]
             assert np.array_equal(p1.sdp.b, p2.sdp.b)
             for bi in range(len(p1.sdp.blocks)):
-                assert np.array_equal(p1.sdp.A[bi], p2.sdp.A[bi])
+                for part in ("rows", "cols", "vals"):
+                    assert np.array_equal(getattr(p1.sdp.A[bi], part), getattr(p2.sdp.A[bi], part))
                 assert np.array_equal(p1.sdp.C[bi], p2.sdp.C[bi])
 
     def test_gmp_fixtures_match_builders(self):

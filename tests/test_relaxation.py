@@ -3,18 +3,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentsdp.casestudies import build_polyopt, build_unit_disk
+from momentsdp.casestudies import build_eig_assign, build_polyopt, build_unit_disk
 from momentsdp.moments import evaluate_stencil, moment_matrix_stencil
-from momentsdp.polynomials import Polynomial, VarSpace, monomial_count, parse_polynomial
+from momentsdp.polynomials import (
+    Polynomial,
+    VarSpace,
+    grlex_index,
+    monomial_count,
+    parse_polynomial,
+)
 from momentsdp.relaxation import (
+    LinearRow,
     OrderTooSmallError,
     POPProblem,
     SemialgebraicSet,
     bound_and_moments,
     build_relaxation,
     half_degree,
+    dedupe_rows,
     measure_plan,
     moment_vector_of_point,
+    prune_dependent_rows,
 )
 from momentsdp.sdp import SolveOptions
 
@@ -180,3 +189,69 @@ class TestUnitDisk:
         res = bound_and_moments(pop, 1, HI)
         assert res.solution.status == "optimal"
         assert res.bound == pytest.approx(-np.sqrt(2.0), abs=1e-7)
+
+
+def _augmented(row: LinearRow, n_cols: int) -> dict[int, Fraction]:
+    """Exact [coefficients | rhs] row, the rhs in column n_cols."""
+    v = {k: Fraction(c) for k, c in row.coeffs.items() if c != 0}
+    if row.rhs != 0:
+        v[n_cols] = Fraction(row.rhs)
+    return v
+
+
+def _reduce(v: dict[int, Fraction], basis: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
+    """Remainder of v after exact elimination against an echelon basis.
+
+    Each basis row has a unit entry at its pivot and zeros at the pivots of
+    the rows inserted before it, so one pass in insertion order suffices.
+    """
+    v = dict(v)
+    for piv, row in basis.items():
+        f = v.get(piv, 0)
+        if f:
+            for k, c in row.items():
+                v[k] = v.get(k, 0) - f * c
+            v = {k: c for k, c in v.items() if c != 0}
+    return v
+
+
+class TestRowPrune:
+    def _check_prune(self, rows: list[LinearRow], n_cols: int) -> list[LinearRow]:
+        kept = prune_dependent_rows(rows, n_cols)
+        ids = {id(row) for row in kept}
+        assert [row for row in rows if id(row) in ids] == kept  # given order kept
+        basis: dict[int, dict[int, Fraction]] = {}
+        for row in kept:
+            v = _reduce(_augmented(row, n_cols), basis)
+            assert v, "a kept row lies in the span of the rows kept before it"
+            piv = min(v)
+            basis[piv] = {k: c / v[piv] for k, c in v.items()}
+        for row in rows:
+            if id(row) not in ids:
+                assert not _reduce(_augmented(row, n_cols), basis), "a dropped row is independent"
+        return kept
+
+    def test_eig_assign_equality_products(self):
+        # eig-assign n = 3 at r = 3: the products of the equality constraints
+        # with every monomial that fits carry many exact dependencies
+        pop = build_eig_assign(3)
+        plan = measure_plan(pop.feasible_set, 3)
+        n_cols = monomial_count(3, 6)
+        rows = [LinearRow({0: Fraction(1)}, Fraction(1), "eq")] + [
+            LinearRow({grlex_index(e): Fraction(c) for e, c in lhs.items()}, Fraction(rhs), "eq")
+            for lhs, rhs in plan.equality_rows
+        ]
+        rows = dedupe_rows(rows)
+        kept = self._check_prune(rows, n_cols)
+        assert 0 < len(kept) < len(rows)
+
+    def test_inconsistent_row_is_kept(self):
+        # y0 = 1 next to y0 = 2: the coefficients alone are dependent, the
+        # augmented rows are not, so both stay and the solve can see it
+        y0_is_1 = LinearRow({0: Fraction(1)}, Fraction(1), "eq")
+        y0_is_2 = LinearRow({0: Fraction(1)}, Fraction(2), "eq")
+        assert self._check_prune([y0_is_1, y0_is_2], 2) == [y0_is_1, y0_is_2]
+        # a consistent multiple of y0 = 1 is redundant; the inconsistency stays
+        twice = LinearRow({0: Fraction(2)}, Fraction(2), "eq")
+        kept = self._check_prune([y0_is_1, twice, y0_is_2], 2)
+        assert len(kept) == 2 and y0_is_2 in kept

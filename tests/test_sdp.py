@@ -6,6 +6,7 @@ import pytest
 
 from momentsdp.sdp import (
     Block,
+    BlockData,
     ConicProgram,
     SolveOptions,
     duality_report,
@@ -55,6 +56,12 @@ def allones_program() -> ConicProgram:
 
 
 TIGHT = SolveOptions(gap_tol=1e-13, feas_tol=1e-11)
+
+
+def assert_same_nonzeros(a: BlockData, b: BlockData) -> None:
+    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(a.cols, b.cols)
+    assert np.array_equal(a.vals, b.vals)
 
 
 class TestCoreSolves:
@@ -258,6 +265,51 @@ class TestProgramValidation:
                 C=[np.zeros((1, 1))],
             )
 
+    def test_nonfinite_value_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonfinite"):
+                ConicProgram(
+                    blocks=[Block("psd", 2)],
+                    A=[BlockData(np.array([0, 0]), np.array([1, 2]), np.array([1.0, bad]))],
+                    b=np.array([1.0]),
+                    C=[np.eye(2)],
+                )
+
+    def test_entry_index_checks(self):
+        def program(rows, cols, kind="psd"):
+            return ConicProgram(
+                blocks=[Block(kind, 2)],
+                A=[BlockData(np.array(rows), np.array(cols), np.ones(len(rows)))],
+                b=np.zeros(2),
+                C=[np.eye(2) if kind == "psd" else np.ones(2)],
+            )
+
+        program([0, 1], [3, 0])  # in range: m = 2, a 2x2 block has cells 0..3
+        program([0, 1], [1, 0], "nonneg")
+        for rows, cols, kind in [
+            ([2], [0], "psd"),  # row k = m
+            ([-1], [0], "psd"),
+            ([0], [4], "psd"),  # cell s * s
+            ([0], [-1], "psd"),
+            ([0], [2], "nonneg"),  # entry s of a vector block
+        ]:
+            with pytest.raises(ValueError, match="outside"):
+                program(rows, cols, kind)
+        with pytest.raises(ValueError, match="more than once"):
+            program([1, 0, 1], [2, 0, 2])
+        with pytest.raises(ValueError, match="integer"):
+            program(np.array([0.0]), [0])
+
+    def test_dense_input_is_stored_as_sorted_nonzeros(self):
+        prog = allones_program()
+        assert prog.A[0].rows.tolist() == [0, 0, 1, 1, 2, 2]
+        assert prog.A[0].cols.tolist() == [1, 3, 2, 6, 5, 7]
+        assert prog.A[0].vals.tolist() == [-1.0] * 6
+        shuffled = BlockData(np.array([2, 0, 1, 2, 0, 1]), np.array([7, 3, 6, 5, 1, 2]),
+                             np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0]))
+        again = ConicProgram(blocks=prog.blocks, A=[shuffled], b=prog.b, C=prog.C)
+        assert_same_nonzeros(again.A[0], prog.A[0])
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(gap_tol=0.0)
@@ -286,7 +338,7 @@ class TestInterchangeFormat:
         ]
         assert np.array_equal(back.b, prog.b)
         for bi in range(3):
-            assert np.array_equal(back.A[bi], prog.A[bi])
+            assert_same_nonzeros(back.A[bi], prog.A[bi])
             assert np.array_equal(back.C[bi], prog.C[bi])
 
     def test_file_io(self, tmp_path):
@@ -311,7 +363,10 @@ psd 2
 """
         prog = parse_program_text(text)
         assert prog.C[0][0, 0] == 0.5
-        assert prog.A[0][0, 0, 1] == -0.5
+        # the one entry (1, 2) of constraint 1 fills cells (0, 1) and (1, 0)
+        assert prog.A[0].rows.tolist() == [0, 0]
+        assert prog.A[0].cols.tolist() == [1, 2]
+        assert prog.A[0].vals.tolist() == [-0.5, -0.5]
 
     def test_format_errors(self):
         from momentsdp.sdp import ProgramFormatError
@@ -322,6 +377,53 @@ psd 2
             parse_program_text("kind: sdp\nstray line\n")
         with pytest.raises(ProgramFormatError):
             parse_program_text("kind: sdp\n[blocks]\npsd 2\n[b]\n1\n[A 5]\n1 1 1 1\n")
+
+
+class TestStoredForm:
+    @staticmethod
+    def _from_triplets(prog: ConicProgram, rng) -> ConicProgram:
+        """The same program rebuilt from its nonzeros, listed in a shuffled order."""
+        A = []
+        for data in prog.A:
+            perm = rng.permutation(len(data.vals))
+            A.append(BlockData(data.rows[perm], data.cols[perm], data.vals[perm]))
+        return ConicProgram(blocks=list(prog.blocks), A=A, b=prog.b.copy(),
+                            C=[c.copy() for c in prog.C])
+
+    def test_dense_and_triplet_programs_solve_identically(self):
+        rng = np.random.default_rng(5)
+        dense_random, _, _ = TestRandomPrograms()._random_feasible(rng, 4, 5)
+        sqrt2_triplets = ConicProgram(
+            blocks=[Block("psd", 2)],
+            A=[BlockData(np.array([0, 0]), np.array([1, 2]), np.array([-0.5, -0.5]))],
+            b=np.array([1.0]),
+            C=[np.array([[0.5, 0.0], [0.0, 1.0]])],
+        )
+        cases = [
+            (sqrt2_program(), sqrt2_triplets, TIGHT),
+            (dense_random, self._from_triplets(dense_random, rng),
+             SolveOptions(gap_tol=1e-10, feas_tol=1e-9)),
+        ]
+        for dense, triplets, options in cases:
+            s1, s2 = solve(dense, options), solve(triplets, options)
+            assert s1.status == s2.status == "optimal"
+            assert s1.iterations == s2.iterations
+            assert np.array_equal(s1.y, s2.y)
+            for X1, X2 in zip(s1.X, s2.X):
+                assert np.array_equal(X1, X2)
+
+    def test_assembled_relaxation_roundtrips_through_text(self):
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        prog = build_relaxation(build_eig_assign(3), 2)[0].program
+        assert {blk.kind for blk in prog.blocks} == {"psd", "zero"}
+        back = parse_program_text(program_to_text(prog))
+        assert [(b.kind, b.size) for b in back.blocks] == [(b.kind, b.size) for b in prog.blocks]
+        assert np.array_equal(back.b, prog.b)
+        for bi in range(len(prog.blocks)):
+            assert_same_nonzeros(back.A[bi], prog.A[bi])
+            assert np.array_equal(back.C[bi], prog.C[bi])
 
 
 class TestConcurrency:
