@@ -109,10 +109,10 @@ def _minimal_gmp_order(data: GMPFileData) -> int:
     return max(r_f, g.minimal_order())
 
 
-def _solve_pop(pop: POPProblem, args, report: Report) -> int:
+def _solve_pop(pop: POPProblem, args, options: SolveOptions, report: Report) -> int:
     r = args.order if args.order is not None else pop.minimal_order()
     try:
-        res = bound_and_moments(pop, r, _options(args))
+        res = bound_and_moments(pop, r, options)
     except OrderTooSmallError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -142,16 +142,16 @@ def _solve_pop(pop: POPProblem, args, report: Report) -> int:
     return _status_exit(sol.status)
 
 
-def _solve_gmp_file(data: GMPFileData, args, report: Report) -> int:
+def _solve_gmp_file(data: GMPFileData, args, options: SolveOptions, report: Report) -> int:
     try:
         r = args.order if args.order is not None else _minimal_gmp_order(data)
         g, dp = data.instantiate(r)
-        res = solve_gmp(g, r, _options(args))
+        res = solve_gmp(g, r, options)
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if dp is not None and dp.dynamics.autonomous and res.solution.status == "optimal":
-        res = resolve_minimal_time(dp, r, res, _options(args))
+        res = resolve_minimal_time(dp, r, res, options)
     moments = res.moments
     if dp is not None and not dp.dynamics.autonomous:
         moments = unscale_time_moments(dp, moments)  # report in original time
@@ -177,8 +177,8 @@ def _solve_gmp_file(data: GMPFileData, args, report: Report) -> int:
     return _status_exit(sol.status)
 
 
-def _solve_sdp(prog, args, report: Report) -> int:
-    sol = solve(prog, _options(args))
+def _solve_sdp(prog, options: SolveOptions, report: Report) -> int:
+    sol = solve(prog, options)
     report.kv("kind", "sdp")
     report.kv("status", sol.status)
     report.kv("objective", sol.dual_obj)
@@ -214,14 +214,19 @@ def cmd_solve(args) -> int:
     parsed = _load(args.file)
     if parsed is None:
         return 1
+    try:
+        options = _options(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     report = Report()
     t0 = time.perf_counter()
     if parsed.kind == "pop":
-        code = _solve_pop(parsed.pop, args, report)
+        code = _solve_pop(parsed.pop, args, options, report)
     elif parsed.kind == "gmp":
-        code = _solve_gmp_file(parsed.gmp, args, report)
+        code = _solve_gmp_file(parsed.gmp, args, options, report)
     elif parsed.kind == "sdp":
-        code = _solve_sdp(parsed.sdp, args, report)
+        code = _solve_sdp(parsed.sdp, options, report)
     else:
         code = _solve_pencil(parsed.pencil, args, report)
     if code != 1:

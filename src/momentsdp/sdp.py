@@ -21,8 +21,9 @@ HKM-style direction (linearize using Z^{-1} and symmetrize the X step) and a
 Mehrotra predictor-corrector.  Free entries enter the Newton system directly:
 eliminating the cone part leaves a saddle system in (dy, dx_free) which is
 solved by two Cholesky factorizations.  Step lengths use a
-fraction-to-boundary rule, locating the cone boundary with Cholesky-based
-bisection.
+fraction-to-boundary rule.  The cone boundary of a psd block is located by
+bisection on numpy's Cholesky kernel, which stops early once the block
+cannot bind the step.
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
@@ -41,6 +42,7 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg import cho_factor, cho_solve
 
 BlockKind = Literal["psd", "nonneg", "zero"]
@@ -158,8 +160,10 @@ class SolveOptions:
     step_fraction: float = 0.98
 
     def __post_init__(self) -> None:
-        if self.gap_tol <= 0 or self.feas_tol <= 0 or self.max_iter <= 0:
-            raise ValueError("tolerances and iteration budget must be positive")
+        if not all(0.0 < tol < math.inf for tol in (self.gap_tol, self.feas_tol)):
+            raise ValueError("tolerances must be finite and positive")
+        if self.max_iter <= 0:
+            raise ValueError("iteration budget must be positive")
         if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must lie in (0, 1)")
 
@@ -200,24 +204,33 @@ def psd_project_check(M: np.ndarray, tol: float = 1e-9) -> tuple[float, bool]:
 
 
 def _chol_ok(M: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(M)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    # numpy's Cholesky gufunc without np.linalg.cholesky's exception path: a
+    # failed factor comes back all NaN (with the invalid flag raised), a good
+    # one with a zero strict upper triangle
+    return not math.isnan(_umath_linalg.cholesky_lo(M)[0, -1])
 
 
-def _max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
-    """Largest step t <= 1 keeping X + t D positive definite (bisection)."""
-    if _chol_ok(X + D):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _chol_ok(X + mid * D):
-            lo = mid
-        else:
-            hi = mid
+def _max_step_psd(X: np.ndarray, D: np.ndarray, cap: float) -> float:
+    """Largest step t <= 1 keeping X + t D positive definite, as far as min(cap, t) needs.
+
+    Bisection on `_chol_ok` over one trial buffer (the roundings of X + t * D);
+    its lower end only grows, so the search stops once that end reaches ``cap``.
+    """
+    buf = X + D
+    with np.errstate(invalid="ignore"):
+        if _chol_ok(buf):
+            return 1.0
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            if lo >= cap:
+                break
+            mid = 0.5 * (lo + hi)
+            np.multiply(D, mid, out=buf)
+            np.add(buf, X, out=buf)
+            if _chol_ok(buf):
+                lo = mid
+            else:
+                hi = mid
     return lo
 
 
@@ -296,6 +309,8 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     A = _dense_data(prog)
     cone = [bi for bi, blk in enumerate(prog.blocks) if blk.kind != "zero"]
     free = [bi for bi, blk in enumerate(prog.blocks) if blk.kind == "zero"]
+    psd = [bi for bi in cone if prog.blocks[bi].kind == "psd"]
+    nonneg = [bi for bi in cone if prog.blocks[bi].kind == "nonneg"]
     if not cone:
         raise ValueError("program has no cone blocks")
     nu = sum(prog.blocks[bi].size for bi in cone)
@@ -495,14 +510,14 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
             return dX, dy, dZ, dxf
 
         def _steps(dX, dZ) -> tuple[float, float]:
+            # the cheap nonneg ratios first: each psd search stops at the running cap
             ap = ad = 1.0
-            for bi in cone:
-                if prog.blocks[bi].kind == "psd":
-                    ap = min(ap, _max_step_psd(X[bi], dX[bi]))
-                    ad = min(ad, _max_step_psd(Z[bi], dZ[bi]))
-                else:
-                    ap = min(ap, _max_step_nonneg(X[bi], dX[bi]))
-                    ad = min(ad, _max_step_nonneg(Z[bi], dZ[bi]))
+            for bi in nonneg:
+                ap = min(ap, _max_step_nonneg(X[bi], dX[bi]))
+                ad = min(ad, _max_step_nonneg(Z[bi], dZ[bi]))
+            for bi in psd:
+                ap = min(ap, _max_step_psd(X[bi], dX[bi], ap))
+                ad = min(ad, _max_step_psd(Z[bi], dZ[bi], ad))
             return ap, ad
 
         try:

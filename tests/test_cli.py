@@ -7,6 +7,7 @@ import pytest
 from momentsdp.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+BAD_SOLVER_OPTIONS = [("--max-iter", "0"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "nan")]
 
 
 def fx(name: str) -> str:
@@ -120,6 +121,14 @@ class TestSolve:
         assert code == 2
         assert report_values(out)["status"] == "max_iter"
 
+    @pytest.mark.parametrize("name", ["unit_disk.pop", "bolza.gmp", "sqrt2.sdp", "pillow.pencil"])
+    @pytest.mark.parametrize("option", BAD_SOLVER_OPTIONS)
+    def test_bad_solver_options_are_input_errors(self, capsys, name, option):
+        code, out, err = run(capsys, "solve", fx(name), *option)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_gmp_without_objective_or_dynamics(self, tmp_path, capsys):
         path = tmp_path / "noobj.gmp"
         path.write_text(
@@ -170,6 +179,13 @@ class TestShadow:
     def test_wrong_kind(self, capsys):
         code, out, err = run(capsys, "shadow", fx("sqrt2.sdp"))
         assert code == 1
+
+    @pytest.mark.parametrize("option", BAD_SOLVER_OPTIONS)
+    def test_bad_solver_options_are_input_errors(self, capsys, option):
+        code, out, err = run(capsys, "shadow", fx("unit_disk.pop"), "--order", "1", *option)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestLiouville:

@@ -1,9 +1,12 @@
 import io
 import itertools
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from momentsdp import sdp
 from momentsdp.sdp import (
     Block,
     BlockData,
@@ -56,6 +59,29 @@ def allones_program() -> ConicProgram:
 
 
 TIGHT = SolveOptions(gap_tol=1e-13, feas_tol=1e-11)
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+def _cholesky_succeeds(M: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(M)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def reference_max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
+    """The plain bisection: np.linalg.cholesky on a fresh X + t * D, 40 halvings."""
+    if _cholesky_succeeds(X + D):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if _cholesky_succeeds(X + mid * D):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def assert_same_nonzeros(a: BlockData, b: BlockData) -> None:
@@ -166,6 +192,22 @@ class TestRandomPrograms:
         for rec in sol.trace:
             if rec["pres"] <= 1e-6 and rec["dres"] <= 1e-6:
                 assert rec["pobj"] - rec["dobj"] >= -1e-8
+
+    def test_gap_identity_with_residuals(self):
+        # pobj - dobj = <X,Z> + <X,Rd> - y'r_p for any (X, y, Z); only <X,Z> >= 0
+        # comes from the cones, so small residuals alone do not bound the gap below
+        for seed in range(10):
+            prog, _, _ = self._random_feasible(np.random.default_rng(seed), 4, 5)
+            sol = solve(prog, SolveOptions(gap_tol=1e-11, feas_tol=1e-10))
+            (A,) = sdp._dense_data(prog)
+            X, Z, y = sol.X[0], sol.Z[0], sol.y
+            r_p = prog.b - np.einsum("kij,ij->k", A, X)
+            Rd = prog.C[0] - np.einsum("kij,k->ij", A, y) - Z
+            xz = float(np.sum(X * Z))
+            assert xz >= 0.0, seed
+            identity = xz + float(np.sum(X * Rd)) - float(y @ r_p)
+            gap = sol.primal_obj - sol.dual_obj
+            assert abs(gap - identity) <= 1e-9 * (1 + abs(sol.dual_obj)), seed
 
     def test_scaling_invariance_of_argmax(self):
         rng = np.random.default_rng(9)
@@ -315,6 +357,12 @@ class TestProgramValidation:
             SolveOptions(gap_tol=0.0)
         with pytest.raises(ValueError):
             SolveOptions(step_fraction=1.0)
+
+    def test_nonfinite_tolerances_rejected(self):
+        for bad in (np.inf, np.nan):
+            for field in ("gap_tol", "feas_tol"):
+                with pytest.raises(ValueError, match="finite"):
+                    SolveOptions(**{field: bad})
 
 
 class TestInterchangeFormat:
@@ -488,3 +536,102 @@ class TestMixedConePrograms:
             lo = float(b @ y0)
             hi = float(np.sum(Cpsd * X0) + Cnon @ x0 + Cfree @ u0)
             assert lo - 1e-6 <= sol.dual_obj <= hi + 1e-6
+
+
+class TestStepLength:
+    def test_chol_ok_matches_numpy_cholesky_near_singular(self):
+        # symmetric matrices of sides 1..12 shifted to within 1e-13 * ||M|| of
+        # singular, where rounding decides the factorization
+        rng = np.random.default_rng(0)
+        outcomes = []
+        for trial in range(2400):
+            n = 1 + trial % 12
+            T = rng.normal(size=(n, n))
+            M = T @ T.T if trial % 2 else T + T.T
+            lam_min = np.linalg.eigvalsh(M)[0]
+            shift = rng.uniform(-1e-13, 1e-13) * np.linalg.norm(M, 2) - lam_min
+            M = M + shift * np.eye(n)
+            expected = _cholesky_succeeds(M)
+            with np.errstate(invalid="ignore"):
+                assert sdp._chol_ok(M) == expected, (trial, M)
+            outcomes.append(expected)
+        assert 300 < sum(outcomes) < len(outcomes) - 300
+
+    def test_max_step_matches_reference_bisection(self):
+        rng = np.random.default_rng(1)
+        full_steps = 0
+        for trial in range(400):
+            n = 1 + trial % 8
+            T = rng.normal(size=(n, n))
+            X = T @ T.T + 1e-3 * np.eye(n)
+            S = rng.normal(size=(n, n))
+            D = rng.uniform(0.1, 10.0) * (S + S.T)
+            ref = reference_max_step_psd(X, D)
+            assert sdp._max_step_psd(X, D, 1.0) == ref, trial
+            full_steps += ref == 1.0
+            for cap in (0.0, 0.5 * ref, np.nextafter(ref, 0.0), ref,
+                        min(np.nextafter(ref, 1.0), 0.999), rng.uniform()):
+                assert min(cap, sdp._max_step_psd(X, D, cap)) == min(cap, ref), (trial, cap)
+        assert 20 < full_steps < 380
+
+    def test_solves_bit_identical_to_reference_search(self, monkeypatch):
+        from momentsdp import spectra
+        from momentsdp.casestudies import build_eig_assign, build_polyopt
+        from momentsdp.relaxation import build_relaxation
+
+        eig3 = build_relaxation(build_eig_assign(3), 3)[0].program
+        sqrt2 = read_program_text(os.path.join(FIXTURES, "sqrt2.sdp"))
+        planar = build_polyopt().feasible_set
+
+        def solves() -> list:
+            out = [solve(sqrt2, TIGHT), solve(eig3, SolveOptions(gap_tol=1e-6, feas_tol=1e-6))]
+
+            def record(prog, options):
+                out.append(sdp.solve(prog, options))
+                return out[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(spectra, "solve", record)
+                spectra.shadow_support_points(planar, 2, spectra.unit_directions(64)[::16])
+            return out
+
+        calls = {"fast": 0, "reference": 0}
+        chol_ok, cholesky = sdp._chol_ok, np.linalg.cholesky
+
+        def counted(name, f):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapped
+
+        with monkeypatch.context() as m:
+            m.setattr(sdp, "_chol_ok", counted("fast", chol_ok))
+            fast = solves()
+        with monkeypatch.context() as m:
+            m.setattr(sdp, "_max_step_psd", lambda X, D, cap: reference_max_step_psd(X, D))
+            m.setattr(np.linalg, "cholesky", counted("reference", cholesky))
+            reference = solves()
+        assert len(fast) == len(reference) == 6
+        for a, b in zip(fast, reference):
+            assert a.status == b.status
+            assert a.iterations == b.iterations
+            assert np.array_equal(a.y, b.y)
+            for Xa, Xb in zip(a.X, b.X):
+                assert np.array_equal(Xa, Xb)
+        # the early exit fires: fewer factorizations for the same iterates
+        assert 0 < calls["fast"] < calls["reference"]
+
+    def test_failed_factorizations_raise_no_warning(self, monkeypatch):
+        outcomes = []
+        chol_ok = sdp._chol_ok
+
+        def recorded(M):
+            outcomes.append(chol_ok(M))
+            return outcomes[-1]
+
+        monkeypatch.setattr(sdp, "_chol_ok", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(sqrt2_program(), TIGHT)
+        assert sol.status == "optimal"
+        assert False in outcomes and True in outcomes
