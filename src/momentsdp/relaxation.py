@@ -242,21 +242,38 @@ def prune_dependent_rows(rows: list[LinearRow], n_cols: int, rel_tol: float = 1e
     """
     if len(rows) <= 1:
         return rows
-    A = np.zeros((len(rows), n_cols + 1))
-    for ri, row in enumerate(rows):
-        for k, c in row.coeffs.items():
-            A[ri, k] = float(c)
-        A[ri, n_cols] = float(row.rhs)
-        norm = np.abs(A[ri]).max()
-        if norm > 0:
-            A[ri] /= norm
-    R, piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
+    piv, diag = _pivoted_qr(rows, n_cols)
     if diag.size == 0 or diag[0] == 0:
         return []
     rank = int(np.sum(diag > rel_tol * diag[0]))
     keep = sorted(piv[:rank])
     return [rows[i] for i in keep]
+
+
+def _pivoted_qr(rows: list[LinearRow], n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots and |diag R| of the column-pivoted QR of the rows' [coefficients | rhs] transpose.
+
+    Each row is scaled to unit infinity-norm.  This is the LAPACK geqp3 call,
+    with the same workspace query, that ``scipy.linalg.qr(A.T, mode="r",
+    pivoting=True)`` makes, so pivots and diagonal are the same; but the
+    Fortran-ordered transpose is filled directly and factored in place, and
+    the diagonal is read off the factor, so no copy of the matrix is made.
+    """
+    AT = np.zeros((n_cols + 1, len(rows)), order="F")
+    for ri, row in enumerate(rows):
+        col = AT[:, ri]
+        for k, c in row.coeffs.items():
+            col[k] = float(c)
+        col[n_cols] = float(row.rhs)
+        norm = np.abs(col).max()
+        if norm > 0:
+            col /= norm
+    (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (AT,))
+    lwork = geqp3(AT, lwork=-1, overwrite_a=True)[-2][0].real.astype(np.int_)
+    qr, piv, _, _, info = geqp3(AT, lwork=lwork, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqp3")
+    return piv - 1, np.abs(np.diagonal(qr))
 
 
 # -- assembly -----------------------------------------------------------------

@@ -27,9 +27,13 @@ cannot bind the step.
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
-fill well under 1% of the dense (m, s, s) arrays.  `solve` expands each block
-once, on entry, into a dense working copy that lives only as long as the
-solve.
+fill well under 1% of the dense (m, s, s) arrays.  `solve` expands each cone
+block once, on entry, into a dense working copy, and writes the zero blocks
+straight into one stacked (m, p) matrix.  Its dense working set is two
+(m, s^2) arrays per psd block: that copy of A and one buffer of the Schur
+products Z^{-1} A_k X, which `_schur_psd` fills a chunk of constraints at a
+time.  Both live only as long as the solve; each iteration frees the last
+Schur system and its factors before it forms the next.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ BlockKind = Literal["psd", "nonneg", "zero"]
 _log = logging.getLogger(__name__)
 
 _REG = 1e-12  # diagonal regularization applied once on Cholesky failure
+_SCHUR_CHUNK = 1 << 17  # floats per stacked product chunk in `_schur_psd`
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,7 @@ class SDPSolution:
     mu_final: float
     blocks: list[Block] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
+    fallback_used: bool = False  # the best earlier iterate was returned, not the last
 
     @property
     def objective_gap(self) -> float:
@@ -248,7 +254,7 @@ class _Factorization:
         self.cho_M = self._factor(M)
         self.F = F
         if F is not None and F.shape[1] > 0:
-            W = cho_solve(self.cho_M, F)  # M^{-1} F
+            W = cho_solve(self.cho_M, F, check_finite=False)  # M^{-1} F
             self.W = W
             self.cho_S = self._factor(F.T @ W)
         else:
@@ -257,19 +263,20 @@ class _Factorization:
 
     @staticmethod
     def _factor(M: np.ndarray):
+        # the solve loop checks finiteness first, so no input here needs a scan
         try:
-            return cho_factor(M, lower=True)
+            return cho_factor(M, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             pass
         scale = max(1.0, float(np.max(np.abs(np.diag(M)), initial=0.0)))
         Mreg = M + (_REG * scale) * np.eye(M.shape[0])
-        return cho_factor(Mreg, lower=True)  # second failure propagates
+        return cho_factor(Mreg, lower=True, check_finite=False)  # second failure propagates
 
     def _solve_once(self, h: np.ndarray, rf: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         if self.F is None or self.F.shape[1] == 0:
-            return cho_solve(self.cho_M, h), np.zeros(0)
-        u = cho_solve(self.cho_M, h)
-        dxf = cho_solve(self.cho_S, self.F.T @ u - rf)
+            return cho_solve(self.cho_M, h, check_finite=False), np.zeros(0)
+        u = cho_solve(self.cho_M, h, check_finite=False)
+        dxf = cho_solve(self.cho_S, self.F.T @ u - rf, check_finite=False)
         dy = u - self.W @ dxf
         return dy, dxf
 
@@ -292,21 +299,45 @@ class _Factorization:
         return dy, dxf
 
 
-def _dense_data(prog: ConicProgram) -> list[np.ndarray]:
-    """Dense (m, s, s) / (m, s) copies of each block's constraint data."""
-    out = []
-    for blk, data in zip(prog.blocks, prog.A):
-        dense = np.zeros((prog.m, math.prod(blk.shape)))
-        dense[data.rows, data.cols] = data.vals
-        out.append(dense.reshape(prog.m, *blk.shape))
+def _stacked_data(prog: ConicProgram, bis: list[int]) -> np.ndarray:
+    """The constraint data of blocks bis side by side, dense: (m, total data width)."""
+    widths = [math.prod(prog.blocks[bi].shape) for bi in bis]
+    out = np.zeros((prog.m, sum(widths)))
+    offset = 0
+    for bi, width in zip(bis, widths):
+        data = prog.A[bi]
+        out[data.rows, data.cols + offset] = data.vals
+        offset += width
     return out
+
+
+def _dense_data(prog: ConicProgram, bis: Optional[list[int]] = None) -> list[np.ndarray]:
+    """Dense (m, s, s) / (m, s) copies of the constraint data of blocks bis (default: all)."""
+    bis = range(len(prog.blocks)) if bis is None else bis
+    return [_stacked_data(prog, [bi]).reshape(prog.m, *prog.blocks[bi].shape) for bi in bis]
+
+
+def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray, P: np.ndarray) -> None:
+    """Add one psd block's Schur terms tr(A_k Z^{-1} A_l X) to M.
+
+    Row k of the (m, s^2) buffer ``P`` receives (Z^{-1} A_k X)^T, flattened,
+    from stacked products over a chunk of constraints at a time.  numpy's
+    stacked matmul computes each slice on its own, so every entry of P, and
+    so of M, is independent of the chunk size.
+    """
+    m, s, _ = A.shape
+    P3 = P.reshape(m, s, s)
+    step = max(1, _SCHUR_CHUNK // (s * s))
+    for k0 in range(0, m, step):
+        k1 = min(m, k0 + step)
+        P3[k0:k1] = np.matmul(Zinv, np.matmul(A[k0:k1], X)).transpose(0, 2, 1)
+    M += A.reshape(m, s * s) @ P.T
 
 
 def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolution:
     """Run the interior-point iteration on a conic program."""
     opt = options or SolveOptions()
     m = prog.m
-    A = _dense_data(prog)
     cone = [bi for bi, blk in enumerate(prog.blocks) if blk.kind != "zero"]
     free = [bi for bi, blk in enumerate(prog.blocks) if blk.kind == "zero"]
     psd = [bi for bi in cone if prog.blocks[bi].kind == "psd"]
@@ -314,10 +345,13 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     if not cone:
         raise ValueError("program has no cone blocks")
     nu = sum(prog.blocks[bi].size for bi in cone)
+    A = dict(zip(cone, _dense_data(prog, cone)))
+    # Schur product buffers, one (m, s^2) per psd block (see `_schur_psd`)
+    P = {bi: np.empty((m, prog.blocks[bi].size ** 2)) for bi in psd}
 
     # stacked free-variable data: F (m, p), c_f (p,)
     if free:
-        F = np.hstack([A[bi] for bi in free])
+        F = _stacked_data(prog, free)
         c_f = np.concatenate([prog.C[bi] for bi in free])
         p = F.shape[1]
     else:
@@ -454,21 +488,17 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
             status = "max_iter"
             break
 
-        # Schur complement M_kl = sum_blocks tr(A_k Z^{-1} A_l X)
+        # Schur complement M_kl = sum_blocks tr(A_k Z^{-1} A_l X); the last
+        # iteration's system and factors are freed first, not held beside it
+        M = fact = None
         M = np.zeros((m, m))
         Zinv: dict[int, np.ndarray] = {}
-        T: dict[int, np.ndarray] = {}
         try:
             for bi in cone:
                 if prog.blocks[bi].kind == "psd":
-                    cz = cho_factor(Z[bi], lower=True)
-                    s = prog.blocks[bi].size
-                    Zinv[bi] = cho_solve(cz, np.eye(s))
-                    AX = np.matmul(A[bi], X[bi])  # (m,s,s)
-                    T[bi] = np.matmul(Zinv[bi], AX)
-                    A2 = A[bi].reshape(m, s * s)
-                    T2 = T[bi].transpose(0, 2, 1).reshape(m, s * s)
-                    M += A2 @ T2.T
+                    cz = cho_factor(Z[bi], lower=True, check_finite=False)
+                    Zinv[bi] = cho_solve(cz, np.eye(prog.blocks[bi].size), check_finite=False)
+                    _schur_psd(M, A[bi], X[bi], Zinv[bi], P[bi])
                 else:
                     w = X[bi] / Z[bi]
                     M += (A[bi] * w) @ A[bi].T
@@ -557,9 +587,11 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         xf = xf + ap * dxf
         y = y + ad * dy
 
+    fallback_used = False
     if status in ("max_iter", "numerical_failure") and best_point is not None:
         cur_merit = max(pres, dres, abs(pobj - dobj) / (1.0 + abs(dobj)))
         if not np.isfinite(cur_merit) or best_merit < cur_merit:
+            fallback_used = True
             Xb, Zb, xf, y = best_point
             for bi in cone:
                 X[bi] = Xb[bi]
@@ -594,6 +626,7 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         mu_final=mu,
         blocks=list(prog.blocks),
         trace=trace,
+        fallback_used=fallback_used,
     )
 
 

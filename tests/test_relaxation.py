@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from momentsdp.casestudies import build_eig_assign, build_polyopt, build_unit_disk
+from momentsdp import relaxation
+from momentsdp.casestudies import (
+    build_eig_assign,
+    build_polyopt,
+    build_saturation_cells,
+    build_unit_disk,
+)
+from momentsdp.gmp import DynamicsSpec, build_dynamics_gmp, build_gmp_relaxation
 from momentsdp.moments import evaluate_stencil, moment_matrix_stencil
 from momentsdp.polynomials import (
     Polynomial,
@@ -244,6 +252,69 @@ class TestRowPrune:
         rows = dedupe_rows(rows)
         kept = self._check_prune(rows, n_cols)
         assert 0 < len(kept) < len(rows)
+
+    @staticmethod
+    def _pruned_inputs(monkeypatch, build) -> list[tuple[list[LinearRow], int]]:
+        # the (rows, n_cols) of every prune a relaxation build makes
+        seen = []
+
+        def record(rows, n_cols, *args):
+            seen.append((list(rows), n_cols))
+            return prune(rows, n_cols, *args)
+
+        prune = relaxation.prune_dependent_rows
+        with monkeypatch.context() as m:
+            m.setattr(relaxation, "prune_dependent_rows", record)
+            build()
+        return seen
+
+    def test_in_place_factor_matches_scipy_qr(self, monkeypatch):
+        # the in-place geqp3 gives scipy.linalg.qr's pivots and |diag R|, and so
+        # its kept rows, also where exact ties in the row norms pick the rows
+        def fixed_horizon():
+            occ = VarSpace.of("t", "x1")
+            dyn = DynamicsSpec(
+                states=("x1",),
+                f=[parse_polynomial("1", occ)],
+                lagrangian=Polynomial.zero(2),
+                horizon=Fraction(2),
+            )
+            supp = SemialgebraicSet(
+                occ, inequalities=[parse_polynomial("x1", occ), parse_polynomial("2 - x1", occ)]
+            )
+            dp = build_dynamics_gmp(
+                dyn, 2, [("occ", dyn.f)], (0,), (2,), {"occ": supp},
+                objective=[("occ", parse_polynomial("x1^2", occ))],
+            )
+            build_gmp_relaxation(dp.gmp, 2)
+
+        builds = [
+            lambda: build_relaxation(build_eig_assign(3), 3),
+            lambda: build_relaxation(build_eig_assign(4), 3),
+            lambda: build_gmp_relaxation(build_saturation_cells(3).gmp, 3),
+            fixed_horizon,
+        ]
+        sizes = []
+        for build in builds:
+            (case,) = self._pruned_inputs(monkeypatch, build)
+            rows, n_cols = case
+            A = np.zeros((len(rows), n_cols + 1))
+            for ri, row in enumerate(rows):
+                for k, c in row.coeffs.items():
+                    A[ri, k] = float(c)
+                A[ri, n_cols] = float(row.rhs)
+                A[ri] /= np.abs(A[ri]).max()
+            R, ref_piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
+            ref_diag = np.abs(np.diag(R))
+            piv, diag = relaxation._pivoted_qr(rows, n_cols)
+            assert np.array_equal(piv, ref_piv)
+            assert np.array_equal(diag, ref_diag)
+            rank = int(np.sum(ref_diag > 1e-11 * ref_diag[0]))
+            kept = prune_dependent_rows(rows, n_cols)
+            assert [id(row) for row in kept] == [id(rows[i]) for i in sorted(ref_piv[:rank])]
+            sizes.append((len(rows), len(kept)))
+        assert sizes[3][0] == 13
+        assert all(0 < k < n for n, k in sizes[:2])
 
     def test_inconsistent_row_is_kept(self):
         # y0 = 1 next to y0 = 2: the coefficients alone are dependent, the

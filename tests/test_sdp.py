@@ -84,6 +84,49 @@ def reference_max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
     return lo
 
 
+def reference_schur_psd(M, A, X, Zinv, P) -> None:
+    # the Schur formation before chunking: full (m, s, s) products A X and
+    # Z^{-1} A X, then a transposed copy, and one GEMM
+    m, s, _ = A.shape
+    AX = np.matmul(A, X)
+    T = np.matmul(Zinv, AX)
+    A2 = A.reshape(m, s * s)
+    T2 = T.transpose(0, 2, 1).reshape(m, s * s)
+    M += A2 @ T2.T
+
+
+def mixed_cone_program(rng, n: int, q: int, pfree: int, m: int):
+    # psd + nonneg + free blocks built from a known strictly feasible
+    # primal-dual pair; returns the program and the pair's objective values
+    Apsd = np.empty((m, n, n))
+    for k in range(m):
+        T = rng.normal(size=(n, n))
+        Apsd[k] = T + T.T
+    Anon = rng.normal(size=(m, q))
+    Afree = rng.normal(size=(m, pfree))
+    L = rng.normal(size=(n, n))
+    X0 = L @ L.T + 0.4 * np.eye(n)
+    L = rng.normal(size=(n, n))
+    Z0 = L @ L.T + 0.4 * np.eye(n)
+    x0 = rng.uniform(0.3, 1.5, size=q)
+    z0 = rng.uniform(0.3, 1.5, size=q)
+    u0 = rng.normal(size=pfree)
+    y0 = rng.normal(size=m)
+    b = np.einsum("kij,ij->k", Apsd, X0) + Anon @ x0 + Afree @ u0
+    Cpsd = np.einsum("kij,k->ij", Apsd, y0) + Z0
+    Cnon = Anon.T @ y0 + z0
+    Cfree = Afree.T @ y0  # zero dual slack on the free block
+    prog = ConicProgram(
+        blocks=[Block("psd", n), Block("nonneg", q), Block("zero", pfree)],
+        A=[Apsd, Anon, Afree],
+        b=b,
+        C=[Cpsd, Cnon, Cfree],
+    )
+    lo = float(b @ y0)
+    hi = float(np.sum(Cpsd * X0) + Cnon @ x0 + Cfree @ u0)
+    return prog, lo, hi
+
+
 def assert_same_nonzeros(a: BlockData, b: BlockData) -> None:
     assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.cols, b.cols)
@@ -460,6 +503,20 @@ class TestStoredForm:
             for X1, X2 in zip(s1.X, s2.X):
                 assert np.array_equal(X1, X2)
 
+    def test_free_blocks_stack_into_one_dense_matrix(self):
+        # solve writes the zero blocks straight into F; it equals the dense
+        # blocks side by side, offsets included
+        rng = np.random.default_rng(3)
+        prog, _, _ = mixed_cone_program(rng, 3, 2, 2, 5)
+        prog = ConicProgram(
+            blocks=prog.blocks + [Block("zero", 3)],
+            A=prog.A + [rng.normal(size=(5, 3)) * (rng.uniform(size=(5, 3)) < 0.5)],
+            b=prog.b,
+            C=prog.C + [rng.normal(size=3)],
+        )
+        dense = sdp._dense_data(prog)
+        assert np.array_equal(sdp._stacked_data(prog, [2, 3]), np.hstack([dense[2], dense[3]]))
+
     def test_assembled_relaxation_roundtrips_through_text(self):
         from momentsdp.casestudies import build_eig_assign
         from momentsdp.relaxation import build_relaxation
@@ -507,34 +564,9 @@ class TestMixedConePrograms:
             q = int(rng.integers(1, 4))
             pfree = int(rng.integers(1, 3))
             m = int(rng.integers(2, 5))
-            Apsd = np.empty((m, n, n))
-            for k in range(m):
-                T = rng.normal(size=(n, n))
-                Apsd[k] = T + T.T
-            Anon = rng.normal(size=(m, q))
-            Afree = rng.normal(size=(m, pfree))
-            L = rng.normal(size=(n, n))
-            X0 = L @ L.T + 0.4 * np.eye(n)
-            L = rng.normal(size=(n, n))
-            Z0 = L @ L.T + 0.4 * np.eye(n)
-            x0 = rng.uniform(0.3, 1.5, size=q)
-            z0 = rng.uniform(0.3, 1.5, size=q)
-            u0 = rng.normal(size=pfree)
-            y0 = rng.normal(size=m)
-            b = np.einsum("kij,ij->k", Apsd, X0) + Anon @ x0 + Afree @ u0
-            Cpsd = np.einsum("kij,k->ij", Apsd, y0) + Z0
-            Cnon = Anon.T @ y0 + z0
-            Cfree = Afree.T @ y0  # zero dual slack on the free block
-            prog = ConicProgram(
-                blocks=[Block("psd", n), Block("nonneg", q), Block("zero", pfree)],
-                A=[Apsd, Anon, Afree],
-                b=b,
-                C=[Cpsd, Cnon, Cfree],
-            )
+            prog, lo, hi = mixed_cone_program(rng, n, q, pfree, m)
             sol = solve(prog, SolveOptions(gap_tol=1e-9, feas_tol=1e-8))
             assert sol.status == "optimal", trial
-            lo = float(b @ y0)
-            hi = float(np.sum(Cpsd * X0) + Cnon @ x0 + Cfree @ u0)
             assert lo - 1e-6 <= sol.dual_obj <= hi + 1e-6
 
 
@@ -635,3 +667,101 @@ class TestStepLength:
             sol = solve(sqrt2_program(), TIGHT)
         assert sol.status == "optimal"
         assert False in outcomes and True in outcomes
+
+
+class TestSchurFormation:
+    @pytest.mark.parametrize("chunks", ["one", "two", "slice"])
+    def test_chunked_products_bit_equal_to_reference(self, monkeypatch, chunks):
+        rng = np.random.default_rng(5)
+        for m, s in [(7, 5), (30, 12), (1, 3)]:
+            A = rng.normal(size=(m, s, s))
+            A = A + A.transpose(0, 2, 1)
+            L = rng.normal(size=(s, s))
+            X = L @ L.T + 0.1 * np.eye(s)
+            L = rng.normal(size=(s, s))
+            Zinv = np.linalg.inv(L @ L.T + 0.1 * np.eye(s))
+            M0 = rng.normal(size=(m, m))
+            budget = {"one": m * s * s, "two": -(-m // 2) * s * s, "slice": 1}[chunks]
+            monkeypatch.setattr(sdp, "_SCHUR_CHUNK", budget)
+            M, P = M0.copy(), np.full((m, s * s), np.nan)
+            sdp._schur_psd(M, A, X, Zinv, P)
+            M_ref = M0.copy()
+            reference_schur_psd(M_ref, A, X, Zinv, None)
+            assert np.array_equal(M, M_ref), (m, s)
+            T = np.matmul(Zinv, np.matmul(A, X))
+            assert np.array_equal(P, T.transpose(0, 2, 1).reshape(m, s * s))
+
+    def test_solves_bit_identical_to_reference_schur(self, monkeypatch):
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        rng = np.random.default_rng(8)
+        programs = [
+            (read_program_text(os.path.join(FIXTURES, "sqrt2.sdp")), TIGHT),
+            (build_relaxation(build_eig_assign(3), 3)[0].program, SolveOptions(gap_tol=1e-6, feas_tol=1e-6)),
+        ] + [
+            (mixed_cone_program(rng, n, 2, pfree, m)[0], SolveOptions(gap_tol=1e-9, feas_tol=1e-8))
+            for n, pfree, m in [(3, 1, 4), (5, 2, 6), (6, 1, 8)]
+        ]
+        # several chunks per block on the eig-assign moment matrix (s = 20)
+        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 3 * 20 * 20)
+        chunked = [solve(prog, options) for prog, options in programs]
+        monkeypatch.setattr(sdp, "_schur_psd", reference_schur_psd)
+        reference = [solve(prog, options) for prog, options in programs]
+        for a, b in zip(chunked, reference):
+            assert a.status == b.status
+            assert a.iterations == b.iterations
+            assert np.array_equal(a.y, b.y)
+            for Xa, Xb in zip(a.X, b.X):
+                assert np.array_equal(Xa, Xb)
+
+    def test_working_set_within_three_dense_copies(self):
+        # traced peak of a short eig-assign n = 5, r = 3 solve (m = 462, psd
+        # sides 56 and 21, a free block of 372) against the bytes of its data
+        # as dense arrays: full (m, s, s) products would need about 4 copies
+        import math
+        import tracemalloc
+
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        prog = build_relaxation(build_eig_assign(5), 3)[0].program
+        dense_bytes = sum(8 * prog.m * math.prod(blk.shape) for blk in prog.blocks)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sol = solve(prog, SolveOptions(max_iter=2))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sol.iterations == 2
+        assert peak <= 3 * dense_bytes, peak / dense_bytes
+
+
+class TestFallback:
+    def test_flag_marks_a_returned_earlier_iterate(self, monkeypatch):
+        # planar benchmark shadow at r = 2, default tolerance: direction 35 of
+        # 64 ends in max_iter on an earlier, better iterate; direction 0 converges
+        from momentsdp import spectra
+        from momentsdp.casestudies import build_polyopt
+
+        sols = []
+
+        def record(prog, options):
+            sols.append(sdp.solve(prog, options))
+            return sols[-1]
+
+        monkeypatch.setattr(spectra, "solve", record)
+        directions = spectra.unit_directions(64)
+        spectra.shadow_support_points(build_polyopt().feasible_set, 2, [directions[0], directions[35]])
+        converged, fell_back = sols
+        assert converged.status == "optimal" and not converged.fallback_used
+        last = converged.trace[-1]
+        assert (converged.primal_residual, converged.dual_residual) == (last["pres"], last["dres"])
+        assert fell_back.status == "max_iter" and fell_back.fallback_used
+        last = fell_back.trace[-1]
+        merit = lambda pres, dres, pobj, dobj: max(pres, dres, abs(pobj - dobj) / (1.0 + abs(dobj)))
+        assert merit(
+            fell_back.primal_residual, fell_back.dual_residual, fell_back.primal_obj, fell_back.dual_obj
+        ) < merit(last["pres"], last["dres"], last["pobj"], last["dobj"])
