@@ -491,11 +491,11 @@ def build_gmp_relaxation(g: GMPProblem, r: int) -> tuple[AssembledProgram, GMPIn
     blocks = asm.program.blocks
     info = GMPInfo(
         order=r,
-        measure_block_sizes={n: [st.side for st in p.psd_stencils] for n, p in asm.plans.items()},
+        measure_block_sizes={n: mi.block_sizes for n, mi in asm.measures.items()},
         moment_dims={n: len(e) for n, e in asm.measure_exponents.items()},
         eq_rows=sum(blk.size for blk in blocks if blk.kind == "zero"),
         ge_rows=sum(blk.size for blk in blocks if blk.kind == "nonneg"),
-        compactness_certified={n: p.compactness_certified for n, p in asm.plans.items()},
+        compactness_certified={n: mi.compactness_certified for n, mi in asm.measures.items()},
     )
     return asm, info
 

@@ -21,8 +21,10 @@ objective share one assembly.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
 from typing import Iterable, Optional, Sequence, Union
 
@@ -149,6 +151,8 @@ class POPProblem:
 
 @dataclass
 class RelaxationInfo:
+    """What an assembled program keeps of one measure's plan."""
+
     order: int
     r_k: list[int]
     r_x: int
@@ -198,21 +202,17 @@ class LinearRow:
     relation: str  # "eq", "ge"  (le rows are stored negated as ge)
 
     def normalized_key(self) -> Optional[tuple]:
+        """The row and its rhs divided by the leading coefficient; None for a zero row."""
         items = sorted((k, c) for k, c in self.coeffs.items() if c != 0)
         if not items:
             return None
         lead = items[0][1]
-        return tuple((k, c / lead) for k, c in items), self.relation
-
-    def normalized_rhs(self) -> Fraction:
-        items = sorted((k, c) for k, c in self.coeffs.items() if c != 0)
-        lead = items[0][1]
-        return self.rhs / lead
+        return tuple((k, c / lead) for k, c in items), self.rhs / lead, self.relation
 
 
 def dedupe_rows(rows: list[LinearRow]) -> list[LinearRow]:
-    """Drop exact duplicates (rows proportional with proportional rhs)."""
-    seen: dict[tuple, Fraction] = {}
+    """Drop exact duplicates (rows proportional with proportional rhs), keeping the first."""
+    seen: set[tuple] = set()
     out: list[LinearRow] = []
     for row in rows:
         key = row.normalized_key()
@@ -220,60 +220,68 @@ def dedupe_rows(rows: list[LinearRow]) -> list[LinearRow]:
             if row.rhs != 0:
                 out.append(row)  # infeasible 0 = c row: keep, solver will report
             continue
-        rhs = row.normalized_rhs()
-        if key in seen and seen[key] == rhs:
-            continue
-        seen[key] = rhs
-        out.append(row)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
     return out
 
 
-def prune_dependent_rows(rows: list[LinearRow], n_cols: int, rel_tol: float = 1e-11) -> list[LinearRow]:
+# The prune weights row i by 1 + (n - 1 - i) * _TIE_WEIGHT so that exact ties go
+# to the earlier row.  It must stay far above rounding and below real gaps:
+# 2**-36 overrode a real gap on eig-assign n = 4 at r = 4; 2**-40 to 2**-48 did not.
+_TIE_WEIGHT = 2.0**-40
+
+
+def prune_dependent_rows(rows: list[LinearRow], n_cols: int) -> list[LinearRow]:
     """Keep a maximal independent subset of equality rows, in their given order.
 
     Equality families built from products of one polynomial carry many exact
     linear dependencies; leaving them in makes the Newton systems singular.
-    Rank analysis runs on the augmented [coefficients | rhs] matrix, so a row
-    that is inconsistent with the others stays (and the solve reports
-    infeasibility) while a redundant consistent row is dropped.  Rows enter
-    with unit infinity-norm, so the cutoff is scale-free.  The subset is the
-    first `rank` pivots of a column-pivoted QR of the transposed matrix, which
-    picks rows by remaining norm: it need not be the earliest independent rows.
+    Ranks are those of the augmented [coefficients | rhs] rows: an inconsistent
+    row stays (and the solve reports infeasibility), a redundant consistent
+    row, exact duplicates included, goes.  LAPACK's pivoted Cholesky (dpstrf)
+    of the Gram matrix of the rows, each scaled to unit infinity-norm, picks
+    them greedily by largest remaining norm, as a column-pivoted QR would, with
+    exact ties to the earlier row, so the kept set depends neither on rounding
+    nor on how the moments are numbered.  The cutoff is dpstrf's n * eps *
+    (largest pivot) on the squared scale; on eig-assign (n = 2..6) at r <= 4
+    the smallest kept pivot is >= 2.0e-4 of the largest, the next <= 2.6e-15.
     """
-    if len(rows) <= 1:
+    if not rows:
         return rows
-    piv, diag = _pivoted_qr(rows, n_cols)
-    if diag.size == 0 or diag[0] == 0:
-        return []
-    rank = int(np.sum(diag > rel_tol * diag[0]))
-    keep = sorted(piv[:rank])
-    return [rows[i] for i in keep]
-
-
-def _pivoted_qr(rows: list[LinearRow], n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pivots and |diag R| of the column-pivoted QR of the rows' [coefficients | rhs] transpose.
-
-    Each row is scaled to unit infinity-norm.  This is the LAPACK geqp3 call,
-    with the same workspace query, that ``scipy.linalg.qr(A.T, mode="r",
-    pivoting=True)`` makes, so pivots and diagonal are the same; but the
-    Fortran-ordered transpose is filled directly and factored in place, and
-    the diagonal is read off the factor, so no copy of the matrix is made.
-    """
-    AT = np.zeros((n_cols + 1, len(rows)), order="F")
-    for ri, row in enumerate(rows):
-        col = AT[:, ri]
-        for k, c in row.coeffs.items():
-            col[k] = float(c)
-        col[n_cols] = float(row.rhs)
-        norm = np.abs(col).max()
-        if norm > 0:
-            col /= norm
-    (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (AT,))
-    lwork = geqp3(AT, lwork=-1, overwrite_a=True)[-2][0].real.astype(np.int_)
-    qr, piv, _, _, info = geqp3(AT, lwork=lwork, overwrite_a=True)
+    G = _weighted_gram(rows, n_cols)
+    _, piv, rank, info = scipy.linalg.lapack.dpstrf(G, lower=1, overwrite_a=1)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of geqp3")
-    return piv - 1, np.abs(np.diagonal(qr))
+        raise ValueError(f"illegal value in argument {-info} of dpstrf")
+    return [rows[i] for i in sorted(piv[:rank] - 1)]
+
+
+def _weighted_gram(rows: list[LinearRow], n_cols: int) -> np.ndarray:
+    """Fortran-ordered Gram matrix of the scaled, tie-weighted [coefficients | rhs] rows.
+
+    The lower triangle is filled one column of the rows at a time from their
+    nonzeros; the strict upper triangle is left zero and, mostly, unmapped.
+    """
+    n = len(rows)
+    cols: dict[int, tuple[list[int], list[float]]] = {}
+    for i, row in enumerate(rows):
+        entries = [(k, float(c)) for k, c in [*row.coeffs.items(), (n_cols, row.rhs)] if c != 0]
+        if not entries:
+            continue
+        w = (1.0 + (n - 1 - i) * _TIE_WEIGHT) / max(abs(v) for _, v in entries)
+        for k, v in entries:
+            idx, vals = cols.setdefault(k, ([], []))
+            idx.append(i)
+            vals.append(v * w)
+    # An anonymous mapping (np.zeros asks for huge pages) claims a page only when
+    # written, and neither the fill nor dpstrf(lower=1) writes the upper triangle
+    G = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=np.float64).reshape((n, n), order="F")
+    for k in sorted(cols):
+        idx, vals = (np.array(a) for a in cols[k])
+        # idx ascends, so (idx[i], idx[j]) lies on or below the diagonal
+        i, j = np.tril_indices(len(idx))
+        G[idx[i], idx[j]] += vals[i] * vals[j]
+    return G
 
 
 # -- assembly -----------------------------------------------------------------
@@ -333,7 +341,7 @@ class AssembledProgram:
     """A conic program plus the bookkeeping to read moments back out of it."""
 
     program: ConicProgram
-    plans: dict[str, MeasurePlan]
+    measures: dict[str, RelaxationInfo]  # what is kept of each measure's plan
     measure_offsets: dict[str, int]
     measure_exponents: dict[str, list[Exponent]]
     # filled by set_objective: cost c over the moment vector, bound = c'y + constant
@@ -347,7 +355,7 @@ class AssembledProgram:
     def moments_of(self, name: str, y: np.ndarray) -> MomentVector:
         off = self.measure_offsets[name]
         exps = self.measure_exponents[name]
-        return MomentVector(len(exps[0]), 2 * self.plans[name].order, y[off : off + len(exps)])
+        return MomentVector(len(exps[0]), 2 * self.measures[name].order, y[off : off + len(exps)])
 
     def bound_from(self, sol: SDPSolution) -> float:
         return float(self.objective @ sol.y) + self.objective_constant
@@ -365,9 +373,9 @@ class AssembledProgram:
             raise ValueError("sense must be 'min' or 'max'")
         summed: dict[str, Polynomial] = {}
         for name, poly in objective:
-            if name not in self.plans:
+            if name not in self.measures:
                 raise KeyError(f"objective references unknown measure {name!r}")
-            r = self.plans[name].order
+            r = self.measures[name].order
             if poly.degree > 2 * r:
                 raise DegreeTooHighError(f"objective term on measure {name!r}", poly.degree, r)
             summed[name] = summed[name] + poly if name in summed else poly
@@ -382,6 +390,30 @@ class AssembledProgram:
         self.program.b = -c if sense == "min" else c.copy()
 
 
+def _measure_data(plan: MeasurePlan, off: int, eq_rows: list[LinearRow]) -> list[BlockData]:
+    """Append a measure's equality rows to `eq_rows`; return its PSD data, A_k = -S_k."""
+    eq_rows += [
+        LinearRow({off + grlex_index(e): Fraction(c) for e, c in lhs.items()}, Fraction(rhs), "eq")
+        for lhs, rhs in plan.equality_rows
+    ]
+    data: list[BlockData] = []
+    for st in plan.psd_stencils:
+        s = st.side
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
+        for (i, j), pairs in st.cells.items():
+            cells = (i * s + j,) if i == j else (i * s + j, j * s + i)
+            for exp, c in pairs:
+                k = off + grlex_index(exp)
+                for cell in cells:
+                    rows.append(k)
+                    cols.append(cell)
+                    vals.append(-float(c))
+        data.append(BlockData(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)))
+    return data
+
+
 def assemble(
     supports: dict[str, SemialgebraicSet],
     r: int,
@@ -393,19 +425,21 @@ def assemble(
     """Order-r relaxation of measures on `supports` under moment constraints.
 
     Rows are the explicit constraints first, then each measure's equality
-    products; exact duplicates go, and `prune_dependent_rows` keeps a maximal
-    independent subset of the equality rows (which subset is up to its
-    column-pivoted QR, not the row order).  Constraint data is built as its
-    nonzeros; no dense (m, s, s) array is allocated.
+    products.  Exact duplicates among the inequality rows go, and
+    `prune_dependent_rows` keeps a maximal independent subset of the equality
+    rows.  Each measure's plan is freed once its rows and PSD data are out.
+    Constraint data is built as its nonzeros; no dense (m, s, s) array is
+    allocated.
     """
     plans = {name: measure_plan(supp, r) for name, supp in supports.items()}
-    offsets: dict[str, int] = {}
-    exps: dict[str, list[Exponent]] = {}
-    m = 0
-    for name, plan in plans.items():
-        offsets[name] = m
-        exps[name] = exponents_up_to(plan.nvars, 2 * r)
-        m += len(exps[name])
+    exps = {name: exponents_up_to(supp.space.n, 2 * r) for name, supp in supports.items()}
+    measures = {
+        name: RelaxationInfo(r, p.r_k, p.r_x, [st.side for st in p.psd_stencils],
+                             len(exps[name]), p.compactness_certified)
+        for name, p in plans.items()
+    }
+    starts = list(accumulate((len(e) for e in exps.values()), initial=0))
+    offsets, m = dict(zip(exps, starts)), starts[-1]
 
     eq_rows: list[LinearRow] = []
     ge_rows: list[LinearRow] = []
@@ -425,47 +459,21 @@ def assemble(
             ge_rows.append(LinearRow(coeffs, rhs, "ge"))
         else:  # le: negate into a ge row
             ge_rows.append(LinearRow({k: -c for k, c in coeffs.items()}, -rhs, "ge"))
-    for name, plan in plans.items():
-        off = offsets[name]
-        for lhs, rhs in plan.equality_rows:
-            coeffs = {off + grlex_index(e): Fraction(c) for e, c in lhs.items()}
-            eq_rows.append(LinearRow(coeffs, Fraction(rhs), "eq"))
-    eq_rows = prune_dependent_rows(dedupe_rows(eq_rows), m)
-    ge_rows = dedupe_rows(ge_rows)
-    row_blocks = [(kind, rows) for kind, rows in (("nonneg", ge_rows), ("zero", eq_rows)) if rows]
-
-    blocks: list[Block] = []
-    block_sources: list[tuple[str, MatrixStencil]] = []
-    for name, plan in plans.items():
-        for st in plan.psd_stencils:
-            blocks.append(Block("psd", st.side))
-            block_sources.append((name, st))
-    blocks += [Block(kind, len(rows)) for kind, rows in row_blocks]
 
     A: list[BlockData] = []
-    C: list[np.ndarray] = []
-
-    # PSD blocks: Z_block = sum_k y_k S_k, i.e. C = 0 and A_k = -S_k
-    for name, st in block_sources:
-        off, s = offsets[name], st.side
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for (i, j), pairs in st.cells.items():
-            cells = (i * s + j,) if i == j else (i * s + j, j * s + i)
-            for exp, c in pairs:
-                k = off + grlex_index(exp)
-                for cell in cells:
-                    rows.append(k)
-                    cols.append(cell)
-                    vals.append(-float(c))
-        A.append(BlockData(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)))
-        C.append(np.zeros((s, s)))
+    for name, off in offsets.items():
+        A += _measure_data(plans.pop(name), off, eq_rows)
+    blocks = [Block("psd", s) for mi in measures.values() for s in mi.block_sizes]
+    C: list[np.ndarray] = [np.zeros((blk.size, blk.size)) for blk in blocks]
+    eq_rows = prune_dependent_rows(eq_rows, m)
+    ge_rows = dedupe_rows(ge_rows)
 
     # rows are rescaled to unit maximum coefficient: mixed scales (constant
     # terms like 1/1575 against unit leading coefficients) otherwise drag
     # the Newton system's conditioning down
-    for _, block_rows in row_blocks:
+    for kind, block_rows in (("nonneg", ge_rows), ("zero", eq_rows)):
+        if not block_rows:
+            continue
         rows, cols, vals = [], [], []
         rhs = np.zeros(len(block_rows))
         for ri, row in enumerate(block_rows):
@@ -477,11 +485,12 @@ def assemble(
                 rows.append(k)
                 cols.append(ri)
                 vals.append(-float(c / scale))
+        blocks.append(Block(kind, len(block_rows)))
         A.append(BlockData(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)))
         C.append(rhs)
 
     prog = ConicProgram(blocks=blocks, A=A, b=np.zeros(m), C=C)
-    asm = AssembledProgram(prog, plans, offsets, exps)
+    asm = AssembledProgram(prog, measures, offsets, exps)
     asm.set_objective(objective, sense, objective_constant)
     return asm
 
@@ -500,16 +509,7 @@ def build_relaxation(pop: POPProblem, r: int) -> tuple[AssembledProgram, Relaxat
     asm = assemble(
         {_POP_MEASURE: pop.feasible_set}, r, [mass], [(_POP_MEASURE, pop.objective)], "min"
     )
-    plan = asm.plans[_POP_MEASURE]
-    info = RelaxationInfo(
-        order=r,
-        r_k=plan.r_k,
-        r_x=plan.r_x,
-        block_sizes=[st.side for st in plan.psd_stencils],
-        moment_dim=len(asm.measure_exponents[_POP_MEASURE]),
-        compactness_certified=plan.compactness_certified,
-    )
-    return asm, info
+    return asm, asm.measures[_POP_MEASURE]
 
 
 @dataclass

@@ -249,7 +249,6 @@ class TestRowPrune:
             LinearRow({grlex_index(e): Fraction(c) for e, c in lhs.items()}, Fraction(rhs), "eq")
             for lhs, rhs in plan.equality_rows
         ]
-        rows = dedupe_rows(rows)
         kept = self._check_prune(rows, n_cols)
         assert 0 < len(kept) < len(rows)
 
@@ -258,9 +257,9 @@ class TestRowPrune:
         # the (rows, n_cols) of every prune a relaxation build makes
         seen = []
 
-        def record(rows, n_cols, *args):
+        def record(rows, n_cols):
             seen.append((list(rows), n_cols))
-            return prune(rows, n_cols, *args)
+            return prune(rows, n_cols)
 
         prune = relaxation.prune_dependent_rows
         with monkeypatch.context() as m:
@@ -268,53 +267,112 @@ class TestRowPrune:
             build()
         return seen
 
-    def test_in_place_factor_matches_scipy_qr(self, monkeypatch):
-        # the in-place geqp3 gives scipy.linalg.qr's pivots and |diag R|, and so
-        # its kept rows, also where exact ties in the row norms pick the rows
-        def fixed_horizon():
-            occ = VarSpace.of("t", "x1")
-            dyn = DynamicsSpec(
-                states=("x1",),
-                f=[parse_polynomial("1", occ)],
-                lagrangian=Polynomial.zero(2),
-                horizon=Fraction(2),
-            )
-            supp = SemialgebraicSet(
-                occ, inequalities=[parse_polynomial("x1", occ), parse_polynomial("2 - x1", occ)]
-            )
-            dp = build_dynamics_gmp(
-                dyn, 2, [("occ", dyn.f)], (0,), (2,), {"occ": supp},
-                objective=[("occ", parse_polynomial("x1^2", occ))],
-            )
-            build_gmp_relaxation(dp.gmp, 2)
+    @staticmethod
+    def _fixed_horizon():
+        occ = VarSpace.of("t", "x1")
+        dyn = DynamicsSpec(
+            states=("x1",),
+            f=[parse_polynomial("1", occ)],
+            lagrangian=Polynomial.zero(2),
+            horizon=Fraction(2),
+        )
+        supp = SemialgebraicSet(
+            occ, inequalities=[parse_polynomial("x1", occ), parse_polynomial("2 - x1", occ)]
+        )
+        dp = build_dynamics_gmp(
+            dyn, 2, [("occ", dyn.f)], (0,), (2,), {"occ": supp},
+            objective=[("occ", parse_polynomial("x1^2", occ))],
+        )
+        build_gmp_relaxation(dp.gmp, 2)
 
-        builds = [
-            lambda: build_relaxation(build_eig_assign(3), 3),
-            lambda: build_relaxation(build_eig_assign(4), 3),
-            lambda: build_gmp_relaxation(build_saturation_cells(3).gmp, 3),
-            fixed_horizon,
-        ]
-        sizes = []
-        for build in builds:
-            (case,) = self._pruned_inputs(monkeypatch, build)
-            rows, n_cols = case
+    def _builds(self):
+        return {
+            "eig3-r2": lambda: build_relaxation(build_eig_assign(3), 2),
+            "eig3-r3": lambda: build_relaxation(build_eig_assign(3), 3),
+            "eig4-r3": lambda: build_relaxation(build_eig_assign(4), 3),
+            "saturation-r3": lambda: build_gmp_relaxation(build_saturation_cells(3).gmp, 3),
+            "fixed-horizon": self._fixed_horizon,
+        }
+
+    def _prune_inputs_of(self, monkeypatch, name) -> tuple[list[LinearRow], int]:
+        (case,) = self._pruned_inputs(monkeypatch, self._builds()[name])
+        return case
+
+    @staticmethod
+    def _kept_positions(rows: list[LinearRow], n_cols: int) -> list[int]:
+        pos = {id(row): i for i, row in enumerate(rows)}
+        return [pos[id(row)] for row in prune_dependent_rows(rows, n_cols)]
+
+    def test_kept_rows_are_a_basis(self, monkeypatch):
+        # exact rational check on every build: kept rows independent, dropped
+        # rows in their span
+        sizes = {}
+        for name in self._builds():
+            rows, n_cols = self._prune_inputs_of(monkeypatch, name)
+            sizes[name] = (len(rows), len(self._check_prune(rows, n_cols)))
+        assert sizes["eig3-r2"] == (35, 30)
+        assert sizes["fixed-horizon"] == (14, 10)
+        assert all(0 < k < n for name, (n, k) in sizes.items() if name.startswith("eig")), sizes
+
+    def test_kept_rows_match_scipy_qr_without_ties(self, monkeypatch):
+        # where no exact tie in the row norms decides a pick, the greedy rule
+        # is the column-pivoted QR's: the kept rows are those of scipy.linalg.qr
+        # on the rows after an exact dedupe (fixed-horizon repeats y0 = 1)
+        for name in ("eig4-r3", "saturation-r3", "fixed-horizon"):
+            all_rows, n_cols = self._prune_inputs_of(monkeypatch, name)
+            rows = dedupe_rows(all_rows)
             A = np.zeros((len(rows), n_cols + 1))
             for ri, row in enumerate(rows):
                 for k, c in row.coeffs.items():
                     A[ri, k] = float(c)
                 A[ri, n_cols] = float(row.rhs)
                 A[ri] /= np.abs(A[ri]).max()
-            R, ref_piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
-            ref_diag = np.abs(np.diag(R))
-            piv, diag = relaxation._pivoted_qr(rows, n_cols)
-            assert np.array_equal(piv, ref_piv)
-            assert np.array_equal(diag, ref_diag)
-            rank = int(np.sum(ref_diag > 1e-11 * ref_diag[0]))
+            R, piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
+            diag = np.abs(np.diag(R))
+            rank = int(np.sum(diag > 1e-11 * diag[0]))
+            kept = prune_dependent_rows(all_rows, n_cols)
+            assert [id(row) for row in kept] == [id(rows[i]) for i in sorted(piv[:rank])], name
+
+    def test_exact_tie_keeps_the_earlier_row(self, monkeypatch):
+        # eig-assign n = 3 at r = 2: rows 13 and 15 tie exactly when one of
+        # them is picked, and only one of the two is kept; whichever comes
+        # first in the given order is the one kept
+        rows, n_cols = self._prune_inputs_of(monkeypatch, "eig3-r2")
+        kept = self._kept_positions(rows, n_cols)
+        assert 13 in kept and 15 not in kept
+        swapped = list(rows)
+        swapped[13], swapped[15] = rows[15], rows[13]
+        assert self._kept_positions(swapped, n_cols) == kept
+
+    def test_kept_set_invariant_under_moment_relabeling(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        for name in self._builds():
+            rows, n_cols = self._prune_inputs_of(monkeypatch, name)
+            kept = self._kept_positions(rows, n_cols)
+            for _ in range(3):
+                perm = rng.permutation(n_cols)
+                relabeled = [
+                    LinearRow({int(perm[k]): c for k, c in row.coeffs.items()}, row.rhs, row.relation)
+                    for row in rows
+                ]
+                assert self._kept_positions(relabeled, n_cols) == kept, name
+
+    def test_prune_drops_duplicates_as_dedupe_does(self, monkeypatch):
+        # equality rows reach the prune without a dedupe pass: with exact
+        # duplicates (scaled copies) injected, it keeps the same rows either way
+        rng = np.random.default_rng(5)
+        for name in self._builds():
+            rows, n_cols = self._prune_inputs_of(monkeypatch, name)
+            rows = list(rows)
+            for src in rng.choice(len(rows), size=max(2, len(rows) // 5), replace=False):
+                row = rows[src]
+                f = Fraction(int(rng.choice([-3, -2, -1, 1, 2, 3])), int(rng.integers(1, 4)))
+                copy = LinearRow({k: f * c for k, c in row.coeffs.items()}, f * row.rhs, "eq")
+                rows.insert(int(rng.integers(0, len(rows) + 1)), copy)
+            deduped = dedupe_rows(rows)
+            assert len(deduped) < len(rows)
             kept = prune_dependent_rows(rows, n_cols)
-            assert [id(row) for row in kept] == [id(rows[i]) for i in sorted(ref_piv[:rank])]
-            sizes.append((len(rows), len(kept)))
-        assert sizes[3][0] == 13
-        assert all(0 < k < n for n, k in sizes[:2])
+            assert [id(row) for row in prune_dependent_rows(deduped, n_cols)] == [id(row) for row in kept], name
 
     def test_inconsistent_row_is_kept(self):
         # y0 = 1 next to y0 = 2: the coefficients alone are dependent, the
@@ -326,3 +384,15 @@ class TestRowPrune:
         twice = LinearRow({0: Fraction(2)}, Fraction(2), "eq")
         kept = self._check_prune([y0_is_1, twice, y0_is_2], 2)
         assert len(kept) == 2 and y0_is_2 in kept
+
+
+class TestDedupe:
+    def test_same_row_with_another_rhs_does_not_hide_the_first(self):
+        # y0 >= 1, y0 >= 2, 2 y0 >= 2: the third row repeats the first; the
+        # second, same row with another rhs, must not make the dedupe forget it
+        rows = [
+            LinearRow({0: Fraction(1)}, Fraction(1), "ge"),
+            LinearRow({0: Fraction(1)}, Fraction(2), "ge"),
+            LinearRow({0: Fraction(2)}, Fraction(2), "ge"),
+        ]
+        assert dedupe_rows(rows) == rows[:2]
