@@ -114,24 +114,21 @@ def extract_atoms(
     tol: float = 1e-6,
     r_x: int = 1,
     seed: int = 0,
-    method: str = "auto",
 ) -> list[tuple[np.ndarray, float]]:
     """Atoms (point, weight) of an atomic measure certified by flatness.
 
-    ``method`` is "auto" (rank-one shortcut when it applies, else general),
-    "rank1" or "general".  Raises `ExtractionError` when the rebuilt moments
-    of the atomic candidate miss the input beyond
+    A rank-one moment matrix gives its one atom directly; higher ranks go
+    through the general extraction.  Raises `ExtractionError` when the
+    rebuilt moments of the atomic candidate miss the input beyond
     ``1e-6 * (1 + max |y|)`` through degree 2 (r - r_x).
     """
-    if method not in ("auto", "rank1", "general"):
-        raise ValueError(f"unknown extraction method {method!r}")
     n = y.nvars
     M = moment_matrix(y, r)
     rank = numerical_rank(M, tol)
     if rank == 0:
         raise ExtractionError("moment matrix is numerically zero")
 
-    if method == "rank1" or (method == "auto" and rank == 1):
+    if rank == 1:
         mass = float(y.values[0])
         if mass <= 0:
             raise ExtractionError("nonpositive mass")

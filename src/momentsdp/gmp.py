@@ -36,6 +36,7 @@ from .relaxation import (
     DegreeTooHighError,  # re-exported for callers of momentsdp.gmp
     MomentConstraint,
     OrderTooSmallError,
+    RelaxationInfo,
     SemialgebraicSet,
     assemble,
     minimal_order,
@@ -468,18 +469,14 @@ def unscale_time_moments(dp: DynamicsProblem, moments: dict[str, MomentVector]) 
 # -- relaxation ----------------------------------------------------------------
 
 
-@dataclass
-class GMPInfo:
-    order: int
-    measure_block_sizes: dict[str, list[int]]
-    moment_dims: dict[str, int]
-    eq_rows: int
-    ge_rows: int
-    compactness_certified: dict[str, bool]
+def build_gmp_relaxation(
+    g: GMPProblem, r: int
+) -> tuple[AssembledProgram, dict[str, RelaxationInfo]]:
+    """Order-r relaxation: per-measure moment/localizing blocks plus the rows.
 
-
-def build_gmp_relaxation(g: GMPProblem, r: int) -> tuple[AssembledProgram, GMPInfo]:
-    """Order-r relaxation: per-measure moment/localizing blocks plus the rows."""
+    The info is one `RelaxationInfo` per measure; the row counts are the
+    sizes of the program's zero (equality) and nonneg (inequality) blocks.
+    """
     asm = assemble(
         {m.name: m.support for m in g.measures},
         r,
@@ -488,16 +485,7 @@ def build_gmp_relaxation(g: GMPProblem, r: int) -> tuple[AssembledProgram, GMPIn
         g.sense,
         g.objective_constant,
     )
-    blocks = asm.program.blocks
-    info = GMPInfo(
-        order=r,
-        measure_block_sizes={n: mi.block_sizes for n, mi in asm.measures.items()},
-        moment_dims={n: len(e) for n, e in asm.measure_exponents.items()},
-        eq_rows=sum(blk.size for blk in blocks if blk.kind == "zero"),
-        ge_rows=sum(blk.size for blk in blocks if blk.kind == "nonneg"),
-        compactness_certified={n: mi.compactness_certified for n, mi in asm.measures.items()},
-    )
-    return asm, info
+    return asm, asm.measures
 
 
 @dataclass
@@ -505,7 +493,7 @@ class GMPResult:
     bound: float
     moments: dict[str, MomentVector]
     solution: SDPSolution
-    info: GMPInfo
+    info: dict[str, RelaxationInfo]
     assembled: AssembledProgram
 
 

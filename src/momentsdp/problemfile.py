@@ -18,17 +18,26 @@ gmp:    [measures]  name: v1 v2 ...        (omit when [dynamics] is present)
                        compared with ==, <=, >=
         [objective]  min|max  sum of <poly, measure> terms
 
-sdp:    [blocks], [b], [C], [A k] sparse triplets (see the solver module)
+sdp:    [blocks]  `kind size` per block (psd | nonneg | zero)
+        [b]  whitespace-separated values, possibly over several lines
+        [C], [A k]  `block i j value` entries, one section per constraint k;
+                    indices are 1-based and only the upper triangle of a psd
+                    block is stored.  Values may be rationals like 3/4: they
+                    are parsed exactly, then stored as binary floats.
 
 pencil: variables:, side:, then [F0] and [F k] with `i j value` entries.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .gmp import (
     DynamicsProblem,
@@ -47,7 +56,7 @@ from .polynomials import (
     parse_polynomial,
 )
 from .relaxation import POPProblem, SemialgebraicSet
-from .sdp import ConicProgram, ProgramFormatError, parse_program_text, program_to_text
+from .sdp import Block, BlockData, ConicProgram
 from .spectra import Pencil
 
 
@@ -78,12 +87,6 @@ class GMPFileData:
     objective: Optional[list[tuple[str, Polynomial]]] = None
     sense: str = "min"
     dynamics: Optional[DynamicsData] = None
-
-    def measure(self, name: str) -> MeasureDecl:
-        for m in self.measures:
-            if m.name == name:
-                return m
-        raise KeyError(f"unknown measure {name!r}")
 
     def instantiate(self, r: int) -> tuple[GMPProblem, Optional[DynamicsProblem]]:
         """Expand into a solvable problem; dynamics files need the order r."""
@@ -132,22 +135,24 @@ class _Line:
     text: str
 
 
-def _scan(text: str) -> tuple[dict[str, str], list[tuple[str, list[_Line]]], int]:
-    """Split into leading `key: value` headers and [section] groups."""
-    headers: dict[str, str] = {}
-    sections: list[tuple[str, list[_Line]]] = []
+# a section: its name, the line of its `[name]` header, and its lines
+_Section = tuple[str, int, list[_Line]]
+
+
+def _scan(text: str) -> tuple[dict[str, _Line], list[_Section]]:
+    """Split into leading `key: value` headers (value and line) and [section] groups."""
+    headers: dict[str, _Line] = {}
+    sections: list[_Section] = []
     current: Optional[list[_Line]] = None
-    kind_line = 0
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         if stripped.startswith("["):
             if not stripped.endswith("]"):
                 raise ProblemFileError("unterminated section header", no)
             current = []
-            sections.append((stripped[1:-1].strip(), current))
+            sections.append((stripped[1:-1].strip(), no, current))
             continue
         if current is None:
             if ":" not in stripped:
@@ -156,14 +161,34 @@ def _scan(text: str) -> tuple[dict[str, str], list[tuple[str, list[_Line]]], int
             key = key.strip().lower()
             if key in headers:
                 raise ProblemFileError(f"duplicate header {key!r}", no)
-            headers[key] = value.strip()
-            if key == "kind":
-                kind_line = no
+            headers[key] = _Line(no, value.strip())
         else:
             current.append(_Line(no, stripped))
     if "kind" not in headers:
-        raise ProblemFileError("missing `kind:` header", kind_line or 1)
-    return headers, sections, kind_line
+        raise ProblemFileError("missing `kind:` header", 1)
+    return headers, sections
+
+
+def _number(tok: str, line: int, what: str, parse: Callable = Fraction):
+    """`parse(tok)` when it is a finite number; otherwise an error naming `what`."""
+    try:
+        value = parse(tok)
+        if abs(value) < math.inf:
+            return value
+    except (ValueError, ArithmeticError):
+        pass
+    raise ProblemFileError(f"expected {what}, got {tok!r}", line)
+
+
+@contextmanager
+def _at(line: int):
+    """Report a constructor's ValueError as a ProblemFileError at `line`."""
+    try:
+        yield
+    except ProblemFileError:
+        raise
+    except ValueError as e:
+        raise ProblemFileError(str(e), line) from None
 
 
 def _poly(text: str, space: VarSpace, line: int) -> Polynomial:
@@ -197,10 +222,7 @@ def _parse_support(lines: list[_Line], space: VarSpace) -> SemialgebraicSet:
     ball: Optional[Fraction] = None
     for line in lines:
         if line.text.lower().startswith("ball:"):
-            try:
-                ball = Fraction(line.text.split(":", 1)[1].strip())
-            except ValueError:
-                raise ProblemFileError("ball radius must be a rational number", line.no)
+            ball = _number(line.text.split(":", 1)[1].strip(), line.no, "a rational ball radius")
             continue
         poly, kind = _constraint_poly(line, space)
         (ineqs if kind == "ineq" else eqs).append(poly)
@@ -210,17 +232,18 @@ def _parse_support(lines: list[_Line], space: VarSpace) -> SemialgebraicSet:
 # -- pop ----------------------------------------------------------------------
 
 
-def _parse_pop(headers: dict[str, str], sections) -> POPProblem:
+def _parse_pop(headers: dict[str, _Line], sections: list[_Section]) -> POPProblem:
     if "variables" not in headers:
         raise ProblemFileError("pop files need a `variables:` header", 1)
-    space = VarSpace(tuple(headers["variables"].split()))
+    with _at(headers["variables"].no):
+        space = VarSpace(tuple(headers["variables"].text.split()))
     objective: Optional[Polynomial] = None
     ineqs: list[Polynomial] = []
     eqs: list[Polynomial] = []
     ball: Optional[Fraction] = None
     if "ball" in headers:
-        ball = Fraction(headers["ball"])
-    for name, lines in sections:
+        ball = _number(headers["ball"].text, headers["ball"].no, "a rational ball radius")
+    for name, no, lines in sections:
         if name == "objective":
             for line in lines:
                 body = line.text
@@ -232,10 +255,11 @@ def _parse_pop(headers: dict[str, str], sections) -> POPProblem:
                 poly, kind = _constraint_poly(line, space)
                 (ineqs if kind == "ineq" else eqs).append(poly)
         else:
-            raise ProblemFileError(f"unknown section [{name}] in a pop file", lines[0].no if lines else 1)
+            raise ProblemFileError(f"unknown section [{name}] in a pop file", no)
     if objective is None:
         raise ProblemFileError("pop files need an [objective] section", 1)
-    feasible = SemialgebraicSet(space, inequalities=ineqs, equalities=eqs, ball_radius=ball)
+    with _at(headers["ball"].no if ball is not None else 1):  # only a radius <= 0 fails
+        feasible = SemialgebraicSet(space, inequalities=ineqs, equalities=eqs, ball_radius=ball)
     return POPProblem(objective=objective, feasible_set=feasible)
 
 
@@ -306,19 +330,18 @@ def _parse_moment_sum(
     return terms
 
 
-def _parse_gmp(headers: dict[str, str], sections) -> GMPFileData:
-    section_names = [n for n, _ in sections]
-    has_dynamics = "dynamics" in section_names
+def _parse_gmp(sections: list[_Section]) -> GMPFileData:
+    dynamics = [(no, lines) for name, no, lines in sections if name == "dynamics"]
     declared: dict[str, VarSpace] = {}
-    support_lines: dict[str, list[_Line]] = {}
+    supports: dict[str, tuple[int, list[_Line]]] = {}
     dyn: Optional[DynamicsData] = None
 
-    for name, lines in sections:
+    for name, no, lines in sections:
         if name == "measures":
-            if has_dynamics:
+            if dynamics:
                 raise ProblemFileError(
                     "[measures] and [dynamics] are mutually exclusive; dynamics implies its measures",
-                    lines[0].no if lines else 1,
+                    no,
                 )
             for line in lines:
                 if ":" not in line.text:
@@ -328,34 +351,40 @@ def _parse_gmp(headers: dict[str, str], sections) -> GMPFileData:
                 names = tuple(vars_.split())
                 if not names:
                     raise ProblemFileError("measure needs at least one variable", line.no)
-                declared[mname] = VarSpace(names)
+                if mname in declared:
+                    raise ProblemFileError(f"measure {mname!r} declared twice", line.no)
+                with _at(line.no):
+                    declared[mname] = VarSpace(names)
         elif name.startswith("support"):
             parts = name.split()
             if len(parts) != 2:
-                raise ProblemFileError("support sections are [support <measure>]", lines[0].no if lines else 1)
-            support_lines[parts[1]] = lines
+                raise ProblemFileError("support sections are [support <measure>]", no)
+            supports[parts[1]] = (no, lines)
+        elif name not in ("dynamics", "constraints", "objective"):
+            raise ProblemFileError(f"unknown section [{name}] in a gmp file", no)
 
-    if has_dynamics:
-        dyn_lines = next(lines for n, lines in sections if n == "dynamics")
-        dyn, implied = _parse_dynamics(dyn_lines)
+    if dynamics:
+        dyn, implied = _parse_dynamics(*dynamics[0])
         declared.update(implied)
 
     spaces = dict(declared)
     measures = []
     for mname, space in declared.items():
-        if mname in support_lines:
-            supp = _parse_support(support_lines[mname], space)
+        if mname in supports:
+            no, lines = supports[mname]
+            with _at(no):
+                supp = _parse_support(lines, space)
         else:
             supp = SemialgebraicSet(space)
         measures.append(MeasureDecl(mname, supp))
-    for sname in support_lines:
+    for sname, (no, _) in supports.items():
         if sname not in declared:
-            raise ProblemFileError(f"support given for undeclared measure {sname!r}", 1)
+            raise ProblemFileError(f"support given for undeclared measure {sname!r}", no)
 
     constraints: list[MomentConstraint] = []
     objective: Optional[list[tuple[str, Polynomial]]] = None
     sense = "min"
-    for name, lines in sections:
+    for name, _, lines in sections:
         if name == "constraints":
             for line in lines:
                 parts = _REL.split(line.text)
@@ -363,10 +392,7 @@ def _parse_gmp(headers: dict[str, str], sections) -> GMPFileData:
                     raise ProblemFileError("constraint needs one of ==, >=, <=", line.no)
                 lhs, rel, rhs = parts
                 terms = _parse_moment_sum(lhs.strip(), line.no, spaces)
-                try:
-                    rval = Fraction(rhs.strip())
-                except ValueError:
-                    raise ProblemFileError("right-hand side must be a rational number", line.no)
+                rval = _number(rhs.strip(), line.no, "a rational right-hand side")
                 relation = {"==": "eq", ">=": "ge", "<=": "le"}[rel]
                 constraints.append(MomentConstraint(terms, rval, relation))
         elif name == "objective":
@@ -390,7 +416,8 @@ def _parse_gmp(headers: dict[str, str], sections) -> GMPFileData:
     )
 
 
-def _parse_dynamics(lines: list[_Line]) -> tuple[DynamicsData, dict[str, VarSpace]]:
+def _parse_dynamics(first: int, lines: list[_Line]) -> tuple[DynamicsData, dict[str, VarSpace]]:
+    """The [dynamics] section whose header is on line `first`."""
     horizon: Optional[Fraction] = None
     horizon_seen = False
     states: tuple[str, ...] = ()
@@ -404,10 +431,7 @@ def _parse_dynamics(lines: list[_Line]) -> tuple[DynamicsData, dict[str, VarSpac
     def _endpoint(value: str, no: int) -> EndpointSpec:
         parts = value.split()
         if parts and parts[0] == "point":
-            try:
-                return tuple(Fraction(v) for v in parts[1:])
-            except ValueError:
-                raise ProblemFileError("endpoint point coordinates must be rational", no)
+            return tuple(_number(v, no, "a rational endpoint coordinate") for v in parts[1:])
         if len(parts) == 2 and parts[0] == "measure":
             return parts[1]
         raise ProblemFileError("endpoints are `point c1 c2 ...` or `measure name`", no)
@@ -426,7 +450,7 @@ def _parse_dynamics(lines: list[_Line]) -> tuple[DynamicsData, dict[str, VarSpac
                 parts = value.split()
                 if len(parts) != 2 or parts[0] != "fixed":
                     raise ProblemFileError("horizon is `free` or `fixed T`", line.no)
-                horizon = Fraction(parts[1])
+                horizon = _number(parts[1], line.no, "a rational horizon")
         elif key == "state":
             states = tuple(value.split())
         elif key == "control":
@@ -448,7 +472,6 @@ def _parse_dynamics(lines: list[_Line]) -> tuple[DynamicsData, dict[str, VarSpac
         else:
             raise ProblemFileError(f"unknown dynamics key {key!r}", line.no)
 
-    first = lines[0].no if lines else 1
     if not states:
         raise ProblemFileError("dynamics needs `state:` variables", first)
     if not horizon_seen:
@@ -458,7 +481,8 @@ def _parse_dynamics(lines: list[_Line]) -> tuple[DynamicsData, dict[str, VarSpac
     if not cells:
         raise ProblemFileError("dynamics needs at least one `cell:` with f<i> lines", first)
 
-    dspace = VarSpace((TIME_VAR,) + states + controls)
+    with _at(first):
+        dspace = VarSpace((TIME_VAR,) + states + controls)
     lagrangian = (
         _poly(lagrangian_text[0], dspace, lagrangian_text[1])
         if lagrangian_text
@@ -479,14 +503,15 @@ def _parse_dynamics(lines: list[_Line]) -> tuple[DynamicsData, dict[str, VarSpac
             fs.append(_poly(fmap[i][0], dspace, fmap[i][1]))
         parsed_cells.append((cname, fs))
 
-    spec = DynamicsSpec(
-        states=states,
-        controls=controls,
-        f=parsed_cells[0][1],
-        lagrangian=lagrangian,
-        terminal_cost=terminal_cost,
-        horizon=horizon,
-    )
+    with _at(first):
+        spec = DynamicsSpec(
+            states=states,
+            controls=controls,
+            f=parsed_cells[0][1],
+            lagrangian=lagrangian,
+            terminal_cost=terminal_cost,
+            horizon=horizon,
+        )
     occ_names = spec.occupation_names()
     implied: dict[str, VarSpace] = {c: VarSpace(occ_names) for c, _ in parsed_cells}
     for endpoint in (initial, terminal):
@@ -606,36 +631,136 @@ def dynamics_to_file_data(dp: DynamicsProblem) -> GMPFileData:
     )
 
 
+# -- sdp ------------------------------------------------------------------------
+
+
+def _sdp_value(tok: str) -> float:
+    return float(Fraction(tok)) if "/" in tok else float(tok)
+
+
+def _sdp_entry(line: _Line, blocks: list[Block]) -> tuple[int, list[int], float]:
+    """Block, flattened cells (both triangles) and value of a `block i j value` line."""
+    parts = line.text.split()
+    if len(parts) != 4:
+        raise ProblemFileError("sdp entries are `block i j value`", line.no)
+    bi, i, j = (_number(t, line.no, "an integer entry index", int) for t in parts[:3])
+    v = _number(parts[3], line.no, "a finite entry value", _sdp_value)
+    if not 1 <= bi <= len(blocks):
+        raise ProblemFileError(f"block index {bi} out of range", line.no)
+    blk = blocks[bi - 1]
+    if not (1 <= i <= blk.size and 1 <= j <= blk.size):
+        raise ProblemFileError(f"entry ({i},{j}) outside block {bi}", line.no)
+    if blk.kind == "psd":
+        return bi - 1, [(i - 1) * blk.size + j - 1, (j - 1) * blk.size + i - 1], v
+    if i != j:
+        raise ProblemFileError("vector blocks take diagonal entries only", line.no)
+    return bi - 1, [i - 1], v
+
+
+def _parse_sdp(sections: list[_Section]) -> ConicProgram:
+    blocks: list[Block] = []
+    b: list[float] = []
+    data: list[tuple[Optional[int], int, list[_Line]]] = []  # (k of [A k], or None for [C])
+    for name, no, lines in sections:
+        head = name.split()
+        if head == ["blocks"]:
+            for line in lines:
+                parts = line.text.split()
+                if len(parts) != 2:
+                    raise ProblemFileError("block lines are `kind size`", line.no)
+                with _at(line.no):
+                    blocks.append(Block(parts[0], int(parts[1])))  # type: ignore[arg-type]
+        elif head == ["b"]:
+            for line in lines:
+                b += [_number(t, line.no, "a finite value", _sdp_value) for t in line.text.split()]
+        elif head == ["C"]:
+            data.append((None, no, lines))
+        elif len(head) == 2 and head[0] == "A":
+            data.append((_number(head[1], no, "an integer constraint index", int), no, lines))
+        else:
+            raise ProblemFileError(f"unknown section [{name}] in an sdp file", no)
+    if not blocks:
+        raise ProblemFileError("sdp files need a [blocks] section", 1)
+    C = [np.zeros(blk.shape) for blk in blocks]
+    # a later entry for the same cell overwrites an earlier one
+    cells: list[dict[tuple[int, int], float]] = [{} for _ in blocks]
+    for k, no, lines in data:
+        if k is not None and not 1 <= k <= len(b):
+            raise ProblemFileError(f"constraint index {k} out of range (m = {len(b)})", no)
+        for line in lines:
+            bi, cols, v = _sdp_entry(line, blocks)
+            if k is None:
+                C[bi].reshape(-1)[cols] = v
+            else:
+                cells[bi].update(((k - 1, col), v) for col in cols)
+    A = [
+        BlockData(
+            np.array([k for k, _ in cell], dtype=np.intp),
+            np.array([col for _, col in cell], dtype=np.intp),
+            np.array(list(cell.values()), dtype=float),
+        )
+        for cell in cells
+    ]
+    return ConicProgram(blocks=blocks, A=A, b=np.asarray(b), C=C)
+
+
+def sdp_to_text(prog: ConicProgram) -> str:
+    out = ["kind: sdp", "", "[blocks]"] + [f"{blk.kind} {blk.size}" for blk in prog.blocks]
+    out += ["", "[b]", " ".join(repr(float(v)) for v in prog.b)]
+
+    def _entries(bi: int, cols: np.ndarray, vals: np.ndarray) -> None:
+        # nonzeros of one block in cell order; psd blocks write the upper triangle
+        blk = prog.blocks[bi]
+        for col, v in zip(cols.tolist(), vals.tolist()):
+            i, j = divmod(col, blk.size) if blk.kind == "psd" else (col, col)
+            if i <= j:
+                out.append(f"{bi + 1} {i + 1} {j + 1} {v!r}")
+
+    out += ["", "[C]"]
+    for bi, mat in enumerate(prog.C):
+        flat = mat.reshape(-1)
+        (cols,) = np.nonzero(flat)
+        _entries(bi, cols, flat[cols])
+    # rows are sorted, so constraint k's entries of a block are one slice
+    starts = [np.searchsorted(data.rows, np.arange(prog.m + 1)) for data in prog.A]
+    for k in range(prog.m):
+        out += ["", f"[A {k + 1}]"]
+        for bi, data in enumerate(prog.A):
+            lo, hi = starts[bi][k], starts[bi][k + 1]
+            _entries(bi, data.cols[lo:hi], data.vals[lo:hi])
+    return "\n".join(out) + "\n"
+
+
 # -- pencil ---------------------------------------------------------------------
 
 
-def _parse_pencil(headers: dict[str, str], sections) -> Pencil:
+def _parse_pencil(headers: dict[str, _Line], sections: list[_Section]) -> Pencil:
     if "variables" not in headers or "side" not in headers:
         raise ProblemFileError("pencil files need `variables:` and `side:` headers", 1)
-    names = tuple(headers["variables"].split())
-    side = int(headers["side"])
-    n = len(names)
+    with _at(headers["variables"].no):
+        n = VarSpace(tuple(headers["variables"].text.split())).n
+    side = _number(headers["side"].text, headers["side"].no, "an integer matrix side", int)
+    if side < 1:
+        raise ProblemFileError("pencil matrices need a positive side", headers["side"].no)
     mats: list[list[list[Fraction]]] = [
         [[Fraction(0)] * side for _ in range(side)] for _ in range(n + 1)
     ]
-    for name, lines in sections:
+    for name, no, lines in sections:
         if name == "F0":
             k = 0
         else:
             parts = name.split()
             if len(parts) != 2 or parts[0] != "F":
-                raise ProblemFileError(f"unknown section [{name}] in a pencil file", lines[0].no if lines else 1)
-            k = int(parts[1])
+                raise ProblemFileError(f"unknown section [{name}] in a pencil file", no)
+            k = _number(parts[1], no, "an integer matrix index", int)
             if not 1 <= k <= n:
-                raise ProblemFileError(f"pencil matrix index {k} out of range", lines[0].no if lines else 1)
+                raise ProblemFileError(f"pencil matrix index {k} out of range", no)
         for line in lines:
             parts = line.text.split()
             if len(parts) != 3:
                 raise ProblemFileError("pencil entries are `i j value`", line.no)
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), Fraction(parts[2])
-            except ValueError:
-                raise ProblemFileError("bad pencil entry", line.no)
+            i, j = (_number(t, line.no, "an integer entry index", int) for t in parts[:2])
+            v = _number(parts[2], line.no, "a rational entry value")
             if not (1 <= i <= side and 1 <= j <= side):
                 raise ProblemFileError(f"entry ({i},{j}) outside the {side}x{side} matrix", line.no)
             mats[k][i - 1][j - 1] = v
@@ -663,26 +788,36 @@ def pencil_to_text(pencil: Pencil, variable_names: Optional[Sequence[str]] = Non
 # -- entry points ----------------------------------------------------------------
 
 
+# headers each kind reads besides `kind:`
+_HEADERS = {"pop": {"variables", "ball"}, "gmp": set(), "sdp": set(),
+            "pencil": {"variables", "side"}}
+
+
 def parse_problem_text(text: str) -> ParsedProblem:
-    headers, sections, kind_line = _scan(text)
-    kind = headers["kind"].lower()
+    headers, sections = _scan(text)
+    kind = headers["kind"].text.lower()
+    if kind not in _HEADERS:
+        raise ProblemFileError(f"unknown kind {headers['kind'].text!r}", headers["kind"].no)
+    for key, line in headers.items():
+        if key != "kind" and key not in _HEADERS[kind]:
+            raise ProblemFileError(f"unknown header {key!r} in a {kind} file", line.no)
     if kind == "pop":
         return ParsedProblem(kind="pop", pop=_parse_pop(headers, sections))
     if kind == "gmp":
-        return ParsedProblem(kind="gmp", gmp=_parse_gmp(headers, sections))
+        return ParsedProblem(kind="gmp", gmp=_parse_gmp(sections))
     if kind == "sdp":
-        try:
-            return ParsedProblem(kind="sdp", sdp=parse_program_text(text))
-        except ProgramFormatError as e:
-            raise ProblemFileError(str(e), e.line)
-    if kind == "pencil":
-        return ParsedProblem(kind="pencil", pencil=_parse_pencil(headers, sections))
-    raise ProblemFileError(f"unknown kind {headers['kind']!r}", kind_line)
+        return ParsedProblem(kind="sdp", sdp=_parse_sdp(sections))
+    return ParsedProblem(kind="pencil", pencil=_parse_pencil(headers, sections))
 
 
 def load_problem(path: str) -> ParsedProblem:
-    with open(path, "r") as f:
-        return parse_problem_text(f.read())
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ProblemFileError(f"not UTF-8 text: {e.reason}", raw.count(b"\n", 0, e.start) + 1)
+    return parse_problem_text(text)
 
 
 def problem_to_text(p: ParsedProblem) -> str:
@@ -691,7 +826,7 @@ def problem_to_text(p: ParsedProblem) -> str:
     if p.kind == "gmp":
         return gmp_to_text(p.gmp)
     if p.kind == "sdp":
-        return program_to_text(p.sdp)
+        return sdp_to_text(p.sdp)
     if p.kind == "pencil":
         return pencil_to_text(p.pencil)
     raise ValueError(f"unknown kind {p.kind!r}")

@@ -34,15 +34,16 @@ straight into one stacked (m, p) matrix.  Its dense working set is two
 products Z^{-1} A_k X, which `_schur_psd` fills a chunk of constraints at a
 time.  Both live only as long as the solve; each iteration frees the last
 Schur system and its factors before it forms the next.
+
+This module holds the program and its solver only; `problemfile` reads and
+writes programs as ``kind: sdp`` text.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Literal, Optional
 
 import numpy as np
@@ -55,6 +56,7 @@ _log = logging.getLogger(__name__)
 
 _REG = 1e-12  # diagonal regularization applied once on Cholesky failure
 _SCHUR_CHUNK = 1 << 17  # floats per stacked product chunk in `_schur_psd`
+_STEP_FRACTION = 0.98  # fraction of the way to the cone boundary each step takes
 
 
 @dataclass(frozen=True)
@@ -162,15 +164,12 @@ class SolveOptions:
     gap_tol: float = 1e-9
     feas_tol: float = 1e-9
     max_iter: int = 200
-    step_fraction: float = 0.98
 
     def __post_init__(self) -> None:
         if not all(0.0 < tol < math.inf for tol in (self.gap_tol, self.feas_tol)):
             raise ValueError("tolerances must be finite and positive")
         if self.max_iter <= 0:
             raise ValueError("iteration budget must be positive")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
 
 
 Status = Literal["optimal", "infeasible", "unbounded", "max_iter", "numerical_failure"]
@@ -572,8 +571,8 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
             break
 
         ap, ad = _steps(dX, dZ)
-        ap = min(1.0, opt.step_fraction * ap)
-        ad = min(1.0, opt.step_fraction * ad)
+        ap = min(1.0, _STEP_FRACTION * ap)
+        ad = min(1.0, _STEP_FRACTION * ad)
         if max(ap, ad) < 1e-10:
             status = "max_iter"  # step collapse: no further progress possible
             break
@@ -676,186 +675,3 @@ def duality_report(sol: SDPSolution) -> DualityReport:
         converged=sol.status == "optimal",
     )
 
-
-# -- plain-text interchange format -------------------------------------------
-#
-# Sections, one entry per line; `#` starts a comment.  Indices are 1-based and
-# only the upper triangle of symmetric entries is stored:
-#
-#   [blocks]          kind size            (one block per line)
-#   [b]               whitespace-separated values (may span lines)
-#   [C]               block i j value
-#   [A k]             block i j value      (one section per constraint k)
-#
-# Values may be rationals like 3/4; they are parsed exactly and then stored
-# as binary floats.
-
-
-def _parse_value(tok: str) -> float:
-    if "/" in tok:
-        return float(Fraction(tok))
-    return float(tok)
-
-
-def write_program_text(prog: ConicProgram, f) -> None:
-    close = False
-    if isinstance(f, str):
-        f = open(f, "w")
-        close = True
-    try:
-        f.write("kind: sdp\n\n[blocks]\n")
-        for blk in prog.blocks:
-            f.write(f"{blk.kind} {blk.size}\n")
-        f.write("\n[b]\n")
-        f.write(" ".join(repr(float(v)) for v in prog.b) + "\n")
-
-        def _entries(bi: int, cols: np.ndarray, vals: np.ndarray) -> None:
-            # nonzeros of one block in cell order; psd blocks write the upper triangle
-            blk = prog.blocks[bi]
-            for col, v in zip(cols.tolist(), vals.tolist()):
-                i, j = divmod(col, blk.size) if blk.kind == "psd" else (col, col)
-                if i <= j:
-                    f.write(f"{bi + 1} {i + 1} {j + 1} {v!r}\n")
-
-        f.write("\n[C]\n")
-        for bi, mat in enumerate(prog.C):
-            flat = mat.reshape(-1)
-            (cols,) = np.nonzero(flat)
-            _entries(bi, cols, flat[cols])
-        # rows are sorted, so constraint k's entries of a block are one slice
-        starts = [np.searchsorted(data.rows, np.arange(prog.m + 1)) for data in prog.A]
-        for k in range(prog.m):
-            f.write(f"\n[A {k + 1}]\n")
-            for bi, data in enumerate(prog.A):
-                lo, hi = starts[bi][k], starts[bi][k + 1]
-                _entries(bi, data.cols[lo:hi], data.vals[lo:hi])
-    finally:
-        if close:
-            f.close()
-
-
-class ProgramFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
-
-
-def read_program_text(f) -> ConicProgram:
-    close = False
-    if isinstance(f, str):
-        f = open(f, "r")
-        close = True
-    try:
-        text = f.read()
-    finally:
-        if close:
-            f.close()
-    return parse_program_text(text)
-
-
-def parse_program_text(text: str) -> ConicProgram:
-    blocks: list[Block] = []
-    bvals: list[float] = []
-    centries: list[tuple[int, int, int, float]] = []
-    aentries: dict[int, list[tuple[int, int, int, float]]] = {}
-    section: Optional[str] = None
-    section_k = 0
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower().startswith("kind:"):
-            if line.split(":", 1)[1].strip() != "sdp":
-                raise ProgramFormatError("expected kind: sdp", ln)
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ProgramFormatError("unterminated section header", ln)
-            head = line[1:-1].split()
-            if head[0] == "blocks" or head[0] == "b" or head[0] == "C":
-                section = head[0]
-            elif head[0] == "A" and len(head) == 2:
-                section = "A"
-                try:
-                    section_k = int(head[1])
-                except ValueError:
-                    raise ProgramFormatError("constraint index must be an integer", ln)
-                aentries.setdefault(section_k, [])
-            else:
-                raise ProgramFormatError(f"unknown section {line!r}", ln)
-            continue
-        if section == "blocks":
-            parts = line.split()
-            if len(parts) != 2:
-                raise ProgramFormatError("block line must be 'kind size'", ln)
-            try:
-                blocks.append(Block(parts[0], int(parts[1])))  # type: ignore[arg-type]
-            except ValueError as e:
-                raise ProgramFormatError(str(e), ln)
-        elif section == "b":
-            try:
-                bvals.extend(_parse_value(t) for t in line.split())
-            except ValueError:
-                raise ProgramFormatError("bad value in b", ln)
-        elif section in ("C", "A"):
-            parts = line.split()
-            if len(parts) != 4:
-                raise ProgramFormatError("entry must be 'block i j value'", ln)
-            try:
-                bi, i, j = int(parts[0]), int(parts[1]), int(parts[2])
-                v = _parse_value(parts[3])
-            except ValueError:
-                raise ProgramFormatError("bad entry", ln)
-            if section == "C":
-                centries.append((bi, i, j, v))
-            else:
-                aentries[section_k].append((bi, i, j, v))
-        else:
-            raise ProgramFormatError("entry outside of any section", ln)
-
-    if not blocks:
-        raise ProgramFormatError("no [blocks] section", 0)
-    m = len(bvals)
-    for k in aentries:
-        if not 1 <= k <= m:
-            raise ProgramFormatError(f"constraint index {k} out of range (m = {m})", 0)
-
-    def _cells(bi: int, i: int, j: int) -> tuple[int, set[int]]:
-        # 0-based block and flattened cells of a 1-based entry (both triangles)
-        if not 1 <= bi <= len(blocks):
-            raise ProgramFormatError(f"block index {bi} out of range", 0)
-        blk = blocks[bi - 1]
-        if not (1 <= i <= blk.size and 1 <= j <= blk.size):
-            raise ProgramFormatError(f"entry ({i},{j}) outside block {bi}", 0)
-        if blk.kind == "psd":
-            return bi - 1, {(i - 1) * blk.size + j - 1, (j - 1) * blk.size + i - 1}
-        if i != j:
-            raise ProgramFormatError("vector blocks take diagonal entries only", 0)
-        return bi - 1, {i - 1}
-
-    C = [np.zeros(blk.shape) for blk in blocks]
-    for bi, i, j, v in centries:
-        b0, cols = _cells(bi, i, j)
-        C[b0].reshape(-1)[list(cols)] = v
-    # a later entry for the same cell overwrites an earlier one
-    cells: list[dict[tuple[int, int], float]] = [{} for _ in blocks]
-    for k, entries in aentries.items():
-        for bi, i, j, v in entries:
-            b0, cols = _cells(bi, i, j)
-            for col in cols:
-                cells[b0][(k - 1, col)] = v
-    A = [
-        BlockData(
-            np.array([k for k, _ in cell], dtype=np.intp),
-            np.array([col for _, col in cell], dtype=np.intp),
-            np.array(list(cell.values()), dtype=float),
-        )
-        for cell in cells
-    ]
-    return ConicProgram(blocks=blocks, A=A, b=np.asarray(bvals), C=C)
-
-
-def program_to_text(prog: ConicProgram) -> str:
-    buf = io.StringIO()
-    write_program_text(prog, buf)
-    return buf.getvalue()

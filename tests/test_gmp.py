@@ -53,6 +53,11 @@ def control_dynamics() -> DynamicsSpec:
     )
 
 
+def row_count(asm, kind: str) -> int:
+    """Rows of an assembled program: "zero" blocks hold equalities, "nonneg" inequalities."""
+    return sum(b.size for b in asm.program.blocks if b.kind == kind)
+
+
 class TestLiouvilleRows:
     def test_decay_rows(self):
         rows, info = liouville_constraints(decay_dynamics(), 2, "occ", "init", "term")
@@ -153,12 +158,12 @@ class TestBuildRelaxation:
         asm, info = build_gmp_relaxation(dp.gmp, 2)
         # per measure: M_2(y) 3x3 and a 2x2 localizer for the quadratic support
         for name in ("occ", "init", "term"):
-            assert info.measure_block_sizes[name] == [3, 2]
-            assert info.moment_dims[name] == 5
+            assert info[name].block_sizes == [3, 2]
+            assert info[name].moment_dim == 5
         kinds = [b.kind for b in asm.program.blocks]
         assert kinds.count("psd") == 6 and kinds.count("zero") == 1
         # rows: mass(init) = 1 plus the 2r + 1 transport rows
-        assert info.eq_rows == 1 + 5
+        assert row_count(asm, "zero") == 1 + 5
 
     def test_one_measure_gmp_matches_pop_relaxation(self):
         pop = build_polyopt()
@@ -184,9 +189,9 @@ class TestBuildRelaxation:
         dyn = control_dynamics()
         dp0 = build_dynamics_gmp(dyn, 1, [("occ", dyn.f)], (1,), (0,), {})
         asm, info = build_gmp_relaxation(dp0.gmp, 1)
-        assert info.measure_block_sizes["occ"] == [3]
-        assert info.eq_rows == 2 and info.ge_rows == 0
-        assert not info.compactness_certified["occ"]
+        assert info["occ"].block_sizes == [3]
+        assert row_count(asm, "zero") == 2 and row_count(asm, "nonneg") == 0
+        assert not info["occ"].compactness_certified
 
     def test_degree_above_truncation_names_constraint(self):
         decl = MeasureDecl("mu", SemialgebraicSet(X1))
@@ -372,7 +377,7 @@ class TestConstraintRelations:
             objective=[("mu", x)],
         )
         asm, info = build_gmp_relaxation(g, 2)
-        assert info.ge_rows == 1
+        assert row_count(asm, "nonneg") == 1
         res = solve_gmp(g, 2, GMP_OPTS)
         assert res.solution.status == "optimal"
         assert res.bound == pytest.approx(0.75, abs=1e-6)

@@ -12,6 +12,7 @@ from momentsdp.casestudies import (
     build_polyopt,
     build_saturation_cells,
 )
+from momentsdp.cli import main
 from momentsdp.problemfile import (
     ProblemFileError,
     load_problem,
@@ -20,6 +21,32 @@ from momentsdp.problemfile import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+_DYNAMICS = (
+    "kind: gmp\n[dynamics]\nhorizon: {}\nstate: x\ninitial: point 0\nterminal: point 1\n"
+    "cell: a\nf1: {}\n"
+)
+_PENCIL = "kind: pencil\nvariables: x\nside: {}\n[F0]\n1 1 1\n[F {}]\n1 1 1\n"
+_SDP = "kind: sdp\n[blocks]\npsd 2\n[b]\n{}\n[C]\n1 1 1 {}\n[A 1]\n1 1 1 1\n"
+
+# (id, text, line of the bad value, or of the section header whose constructor rejects it)
+MALFORMED = [
+    ("pop-ball-word", "kind: pop\nvariables: x\nball: big\n[objective]\nmin x\n", 3),
+    ("pop-ball-negative", "kind: pop\nvariables: x\nball: -1\n[objective]\nmin x\n", 3),
+    ("pop-repeated-variable", "kind: pop\nvariables: x x\n[objective]\nmin x\n", 2),
+    ("gmp-horizon-word", _DYNAMICS.format("fixed soon", "1"), 3),
+    ("gmp-horizon-negative", _DYNAMICS.format("fixed -1", "1"), 2),
+    ("gmp-repeated-variable", "kind: gmp\n[measures]\nmu: x x\n[objective]\nmin <x, mu>\n", 3),
+    ("gmp-repeated-measure", "kind: gmp\n[measures]\nmu: x\nmu: y\n[objective]\nmin <y, mu>\n", 4),
+    ("gmp-free-horizon-uses-time", _DYNAMICS.format("free", "t"), 2),
+    ("gmp-unknown-section", "kind: gmp\n[measures]\nmu: x\n[constraint]\nmass(mu) == 1\n", 4),
+    ("pencil-side-word", _PENCIL.format("two", "1"), 3),
+    ("pencil-index-word", _PENCIL.format("2", "one"), 6),
+    ("pencil-repeated-variable", "kind: pencil\nvariables: x x\nside: 1\n[F0]\n1 1 1\n", 2),
+    ("sdp-infinite-entry", _SDP.format("1", "inf"), 7),
+    ("sdp-overflowing-b", _SDP.format("1e400", "1"), 5),
+    ("sdp-empty-header", "kind: sdp\n[]\n", 2),
+]
 
 
 def fixture_paths():
@@ -156,6 +183,46 @@ class TestParseErrors:
         )
         with pytest.raises(ProblemFileError):
             parse_problem_text(text)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "text, line", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED]
+    )
+    def test_reported_at_its_line(self, text, line):
+        with pytest.raises(ProblemFileError) as ei:
+            parse_problem_text(text)
+        assert ei.value.line == line
+
+    def test_gmp_rejects_unknown_section(self):
+        text = (
+            "kind: gmp\n\n[measures]\nmu: x1\n\n[constraint]\nmass(mu) == 1\n"
+            "\n[objective]\nmin <x1, mu>\n"
+        )
+        with pytest.raises(ProblemFileError) as ei:
+            parse_problem_text(text)
+        assert ei.value.line == 6 and "[constraint]" in str(ei.value)
+
+    def test_unknown_header_rejected(self):
+        with pytest.raises(ProblemFileError) as ei:
+            parse_problem_text("kind: sdp\nblocks: psd 2\n[blocks]\npsd 2\n")
+        assert ei.value.line == 2
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.pop"
+        path.write_bytes(b"kind: pop\nvariables: x\xff\n")
+        with pytest.raises(ProblemFileError) as ei:
+            load_problem(str(path))
+        assert ei.value.line == 2
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        for name, text, line in MALFORMED:
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["solve", str(path), "--extract"]) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+            assert f"(line {line})" in err and "Traceback" not in err, (name, err)
 
 
 class TestGMPSemantics:

@@ -1,4 +1,3 @@
-import io
 import itertools
 import os
 import warnings
@@ -7,18 +6,21 @@ import numpy as np
 import pytest
 
 from momentsdp import sdp
+from momentsdp.problemfile import (
+    ParsedProblem,
+    ProblemFileError,
+    load_problem,
+    parse_problem_text,
+    problem_to_text,
+)
 from momentsdp.sdp import (
     Block,
     BlockData,
     ConicProgram,
     SolveOptions,
     duality_report,
-    parse_program_text,
-    program_to_text,
     psd_project_check,
-    read_program_text,
     solve,
-    write_program_text,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -398,8 +400,6 @@ class TestProgramValidation:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(gap_tol=0.0)
-        with pytest.raises(ValueError):
-            SolveOptions(step_fraction=1.0)
 
     def test_nonfinite_tolerances_rejected(self):
         for bad in (np.inf, np.nan):
@@ -420,8 +420,8 @@ class TestInterchangeFormat:
             b=np.array([1.0, 0.25]),
             C=[np.array([[0.5, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]), np.array([2.0])],
         )
-        text = program_to_text(prog)
-        back = parse_program_text(text)
+        text = problem_to_text(ParsedProblem("sdp", sdp=prog))
+        back = parse_problem_text(text).sdp
         assert [(blk.kind, blk.size) for blk in back.blocks] == [
             ("psd", 2),
             ("nonneg", 2),
@@ -435,8 +435,9 @@ class TestInterchangeFormat:
     def test_file_io(self, tmp_path):
         prog = sqrt2_program()
         path = str(tmp_path / "prog.sdp")
-        write_program_text(prog, path)
-        back = read_program_text(path)
+        with open(path, "w") as f:
+            f.write(problem_to_text(ParsedProblem("sdp", sdp=prog)))
+        back = load_problem(path).sdp
         sol = solve(back, TIGHT)
         assert sol.dual_obj == pytest.approx(SQRT2, abs=1e-6)
 
@@ -452,7 +453,7 @@ psd 2
 [A 1]
 1 1 2 -1/2
 """
-        prog = parse_program_text(text)
+        prog = parse_problem_text(text).sdp
         assert prog.C[0][0, 0] == 0.5
         # the one entry (1, 2) of constraint 1 fills cells (0, 1) and (1, 0)
         assert prog.A[0].rows.tolist() == [0, 0]
@@ -460,14 +461,23 @@ psd 2
         assert prog.A[0].vals.tolist() == [-0.5, -0.5]
 
     def test_format_errors(self):
-        from momentsdp.sdp import ProgramFormatError
+        with pytest.raises(ProblemFileError):
+            parse_problem_text("kind: sdp\n[blocks]\npsd\n")
+        with pytest.raises(ProblemFileError):
+            parse_problem_text("kind: sdp\nstray line\n")
+        with pytest.raises(ProblemFileError):
+            parse_problem_text("kind: sdp\n[blocks]\npsd 2\n[b]\n1\n[A 5]\n1 1 1 1\n")
 
-        with pytest.raises(ProgramFormatError):
-            parse_program_text("kind: sdp\n[blocks]\npsd\n")
-        with pytest.raises(ProgramFormatError):
-            parse_program_text("kind: sdp\nstray line\n")
-        with pytest.raises(ProgramFormatError):
-            parse_program_text("kind: sdp\n[blocks]\npsd 2\n[b]\n1\n[A 5]\n1 1 1 1\n")
+    def test_empty_section_header_is_an_error(self):
+        with pytest.raises(ProblemFileError) as ei:
+            parse_problem_text("kind: sdp\n[]\n")
+        assert ei.value.line == 2
+
+    def test_constraint_index_error_names_its_header_line_once(self):
+        with pytest.raises(ProblemFileError) as ei:
+            parse_problem_text("kind: sdp\n[blocks]\npsd 2\n[b]\n1\n[A 5]\n1 1 1 1\n")
+        assert ei.value.line == 6
+        assert str(ei.value).count("(line") == 1
 
 
 class TestStoredForm:
@@ -523,7 +533,7 @@ class TestStoredForm:
 
         prog = build_relaxation(build_eig_assign(3), 2)[0].program
         assert {blk.kind for blk in prog.blocks} == {"psd", "zero"}
-        back = parse_program_text(program_to_text(prog))
+        back = parse_problem_text(problem_to_text(ParsedProblem("sdp", sdp=prog))).sdp
         assert [(b.kind, b.size) for b in back.blocks] == [(b.kind, b.size) for b in prog.blocks]
         assert np.array_equal(back.b, prog.b)
         for bi in range(len(prog.blocks)):
@@ -612,7 +622,7 @@ class TestStepLength:
         from momentsdp.relaxation import build_relaxation
 
         eig3 = build_relaxation(build_eig_assign(3), 3)[0].program
-        sqrt2 = read_program_text(os.path.join(FIXTURES, "sqrt2.sdp"))
+        sqrt2 = load_problem(os.path.join(FIXTURES, "sqrt2.sdp")).sdp
         planar = build_polyopt().feasible_set
 
         def solves() -> list:
@@ -697,7 +707,7 @@ class TestSchurFormation:
 
         rng = np.random.default_rng(8)
         programs = [
-            (read_program_text(os.path.join(FIXTURES, "sqrt2.sdp")), TIGHT),
+            (load_problem(os.path.join(FIXTURES, "sqrt2.sdp")).sdp, TIGHT),
             (build_relaxation(build_eig_assign(3), 3)[0].program, SolveOptions(gap_tol=1e-6, feas_tol=1e-6)),
         ] + [
             (mixed_cone_program(rng, n, 2, pfree, m)[0], SolveOptions(gap_tol=1e-9, feas_tol=1e-8))
