@@ -4,15 +4,17 @@ A moment vector holds the values y_alpha for all exponents alpha up to a
 degree bound, laid out in grlex order.  A stencil describes, symbolically,
 which linear combination of moments occupies each cell of a moment matrix
 (entry (i,j) reads y_{e_i+e_j}) or of a localizing matrix (entry (i,j) reads
-sum_gamma q_gamma y_{e_i+e_j+gamma} for a fixed polynomial q).  Stencils are
-built once and reused: the relaxation assembler evaluates the same stencil
-both to place solver coefficients and to reconstruct matrices from solved
-moments.
+sum_gamma q_gamma y_{e_i+e_j+gamma} for a fixed polynomial q).  It is held as
+integer arrays: each cell's (i, j) and, per term of q, the term index and the
+grlex rank of e_i + e_j + gamma, all computed by one broadcast over the row
+exponents.  The relaxation assembler reads these arrays to place solver
+coefficients, converting each exact coefficient of q once, and
+`evaluate_stencil` reads them to reconstruct matrices from solved moments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -22,8 +24,11 @@ from .polynomials import (
     Coeff,
     Exponent,
     Polynomial,
+    exponent_array,
     exponents_up_to,
+    grlex_exponent,
     grlex_index,
+    grlex_ranks,
     monomial_count,
 )
 
@@ -119,49 +124,55 @@ def riesz_apply(p: Polynomial, y: MomentVector):
     return total
 
 
-@dataclass
+@dataclass(eq=False)
 class MatrixStencil:
     """Symbolic symmetric matrix whose cells are linear functionals of y.
 
-    ``cells[(i, j)]`` for i <= j lists (exponent, coefficient) pairs; the cell
-    value at a moment vector y is sum of coeff * y_exponent.  ``row_exponents``
-    are the grlex monomials indexing rows and columns.
+    Cell (i, j) of the order-d localizing matrix of q reads
+    sum_gamma q_gamma y_{e_i+e_j+gamma}.  The cells i <= j, row-major, are
+    ``(i[c], j[c])``; entry c * len(coeffs) + t is ``coeffs[term] * y[rank]``
+    for the t-th term of q in grlex order, a monomial order, so the ranks
+    ascend within a cell.  ``row_exponents`` index the rows and columns.
     """
 
     nvars: int
     order: int
-    cells: dict[tuple[int, int], list[tuple[Exponent, Coeff]]]
-    row_exponents: list[Exponent] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.row_exponents:
-            self.row_exponents = exponents_up_to(self.nvars, self.order)
+    coeffs: list[Coeff]
+    i: np.ndarray
+    j: np.ndarray
+    term: np.ndarray
+    rank: np.ndarray
+    row_exponents: list[Exponent]
 
     @property
     def side(self) -> int:
         return len(self.row_exponents)
 
-    def max_total_degree(self) -> int:
-        return max(
-            (sum(exp) for pairs in self.cells.values() for exp, _ in pairs),
-            default=0,
-        )
+    @property
+    def cells(self) -> dict[tuple[int, int], list[tuple[Exponent, Coeff]]]:
+        """Cell (i, j), i <= j, as its (exponent, coefficient) pairs."""
+        exps = {k: grlex_exponent(self.nvars, k) for k in set(self.rank.tolist())}
+        pairs = [(exps[k], self.coeffs[t]) for k, t in zip(self.rank.tolist(), self.term.tolist())]
+        w = len(self.coeffs)
+        return {ij: pairs[c * w : (c + 1) * w] for c, ij in enumerate(zip(self.i.tolist(), self.j.tolist()))}
 
     def cell(self, i: int, j: int) -> list[tuple[Exponent, Coeff]]:
-        if i > j:
-            i, j = j, i
-        return self.cells[(i, j)]
+        return self.cells[(min(i, j), max(i, j))]
+
+
+def _stencil(nvars: int, order: int, terms: list[tuple[Exponent, Coeff]]) -> MatrixStencil:
+    # every cell i <= j and term gamma at once: the rank of R[i] + R[j] + gamma
+    R = exponent_array(nvars, order)
+    i, j = np.triu_indices(len(R))
+    gammas = np.array([e for e, _ in terms], dtype=np.int64).reshape(len(terms), nvars)
+    rank = grlex_ranks((R[i] + R[j])[:, None, :] + gammas).ravel()
+    term = np.tile(np.arange(len(terms)), len(i))
+    return MatrixStencil(nvars, order, [c for _, c in terms], i, j, term, rank, list(map(tuple, R.tolist())))
 
 
 def moment_matrix_stencil(nvars: int, order: int) -> MatrixStencil:
     """Stencil of the order-d moment matrix: cell (i,j) reads y_{e_i+e_j}."""
-    rows = exponents_up_to(nvars, order)
-    cells: dict[tuple[int, int], list[tuple[Exponent, Coeff]]] = {}
-    for i, ei in enumerate(rows):
-        for j in range(i, len(rows)):
-            s = tuple(a + b for a, b in zip(ei, rows[j]))
-            cells[(i, j)] = [(s, Fraction(1))]
-    return MatrixStencil(nvars, order, cells, rows)
+    return _stencil(nvars, order, [((0,) * nvars, Fraction(1))])
 
 
 def localizing_matrix_stencil(q: Polynomial, order: int) -> MatrixStencil:
@@ -170,17 +181,7 @@ def localizing_matrix_stencil(q: Polynomial, order: int) -> MatrixStencil:
     Cell (i,j) reads sum_gamma q_gamma y_{e_i+e_j+gamma}; with q = 1 this is
     exactly the moment matrix stencil.
     """
-    rows = exponents_up_to(q.nvars, order)
-    cells: dict[tuple[int, int], list[tuple[Exponent, Coeff]]] = {}
-    for i, ei in enumerate(rows):
-        for j in range(i, len(rows)):
-            base = tuple(a + b for a, b in zip(ei, rows[j]))
-            pairs: list[tuple[Exponent, Coeff]] = []
-            for gamma, c in q.terms.items():
-                pairs.append((tuple(a + b for a, b in zip(base, gamma)), c))
-            pairs.sort(key=lambda pc: grlex_index(pc[0]))
-            cells[(i, j)] = pairs
-    return MatrixStencil(q.nvars, order, cells, rows)
+    return _stencil(q.nvars, order, sorted(q.terms.items(), key=lambda ec: grlex_index(ec[0])))
 
 
 def evaluate_stencil(stencil: MatrixStencil, y: MomentVector) -> np.ndarray:
@@ -191,16 +192,16 @@ def evaluate_stencil(stencil: MatrixStencil, y: MomentVector) -> np.ndarray:
     """
     if stencil.nvars != y.nvars:
         raise ValueError("stencil and moment vector use different variable counts")
-    n = stencil.side
-    out = np.zeros((n, n))
-    for (i, j), pairs in stencil.cells.items():
-        v = 0.0
-        for exp, c in pairs:
-            if sum(exp) > y.degree:
-                raise MissingMomentError(exp, y.degree)
-            v += float(c) * float(y.values[grlex_index(exp)])
-        out[i, j] = v
-        out[j, i] = v
+    beyond = np.flatnonzero(stencil.rank >= len(y.values))
+    if beyond.size:
+        raise MissingMomentError(grlex_exponent(y.nvars, int(stencil.rank[beyond[0]])), y.degree)
+    values, w = np.asarray(y.values, dtype=float), len(stencil.coeffs)
+    v = np.zeros(len(stencil.i))
+    for t, c in enumerate(stencil.coeffs):
+        v += float(c) * values[stencil.rank[t::w]]
+    out = np.zeros((stencil.side, stencil.side))
+    out[stencil.i, stencil.j] = v
+    out[stencil.j, stencil.i] = v
     return out
 
 

@@ -16,8 +16,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 Exponent = tuple[int, ...]
 Coeff = Union[Fraction, float]
@@ -62,13 +66,6 @@ def monomial_count(n: int, d: int) -> int:
     return comb(n + d, n)
 
 
-def _count_exact(nvars: int, deg: int) -> int:
-    # monomials of exactly `deg` in `nvars` variables
-    if nvars == 0:
-        return 1 if deg == 0 else 0
-    return comb(deg + nvars - 1, nvars - 1)
-
-
 # grlex rank of every exponent tuple seen so far; only valid exponents enter
 _GRLEX_RANKS: dict[tuple, int] = {}
 
@@ -78,28 +75,27 @@ def grlex_index(exponent: Exponent) -> int:
     key = exponent if type(exponent) is tuple else tuple(exponent)
     idx = _GRLEX_RANKS.get(key)
     if idx is None:
-        idx = _GRLEX_RANKS[key] = _grlex_rank(key)
+        idx = _GRLEX_RANKS[key] = int(grlex_ranks(np.array(key, dtype=np.int64)))
     return idx
 
 
-def _grlex_rank(exponent: tuple) -> int:
-    n = len(exponent)
-    if n == 0:
-        return 0
-    d = 0
-    for e in exponent:
-        if e < 0:
-            raise ValueError(f"negative exponent in {exponent}")
-        d += e
-    idx = monomial_count(n, d - 1) if d > 0 else 0
-    rem = d
-    for i in range(n - 1):
-        ei = exponent[i]
-        # exponents whose i-th entry exceeds ei precede this one
-        for a in range(rem, ei, -1):
-            idx += _count_exact(n - i - 1, rem - a)
-        rem -= ei
-    return idx
+def grlex_ranks(exponents: np.ndarray) -> np.ndarray:
+    """Exact grlex ranks of an integer array of exponents along its last axis.
+
+    With S_j = e_j + ... + e_{n-1}, rank(e) = sum_j C(S_j + n - j - 1, n - j):
+    the j = 0 term counts the exponents of lower degree and, by the
+    hockey-stick identity, term j > 0 those of the same degree that agree
+    with e before entry j - 1 and exceed it there.  No term exceeds the rank,
+    so nothing overflows that an index into the moments would not.
+    """
+    E = np.asarray(exponents, dtype=np.int64)
+    n = E.shape[-1]
+    if E.size and E.min() < 0:
+        raise ValueError(f"negative exponent in {tuple(E[(E < 0).any(axis=-1)][0].tolist())}")
+    S = np.cumsum(E[..., ::-1], axis=-1)[..., ::-1]
+    top = int(S[..., 0].max(initial=0)) if n else 0
+    table = np.array([[comb(s + n - j - 1, n - j) for s in range(top + 1)] for j in range(n)], np.int64)
+    return table.reshape(n, top + 1)[np.arange(n), S].sum(axis=-1)
 
 
 def grlex_exponent(n: int, k: int) -> Exponent:
@@ -111,24 +107,26 @@ def grlex_exponent(n: int, k: int) -> Exponent:
     d = 0
     while monomial_count(n, d) <= k:
         d += 1
-    rem_k = k - (monomial_count(n, d - 1) if d > 0 else 0)
-    rem_d = d
-    out: list[int] = []
-    for i in range(n - 1):
-        for a in range(rem_d, -1, -1):
-            c = _count_exact(n - i - 1, rem_d - a)
-            if rem_k < c:
-                out.append(a)
-                rem_d -= a
-                break
-            rem_k -= c
-    out.append(rem_d)
-    return tuple(out)
+    return tuple(exponent_array(n, d)[k].tolist())
+
+
+@lru_cache(maxsize=None)
+def exponent_array(n: int, d: int) -> np.ndarray:
+    """All exponents of n variables with total degree <= d as rows, in grlex order (read-only)."""
+    # the exponents of degree <= d are the size-d multisets of n + 1 symbols,
+    # the last one a slack; each lands at its rank
+    picks = np.array(list(combinations_with_replacement(range(n + 1), d)), dtype=np.intp)
+    picks += (n + 1) * np.arange(len(picks))[:, None]
+    E = np.bincount(picks.ravel(), minlength=(n + 1) * len(picks)).reshape(-1, n + 1)[:, :n]
+    out = np.empty_like(E)
+    out[grlex_ranks(E)] = E
+    out.flags.writeable = False
+    return out
 
 
 def exponents_up_to(n: int, d: int) -> list[Exponent]:
     """All exponents of n variables with total degree <= d, in grlex order."""
-    return [grlex_exponent(n, k) for k in range(monomial_count(n, d))]
+    return list(map(tuple, exponent_array(n, d).tolist()))
 
 
 def _add_exponents(a: Exponent, b: Exponent) -> Exponent:
@@ -357,15 +355,6 @@ class Polynomial:
         """Homogeneous part of highest total degree."""
         d = self.degree
         return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def coefficient_vector(self, degree: int) -> list[Coeff]:
-        """Coefficients in grlex order, padded with zeros up to `degree`."""
-        if self.degree > degree:
-            raise ValueError(f"polynomial degree {self.degree} exceeds requested degree {degree}")
-        vec: list[Coeff] = [Fraction(0)] * monomial_count(self.nvars, degree)
-        for exp, c in self.terms.items():
-            vec[grlex_index(exp)] = c
-        return vec
 
     # -- printing -----------------------------------------------------------
 

@@ -169,6 +169,18 @@ def _scan(text: str) -> tuple[dict[str, _Line], list[_Section]]:
     return headers, sections
 
 
+def _single_sections(sections: list[_Section]) -> None:
+    """Pop and gmp sections other than [constraints] appear once; an [objective] has one line."""
+    seen: set[str] = set()
+    for name, no, lines in sections:
+        key = " ".join(name.split())
+        if key in seen and key != "constraints":
+            raise ProblemFileError(f"repeated section [{key}]", no)
+        if key == "objective" and len(lines) > 1:
+            raise ProblemFileError("an [objective] has one line", lines[1].no)
+        seen.add(key)
+
+
 def _number(tok: str, line: int, what: str, parse: Callable = Fraction):
     """`parse(tok)` when it is a finite number; otherwise an error naming `what`."""
     try:
@@ -801,6 +813,8 @@ def parse_problem_text(text: str) -> ParsedProblem:
     for key, line in headers.items():
         if key != "kind" and key not in _HEADERS[kind]:
             raise ProblemFileError(f"unknown header {key!r} in a {kind} file", line.no)
+    if kind in ("pop", "gmp"):
+        _single_sections(sections)
     if kind == "pop":
         return ParsedProblem(kind="pop", pop=_parse_pop(headers, sections))
     if kind == "gmp":

@@ -7,9 +7,12 @@ moment vectors (grlex order, degree up to 2r per measure).  Each measure gets
 one PSD block for its order-r moment matrix, one PSD block per inequality for
 its localizing matrix of order r - ceil(deg/2), and one equality row per
 product of an equality constraint with a monomial that fits the truncation.
-The explicit moment constraints come first among the rows.  The moments are
-the dual vector of the conic program, so the solver's dual objective is the
-relaxation bound.
+Stencils and products are integer arrays of moment ranks, and each exact
+coefficient becomes a float once per polynomial term.  The rows, explicit
+moment constraints first, travel as CSR arrays (`SparseRows`); the prune
+factors their Gram matrix, a sparse product, by pivoted Cholesky.  The
+moments are the dual vector of the conic program, so the solver's dual
+objective is the relaxation bound.
 
 A polynomial minimization ``min p0(x) s.t. p_k(x) >= 0 / = 0`` is the
 generalized moment problem of one probability measure: `build_relaxation`
@@ -30,6 +33,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .moments import (
     MatrixStencil,
@@ -42,8 +46,10 @@ from .polynomials import (
     Exponent,
     Polynomial,
     VarSpace,
+    exponent_array,
     exponents_up_to,
     grlex_index,
+    grlex_ranks,
 )
 from .sdp import Block, BlockData, ConicProgram, SDPSolution, SolveOptions, solve
 
@@ -201,6 +207,10 @@ class LinearRow:
     rhs: Fraction
     relation: str  # "eq", "ge"  (le rows are stored negated as ge)
 
+    def family(self) -> tuple[list[Coeff], np.ndarray, Fraction]:
+        """The row as a one-row family for `SparseRows.of`."""
+        return list(self.coeffs.values()), np.array([list(self.coeffs)]), self.rhs
+
     def normalized_key(self) -> Optional[tuple]:
         """The row and its rhs divided by the leading coefficient; None for a zero row."""
         items = sorted((k, c) for k, c in self.coeffs.items() if c != 0)
@@ -226,14 +236,62 @@ def dedupe_rows(rows: list[LinearRow]) -> list[LinearRow]:
     return out
 
 
+@dataclass
+class SparseRows:
+    """Linear rows sum_k a_k y_k  REL  b as CSR arrays, in the float forms assembly reads.
+
+    Row r holds the columns ``cols[indptr[r]:indptr[r + 1]]``.  ``coeffs`` and
+    ``rhs`` are float(a_k) and float(b), which the prune weighs; ``scaled`` and
+    ``rhs_scaled`` are -float(a_k / s) and -float(b / s), the row's entries in
+    its nonneg or zero block, with s the row's largest |a_k| (1 if none is
+    nonzero): mixed scales (constant terms like 1/1575 against unit leading
+    coefficients) otherwise drag the Newton system's conditioning down.
+    """
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    coeffs: np.ndarray
+    scaled: np.ndarray
+    rhs: np.ndarray
+    rhs_scaled: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    @staticmethod
+    def of(families: Iterable[tuple[Sequence[Coeff], np.ndarray, Coeff]]) -> "SparseRows":
+        """Rows of families (coefficients, cols, rhs): row r has coefficients[t] at cols[r, t].
+
+        The rows of a family share its exact coefficients and rhs, so each
+        float is computed once per coefficient, not once per row.
+        """
+        parts = [(np.zeros(0, np.intp),) + (np.zeros(0),) * 4 + (np.zeros(0, np.intp),)]
+        for coeffs, cols, rhs in families:
+            exact, rhs, n = [Fraction(c) for c in coeffs], Fraction(rhs), len(cols)
+            scale = max(map(abs, exact), default=0) or Fraction(1)
+            parts.append((cols.astype(np.intp).ravel(), np.tile([float(c) for c in exact], n),
+                          np.tile([-float(c / scale) for c in exact], n), np.full(n, float(rhs)),
+                          np.full(n, -float(rhs / scale)), np.full(n, len(exact))))
+        cols, coeffs, scaled, rhs, rhs_scaled, widths = map(np.concatenate, zip(*parts))
+        return SparseRows(np.concatenate([[0], np.cumsum(widths)]), cols, coeffs, scaled, rhs, rhs_scaled)
+
+    def take(self, keep: np.ndarray) -> "SparseRows":
+        """The rows at positions `keep`, in that order."""
+        lo, widths = self.indptr[keep], np.diff(self.indptr)[keep]
+        indptr = np.concatenate([[0], np.cumsum(widths)])
+        at = np.repeat(lo - indptr[:-1], widths) + np.arange(indptr[-1])
+        return SparseRows(indptr, self.cols[at], self.coeffs[at], self.scaled[at],
+                          self.rhs[keep], self.rhs_scaled[keep])
+
+
 # The prune weights row i by 1 + (n - 1 - i) * _TIE_WEIGHT so that exact ties go
 # to the earlier row.  It must stay far above rounding and below real gaps:
 # 2**-36 overrode a real gap on eig-assign n = 4 at r = 4; 2**-40 to 2**-48 did not.
 _TIE_WEIGHT = 2.0**-40
 
 
-def prune_dependent_rows(rows: list[LinearRow], n_cols: int) -> list[LinearRow]:
-    """Keep a maximal independent subset of equality rows, in their given order.
+def prune_dependent_rows(rows: SparseRows, n_cols: int) -> np.ndarray:
+    """Positions of a maximal independent subset of equality rows, ascending.
 
     Equality families built from products of one polynomial carry many exact
     linear dependencies; leaving them in makes the Newton systems singular.
@@ -247,40 +305,43 @@ def prune_dependent_rows(rows: list[LinearRow], n_cols: int) -> list[LinearRow]:
     (largest pivot) on the squared scale; on eig-assign (n = 2..6) at r <= 4
     the smallest kept pivot is >= 2.0e-4 of the largest, the next <= 2.6e-15.
     """
-    if not rows:
-        return rows
+    if not len(rows):
+        return np.zeros(0, dtype=np.intp)
     G = _weighted_gram(rows, n_cols)
     _, piv, rank, info = scipy.linalg.lapack.dpstrf(G, lower=1, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpstrf")
-    return [rows[i] for i in sorted(piv[:rank] - 1)]
+    return np.sort(piv[:rank] - 1).astype(np.intp)
 
 
-def _weighted_gram(rows: list[LinearRow], n_cols: int) -> np.ndarray:
+def _weighted_gram(rows: SparseRows, n_cols: int) -> np.ndarray:
     """Fortran-ordered Gram matrix of the scaled, tie-weighted [coefficients | rhs] rows.
 
-    The lower triangle is filled one column of the rows at a time from their
-    nonzeros; the strict upper triangle is left zero and, mostly, unmapped.
+    The lower triangle comes from the sparse product W W^T of those rows with
+    their columns sorted, whose kernel (SMMP) sums each entry from 0 in
+    ascending column order; the strict upper triangle is left zero and,
+    mostly, unmapped.
     """
     n = len(rows)
-    cols: dict[int, tuple[list[int], list[float]]] = {}
-    for i, row in enumerate(rows):
-        entries = [(k, float(c)) for k, c in [*row.coeffs.items(), (n_cols, row.rhs)] if c != 0]
-        if not entries:
-            continue
-        w = (1.0 + (n - 1 - i) * _TIE_WEIGHT) / max(abs(v) for _, v in entries)
-        for k, v in entries:
-            idx, vals = cols.setdefault(k, ([], []))
-            idx.append(i)
-            vals.append(v * w)
+    row_of = np.repeat(np.arange(n), np.diff(rows.indptr))
+    nz, with_rhs = rows.coeffs != 0, np.flatnonzero(rows.rhs)
+    r = np.concatenate([row_of[nz], with_rhs])
+    c = np.concatenate([rows.cols[nz], np.full(len(with_rhs), n_cols)])
+    v = np.concatenate([rows.coeffs[nz], rows.rhs[with_rhs]])
+    order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], v[order]
+    counts = np.bincount(r, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    top = np.ones(n)  # a row without entries gets no weight
+    top[counts > 0] = np.maximum.reduceat(np.abs(v), indptr[:-1][counts > 0])
+    w = (1.0 + (n - 1 - np.arange(n)) * _TIE_WEIGHT) / top
+    W = scipy.sparse.csr_array((v * w[r], c, indptr), shape=(n, n_cols + 1))
+    P = (W @ W.T).tocoo()
+    lower = P.row >= P.col
     # An anonymous mapping (np.zeros asks for huge pages) claims a page only when
     # written, and neither the fill nor dpstrf(lower=1) writes the upper triangle
     G = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=np.float64).reshape((n, n), order="F")
-    for k in sorted(cols):
-        idx, vals = (np.array(a) for a in cols[k])
-        # idx ascends, so (idx[i], idx[j]) lies on or below the diagonal
-        i, j = np.tril_indices(len(idx))
-        G[idx[i], idx[j]] += vals[i] * vals[j]
+    G[P.row[lower], P.col[lower]] = P.data[lower]
     return G
 
 
@@ -289,12 +350,11 @@ def _weighted_gram(rows: list[LinearRow], n_cols: int) -> np.ndarray:
 
 @dataclass
 class MeasurePlan:
-    """PSD stencils and equality rows contributed by one measure's support."""
+    """PSD stencils and equality-product families contributed by one measure's support."""
 
-    nvars: int
-    order: int
     psd_stencils: list[MatrixStencil]
-    equality_rows: list[tuple[dict[Exponent, Coeff], Fraction]]  # lhs terms, rhs
+    # per equality q: its coefficients, and the ranks of alpha + gamma (a row per alpha)
+    equality_families: list[tuple[list[Coeff], np.ndarray]]
     r_k: list[int]
     r_x: int
     compactness_certified: bool
@@ -316,20 +376,16 @@ def measure_plan(supp: SemialgebraicSet, r: int) -> MeasurePlan:
     # every cell of the order r - ceil(deg/2) localizing matrix and, for odd
     # degrees, the top-degree products that the matrix misses; dropping those
     # demonstrably loses tightness (and rank-one certificates) at the minimal
-    # order.
-    rows: list[tuple[dict[Exponent, Coeff], Fraction]] = []
+    # order.  The alpha + gamma never collide, so each product's coefficients
+    # are exactly q's.
+    families = []
     for q in supp.equalities:
-        for alpha in exponents_up_to(n, 2 * r - q.degree):
-            lhs: dict[Exponent, Coeff] = {}
-            for exp, c in q.terms.items():
-                s = tuple(a + b for a, b in zip(exp, alpha))
-                lhs[s] = lhs.get(s, Fraction(0)) + c
-            rows.append(({e: c for e, c in lhs.items() if c != 0}, Fraction(0)))
+        alphas = exponent_array(n, 2 * r - q.degree)
+        gammas = np.array(list(q.terms), dtype=np.int64).reshape(len(q.terms), n)
+        families.append((list(q.terms.values()), grlex_ranks(alphas[:, None, :] + gammas)))
     return MeasurePlan(
-        nvars=n,
-        order=r,
         psd_stencils=stencils,
-        equality_rows=rows,
+        equality_families=families,
         r_k=r_k,
         r_x=r_x,
         compactness_certified=supp.certifies_compactness(),
@@ -390,28 +446,18 @@ class AssembledProgram:
         self.program.b = -c if sense == "min" else c.copy()
 
 
-def _measure_data(plan: MeasurePlan, off: int, eq_rows: list[LinearRow]) -> list[BlockData]:
-    """Append a measure's equality rows to `eq_rows`; return its PSD data, A_k = -S_k."""
-    eq_rows += [
-        LinearRow({off + grlex_index(e): Fraction(c) for e, c in lhs.items()}, Fraction(rhs), "eq")
-        for lhs, rhs in plan.equality_rows
-    ]
+def _measure_data(plan: MeasurePlan, off: int) -> tuple[list[BlockData], list[tuple]]:
+    """A measure's PSD data, A_k = -S_k, and its equality families for `SparseRows.of`."""
     data: list[BlockData] = []
     for st in plan.psd_stencils:
-        s = st.side
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for (i, j), pairs in st.cells.items():
-            cells = (i * s + j,) if i == j else (i * s + j, j * s + i)
-            for exp, c in pairs:
-                k = off + grlex_index(exp)
-                for cell in cells:
-                    rows.append(k)
-                    cols.append(cell)
-                    vals.append(-float(c))
-        data.append(BlockData(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)))
-    return data
+        s, w = st.side, len(st.coeffs)
+        i, j = np.repeat(st.i, w), np.repeat(st.j, w)
+        # each entry fills (i, j) and, off the diagonal, (j, i) right after
+        twice = 1 + (i != j)
+        cells = np.stack([i * s + j, j * s + i], axis=1)[np.arange(2) < twice[:, None]]
+        vals = np.array([-float(c) for c in st.coeffs])[st.term]
+        data.append(BlockData(np.repeat(off + st.rank, twice), cells, np.repeat(vals, twice)))
+    return data, [(c, off + ranks, 0) for c, ranks in plan.equality_families]
 
 
 def assemble(
@@ -461,33 +507,23 @@ def assemble(
             ge_rows.append(LinearRow({k: -c for k, c in coeffs.items()}, -rhs, "ge"))
 
     A: list[BlockData] = []
+    eq_families = [row.family() for row in eq_rows]
     for name, off in offsets.items():
-        A += _measure_data(plans.pop(name), off, eq_rows)
+        data, families = _measure_data(plans.pop(name), off)
+        A += data
+        eq_families += families
     blocks = [Block("psd", s) for mi in measures.values() for s in mi.block_sizes]
     C: list[np.ndarray] = [np.zeros((blk.size, blk.size)) for blk in blocks]
-    eq_rows = prune_dependent_rows(eq_rows, m)
-    ge_rows = dedupe_rows(ge_rows)
+    eq = SparseRows.of(eq_families)
+    eq = eq.take(prune_dependent_rows(eq, m))
+    ge = SparseRows.of(row.family() for row in dedupe_rows(ge_rows))
 
-    # rows are rescaled to unit maximum coefficient: mixed scales (constant
-    # terms like 1/1575 against unit leading coefficients) otherwise drag
-    # the Newton system's conditioning down
-    for kind, block_rows in (("nonneg", ge_rows), ("zero", eq_rows)):
-        if not block_rows:
+    for kind, rows in (("nonneg", ge), ("zero", eq)):
+        if not len(rows):
             continue
-        rows, cols, vals = [], [], []
-        rhs = np.zeros(len(block_rows))
-        for ri, row in enumerate(block_rows):
-            scale = max((abs(c) for c in row.coeffs.values()), default=Fraction(1))
-            if scale == 0:
-                scale = Fraction(1)
-            rhs[ri] = -float(row.rhs / scale)
-            for k, c in row.coeffs.items():
-                rows.append(k)
-                cols.append(ri)
-                vals.append(-float(c / scale))
-        blocks.append(Block(kind, len(block_rows)))
-        A.append(BlockData(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)))
-        C.append(rhs)
+        blocks.append(Block(kind, len(rows)))
+        A.append(BlockData(rows.cols, np.repeat(np.arange(len(rows)), np.diff(rows.indptr)), rows.scaled))
+        C.append(rows.rhs_scaled)
 
     prog = ConicProgram(blocks=blocks, A=A, b=np.zeros(m), C=C)
     asm = AssembledProgram(prog, measures, offsets, exps)

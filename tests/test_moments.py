@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_assembly as reference
 
 from momentsdp.moments import (
     MissingMomentError,
@@ -15,7 +16,11 @@ from momentsdp.moments import (
 from momentsdp.polynomials import (
     Polynomial,
     VarSpace,
+    exponent_array,
     exponents_up_to,
+    grlex_index,
+    grlex_ranks,
+    monomial_count,
     parse_polynomial,
 )
 
@@ -206,3 +211,64 @@ class TestMomentVector:
         assert t.degree == 1 and list(t.values) == [0.0, 1.0, 2.0]
         with pytest.raises(ValueError):
             y.truncated(3)
+
+
+def _random_polynomial(rng, nvars, degree, exact):
+    exps = exponents_up_to(nvars, degree)
+    picks = rng.choice(len(exps), size=int(rng.integers(1, min(5, len(exps)) + 1)), replace=False)
+    if exact:
+        return Polynomial(nvars, {exps[k]: Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 7)))
+                                  for k in picks})
+    return Polynomial(nvars, {exps[k]: float(rng.uniform(-2, 2)) for k in picks})
+
+
+class TestAgainstReference:
+    """Index-array ranks and stencils against the loop and dict code they replaced."""
+
+    def test_vector_ranks_match_scalar_and_loop_ranks(self):
+        # every exponent with n <= 6 variables and degree <= 10, n = 1 included
+        for n in range(1, 7):
+            E = exponent_array(n, 10)
+            exps = [tuple(e) for e in E.tolist()]
+            assert exps == reference.exponents_up_to(n, 10)
+            assert grlex_ranks(E).tolist() == list(range(len(E)))
+            assert [grlex_index(e) for e in exps] == list(range(len(E)))
+            assert [reference.grlex_rank(e) for e in exps] == list(range(len(E)))
+            for d in range(11):
+                assert exponent_array(n, d).tolist() == E[: monomial_count(n, d)].tolist()
+            # any leading shape: the ranks of a (2, N, n) stack
+            assert grlex_ranks(np.stack([E, E[::-1]])).tolist() == [
+                list(range(len(E))), list(range(len(E)))[::-1]
+            ]
+
+    def test_negative_exponent_raises(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            grlex_index((2, -1, 1))
+        with pytest.raises(ValueError, match=r"\(1, -1\)"):
+            grlex_ranks(np.array([[0, 1], [1, -1], [-2, 0]]))
+
+    def test_stencils_match_reference(self):
+        rng = np.random.default_rng(12)
+        for nvars in (1, 2, 3):
+            for order in range(4):
+                pairs = [(moment_matrix_stencil(nvars, order), reference.moment_matrix_stencil(nvars, order))]
+                for exact in (True, False):
+                    q = _random_polynomial(rng, nvars, 3, exact)
+                    pairs.append(
+                        (localizing_matrix_stencil(q, order), reference.localizing_matrix_stencil(q, order))
+                    )
+                for st, ref in pairs:
+                    assert st.row_exponents == ref.row_exponents and st.side == ref.side
+                    assert list(st.cells.items()) == list(ref.cells.items())
+                    assert sum(len(p) for p in st.cells.values()) == sum(len(p) for p in ref.cells.values())
+                    y = random_moment_vector(rng, nvars, 2 * order + 3)
+                    assert evaluate_stencil(st, y).tobytes() == reference.evaluate_stencil(ref, y).tobytes()
+
+    def test_missing_moment_matches_reference(self):
+        q = parse_polynomial("1 - x1^2 + x1*x2^3", SP2)
+        y = MomentVector(2, 4, np.zeros(monomial_count(2, 4)))
+        with pytest.raises(MissingMomentError) as new:
+            evaluate_stencil(localizing_matrix_stencil(q, 1), y)
+        with pytest.raises(MissingMomentError) as old:
+            reference.evaluate_stencil(reference.localizing_matrix_stencil(q, 1), y)
+        assert new.value.exponent == old.value.exponent

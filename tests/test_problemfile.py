@@ -46,6 +46,12 @@ MALFORMED = [
     ("sdp-infinite-entry", _SDP.format("1", "inf"), 7),
     ("sdp-overflowing-b", _SDP.format("1e400", "1"), 5),
     ("sdp-empty-header", "kind: sdp\n[]\n", 2),
+    ("pop-two-objectives", "kind: pop\nvariables: x\n[objective]\nmin x\n[objective]\nmin -x\n", 5),
+    ("pop-two-objective-lines", "kind: pop\nvariables: x\n[objective]\nmin x\nmin -x^2\n", 5),
+    ("gmp-two-objective-lines", "kind: gmp\n[measures]\nmu: x\n[objective]\nmin <x, mu>\nmax <x, mu>\n", 6),
+    ("gmp-two-dynamics", _DYNAMICS.format("free", "1") + "[dynamics]\nhorizon: free\n", 9),
+    ("gmp-two-supports", "kind: gmp\n[measures]\nmu: x\n[support mu]\nx >= 0\n[support  mu]\n1 - x >= 0\n"
+     "[objective]\nmin <x, mu>\n", 6),
 ]
 
 

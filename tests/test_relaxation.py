@@ -1,22 +1,25 @@
+import glob
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_assembly as reference
 import scipy.linalg
 
-from momentsdp import relaxation
+from momentsdp import gmp, relaxation
 from momentsdp.casestudies import (
     build_eig_assign,
     build_polyopt,
     build_saturation_cells,
     build_unit_disk,
 )
+from momentsdp.cli import _minimal_gmp_order
 from momentsdp.gmp import DynamicsSpec, build_dynamics_gmp, build_gmp_relaxation
 from momentsdp.moments import evaluate_stencil, moment_matrix_stencil
 from momentsdp.polynomials import (
     Polynomial,
     VarSpace,
-    grlex_index,
     monomial_count,
     parse_polynomial,
 )
@@ -25,6 +28,7 @@ from momentsdp.relaxation import (
     OrderTooSmallError,
     POPProblem,
     SemialgebraicSet,
+    SparseRows,
     bound_and_moments,
     build_relaxation,
     half_degree,
@@ -33,7 +37,11 @@ from momentsdp.relaxation import (
     moment_vector_of_point,
     prune_dependent_rows,
 )
+from momentsdp.problemfile import load_problem
 from momentsdp.sdp import SolveOptions
+from momentsdp.spectra import shadow_support_points
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 HI = SolveOptions(gap_tol=1e-8, feas_tol=1e-8)
 PHI_BOUND = -(1 + np.sqrt(5.0)) / 2
@@ -223,9 +231,36 @@ def _reduce(v: dict[int, Fraction], basis: dict[int, dict[int, Fraction]]) -> di
     return v
 
 
+def _prune(rows: list[LinearRow], n_cols: int) -> list[LinearRow]:
+    """`prune_dependent_rows` on exact rows: the rows it keeps, in order."""
+    return [rows[i] for i in prune_dependent_rows(SparseRows.of(row.family() for row in rows), n_cols)]
+
+
+def _assemblies(monkeypatch, build) -> list[tuple[tuple, relaxation.AssembledProgram]]:
+    """The arguments and result of every `assemble` call a build makes."""
+    calls = []
+    real = relaxation.assemble
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(relaxation, "assemble", record)
+        m.setattr(gmp, "assemble", record)
+        build()
+    return calls
+
+
+def _assert_same_rows(got: SparseRows, want: SparseRows) -> None:
+    for f in ("indptr", "cols", "coeffs", "scaled", "rhs", "rhs_scaled"):
+        a, b = getattr(got, f), getattr(want, f)
+        assert a.dtype.kind == b.dtype.kind and a.tobytes() == b.tobytes(), f
+
+
 class TestRowPrune:
     def _check_prune(self, rows: list[LinearRow], n_cols: int) -> list[LinearRow]:
-        kept = prune_dependent_rows(rows, n_cols)
+        kept = _prune(rows, n_cols)
         ids = {id(row) for row in kept}
         assert [row for row in rows if id(row) in ids] == kept  # given order kept
         basis: dict[int, dict[int, Fraction]] = {}
@@ -246,26 +281,33 @@ class TestRowPrune:
         plan = measure_plan(pop.feasible_set, 3)
         n_cols = monomial_count(3, 6)
         rows = [LinearRow({0: Fraction(1)}, Fraction(1), "eq")] + [
-            LinearRow({grlex_index(e): Fraction(c) for e, c in lhs.items()}, Fraction(rhs), "eq")
-            for lhs, rhs in plan.equality_rows
+            LinearRow({int(k): Fraction(c) for k, c in zip(ranks, coeffs)}, Fraction(0), "eq")
+            for coeffs, family in plan.equality_families
+            for ranks in family
         ]
         kept = self._check_prune(rows, n_cols)
         assert 0 < len(kept) < len(rows)
 
     @staticmethod
     def _pruned_inputs(monkeypatch, build) -> list[tuple[list[LinearRow], int]]:
-        # the (rows, n_cols) of every prune a relaxation build makes
+        # the (rows, n_cols) of every prune a relaxation build makes, as exact
+        # rows: the reference assembly's, which must be what the prune saw
         seen = []
 
         def record(rows, n_cols):
-            seen.append((list(rows), n_cols))
+            seen.append((rows, n_cols))
             return prune(rows, n_cols)
 
         prune = relaxation.prune_dependent_rows
         with monkeypatch.context() as m:
             m.setattr(relaxation, "prune_dependent_rows", record)
-            build()
-        return seen
+            calls = _assemblies(m, build)
+        out = []
+        for (rows, n_cols), (args, _) in zip(seen, calls, strict=True):
+            eq_rows = reference.rows_and_data(*args[:3])[4]
+            _assert_same_rows(rows, SparseRows.of(row.family() for row in eq_rows))
+            out.append((eq_rows, n_cols))
+        return out
 
     @staticmethod
     def _fixed_horizon():
@@ -301,7 +343,7 @@ class TestRowPrune:
     @staticmethod
     def _kept_positions(rows: list[LinearRow], n_cols: int) -> list[int]:
         pos = {id(row): i for i, row in enumerate(rows)}
-        return [pos[id(row)] for row in prune_dependent_rows(rows, n_cols)]
+        return [pos[id(row)] for row in _prune(rows, n_cols)]
 
     def test_kept_rows_are_a_basis(self, monkeypatch):
         # exact rational check on every build: kept rows independent, dropped
@@ -330,7 +372,7 @@ class TestRowPrune:
             R, piv = scipy.linalg.qr(A.T, mode="r", pivoting=True)
             diag = np.abs(np.diag(R))
             rank = int(np.sum(diag > 1e-11 * diag[0]))
-            kept = prune_dependent_rows(all_rows, n_cols)
+            kept = _prune(all_rows, n_cols)
             assert [id(row) for row in kept] == [id(rows[i]) for i in sorted(piv[:rank])], name
 
     def test_exact_tie_keeps_the_earlier_row(self, monkeypatch):
@@ -371,8 +413,8 @@ class TestRowPrune:
                 rows.insert(int(rng.integers(0, len(rows) + 1)), copy)
             deduped = dedupe_rows(rows)
             assert len(deduped) < len(rows)
-            kept = prune_dependent_rows(rows, n_cols)
-            assert [id(row) for row in prune_dependent_rows(deduped, n_cols)] == [id(row) for row in kept], name
+            kept = _prune(rows, n_cols)
+            assert [id(row) for row in _prune(deduped, n_cols)] == [id(row) for row in kept], name
 
     def test_inconsistent_row_is_kept(self):
         # y0 = 1 next to y0 = 2: the coefficients alone are dependent, the
@@ -384,6 +426,92 @@ class TestRowPrune:
         twice = LinearRow({0: Fraction(2)}, Fraction(2), "eq")
         kept = self._check_prune([y0_is_1, twice, y0_is_2], 2)
         assert len(kept) == 2 and y0_is_2 in kept
+
+
+def _eig_builds():
+    out = {}
+    for n in (2, 3, 4, 5):
+        for r in range(build_eig_assign(n).minimal_order(), 5):
+            out[f"eig{n}-r{r}"] = lambda n=n, r=r: build_relaxation(build_eig_assign(n), r)
+    out["eig6-r3"] = lambda: build_relaxation(build_eig_assign(6), 3)
+    return out
+
+
+def _gmp_fixture_builds():
+    out = {}
+    explicit = {"bolza": 3, "decay_energy": 4, "lqr_scalar": 3, "saturation3": 3}
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.gmp"))):
+        name = os.path.basename(path)[:-4]
+        data = load_problem(path).gmp
+        for r in sorted({_minimal_gmp_order(data), explicit[name]}):
+            out[f"{name}-r{r}"] = lambda data=data, r=r: build_gmp_relaxation(data.instantiate(r)[0], r)
+    return out
+
+
+# every build the array assembly must reproduce bit for bit
+PROGRAM_BUILDS = {
+    **_eig_builds(),
+    **{f"saturation-r{r}": (lambda r=r: build_gmp_relaxation(build_saturation_cells(r).gmp, r))
+       for r in (2, 3, 4)},
+    "planar-shadow-r2": lambda: shadow_support_points(build_polyopt().feasible_set, 2, []),
+    **_gmp_fixture_builds(),
+}
+
+
+class TestAgainstReferenceAssembly:
+    """The index-array assembly against the dict-and-Fraction one it replaced."""
+
+    @pytest.mark.parametrize("name", list(PROGRAM_BUILDS))
+    def test_program_is_bit_identical(self, monkeypatch, name):
+        calls = _assemblies(monkeypatch, PROGRAM_BUILDS[name])
+        assert calls
+        for args, asm in calls:
+            ref = reference.assemble(*args)
+            assert asm.measure_offsets == ref.measure_offsets
+            assert asm.measure_exponents == ref.measure_exponents
+            assert asm.measures == ref.measures
+            assert asm.objective.tobytes() == ref.objective.tobytes()
+            assert asm.objective_constant == ref.objective_constant
+            got, want = asm.program, ref.program
+            assert got.blocks == want.blocks
+            assert got.b.tobytes() == want.b.tobytes()
+            for x, y in zip(got.A, want.A, strict=True):
+                for f in ("rows", "cols", "vals"):
+                    a, b = getattr(x, f), getattr(y, f)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f
+            for x, y in zip(got.C, want.C, strict=True):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("name", ["eig3-r3", "eig4-r4", "saturation-r3", "bolza-r2", "planar-shadow-r2"])
+    def test_measure_data_and_rows_are_bit_identical(self, monkeypatch, name):
+        # before validation sorts them: the PSD triplets in the same order,
+        # and the equality rows the prune sees
+        for args, _ in _assemblies(monkeypatch, PROGRAM_BUILDS[name]):
+            supports, r, constraints = args[:3]
+            _, _, offsets, _, eq_rows, _, ref_data = reference.rows_and_data(supports, r, constraints)
+            n_explicit = sum(con.relation == "eq" for con in constraints)
+            data, families = [], [row.family() for row in eq_rows[:n_explicit]]
+            for measure, off in offsets.items():
+                d, f = relaxation._measure_data(measure_plan(supports[measure], r), off)
+                data += d
+                families += f
+            for x, y in zip(data, ref_data, strict=True):
+                for f in ("rows", "cols", "vals"):
+                    a, b = getattr(x, f), getattr(y, f)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f
+            rows = SparseRows.of(families)
+            _assert_same_rows(rows, SparseRows.of(row.family() for row in eq_rows))
+
+    @pytest.mark.parametrize("name", ["eig3-r2", "eig4-r3", "eig5-r4", "eig6-r3", "saturation-r4", "lqr_scalar-r3"])
+    def test_gram_and_kept_rows_are_identical(self, monkeypatch, name):
+        for args, _ in _assemblies(monkeypatch, PROGRAM_BUILDS[name]):
+            _, _, _, m, eq_rows, _, _ = reference.rows_and_data(*args[:3])
+            rows = SparseRows.of(row.family() for row in eq_rows)
+            G = relaxation._weighted_gram(rows, m)
+            assert G.tobytes() == reference.weighted_gram(eq_rows, m).tobytes()
+            kept = {id(row) for row in reference.prune_dependent_rows(eq_rows, m)}
+            want = [i for i, row in enumerate(eq_rows) if id(row) in kept]
+            assert prune_dependent_rows(rows, m).tolist() == want
 
 
 class TestDedupe:
