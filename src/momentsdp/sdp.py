@@ -20,10 +20,11 @@ The algorithm is infeasible-start path following on X Z = mu I with the
 HKM-style direction (linearize using Z^{-1} and symmetrize the X step) and a
 Mehrotra predictor-corrector.  Free entries enter the Newton system directly:
 eliminating the cone part leaves a saddle system in (dy, dx_free) which is
-solved by two Cholesky factorizations.  Step lengths use a
-fraction-to-boundary rule.  The cone boundary of a psd block is located by
-bisection on numpy's Cholesky kernel, which stops early once the block
-cannot bind the step.
+solved by two Cholesky factorizations (LAPACK's, called directly).  Step
+lengths use a fraction-to-boundary rule.  The cone boundary of a psd block is
+located by bisection on numpy's Cholesky kernel, which stops early once the
+block cannot bind the step; each side searches first the block that bound
+its last search, which changes how much is searched, not the step.
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
@@ -33,7 +34,10 @@ straight into one stacked (m, p) matrix.  Its dense working set is two
 (m, s^2) arrays per psd block: that copy of A and one buffer of the Schur
 products Z^{-1} A_k X, which `_schur_psd` fills a chunk of constraints at a
 time.  Both live only as long as the solve; each iteration frees the last
-Schur system and its factors before it forms the next.
+Schur system and its factors before it forms the next.  A psd block's
+residual terms and products run over its row span, the rows from the first
+to the last one that touch it (all rows at side 1); the buffer stays zero
+outside the span, the bits the product of a zero A_k gives.
 
 This module holds the program and its solver only; `problemfile` reads and
 writes programs as ``kind: sdp`` text.
@@ -43,12 +47,13 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 BlockKind = Literal["psd", "nonneg", "zero"]
 
@@ -168,6 +173,9 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if not all(0.0 < tol < math.inf for tol in (self.gap_tol, self.feas_tol)):
             raise ValueError("tolerances must be finite and positive")
+        if isinstance(self.max_iter, bool):
+            raise TypeError("iteration budget must be an integer, not bool")
+        self.max_iter = operator.index(self.max_iter)  # TypeError for 2.0 or 3.5
         if self.max_iter <= 0:
             raise ValueError("iteration budget must be positive")
 
@@ -191,6 +199,7 @@ class SDPSolution:
     blocks: list[Block] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
     fallback_used: bool = False  # the best earlier iterate was returned, not the last
+    stats: dict = field(default_factory=dict)  # psd row spans and work counts; see `solve`
 
     @property
     def objective_gap(self) -> float:
@@ -208,6 +217,19 @@ def psd_project_check(M: np.ndarray, tol: float = 1e-9) -> tuple[float, bool]:
     return min_eig, min_eig >= -tol
 
 
+def cho_factor(a: np.ndarray):
+    """scipy.linalg.cho_factor(a, lower=True, check_finite=False) minus its wrapper: same bits."""
+    c, info = dpotrf(a, lower=1, clean=0)  # on a copy of a
+    if info > 0:  # where scipy raises
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c, True
+
+
+def cho_solve(c_and_lower, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve(c_and_lower, b, check_finite=False) for a lower factor: same bits."""
+    return dpotrs(c_and_lower[0], b, lower=1)[0]  # on a copy of b
+
+
 def _chol_ok(M: np.ndarray) -> bool:
     # numpy's Cholesky gufunc without np.linalg.cholesky's exception path: a
     # failed factor comes back all NaN (with the invalid flag raised), a good
@@ -215,27 +237,33 @@ def _chol_ok(M: np.ndarray) -> bool:
     return not math.isnan(_umath_linalg.cholesky_lo(M)[0, -1])
 
 
-def _max_step_psd(X: np.ndarray, D: np.ndarray, cap: float) -> float:
+def _max_step_psd(X: np.ndarray, D: np.ndarray, cap: float, stats: Optional[dict] = None) -> float:
     """Largest step t <= 1 keeping X + t D positive definite, as far as min(cap, t) needs.
 
     Bisection on `_chol_ok` over one trial buffer (the roundings of X + t * D);
     its lower end only grows, so the search stops once that end reaches ``cap``.
+    A caller that passes ``stats`` has the invalid flag ignored already (a
+    failed factor raises it) and gets its "step_chol_calls" counted.
     """
+    if stats is None:
+        with np.errstate(invalid="ignore"):
+            return _max_step_psd(X, D, cap, {"step_chol_calls": 0})
     buf = X + D
-    with np.errstate(invalid="ignore"):
+    stats["step_chol_calls"] += 1
+    if _chol_ok(buf):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        if lo >= cap:
+            break
+        mid = 0.5 * (lo + hi)
+        np.multiply(D, mid, out=buf)
+        np.add(buf, X, out=buf)
+        stats["step_chol_calls"] += 1
         if _chol_ok(buf):
-            return 1.0
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            if lo >= cap:
-                break
-            mid = 0.5 * (lo + hi)
-            np.multiply(D, mid, out=buf)
-            np.add(buf, X, out=buf)
-            if _chol_ok(buf):
-                lo = mid
-            else:
-                hi = mid
+            lo = mid
+        else:
+            hi = mid
     return lo
 
 
@@ -246,56 +274,83 @@ def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
     return float(min(1.0, np.min(-x[neg] / d[neg])))
 
 
+def _steps(X: dict, dX: dict, Z: dict, dZ: dict, nonneg: list[int], orders: list[list[int]],
+           stats: dict) -> tuple[float, float]:
+    """Primal and dual steps: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in the cone.
+
+    The cheap nonneg ratios come first, then the psd blocks in ``orders[0]``
+    (primal) or ``orders[1]`` (dual), each search stopping at the running cap.
+    A search returns its uncapped result or some value >= its cap, so the
+    result is the same in every order; the block that bound a side moves to
+    the front of that side's order, as it most likely binds the next search.
+    """
+    out = []
+    with np.errstate(invalid="ignore"):
+        for V, D, order in ((X, dX, orders[0]), (Z, dZ, orders[1])):
+            a = 1.0
+            for bi in nonneg:
+                a = min(a, _max_step_nonneg(V[bi], D[bi]))
+            bound = None
+            for bi in order:
+                t = _max_step_psd(V[bi], D[bi], a, stats)
+                if t < a:
+                    a, bound = t, bi
+            if bound is not None:
+                order.remove(bound)
+                order.insert(0, bound)
+            out.append(a)
+    return out[0], out[1]
+
+
+def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]:
+    """[first, last + 1) of the (sorted) constraint rows that touch each psd block bi.
+
+    A block of side 1, or of no rows, keeps all of them, (0, m): the A^T y term
+    of side 1 is a plain dot, which numpy sums in SIMD lanes set by the start.
+    """
+    return {bi: (int(r[0]), int(r[-1]) + 1) if (r := prog.A[bi].rows).size and prog.blocks[bi].size > 1
+            else (0, prog.m) for bi in psd}
+
+
 class _Factorization:
-    """Cholesky of the Schur complement, with the free-variable bordering."""
+    """Cholesky of the Schur complement, with the free-variable bordering; counted in ``stats``."""
 
-    def __init__(self, M: np.ndarray, F: Optional[np.ndarray]):
+    def __init__(self, M: np.ndarray, F: Optional[np.ndarray], stats: dict):
+        self.stats = stats
         self.cho_M = self._factor(M)
-        self.F = F
-        if F is not None and F.shape[1] > 0:
-            W = cho_solve(self.cho_M, F, check_finite=False)  # M^{-1} F
-            self.W = W
-            self.cho_S = self._factor(F.T @ W)
-        else:
-            self.W = None
-            self.cho_S = None
+        self.F = F  # None, or at least one free column
+        if F is not None:
+            self.W = cho_solve(self.cho_M, F)  # M^{-1} F
+            self.cho_S = self._factor(F.T @ self.W)
 
-    @staticmethod
-    def _factor(M: np.ndarray):
+    def _factor(self, M: np.ndarray):
         # the solve loop checks finiteness first, so no input here needs a scan
+        self.stats["factorizations"] += 1
         try:
-            return cho_factor(M, lower=True, check_finite=False)
+            return cho_factor(M)
         except np.linalg.LinAlgError:
             pass
+        self.stats["regularized"] += 1
         scale = max(1.0, float(np.max(np.abs(np.diag(M)), initial=0.0)))
         Mreg = M + (_REG * scale) * np.eye(M.shape[0])
-        return cho_factor(Mreg, lower=True, check_finite=False)  # second failure propagates
+        return cho_factor(Mreg)  # second failure propagates
 
-    def _solve_once(self, h: np.ndarray, rf: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        if self.F is None or self.F.shape[1] == 0:
-            return cho_solve(self.cho_M, h, check_finite=False), np.zeros(0)
-        u = cho_solve(self.cho_M, h, check_finite=False)
-        dxf = cho_solve(self.cho_S, self.F.T @ u - rf, check_finite=False)
-        dy = u - self.W @ dxf
-        return dy, dxf
+    def _solve_once(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = cho_solve(self.cho_M, h)
+        if self.F is None:
+            return u, np.zeros(0)
+        dxf = cho_solve(self.cho_S, self.F.T @ u - rf)
+        return u - self.W @ dxf, dxf
 
-    def solve(
-        self, h: np.ndarray, rf: Optional[np.ndarray], M: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, h: np.ndarray, rf: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf], with one refinement pass."""
         dy, dxf = self._solve_once(h, rf)
-        if M is not None:
-            r1 = h - M @ dy
-            if self.F is not None and self.F.shape[1] > 0:
-                r1 -= self.F @ dxf
-                r2 = rf - self.F.T @ dy
-            else:
-                r2 = None
-            e1, e2 = self._solve_once(r1, r2)
-            dy = dy + e1
-            if self.F is not None and self.F.shape[1] > 0:
-                dxf = dxf + e2
-        return dy, dxf
+        r1, r2 = h - M @ dy, rf
+        if self.F is not None:
+            r1 -= self.F @ dxf
+            r2 = rf - self.F.T @ dy
+        e1, e2 = self._solve_once(r1, r2)
+        return dy + e1, dxf + e2
 
 
 def _stacked_data(prog: ConicProgram, bis: list[int]) -> np.ndarray:
@@ -316,19 +371,23 @@ def _dense_data(prog: ConicProgram, bis: Optional[list[int]] = None) -> list[np.
     return [_stacked_data(prog, [bi]).reshape(prog.m, *prog.blocks[bi].shape) for bi in bis]
 
 
-def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray, P: np.ndarray) -> None:
+def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray, P: np.ndarray,
+               span: Optional[tuple[int, int]] = None) -> None:
     """Add one psd block's Schur terms tr(A_k Z^{-1} A_l X) to M.
 
     Row k of the (m, s^2) buffer ``P`` receives (Z^{-1} A_k X)^T, flattened,
     from stacked products over a chunk of constraints at a time.  numpy's
     stacked matmul computes each slice on its own, so every entry of P, and
-    so of M, is independent of the chunk size.
+    so of M, is independent of the chunk size.  Only the rows k in ``span``
+    (default: all) are formed; the others must hold zeros, which is what the
+    product gives for an A_k that is zero on the block.
     """
     m, s, _ = A.shape
+    lo, hi = span or (0, m)
     P3 = P.reshape(m, s, s)
     step = max(1, _SCHUR_CHUNK // (s * s))
-    for k0 in range(0, m, step):
-        k1 = min(m, k0 + step)
+    for k0 in range(lo, hi, step):
+        k1 = min(hi, k0 + step)
         P3[k0:k1] = np.matmul(Zinv, np.matmul(A[k0:k1], X)).transpose(0, 2, 1)
     M += A.reshape(m, s * s) @ P.T
 
@@ -345,8 +404,13 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         raise ValueError("program has no cone blocks")
     nu = sum(prog.blocks[bi].size for bi in cone)
     A = dict(zip(cone, _dense_data(prog, cone)))
-    # Schur product buffers, one (m, s^2) per psd block (see `_schur_psd`)
-    P = {bi: np.empty((m, prog.blocks[bi].size ** 2)) for bi in psd}
+    # a psd block's residual and Schur terms run over the rows that touch it only
+    span = _row_spans(prog, psd)
+    Aspan = {bi: A[bi][slice(*span[bi])] for bi in psd}
+    # Schur product buffers, one (m, s^2) per psd block, zero outside its span (see `_schur_psd`)
+    P = {bi: np.zeros((m, prog.blocks[bi].size ** 2)) for bi in psd}
+    eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
+    orders = [list(psd), list(psd)]  # primal and dual psd search orders (see `_steps`)
 
     # stacked free-variable data: F (m, p), c_f (p,)
     if free:
@@ -373,6 +437,9 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
             Z[bi] = scale * np.ones(s)
     xf = np.zeros(p)
     y = np.zeros(m)
+    # the psd row spans, the `_chol_ok` calls of the step search, the Cholesky
+    # factorizations of the Schur system and those that needed the diagonal shift
+    stats = {"row_spans": span, "step_chol_calls": 0, "factorizations": 0, "regularized": 0}
 
     bnorm = 1.0 + float(np.linalg.norm(prog.b))
     cnorm = 1.0 + float(
@@ -395,7 +462,7 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         rp = prog.b.copy()
         for bi in cone:
             if prog.blocks[bi].kind == "psd":
-                rp -= np.einsum("kij,ij->k", A[bi], X[bi])
+                rp[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], X[bi])
             else:
                 rp -= A[bi] @ X[bi]
         if p:
@@ -404,7 +471,7 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         dnorm2 = 0.0
         for bi in cone:
             At = (
-                np.einsum("kij,k->ij", A[bi], y)
+                np.einsum("kij,k->ij", Aspan[bi], y[slice(*span[bi])])
                 if prog.blocks[bi].kind == "psd"
                 else A[bi].T @ y
             )
@@ -492,17 +559,18 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         M = fact = None
         M = np.zeros((m, m))
         Zinv: dict[int, np.ndarray] = {}
+        ZRX: dict[int, np.ndarray] = {}  # Z^{-1} Rd X, a term of both directions
         try:
             for bi in cone:
                 if prog.blocks[bi].kind == "psd":
-                    cz = cho_factor(Z[bi], lower=True, check_finite=False)
-                    Zinv[bi] = cho_solve(cz, np.eye(prog.blocks[bi].size), check_finite=False)
-                    _schur_psd(M, A[bi], X[bi], Zinv[bi], P[bi])
+                    Zinv[bi] = cho_solve(cho_factor(Z[bi]), eye[bi])
+                    ZRX[bi] = Zinv[bi] @ (Rd[bi] @ X[bi])
+                    _schur_psd(M, A[bi], X[bi], Zinv[bi], P[bi], span[bi])
                 else:
                     w = X[bi] / Z[bi]
                     M += (A[bi] * w) @ A[bi].T
             M = 0.5 * (M + M.T)
-            fact = _Factorization(M, F)
+            fact = _Factorization(M, F, stats)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
@@ -512,23 +580,23 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
             G: dict[int, np.ndarray] = {}
             for bi in cone:
                 if prog.blocks[bi].kind == "psd":
-                    g = sigma_mu * Zinv[bi] - X[bi] - Zinv[bi] @ (Rd[bi] @ X[bi])
+                    g = sigma_mu * Zinv[bi] - X[bi] - ZRX[bi]
                     if bi in E:
                         g = g - Zinv[bi] @ E[bi]
                     G[bi] = g
-                    h -= np.einsum("kij,ij->k", A[bi], g)
+                    h[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], g)
                 else:
                     g = sigma_mu / Z[bi] - X[bi] - Rd[bi] * X[bi] / Z[bi]
                     if bi in E:
                         g = g - E[bi] / Z[bi]
                     G[bi] = g
                     h -= A[bi] @ g
-            dy, dxf = fact.solve(h, r_f if p else None, M)
+            dy, dxf = fact.solve(h, r_f, M)
             dX: dict[int, np.ndarray] = {}
             dZ: dict[int, np.ndarray] = {}
             for bi in cone:
                 if prog.blocks[bi].kind == "psd":
-                    Aty = np.einsum("kij,k->ij", A[bi], dy)
+                    Aty = np.einsum("kij,k->ij", Aspan[bi], dy[slice(*span[bi])])
                     dZ[bi] = Rd[bi] - Aty
                     dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
                     dX[bi] = 0.5 * (dxb + dxb.T)
@@ -538,21 +606,10 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
                     dX[bi] = G[bi] + Aty * X[bi] / Z[bi]
             return dX, dy, dZ, dxf
 
-        def _steps(dX, dZ) -> tuple[float, float]:
-            # the cheap nonneg ratios first: each psd search stops at the running cap
-            ap = ad = 1.0
-            for bi in nonneg:
-                ap = min(ap, _max_step_nonneg(X[bi], dX[bi]))
-                ad = min(ad, _max_step_nonneg(Z[bi], dZ[bi]))
-            for bi in psd:
-                ap = min(ap, _max_step_psd(X[bi], dX[bi], ap))
-                ad = min(ad, _max_step_psd(Z[bi], dZ[bi], ad))
-            return ap, ad
-
         try:
             # predictor (affine scaling)
             dXa, dya, dZa, dxfa = _direction(0.0, {})
-            apa, ada = _steps(dXa, dZa)
+            apa, ada = _steps(X, dXa, Z, dZa, nonneg, orders, stats)
             gap_aff = 0.0
             for bi in cone:
                 gap_aff += float(np.sum((X[bi] + apa * dXa[bi]) * (Z[bi] + ada * dZa[bi])))
@@ -570,7 +627,7 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
             status = "numerical_failure"
             break
 
-        ap, ad = _steps(dX, dZ)
+        ap, ad = _steps(X, dX, Z, dZ, nonneg, orders, stats)
         ap = min(1.0, _STEP_FRACTION * ap)
         ad = min(1.0, _STEP_FRACTION * ad)
         if max(ap, ad) < 1e-10:
@@ -626,6 +683,7 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         blocks=list(prog.blocks),
         trace=trace,
         fallback_used=fallback_used,
+        stats=stats,
     )
 
 

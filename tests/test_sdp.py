@@ -1,9 +1,11 @@
+import functools
 import itertools
 import os
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from momentsdp import sdp
 from momentsdp.problemfile import (
@@ -86,15 +88,38 @@ def reference_max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
     return lo
 
 
-def reference_schur_psd(M, A, X, Zinv, P) -> None:
+def reference_schur_psd(M, A, X, Zinv, P, span=None) -> None:
     # the Schur formation before chunking: full (m, s, s) products A X and
-    # Z^{-1} A X, then a transposed copy, and one GEMM
+    # Z^{-1} A X over every row, whatever the span, then a transposed copy, and
+    # one GEMM
     m, s, _ = A.shape
     AX = np.matmul(A, X)
     T = np.matmul(Zinv, AX)
     A2 = A.reshape(m, s * s)
     T2 = T.transpose(0, 2, 1).reshape(m, s * s)
     M += A2 @ T2.T
+
+
+def reference_steps(X, dX, Z, dZ, nonneg, orders, stats) -> tuple[float, float]:
+    """The step search in declared block order, one `_max_step_psd` call per block and side."""
+    ap = ad = 1.0
+    for bi in nonneg:
+        ap = min(ap, sdp._max_step_nonneg(X[bi], dX[bi]))
+        ad = min(ad, sdp._max_step_nonneg(Z[bi], dZ[bi]))
+    for bi in sorted(orders[0]):
+        ap = min(ap, sdp._max_step_psd(X[bi], dX[bi], ap))
+        ad = min(ad, sdp._max_step_psd(Z[bi], dZ[bi], ad))
+    return ap, ad
+
+
+def random_spd(rng, n: int, floor: float = 1e-3) -> np.ndarray:
+    T = rng.normal(size=(n, n))
+    return T @ T.T + floor * np.eye(n)
+
+
+def random_sym(rng, n: int) -> np.ndarray:
+    S = rng.normal(size=(n, n))
+    return S + S.T
 
 
 def mixed_cone_program(rng, n: int, q: int, pfree: int, m: int):
@@ -407,6 +432,18 @@ class TestProgramValidation:
                 with pytest.raises(ValueError, match="finite"):
                     SolveOptions(**{field: bad})
 
+    def test_iteration_budget_must_be_an_integer(self):
+        # a float budget used to fail only inside solve, and True ran as 1
+        for bad in (3.5, 2.0, True, False, np.float64(2.0), "3", None):
+            with pytest.raises(TypeError):
+                SolveOptions(max_iter=bad)
+        for good in (2, np.int64(2), np.int32(2), np.uint8(2)):
+            options = SolveOptions(max_iter=good)
+            assert type(options.max_iter) is int and options.max_iter == 2
+            assert solve(sqrt2_program(), options).iterations == 2
+        with pytest.raises(ValueError, match="positive"):
+            SolveOptions(max_iter=np.int64(0))
+
 
 class TestInterchangeFormat:
     def test_roundtrip(self):
@@ -580,6 +617,53 @@ class TestMixedConePrograms:
             assert lo - 1e-6 <= sol.dual_obj <= hi + 1e-6
 
 
+class TestLapackCholesky:
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 41):
+            M = random_spd(rng, n)
+            for a in (M, np.asfortranarray(M)):
+                a0 = a.copy()
+                c, lower = sdp.cho_factor(a)
+                c_ref, lower_ref = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+                assert lower is lower_ref is True
+                assert c.dtype == c_ref.dtype and c.tobytes() == c_ref.tobytes(), n
+                assert a.tobytes() == a0.tobytes()
+                for b in (rng.normal(size=n), rng.normal(size=(n, 3)),
+                          np.asfortranarray(rng.normal(size=(n, 4)))):
+                    b0 = b.copy()
+                    x = sdp.cho_solve((c, lower), b)
+                    x_ref = scipy.linalg.cho_solve((c_ref, lower_ref), b, check_finite=False)
+                    assert x.shape == x_ref.shape and x.tobytes() == x_ref.tobytes(), (n, b.shape)
+                    assert b.tobytes() == b0.tobytes()
+
+    def test_raises_where_scipy_raises(self):
+        # sides 1..12 shifted to within 1e-13 * ||M|| of singular, as in the
+        # `_chol_ok` test, so that rounding decides some of the outcomes
+        rng = np.random.default_rng(12)
+        failures = 0
+        for trial in range(600):
+            n = 1 + trial % 12
+            M = random_spd(rng, n) if trial % 2 else random_sym(rng, n)
+            shift = rng.uniform(-1e-13, 1e-13) * np.linalg.norm(M, 2) - np.linalg.eigvalsh(M)[0]
+            M = M + shift * np.eye(n)
+            M0 = M.copy()
+            try:
+                scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+                expected = None
+            except np.linalg.LinAlgError as err:
+                expected = str(err)
+            if expected is None:
+                sdp.cho_factor(M)
+            else:
+                failures += 1
+                with pytest.raises(np.linalg.LinAlgError) as err:
+                    sdp.cho_factor(M)
+                assert str(err.value) == expected
+            assert M.tobytes() == M0.tobytes()
+        assert 50 < failures < 550
+
+
 class TestStepLength:
     def test_chol_ok_matches_numpy_cholesky_near_singular(self):
         # symmetric matrices of sides 1..12 shifted to within 1e-13 * ||M|| of
@@ -616,17 +700,66 @@ class TestStepLength:
                 assert min(cap, sdp._max_step_psd(X, D, cap)) == min(cap, ref), (trial, cap)
         assert 20 < full_steps < 380
 
+    def test_steps_independent_of_block_order(self):
+        # four psd blocks in all 24 orders per side, after a nonneg block
+        # whose ratio caps some searches; the binding block moves to the front
+        rng = np.random.default_rng(4)
+        psd, nonneg = [0, 1, 2, 3], [4]
+        nonneg_bound = psd_bound = 0
+        for trial in range(40):
+            X, dX, Z, dZ = {}, {}, {}, {}
+            for bi in psd:
+                n = int(rng.integers(1, 6))
+                X[bi], Z[bi] = random_spd(rng, n), random_spd(rng, n)
+                dX[bi] = rng.uniform(0.1, 10.0) * random_sym(rng, n)
+                dZ[bi] = rng.uniform(0.1, 10.0) * random_sym(rng, n)
+            X[4], Z[4] = rng.uniform(0.5, 2.0, size=3), rng.uniform(0.5, 2.0, size=3)
+            scale = 10.0 ** rng.uniform(-1.0, 3.0)
+            dX[4], dZ[4] = scale * rng.uniform(-1.0, 0.2, size=(2, 3))
+            expected = []
+            for V, D in ((X, dX), (Z, dZ)):
+                cap = sdp._max_step_nonneg(V[4], D[4])
+                full = {bi: reference_max_step_psd(V[bi], D[bi]) for bi in psd}
+                expected.append((min(cap, *full.values()), cap, full))
+            first = set()
+            for perm in itertools.permutations(psd):
+                orders = [list(perm), list(reversed(perm))]
+                stats = {"step_chol_calls": 0}
+                steps = sdp._steps(X, dX, Z, dZ, nonneg, orders, stats)
+                assert steps == (expected[0][0], expected[1][0]), (trial, perm)
+                assert stats["step_chol_calls"] > 0
+                for order, (step, cap, full) in zip(orders, expected):
+                    assert sorted(order) == psd
+                    if step < cap:
+                        assert full[order[0]] == step
+                        first.add(order[0])
+            nonneg_bound += expected[0][0] == expected[0][1] < 1.0
+            psd_bound += len(first) > 0
+        assert nonneg_bound > 5 and psd_bound > 5, (nonneg_bound, psd_bound)
+
     def test_solves_bit_identical_to_reference_search(self, monkeypatch):
         from momentsdp import spectra
-        from momentsdp.casestudies import build_eig_assign, build_polyopt
+        from momentsdp.casestudies import build_eig_assign, build_polyopt, build_saturation_cells
+        from momentsdp.gmp import build_gmp_relaxation
         from momentsdp.relaxation import build_relaxation
 
         eig3 = build_relaxation(build_eig_assign(3), 3)[0].program
         sqrt2 = load_problem(os.path.join(FIXTURES, "sqrt2.sdp")).sdp
         planar = build_polyopt().feasible_set
+        # saturation cells at r = 2: m = 135 and 19 psd blocks, each touched
+        # by 9 to 35 of the rows; lqr_scalar at r = 3 has a nonneg block
+        saturation = build_gmp_relaxation(build_saturation_cells(2).gmp, 2)[0].program
+        lqr_gmp = load_problem(os.path.join(FIXTURES, "lqr_scalar.gmp")).gmp.instantiate(3)[0]
+        lqr = build_gmp_relaxation(lqr_gmp, 3)[0].program
+        gmp_options = SolveOptions(gap_tol=1e-6, feas_tol=1e-6)
 
         def solves() -> list:
-            out = [solve(sqrt2, TIGHT), solve(eig3, SolveOptions(gap_tol=1e-6, feas_tol=1e-6))]
+            out = [
+                solve(sqrt2, TIGHT),
+                solve(eig3, SolveOptions(gap_tol=1e-6, feas_tol=1e-6)),
+                solve(saturation, gmp_options),
+                solve(lqr, gmp_options),
+            ]
 
             def record(prog, options):
                 out.append(sdp.solve(prog, options))
@@ -637,7 +770,7 @@ class TestStepLength:
                 spectra.shadow_support_points(planar, 2, spectra.unit_directions(64)[::16])
             return out
 
-        calls = {"fast": 0, "reference": 0}
+        calls = {"fast": 0, "declared": 0, "reference": 0}
         chol_ok, cholesky = sdp._chol_ok, np.linalg.cholesky
 
         def counted(name, f):
@@ -650,18 +783,37 @@ class TestStepLength:
             m.setattr(sdp, "_chol_ok", counted("fast", chol_ok))
             fast = solves()
         with monkeypatch.context() as m:
+            # the capped search with the psd blocks in declared order
+            m.setattr(sdp, "_chol_ok", counted("declared", chol_ok))
+            m.setattr(sdp, "_steps", reference_steps)
+            declared = solves()
+        with monkeypatch.context() as m:
+            # scipy's Cholesky wrappers, every psd block over all rows, the psd
+            # blocks in declared order and each bisection run to the end
+            m.setattr(sdp, "cho_factor", functools.partial(scipy.linalg.cho_factor, lower=True,
+                                                           check_finite=False))
+            m.setattr(sdp, "cho_solve", functools.partial(scipy.linalg.cho_solve, check_finite=False))
+            m.setattr(sdp, "_row_spans", lambda prog, bis: {bi: (0, prog.m) for bi in bis})
+            m.setattr(sdp, "_steps", reference_steps)
             m.setattr(sdp, "_max_step_psd", lambda X, D, cap: reference_max_step_psd(X, D))
             m.setattr(np.linalg, "cholesky", counted("reference", cholesky))
             reference = solves()
-        assert len(fast) == len(reference) == 6
-        for a, b in zip(fast, reference):
-            assert a.status == b.status
-            assert a.iterations == b.iterations
-            assert np.array_equal(a.y, b.y)
-            for Xa, Xb in zip(a.X, b.X):
-                assert np.array_equal(Xa, Xb)
-        # the early exit fires: fewer factorizations for the same iterates
-        assert 0 < calls["fast"] < calls["reference"]
+        assert len(fast) == len(declared) == len(reference) == 8
+        assert (fast[2].y.size, fast[2].status, fast[2].iterations) == (135, "optimal", 17)
+        for a, b, c in zip(fast, declared, reference):
+            for other in (b, c):
+                assert a.status == other.status
+                assert a.iterations == other.iterations
+                assert np.array_equal(a.y, other.y)
+                assert a.y.tobytes() == other.y.tobytes()
+                for Xa, Xb in zip(a.X, other.X):
+                    assert np.array_equal(Xa, Xb)
+                    assert Xa.tobytes() == Xb.tobytes()
+                for Za, Zb in zip(a.Z, other.Z):
+                    assert Za.tobytes() == Zb.tobytes()
+        # the early exit fires: fewer factorizations for the same iterates,
+        # and fewer still with the binding block searched first
+        assert 0 < calls["fast"] < calls["declared"] < calls["reference"]
 
     def test_failed_factorizations_raise_no_warning(self, monkeypatch):
         outcomes = []
@@ -700,6 +852,48 @@ class TestSchurFormation:
             assert np.array_equal(M, M_ref), (m, s)
             T = np.matmul(Zinv, np.matmul(A, X))
             assert np.array_equal(P, T.transpose(0, 2, 1).reshape(m, s * s))
+
+    def test_span_forms_only_its_rows(self):
+        # rows outside the span have zero data: P keeps its zeros there, which
+        # are the bits the full product gives, and M is that of the reference
+        rng = np.random.default_rng(6)
+        for m, s, lo, hi in [(9, 4, 2, 7), (12, 6, 0, 5), (5, 3, 4, 5), (6, 2, 3, 3)]:
+            A = np.zeros((m, s, s))
+            for k in range(lo, hi):
+                A[k] = random_sym(rng, s)
+            X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
+            M0 = rng.normal(size=(m, m))
+            M, P = M0.copy(), np.zeros((m, s * s))
+            sdp._schur_psd(M, A, X, Zinv, P, (lo, hi))
+            M_ref = M0.copy()
+            reference_schur_psd(M_ref, A, X, Zinv, None)
+            assert M.tobytes() == M_ref.tobytes(), (m, s, lo, hi)
+            T = np.matmul(Zinv, np.matmul(A, X))
+            assert P.tobytes() == T.transpose(0, 2, 1).reshape(m, s * s).tobytes()
+
+    def test_span_residual_terms_bit_equal_to_full(self):
+        # the A^T y and <A_k, G> terms over a block's row span equal those over
+        # all m rows, byte for byte; a block of side 1 keeps every row, since
+        # numpy's SIMD dot would group the terms of a sliced span differently
+        rng = np.random.default_rng(9)
+        for trial in range(120):
+            s, m = 1 + trial % 6, int(rng.integers(32, 120))
+            lo = 4 * int(rng.integers(0, 6)) + int(rng.integers(1, 4))
+            hi = int(rng.integers(lo + 5, m + 1))
+            rows = np.r_[lo, hi - 1, rng.choice(np.arange(lo + 1, hi - 1), size=3, replace=False)]
+            A = np.zeros((m, s, s))
+            for k in rows:
+                A[k] = 10.0 ** rng.uniform(-3, 3) * random_sym(rng, s)
+            prog = ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)])
+            span = sdp._row_spans(prog, [0])[0]
+            assert span == ((0, m) if s == 1 else (lo, hi)), (trial, span)
+            (Ad,) = sdp._dense_data(prog)
+            y, G = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m), random_sym(rng, s)
+            At = np.einsum("kij,k->ij", Ad[slice(*span)], y[slice(*span)])
+            assert At.tobytes() == np.einsum("kij,k->ij", Ad, y).tobytes(), trial
+            r = np.zeros(m)
+            r[slice(*span)] -= np.einsum("kij,ij->k", Ad[slice(*span)], G)
+            assert r.tobytes() == (np.zeros(m) - np.einsum("kij,ij->k", Ad, G)).tobytes(), trial
 
     def test_solves_bit_identical_to_reference_schur(self, monkeypatch):
         from momentsdp.casestudies import build_eig_assign
@@ -747,6 +941,57 @@ class TestSchurFormation:
             tracemalloc.stop()
         assert sol.iterations == 2
         assert peak <= 3 * dense_bytes, peak / dense_bytes
+
+
+class TestSolveStats:
+    KEYS = {"row_spans", "step_chol_calls", "factorizations", "regularized"}
+
+    def test_sizes_and_counts(self, monkeypatch):
+        prog, _, _ = mixed_cone_program(np.random.default_rng(2), 3, 2, 1, 4)
+        calls = []
+        chol_ok = sdp._chol_ok
+        monkeypatch.setattr(sdp, "_chol_ok", lambda M: calls.append(M.shape) or chol_ok(M))
+        sol = solve(prog, SolveOptions(gap_tol=1e-9, feas_tol=1e-8))
+        assert sol.status == "optimal"
+        stats = sol.stats
+        assert set(stats) == self.KEYS
+        assert [(blk.kind, blk.size) for blk in sol.blocks] == [("psd", 3), ("nonneg", 2), ("zero", 1)]
+        assert stats["row_spans"] == {0: (0, 4)}
+        assert stats["step_chol_calls"] == len(calls) > 0
+        # one Schur factorization and one of its free-column border per iteration
+        assert stats["factorizations"] == 2 * sol.iterations
+        assert stats["regularized"] == 0
+
+    def test_row_spans_of_a_gmp_program(self):
+        from momentsdp.casestudies import build_saturation_cells
+        from momentsdp.gmp import build_gmp_relaxation
+
+        prog = build_gmp_relaxation(build_saturation_cells(2).gmp, 2)[0].program
+        sol = solve(prog, SolveOptions(max_iter=1))
+        spans = sol.stats["row_spans"]
+        psd = [bi for bi, blk in enumerate(prog.blocks) if blk.kind == "psd"]
+        assert sorted(spans) == psd and len(psd) == 19
+        for bi in psd:
+            rows = prog.A[bi].rows
+            assert spans[bi] == (rows.min(), rows.max() + 1)
+        assert {hi - lo for lo, hi in spans.values()} <= set(range(9, 36))
+
+    def test_regularized_counts_the_fallback(self, monkeypatch):
+        # the first Schur factorization fails once, as a singular M would
+        failed = []
+        cho_factor = sdp.cho_factor
+
+        def flaky(a):
+            if a.shape == (1, 1) and not failed:
+                failed.append(a)
+                raise np.linalg.LinAlgError("1-th leading minor of the array is not positive definite")
+            return cho_factor(a)
+
+        monkeypatch.setattr(sdp, "cho_factor", flaky)
+        sol = solve(sqrt2_program(), TIGHT)
+        assert sol.status == "optimal" and len(failed) == 1
+        assert sol.stats["regularized"] == 1
+        assert sol.stats["factorizations"] == sol.iterations
 
 
 class TestFallback:
