@@ -277,9 +277,6 @@ class Polynomial:
             p >>= 1
         return result
 
-    def scale(self, factor: Union[int, Fraction, float]) -> "Polynomial":
-        return self * factor
-
     def partial(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable `index`."""
         if not 0 <= index < self.nvars:

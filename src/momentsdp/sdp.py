@@ -28,9 +28,13 @@ its last search, which changes how much is searched, not the step.
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
-fill well under 1% of the dense (m, s, s) arrays.  `solve` expands each cone
-block once, on entry, into a dense working copy, and writes the zero blocks
-straight into one stacked (m, p) matrix.  Its dense working set is two
+fill well under 1% of the dense (m, s, s) arrays.  `solve` splits the
+blocks by kind once, on entry.  It expands each psd block into a dense
+working copy, and writes the nonneg blocks straight into one stacked (m, n_l)
+matrix and the zero blocks into one stacked (m, p) matrix, each with one
+vector of unknowns; X and Z are sliced back into declared block order once,
+at the end.  Every sum over blocks takes the psd blocks first, then the
+nonneg part, then the free part.  Its dense working set is two
 (m, s^2) arrays per psd block: that copy of A and one buffer of the Schur
 products Z^{-1} A_k X, which `_schur_psd` fills a chunk of constraints at a
 time.  Both live only as long as the solve; each iteration frees the last
@@ -201,10 +205,6 @@ class SDPSolution:
     fallback_used: bool = False  # the best earlier iterate was returned, not the last
     stats: dict = field(default_factory=dict)  # psd row spans and work counts; see `solve`
 
-    @property
-    def objective_gap(self) -> float:
-        return self.primal_obj - self.dual_obj
-
 
 def psd_project_check(M: np.ndarray, tol: float = 1e-9) -> tuple[float, bool]:
     """Minimum eigenvalue of a symmetric matrix and whether it clears -tol."""
@@ -274,22 +274,21 @@ def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
     return float(min(1.0, np.min(-x[neg] / d[neg])))
 
 
-def _steps(X: dict, dX: dict, Z: dict, dZ: dict, nonneg: list[int], orders: list[list[int]],
+def _steps(X: dict, dX: dict, Z: dict, dZ: dict, lin: tuple, orders: list[list[int]],
            stats: dict) -> tuple[float, float]:
     """Primal and dual steps: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in the cone.
 
-    The cheap nonneg ratios come first, then the psd blocks in ``orders[0]``
-    (primal) or ``orders[1]`` (dual), each search stopping at the running cap.
-    A search returns its uncapped result or some value >= its cap, so the
-    result is the same in every order; the block that bound a side moves to
-    the front of that side's order, as it most likely binds the next search.
+    The cheap ratios of the stacked nonneg part ``lin`` = ((x, dx), (z, dz))
+    come first, then the psd blocks of X and Z in ``orders[0]`` (primal) or
+    ``orders[1]`` (dual), each search stopping at the running cap.  A search
+    returns its uncapped result or some value >= its cap, so the result is the
+    same in every order; the block that bound a side moves to the front of
+    that side's order, as it most likely binds the next search.
     """
     out = []
     with np.errstate(invalid="ignore"):
-        for V, D, order in ((X, dX, orders[0]), (Z, dZ, orders[1])):
-            a = 1.0
-            for bi in nonneg:
-                a = min(a, _max_step_nonneg(V[bi], D[bi]))
+        for V, D, (v, d), order in ((X, dX, lin[0], orders[0]), (Z, dZ, lin[1], orders[1])):
+            a = _max_step_nonneg(v, d)
             bound = None
             for bi in order:
                 t = _max_step_psd(V[bi], D[bi], a, stats)
@@ -315,11 +314,11 @@ def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]
 class _Factorization:
     """Cholesky of the Schur complement, with the free-variable bordering; counted in ``stats``."""
 
-    def __init__(self, M: np.ndarray, F: Optional[np.ndarray], stats: dict):
+    def __init__(self, M: np.ndarray, F: np.ndarray, stats: dict):
         self.stats = stats
         self.cho_M = self._factor(M)
-        self.F = F  # None, or at least one free column
-        if F is not None:
+        self.F = F  # (m, p), bordered when p > 0
+        if F.shape[1]:
             self.W = cho_solve(self.cho_M, F)  # M^{-1} F
             self.cho_S = self._factor(F.T @ self.W)
 
@@ -337,7 +336,7 @@ class _Factorization:
 
     def _solve_once(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = cho_solve(self.cho_M, h)
-        if self.F is None:
+        if not self.F.shape[1]:
             return u, np.zeros(0)
         dxf = cho_solve(self.cho_S, self.F.T @ u - rf)
         return u - self.W @ dxf, dxf
@@ -345,11 +344,7 @@ class _Factorization:
     def solve(self, h: np.ndarray, rf: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf], with one refinement pass."""
         dy, dxf = self._solve_once(h, rf)
-        r1, r2 = h - M @ dy, rf
-        if self.F is not None:
-            r1 -= self.F @ dxf
-            r2 = rf - self.F.T @ dy
-        e1, e2 = self._solve_once(r1, r2)
+        e1, e2 = self._solve_once(h - M @ dy - self.F @ dxf, rf - self.F.T @ dy)
         return dy + e1, dxf + e2
 
 
@@ -393,17 +388,18 @@ def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray, P:
 
 
 def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolution:
-    """Run the interior-point iteration on a conic program."""
+    """Run the interior-point iteration on a conic program.
+
+    The blocks are split by kind once, on entry (see "Storage" above); X and Z
+    return in declared block order, with Z = 0 on the zero blocks.
+    """
     opt = options or SolveOptions()
     m = prog.m
-    cone = [bi for bi, blk in enumerate(prog.blocks) if blk.kind != "zero"]
-    free = [bi for bi, blk in enumerate(prog.blocks) if blk.kind == "zero"]
-    psd = [bi for bi in cone if prog.blocks[bi].kind == "psd"]
-    nonneg = [bi for bi in cone if prog.blocks[bi].kind == "nonneg"]
-    if not cone:
+    psd, nonneg, free = ([bi for bi, blk in enumerate(prog.blocks) if blk.kind == kind]
+                         for kind in ("psd", "nonneg", "zero"))
+    if not psd and not nonneg:
         raise ValueError("program has no cone blocks")
-    nu = sum(prog.blocks[bi].size for bi in cone)
-    A = dict(zip(cone, _dense_data(prog, cone)))
+    A = dict(zip(psd, _dense_data(prog, psd)))
     # a psd block's residual and Schur terms run over the rows that touch it only
     span = _row_spans(prog, psd)
     Aspan = {bi: A[bi][slice(*span[bi])] for bi in psd}
@@ -412,30 +408,21 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
     orders = [list(psd), list(psd)]  # primal and dual psd search orders (see `_steps`)
 
-    # stacked free-variable data: F (m, p), c_f (p,)
-    if free:
-        F = _stacked_data(prog, free)
-        c_f = np.concatenate([prog.C[bi] for bi in free])
-        p = F.shape[1]
-    else:
-        F, c_f, p = None, np.zeros(0), 0
+    # stacked data and costs: Al (m, n_l), cl (n_l,) of the nonneg blocks and
+    # F (m, p), c_f (p,) of the zero blocks, with no columns where there is no block
+    Al, F = _stacked_data(prog, nonneg), _stacked_data(prog, free)
+    cl, c_f = (np.concatenate([np.zeros(0), *(prog.C[bi] for bi in bis)]) for bis in (nonneg, free))
+    nu = sum(prog.blocks[bi].size for bi in psd) + len(cl)
 
     scale = max(
         1.0,
         float(np.max(np.abs(prog.b), initial=0.0)),
         max(float(np.max(np.abs(prog.C[bi]), initial=0.0)) for bi in range(len(prog.blocks))),
     )
-    X: dict[int, np.ndarray] = {}
-    Z: dict[int, np.ndarray] = {}
-    for bi in cone:
-        s = prog.blocks[bi].size
-        if prog.blocks[bi].kind == "psd":
-            X[bi] = scale * np.eye(s)
-            Z[bi] = scale * np.eye(s)
-        else:
-            X[bi] = scale * np.ones(s)
-            Z[bi] = scale * np.ones(s)
-    xf = np.zeros(p)
+    X = {bi: scale * np.eye(prog.blocks[bi].size) for bi in psd}
+    Z = {bi: scale * np.eye(prog.blocks[bi].size) for bi in psd}
+    xl, zl = scale * np.ones(len(cl)), scale * np.ones(len(cl))
+    xf = np.zeros(len(c_f))
     y = np.zeros(m)
     # the psd row spans, the `_chol_ok` calls of the step search, the Cholesky
     # factorizations of the Schur system and those that needed the diagonal shift
@@ -460,36 +447,24 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
 
     def _stats():
         rp = prog.b.copy()
-        for bi in cone:
-            if prog.blocks[bi].kind == "psd":
-                rp[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], X[bi])
-            else:
-                rp -= A[bi] @ X[bi]
-        if p:
-            rp -= F @ xf
-        Rd: dict[int, np.ndarray] = {}
-        dnorm2 = 0.0
-        for bi in cone:
-            At = (
-                np.einsum("kij,k->ij", Aspan[bi], y[slice(*span[bi])])
-                if prog.blocks[bi].kind == "psd"
-                else A[bi].T @ y
-            )
-            Rd[bi] = prog.C[bi] - At - Z[bi]
-            dnorm2 += float(np.sum(Rd[bi] ** 2))
-        rf = (c_f - F.T @ y) if p else np.zeros(0)
-        dnorm2 += float(np.sum(rf**2))
-        g = 0.0
-        for bi in cone:
-            g += float(np.sum(X[bi] * Z[bi]))
-        po = float(sum(np.sum(prog.C[bi] * X[bi]) for bi in cone))
-        if p:
-            po += float(c_f @ xf)
+        for bi in psd:
+            rp[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], X[bi])
+        rp -= Al @ xl
+        rp -= F @ xf
+        Rd = {bi: prog.C[bi] - np.einsum("kij,k->ij", Aspan[bi], y[slice(*span[bi])]) - Z[bi]
+              for bi in psd}
+        rl = cl - Al.T @ y - zl
+        rf = c_f - F.T @ y
+        dnorm2 = sum(float(np.sum(R**2)) for R in (*Rd.values(), rl, rf))
+        g = sum(float(np.sum(X[bi] * Z[bi])) for bi in psd) + float(np.sum(xl * zl))
+        po = float(sum(np.sum(prog.C[bi] * X[bi]) for bi in psd) + np.sum(cl * xl))
+        po += float(c_f @ xf)
         do = float(prog.b @ y)
-        return rp, Rd, rf, g, po, do, float(np.linalg.norm(rp)) / bnorm, float(np.sqrt(dnorm2)) / cnorm
+        return (rp, Rd, rl, rf, g, po, do, float(np.linalg.norm(rp)) / bnorm,
+                float(np.sqrt(dnorm2)) / cnorm)
 
     for it in range(opt.max_iter + 1):
-        r_p, Rd, r_f, gap, pobj, dobj, pres, dres = _stats()
+        r_p, Rd, r_l, r_f, gap, pobj, dobj, pres, dres = _stats()
         mu = gap / nu
 
         trace.append(
@@ -517,8 +492,10 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         if merit < best_merit:
             best_merit = merit
             best_point = (
-                {bi: X[bi].copy() for bi in cone},
-                {bi: Z[bi].copy() for bi in cone},
+                {bi: X[bi].copy() for bi in psd},
+                {bi: Z[bi].copy() for bi in psd},
+                xl.copy(),
+                zl.copy(),
                 xf.copy(),
                 y.copy(),
             )
@@ -561,85 +538,70 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         Zinv: dict[int, np.ndarray] = {}
         ZRX: dict[int, np.ndarray] = {}  # Z^{-1} Rd X, a term of both directions
         try:
-            for bi in cone:
-                if prog.blocks[bi].kind == "psd":
-                    Zinv[bi] = cho_solve(cho_factor(Z[bi]), eye[bi])
-                    ZRX[bi] = Zinv[bi] @ (Rd[bi] @ X[bi])
-                    _schur_psd(M, A[bi], X[bi], Zinv[bi], P[bi], span[bi])
-                else:
-                    w = X[bi] / Z[bi]
-                    M += (A[bi] * w) @ A[bi].T
+            for bi in psd:
+                Zinv[bi] = cho_solve(cho_factor(Z[bi]), eye[bi])
+                ZRX[bi] = Zinv[bi] @ (Rd[bi] @ X[bi])
+                _schur_psd(M, A[bi], X[bi], Zinv[bi], P[bi], span[bi])
+            M += (Al * (xl / zl)) @ Al.T
             M = 0.5 * (M + M.T)
             fact = _Factorization(M, F, stats)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 
-        def _direction(sigma_mu: float, E: dict[int, np.ndarray]):
+        def _direction(sigma_mu: float, E: Optional[dict] = None, El: Optional[np.ndarray] = None):
+            # E and El are the corrector's second-order terms (psd, nonneg)
             h = r_p.copy()
             G: dict[int, np.ndarray] = {}
-            for bi in cone:
-                if prog.blocks[bi].kind == "psd":
-                    g = sigma_mu * Zinv[bi] - X[bi] - ZRX[bi]
-                    if bi in E:
-                        g = g - Zinv[bi] @ E[bi]
-                    G[bi] = g
-                    h[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], g)
-                else:
-                    g = sigma_mu / Z[bi] - X[bi] - Rd[bi] * X[bi] / Z[bi]
-                    if bi in E:
-                        g = g - E[bi] / Z[bi]
-                    G[bi] = g
-                    h -= A[bi] @ g
+            for bi in psd:
+                G[bi] = sigma_mu * Zinv[bi] - X[bi] - ZRX[bi]
+                if E is not None:
+                    G[bi] = G[bi] - Zinv[bi] @ E[bi]
+                h[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], G[bi])
+            gl = sigma_mu / zl - xl - r_l * xl / zl
+            if El is not None:
+                gl = gl - El / zl
+            h -= Al @ gl
             dy, dxf = fact.solve(h, r_f, M)
             dX: dict[int, np.ndarray] = {}
             dZ: dict[int, np.ndarray] = {}
-            for bi in cone:
-                if prog.blocks[bi].kind == "psd":
-                    Aty = np.einsum("kij,k->ij", Aspan[bi], dy[slice(*span[bi])])
-                    dZ[bi] = Rd[bi] - Aty
-                    dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
-                    dX[bi] = 0.5 * (dxb + dxb.T)
-                else:
-                    Aty = A[bi].T @ dy
-                    dZ[bi] = Rd[bi] - Aty
-                    dX[bi] = G[bi] + Aty * X[bi] / Z[bi]
-            return dX, dy, dZ, dxf
+            for bi in psd:
+                Aty = np.einsum("kij,k->ij", Aspan[bi], dy[slice(*span[bi])])
+                dZ[bi] = Rd[bi] - Aty
+                dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
+                dX[bi] = 0.5 * (dxb + dxb.T)
+            Aty = Al.T @ dy
+            return dX, dZ, gl + Aty * xl / zl, r_l - Aty, dy, dxf
 
         try:
             # predictor (affine scaling)
-            dXa, dya, dZa, dxfa = _direction(0.0, {})
-            apa, ada = _steps(X, dXa, Z, dZa, nonneg, orders, stats)
-            gap_aff = 0.0
-            for bi in cone:
-                gap_aff += float(np.sum((X[bi] + apa * dXa[bi]) * (Z[bi] + ada * dZa[bi])))
+            dXa, dZa, dxla, dzla, dya, dxfa = _direction(0.0)
+            apa, ada = _steps(X, dXa, Z, dZa, ((xl, dxla), (zl, dzla)), orders, stats)
+            gap_aff = sum(float(np.sum((X[bi] + apa * dXa[bi]) * (Z[bi] + ada * dZa[bi])))
+                          for bi in psd) + float(np.sum((xl + apa * dxla) * (zl + ada * dzla)))
             sigma = min(1.0, max(1e-8, (gap_aff / gap) ** 3)) if gap > 0 else 0.1
 
             # corrector with second-order term dZ_aff dX_aff
-            E = {}
-            for bi in cone:
-                if prog.blocks[bi].kind == "psd":
-                    E[bi] = dZa[bi] @ dXa[bi]
-                else:
-                    E[bi] = dZa[bi] * dXa[bi]
-            dX, dy, dZ, dxf = _direction(sigma * mu, E)
+            E = {bi: dZa[bi] @ dXa[bi] for bi in psd}
+            dX, dZ, dxl, dzl, dy, dxf = _direction(sigma * mu, E, dzla * dxla)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 
-        ap, ad = _steps(X, dX, Z, dZ, nonneg, orders, stats)
+        ap, ad = _steps(X, dX, Z, dZ, ((xl, dxl), (zl, dzl)), orders, stats)
         ap = min(1.0, _STEP_FRACTION * ap)
         ad = min(1.0, _STEP_FRACTION * ad)
         if max(ap, ad) < 1e-10:
             status = "max_iter"  # step collapse: no further progress possible
             break
         last_steps = (ap, ad)
-        for bi in cone:
+        for bi in psd:
             X[bi] = X[bi] + ap * dX[bi]
             Z[bi] = Z[bi] + ad * dZ[bi]
-            if prog.blocks[bi].kind == "psd":
-                X[bi] = 0.5 * (X[bi] + X[bi].T)
-                Z[bi] = 0.5 * (Z[bi] + Z[bi].T)
+            X[bi] = 0.5 * (X[bi] + X[bi].T)
+            Z[bi] = 0.5 * (Z[bi] + Z[bi].T)
+        xl = xl + ap * dxl
+        zl = zl + ad * dzl
         xf = xf + ap * dxf
         y = y + ad * dy
 
@@ -648,31 +610,21 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         cur_merit = max(pres, dres, abs(pobj - dobj) / (1.0 + abs(dobj)))
         if not np.isfinite(cur_merit) or best_merit < cur_merit:
             fallback_used = True
-            Xb, Zb, xf, y = best_point
-            for bi in cone:
-                X[bi] = Xb[bi]
-                Z[bi] = Zb[bi]
-            _, _, _, gap, pobj, dobj, pres, dres = _stats()
+            X, Z, xl, zl, xf, y = best_point
+            _, _, _, _, gap, pobj, dobj, pres, dres = _stats()
             mu = gap / nu
 
-    # assemble block solutions in declared order
-    Xout: list[np.ndarray] = []
-    Zout: list[np.ndarray] = []
-    fpos = 0
-    for bi, blk in enumerate(prog.blocks):
-        if blk.kind == "zero":
-            Xout.append(xf[fpos : fpos + blk.size].copy())
-            Zout.append(np.zeros(blk.size))
-            fpos += blk.size
-        else:
-            Xout.append(np.asarray(X[bi]).copy())
-            Zout.append(np.asarray(Z[bi]).copy())
+    # slice the stacked parts back into their blocks, in declared order
+    out = {bi: (X[bi], Z[bi]) for bi in psd}
+    for bis, x, z in ((nonneg, xl, zl), (free, xf, np.zeros(len(xf)))):
+        cuts = np.cumsum([prog.blocks[bi].size for bi in bis[:-1]], dtype=int)
+        out.update(zip(bis, zip(np.split(x, cuts), np.split(z, cuts))))
 
     return SDPSolution(
         status=status,
-        X=Xout,
+        X=[out[bi][0].copy() for bi in range(len(prog.blocks))],
         y=y.copy(),
-        Z=Zout,
+        Z=[out[bi][1].copy() for bi in range(len(prog.blocks))],
         primal_obj=pobj,
         dual_obj=dobj,
         gap=gap,
@@ -695,16 +647,6 @@ class DualityReport:
     primal_residual: float
     dual_residual: float
     converged: bool
-
-    def lines(self) -> list[str]:
-        return [
-            f"inner_gap = {self.inner_gap:.12g}",
-            f"objective_gap = {self.objective_gap:.12g}",
-            f"complementarity = {self.complementarity:.12g}",
-            f"primal_residual = {self.primal_residual:.12g}",
-            f"dual_residual = {self.dual_residual:.12g}",
-            f"converged = {str(self.converged).lower()}",
-        ]
 
 
 def duality_report(sol: SDPSolution) -> DualityReport:

@@ -100,12 +100,10 @@ def reference_schur_psd(M, A, X, Zinv, P, span=None) -> None:
     M += A2 @ T2.T
 
 
-def reference_steps(X, dX, Z, dZ, nonneg, orders, stats) -> tuple[float, float]:
+def reference_steps(X, dX, Z, dZ, lin, orders, stats) -> tuple[float, float]:
     """The step search in declared block order, one `_max_step_psd` call per block and side."""
-    ap = ad = 1.0
-    for bi in nonneg:
-        ap = min(ap, sdp._max_step_nonneg(X[bi], dX[bi]))
-        ad = min(ad, sdp._max_step_nonneg(Z[bi], dZ[bi]))
+    (x, dx), (z, dz) = lin
+    ap, ad = sdp._max_step_nonneg(x, dx), sdp._max_step_nonneg(z, dz)
     for bi in sorted(orders[0]):
         ap = min(ap, sdp._max_step_psd(X[bi], dX[bi], ap))
         ad = min(ad, sdp._max_step_psd(Z[bi], dZ[bi], ad))
@@ -152,6 +150,27 @@ def mixed_cone_program(rng, n: int, q: int, pfree: int, m: int):
     lo = float(b @ y0)
     hi = float(np.sum(Cpsd * X0) + Cnon @ x0 + Cfree @ u0)
     return prog, lo, hi
+
+
+def feasible_program(rng, blocks: list[Block], m: int) -> ConicProgram:
+    # data for any list of blocks, built from a strictly feasible primal-dual
+    # pair with zero dual slack on the zero blocks
+    y0 = rng.normal(size=m)
+    A, C, b = [], [], np.zeros(m)
+    for blk in blocks:
+        n = blk.size
+        if blk.kind == "psd":
+            T = rng.normal(size=(m, n, n))
+            Ab = T + T.transpose(0, 2, 1)
+            X0, Z0 = random_spd(rng, n, 0.4), random_spd(rng, n, 0.4)
+        else:
+            Ab = rng.normal(size=(m, n))
+            X0 = rng.uniform(0.3, 1.5, size=n) if blk.kind == "nonneg" else rng.normal(size=n)
+            Z0 = rng.uniform(0.3, 1.5, size=n) if blk.kind == "nonneg" else np.zeros(n)
+        b += np.tensordot(Ab, X0, axes=X0.ndim)
+        A.append(Ab)
+        C.append(np.tensordot(y0, Ab, axes=1) + Z0)
+    return ConicProgram(list(blocks), A, b, C)
 
 
 def assert_same_nonzeros(a: BlockData, b: BlockData) -> None:
@@ -564,6 +583,33 @@ class TestStoredForm:
         dense = sdp._dense_data(prog)
         assert np.array_equal(sdp._stacked_data(prog, [2, 3]), np.hstack([dense[2], dense[3]]))
 
+    def test_blocks_in_any_order_stack_and_slice_back(self):
+        # two nonneg blocks and a zero block between psd blocks: solve stacks
+        # them and slices X and Z back into declared order, so the solve
+        # agrees with the one of the same blocks ordered psd, nonneg, zero
+        blocks = [Block("nonneg", 2), Block("psd", 3), Block("zero", 1), Block("nonneg", 1),
+                  Block("psd", 2)]
+        prog = feasible_program(np.random.default_rng(5), blocks, 6)
+        order = [1, 4, 0, 3, 2]
+        reordered = ConicProgram([prog.blocks[bi] for bi in order], [prog.A[bi] for bi in order],
+                                 prog.b, [prog.C[bi] for bi in order])
+        options = SolveOptions(gap_tol=1e-10, feas_tol=1e-9)
+        sol, ref = solve(prog, options), solve(reordered, options)
+        assert sol.status == ref.status == "optimal"
+        assert abs(sol.dual_obj - ref.dual_obj) <= 1e-8 * (1.0 + abs(ref.dual_obj))
+        assert sol.blocks == blocks
+        for bi, blk in enumerate(blocks):
+            X, Z = sol.X[bi], sol.Z[bi]
+            assert X.shape == Z.shape == blk.shape
+            if blk.kind == "psd":
+                assert np.array_equal(X, X.T) and np.array_equal(Z, Z.T)
+                assert np.linalg.eigvalsh(X)[0] > 0 and np.linalg.eigvalsh(Z)[0] > 0
+            elif blk.kind == "nonneg":
+                assert np.all(X > 0) and np.all(Z > 0)
+            else:
+                assert np.all(Z == 0.0)
+            assert np.abs(X - ref.X[order.index(bi)]).max() <= 1e-6, bi
+
     def test_assembled_relaxation_roundtrips_through_text(self):
         from momentsdp.casestudies import build_eig_assign
         from momentsdp.relaxation import build_relaxation
@@ -701,10 +747,10 @@ class TestStepLength:
         assert 20 < full_steps < 380
 
     def test_steps_independent_of_block_order(self):
-        # four psd blocks in all 24 orders per side, after a nonneg block
-        # whose ratio caps some searches; the binding block moves to the front
+        # four psd blocks in all 24 orders per side, after a stacked nonneg
+        # part whose ratio caps some searches; the binding block moves to the front
         rng = np.random.default_rng(4)
-        psd, nonneg = [0, 1, 2, 3], [4]
+        psd = [0, 1, 2, 3]
         nonneg_bound = psd_bound = 0
         for trial in range(40):
             X, dX, Z, dZ = {}, {}, {}, {}
@@ -713,19 +759,20 @@ class TestStepLength:
                 X[bi], Z[bi] = random_spd(rng, n), random_spd(rng, n)
                 dX[bi] = rng.uniform(0.1, 10.0) * random_sym(rng, n)
                 dZ[bi] = rng.uniform(0.1, 10.0) * random_sym(rng, n)
-            X[4], Z[4] = rng.uniform(0.5, 2.0, size=3), rng.uniform(0.5, 2.0, size=3)
+            x, z = rng.uniform(0.5, 2.0, size=3), rng.uniform(0.5, 2.0, size=3)
             scale = 10.0 ** rng.uniform(-1.0, 3.0)
-            dX[4], dZ[4] = scale * rng.uniform(-1.0, 0.2, size=(2, 3))
+            dx, dz = scale * rng.uniform(-1.0, 0.2, size=(2, 3))
+            lin = ((x, dx), (z, dz))
             expected = []
-            for V, D in ((X, dX), (Z, dZ)):
-                cap = sdp._max_step_nonneg(V[4], D[4])
+            for V, D, (v, d) in ((X, dX, lin[0]), (Z, dZ, lin[1])):
+                cap = sdp._max_step_nonneg(v, d)
                 full = {bi: reference_max_step_psd(V[bi], D[bi]) for bi in psd}
                 expected.append((min(cap, *full.values()), cap, full))
             first = set()
             for perm in itertools.permutations(psd):
                 orders = [list(perm), list(reversed(perm))]
                 stats = {"step_chol_calls": 0}
-                steps = sdp._steps(X, dX, Z, dZ, nonneg, orders, stats)
+                steps = sdp._steps(X, dX, Z, dZ, lin, orders, stats)
                 assert steps == (expected[0][0], expected[1][0]), (trial, perm)
                 assert stats["step_chol_calls"] > 0
                 for order, (step, cap, full) in zip(orders, expected):

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Hash the outcome of a fixed set of conic solves, one line per solve.
+
+  python3 tools/solve_hashes.py --src DIR --out FILE
+
+`momentsdp` is imported from DIR (a checkout's `src/`), and every module
+that bound `momentsdp.sdp.solve` gets a wrapper that records each solve.
+BLAS/OpenMP run on one thread, as in perfbench, unless the environment
+already sets a count.  The solves are:
+
+  - the `solve` commands of `tools/reports.py`, run in process through
+    `momentsdp.cli.main` from the repository root;
+  - the planar shadow at order 2 over 64 directions;
+  - eig-assign n = 4 and 5 at order 3 (gap 1e-4, feas 1e-5);
+  - the saturation cells of `build_saturation_cells(2)` at order 2
+    (gap and feas 1e-6).
+
+Each line reads `CASE #K status iterations fallback_used step_chol_calls
+factorizations regularized sha256`, the hash taken over the bytes of y and of
+every X and Z block.  Two files made from two checkouts compare with `diff`:
+equal lines mean bit-identical iterates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+STAT_COUNTS = ("step_chol_calls", "factorizations", "regularized")
+
+
+def _line(case: str, k: int, sol) -> str:
+    h = hashlib.sha256(sol.y.tobytes())
+    for block in (*sol.X, *sol.Z):
+        h.update(block.tobytes())
+    counts = " ".join(str(sol.stats.get(key)) for key in STAT_COUNTS)
+    return (f"{case} #{k} {sol.status} {sol.iterations} {sol.fallback_used} {counts} "
+            f"{h.hexdigest()}\n")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", required=True, help="directory that holds the momentsdp package")
+    ap.add_argument("--out", required=True, help="file for the hash lines")
+    args = ap.parse_args()
+    for var in THREAD_VARS:  # before numpy loads
+        os.environ.setdefault(var, "1")
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    sys.path.insert(1, str(ROOT / "tools"))
+    import momentsdp
+    import momentsdp.cli
+    from momentsdp import casestudies, gmp, relaxation, sdp, spectra
+    from reports import commands
+
+    if Path(momentsdp.__file__).resolve().parent.parent != src:
+        print(f"error: momentsdp was imported from {momentsdp.__file__}, not {src}", file=sys.stderr)
+        return 2
+
+    solves: list = []
+    original = sdp.solve
+
+    def recorded(*a, **kw):
+        solves.append(original(*a, **kw))
+        return solves[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "momentsdp" and getattr(module, "solve", None) is original:
+            module.solve = recorded
+
+    def cases():
+        for name, argv in commands():
+            if argv[0] == "solve":
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = momentsdp.cli.main(argv)
+                yield f"{name}:exit{code}"
+        feasible = casestudies.build_polyopt().feasible_set
+        spectra.shadow_support_points(feasible, 2, spectra.unit_directions(64))
+        yield "shadow-planar-r2-64"
+        eig = sdp.SolveOptions(gap_tol=1e-4, feas_tol=1e-5)
+        for n in (4, 5):
+            relaxation.bound_and_moments(casestudies.build_eig_assign(n), 3, eig)
+            yield f"eig-assign-{n}-r3"
+        prog = gmp.build_gmp_relaxation(casestudies.build_saturation_cells(2).gmp, 2)[0].program
+        sdp.solve(prog, sdp.SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
+        yield "saturation-cells-2-r2"
+
+    out = Path(args.out).resolve()
+    os.chdir(ROOT)  # the commands name fixtures relative to the repository root
+    lines = []
+    for case in cases():
+        lines += [_line(case, k, sol) for k, sol in enumerate(solves)]
+        print(f"{case}: {len(solves)} solves", file=sys.stderr)
+        solves.clear()
+    out.write_text("".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
