@@ -495,6 +495,9 @@ class GMPResult:
     solution: SDPSolution
     info: dict[str, RelaxationInfo]
     assembled: AssembledProgram
+    # the second, minimal-time solve of `resolve_minimal_time`, kept whatever
+    # its status; its moments replaced the occupation moments only if optimal
+    minimal_time: Optional[SDPSolution] = None
 
 
 def solve_gmp(g: GMPProblem, r: int, options: SolveOptions | None = None) -> GMPResult:
@@ -521,8 +524,9 @@ def resolve_minimal_time(
     mass is only bounded below.  This second solve pins the cost to the
     first-phase bound (within `slack`, relative) and minimizes the total
     occupation mass, i.e. the terminal time.  The returned result keeps the
-    first phase's bound and status; only the moments are replaced, and only
-    when the second solve converges.
+    first phase's bound and status and records the second solve as
+    ``minimal_time``; the moments are replaced only when that solve ends
+    ``optimal``.
 
     The second problem sits on a thin slab of the first one's feasible set,
     so its primal/dual objectives agree only to a few digits; the default
@@ -549,7 +553,7 @@ def resolve_minimal_time(
     )
     second = solve_gmp(g2, r, phase2_options)
     if second.solution.status != "optimal":
-        return first
+        return replace(first, minimal_time=second.solution)
     # only the occupation measures carried the indeterminate mass; endpoint
     # moments were already pinned at the optimum and the first (tighter)
     # solve knows them best
@@ -562,4 +566,5 @@ def resolve_minimal_time(
         solution=first.solution,
         info=first.info,
         assembled=first.assembled,
+        minimal_time=second.solution,
     )

@@ -24,7 +24,11 @@ solved by two Cholesky factorizations (LAPACK's, called directly).  Step
 lengths use a fraction-to-boundary rule.  The cone boundary of a psd block is
 located by bisection on numpy's Cholesky kernel, which stops early once the
 block cannot bind the step; each side searches first the block that bound
-its last search, which changes how much is searched, not the step.
+its last search, which changes how much is searched, not the step.  Up to
+side `_BATCH_SIDE` an eigenvalue estimate of the boundary predicts the
+bisection's path, whose trial matrices are factored in one stacked call; the
+bisection reads those decisions only while it stays on the path, so the
+estimate, too, changes how much is factored, not the step.
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
@@ -57,7 +61,7 @@ from typing import Literal, Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsygv
 
 BlockKind = Literal["psd", "nonneg", "zero"]
 
@@ -66,6 +70,13 @@ _log = logging.getLogger(__name__)
 _REG = 1e-12  # diagonal regularization applied once on Cholesky failure
 _SCHUR_CHUNK = 1 << 17  # floats per stacked product chunk in `_schur_psd`
 _STEP_FRACTION = 0.98  # fraction of the way to the cone boundary each step takes
+# largest psd side whose step search starts with a stacked path (see
+# `_follow_guessed_path`).  On the step searches that `tools/step_bench.py`
+# records (one BLAS thread, 15 replays), stacking every side took 0.63-0.66
+# of the one-trial time at side 10 and 0.75-0.77 at 15, but 0.92-1.03 at 20
+# and 1.02-1.47 at sides 21, 35 and 56, where a wrong guess wastes costlier
+# trials
+_BATCH_SIDE = 15
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,7 @@ class SDPSolution:
     blocks: list[Block] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
     fallback_used: bool = False  # the best earlier iterate was returned, not the last
-    stats: dict = field(default_factory=dict)  # psd row spans and work counts; see `solve`
+    stats: dict = field(default_factory=dict)  # psd row spans, work counts, phase seconds; see `solve`
 
 
 def psd_project_check(M: np.ndarray, tol: float = 1e-9) -> tuple[float, bool]:
@@ -230,41 +241,117 @@ def cho_solve(c_and_lower, b: np.ndarray) -> np.ndarray:
     return dpotrs(c_and_lower[0], b, lower=1)[0]  # on a copy of b
 
 
-def _chol_ok(M: np.ndarray) -> bool:
-    # numpy's Cholesky gufunc without np.linalg.cholesky's exception path: a
-    # failed factor comes back all NaN (with the invalid flag raised), a good
-    # one with a zero strict upper triangle
-    return not math.isnan(_umath_linalg.cholesky_lo(M)[0, -1])
+def _chol_ok(M: np.ndarray):
+    """Whether numpy's Cholesky kernel factors M: a bool for one matrix, a bool array for a stack.
+
+    This is numpy's Cholesky gufunc without np.linalg.cholesky's exception
+    path: a failed factor comes back all NaN (with the invalid flag raised), a
+    good one with a zero strict upper triangle.  The gufunc runs LAPACK on each
+    matrix of a stack (..., s, s) on its own, so each decision is the one the
+    2-D call gives.
+    """
+    L = _umath_linalg.cholesky_lo(M)
+    if L.ndim == 2:  # a Python float test: about 1 us less per one-trial step than numpy's
+        return not math.isnan(L[0, -1])
+    corner = L[..., 0, -1]
+    return corner == corner  # False where NaN
+
+
+def _boundary_guess(X: np.ndarray, D: np.ndarray) -> float:
+    """1 / -lambda_min(L^{-1} D L^{-T}), L = chol(X): where X + t D leaves the cone, up to rounding.
+
+    LAPACK's dsygv reduces D x = lambda X x to that symmetric problem.  0.5
+    when X does not factor or the estimate is not a number; 1.0 when no
+    eigenvalue is negative.
+    """
+    w, _, info = dsygv(D, X, jobz="N")  # ascending eigenvalues
+    if info or math.isnan(w[0]):
+        return 0.5
+    return -1.0 / w[0] if w[0] < 0.0 else 1.0
 
 
 def _max_step_psd(X: np.ndarray, D: np.ndarray, cap: float, stats: Optional[dict] = None) -> float:
     """Largest step t <= 1 keeping X + t D positive definite, as far as min(cap, t) needs.
 
-    Bisection on `_chol_ok` over one trial buffer (the roundings of X + t * D);
-    its lower end only grows, so the search stops once that end reaches ``cap``.
-    A caller that passes ``stats`` has the invalid flag ignored already (a
-    failed factor raises it) and gets its "step_chol_calls" counted.
+    After a check of t = 1, 40 halvings of [0, 1], each decided by `_chol_ok`
+    on the rounding of X + t * D that ``np.multiply`` then ``np.add`` give;
+    the lower end only grows, so the search stops once that end reaches
+    ``cap``.  Up to side `_BATCH_SIDE` the first halvings are decided from
+    one stack of trials (`_follow_guessed_path`), the rest one trial at a
+    time; the decisions read and the points they are read at are those of
+    the one-trial loop alone, so the result is too.  A caller that passes
+    ``stats`` has the invalid flag ignored already (a failed factor raises
+    it) and gets "step_chol_calls" (decisions read), "step_trials"
+    (matrices factored) and "step_batches" (`_chol_ok` calls) counted.
     """
     if stats is None:
         with np.errstate(invalid="ignore"):
-            return _max_step_psd(X, D, cap, {"step_chol_calls": 0})
+            return _max_step_psd(X, D, cap, {"step_chol_calls": 0, "step_trials": 0,
+                                             "step_batches": 0})
     buf = X + D
     stats["step_chol_calls"] += 1
+    stats["step_trials"] += 1
+    stats["step_batches"] += 1
     if _chol_ok(buf):
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        if lo >= cap:
-            break
+    lo, hi, calls = 0.0, 1.0, 0
+    if cap > 0.0 and X.shape[0] <= _BATCH_SIDE:
+        lo, hi, calls = _follow_guessed_path(X, D, cap, stats)
+    single = 0
+    while calls < 40 and lo < cap:
         mid = 0.5 * (lo + hi)
         np.multiply(D, mid, out=buf)
         np.add(buf, X, out=buf)
-        stats["step_chol_calls"] += 1
+        calls += 1
+        single += 1
         if _chol_ok(buf):
             lo = mid
         else:
             hi = mid
+    stats["step_chol_calls"] += calls
+    stats["step_trials"] += single
+    stats["step_batches"] += single
     return lo
+
+
+def _follow_guessed_path(X: np.ndarray, D: np.ndarray, cap: float,
+                         stats: dict) -> tuple[float, float, int]:
+    """The first halvings of `_max_step_psd`'s bisection, decided from one stacked `_chol_ok` call.
+
+    The stack holds the trials of the midpoints the bisection of (0, 1)
+    visits if X + t D factors exactly for t <= `_boundary_guess`, at most 40
+    and none once the predicted lower end reaches ``cap``.  The bisection
+    reads their decisions in order while each point is its own next
+    midpoint: up to and including the first decision the guess got wrong,
+    after which its midpoints leave the path.  A point on the path is
+    computed by the same expression from the same bounds as that midpoint,
+    so it is the same float, and its trial the same bits.  Returns the
+    bounds and the number of decisions read.
+    """
+    guess = _boundary_guess(X, D)
+    path: list[float] = []
+    lo, hi = 0.0, 1.0
+    while len(path) < 40 and lo < cap:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if mid <= guess:
+            lo = mid
+        else:
+            hi = mid
+    trials = np.multiply(D, np.array(path)[:, None, None])
+    np.add(trials, X, out=trials)
+    stats["step_trials"] += len(path)
+    stats["step_batches"] += 1
+    lo, hi, calls = 0.0, 1.0, 0
+    for t, ok in zip(path, _chol_ok(trials).tolist()):
+        if lo >= cap or t != 0.5 * (lo + hi):
+            break
+        calls += 1
+        if ok:
+            lo = t
+        else:
+            hi = t
+    return lo, hi, calls
 
 
 def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
@@ -424,9 +511,14 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     xl, zl = scale * np.ones(len(cl)), scale * np.ones(len(cl))
     xf = np.zeros(len(c_f))
     y = np.zeros(m)
-    # the psd row spans, the `_chol_ok` calls of the step search, the Cholesky
-    # factorizations of the Schur system and those that needed the diagonal shift
-    stats = {"row_spans": span, "step_chol_calls": 0, "factorizations": 0, "regularized": 0}
+    # the psd row spans; the step search's bisection decisions, the trial
+    # matrices it factored and its `_chol_ok` calls; the Cholesky
+    # factorizations of the Schur system and those that needed the diagonal
+    # shift; the wall seconds of each phase of the iteration
+    seconds = {"schur": 0.0, "factor": 0.0, "direction": 0.0, "step": 0.0}
+    stats = {"row_spans": span, "step_chol_calls": 0, "step_trials": 0, "step_batches": 0,
+             "factorizations": 0, "regularized": 0, "seconds": seconds}
+    from time import perf_counter as clock  # for stats["seconds"]
 
     bnorm = 1.0 + float(np.linalg.norm(prog.b))
     cnorm = 1.0 + float(
@@ -534,6 +626,7 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         # Schur complement M_kl = sum_blocks tr(A_k Z^{-1} A_l X); the last
         # iteration's system and factors are freed first, not held beside it
         M = fact = None
+        t0 = clock()
         M = np.zeros((m, m))
         Zinv: dict[int, np.ndarray] = {}
         ZRX: dict[int, np.ndarray] = {}  # Z^{-1} Rd X, a term of both directions
@@ -544,10 +637,14 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
                 _schur_psd(M, A[bi], X[bi], Zinv[bi], P[bi], span[bi])
             M += (Al * (xl / zl)) @ Al.T
             M = 0.5 * (M + M.T)
+            t1 = clock()
             fact = _Factorization(M, F, stats)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
+        t2 = clock()
+        seconds["schur"] += t1 - t0
+        seconds["factor"] += t2 - t1
 
         def _direction(sigma_mu: float, E: Optional[dict] = None, El: Optional[np.ndarray] = None):
             # E and El are the corrector's second-order terms (psd, nonneg)
@@ -575,20 +672,27 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
 
         try:
             # predictor (affine scaling)
+            t0 = clock()
             dXa, dZa, dxla, dzla, dya, dxfa = _direction(0.0)
+            t1 = clock()
             apa, ada = _steps(X, dXa, Z, dZa, ((xl, dxla), (zl, dzla)), orders, stats)
+            t2 = clock()
             gap_aff = sum(float(np.sum((X[bi] + apa * dXa[bi]) * (Z[bi] + ada * dZa[bi])))
                           for bi in psd) + float(np.sum((xl + apa * dxla) * (zl + ada * dzla)))
             sigma = min(1.0, max(1e-8, (gap_aff / gap) ** 3)) if gap > 0 else 0.1
 
             # corrector with second-order term dZ_aff dX_aff
             E = {bi: dZa[bi] @ dXa[bi] for bi in psd}
+            t3 = clock()
             dX, dZ, dxl, dzl, dy, dxf = _direction(sigma * mu, E, dzla * dxla)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 
+        t4 = clock()
         ap, ad = _steps(X, dX, Z, dZ, ((xl, dxl), (zl, dzl)), orders, stats)
+        seconds["direction"] += (t1 - t0) + (t4 - t3)
+        seconds["step"] += (t2 - t1) + (clock() - t4)
         ap = min(1.0, _STEP_FRACTION * ap)
         ad = min(1.0, _STEP_FRACTION * ad)
         if max(ap, ad) < 1e-10:

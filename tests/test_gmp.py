@@ -242,6 +242,35 @@ class TestSolves:
         assert res.moments["occ"].mass == pytest.approx(np.log(2.0), abs=1e-3)
         assert res.bound == first.bound
 
+    def test_minimal_time_solve_is_recorded_whatever_its_status(self):
+        # lqr_scalar at r = 3: the minimal-time solve needs several times the
+        # first solve's iterations; it is recorded when it converges and when
+        # its budget runs out, and only in the first case are its moments used
+        from pathlib import Path
+
+        from momentsdp.problemfile import load_problem
+
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "lqr_scalar.gmp"
+        g, dp = load_problem(fixture).gmp.instantiate(3)
+        first = solve_gmp(g, 3, GMP_OPTS)
+        assert first.solution.status == "optimal" and first.minimal_time is None
+        res = resolve_minimal_time(dp, 3, first, GMP_OPTS)
+        second = res.minimal_time
+        assert second is not None and second.status == "optimal"
+        assert second.iterations > first.solution.iterations
+        assert res.solution is first.solution and res.bound == first.bound
+        assert not np.array_equal(res.moments["occ"].values, first.moments["occ"].values)
+
+        budget = second.iterations // 2
+        short = resolve_minimal_time(dp, 3, first, SolveOptions(gap_tol=1e-6, feas_tol=1e-6,
+                                                                 max_iter=budget))
+        assert short.minimal_time is not None
+        assert short.minimal_time.status != "optimal"
+        assert short.minimal_time.iterations <= budget
+        assert short.moments.keys() == first.moments.keys()
+        for name, y in first.moments.items():
+            assert np.array_equal(short.moments[name].values, y.values), name
+
     def test_lqr_first_order(self):
         dp = build_lqr(1)
         res = solve_gmp(dp.gmp, 1, GMP_OPTS)

@@ -1,7 +1,10 @@
 import functools
 import itertools
+import math
 import os
+import time
 import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -86,6 +89,22 @@ def reference_max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
         else:
             hi = mid
     return lo
+
+
+def near_singular_matrices():
+    """Symmetric matrices of sides 1..12 shifted to within 1e-13 * ||M|| of
+    singular, where rounding decides the factorization; 2,400 of them."""
+    rng = np.random.default_rng(0)
+    for trial in range(2400):
+        n = 1 + trial % 12
+        T = rng.normal(size=(n, n))
+        M = T @ T.T if trial % 2 else T + T.T
+        lam_min = np.linalg.eigvalsh(M)[0]
+        shift = rng.uniform(-1e-13, 1e-13) * np.linalg.norm(M, 2) - lam_min
+        yield M + shift * np.eye(n)
+
+
+STEP_COUNTS = ("step_chol_calls", "step_trials", "step_batches")
 
 
 def reference_schur_psd(M, A, X, Zinv, P, span=None) -> None:
@@ -712,22 +731,31 @@ class TestLapackCholesky:
 
 class TestStepLength:
     def test_chol_ok_matches_numpy_cholesky_near_singular(self):
-        # symmetric matrices of sides 1..12 shifted to within 1e-13 * ||M|| of
-        # singular, where rounding decides the factorization
-        rng = np.random.default_rng(0)
         outcomes = []
-        for trial in range(2400):
-            n = 1 + trial % 12
-            T = rng.normal(size=(n, n))
-            M = T @ T.T if trial % 2 else T + T.T
-            lam_min = np.linalg.eigvalsh(M)[0]
-            shift = rng.uniform(-1e-13, 1e-13) * np.linalg.norm(M, 2) - lam_min
-            M = M + shift * np.eye(n)
+        for trial, M in enumerate(near_singular_matrices()):
             expected = _cholesky_succeeds(M)
             with np.errstate(invalid="ignore"):
                 assert sdp._chol_ok(M) == expected, (trial, M)
             outcomes.append(expected)
         assert 300 < sum(outcomes) < len(outcomes) - 300
+
+    def test_stacked_chol_ok_decides_each_matrix_as_alone(self):
+        # the same 2,400 matrices, stacked per side (200 each), flat and as
+        # a (2, 100) stack: one decision per matrix, each the 2-D call's
+        by_side = defaultdict(list)
+        for M in near_singular_matrices():
+            by_side[M.shape[0]].append(M)
+        failures = 0
+        with np.errstate(invalid="ignore"):
+            for n, mats in by_side.items():
+                alone = [sdp._chol_ok(M) for M in mats]
+                stack = np.stack(mats)
+                ok = sdp._chol_ok(stack)
+                assert ok.dtype == bool and ok.shape == (len(mats),)
+                assert ok.tolist() == alone, n
+                assert sdp._chol_ok(stack.reshape(2, -1, n, n)).ravel().tolist() == alone, n
+                failures += alone.count(False)
+        assert 300 < failures < 2100
 
     def test_max_step_matches_reference_bisection(self):
         rng = np.random.default_rng(1)
@@ -745,6 +773,60 @@ class TestStepLength:
                         min(np.nextafter(ref, 1.0), 0.999), rng.uniform()):
                 assert min(cap, sdp._max_step_psd(X, D, cap)) == min(cap, ref), (trial, cap)
         assert 20 < full_steps < 380
+
+    @pytest.mark.parametrize("guess", ["zero", "one", "nan", "reference", "random"])
+    def test_any_boundary_guess_gives_the_reference_step(self, monkeypatch, guess):
+        # the guess picks the stacked trials only: the step and the decisions
+        # read are those of the plain bisection and of the one-trial loop, on
+        # sides 1..18 (both sides of _BATCH_SIDE) and X of condition up to 1e12
+        rng = np.random.default_rng(14)
+        batched = sdp._BATCH_SIDE
+        decisions = batches = interior = 0
+        assert 1 <= batched < 18
+        for trial in range(108):
+            n = 1 + trial % 18
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            X = (Q * np.geomspace(1.0, 10.0 ** -rng.uniform(0.0, 12.0), n)) @ Q.T
+            X = 0.5 * (X + X.T)
+            D = 10.0 ** rng.uniform(-3.0, 1.0) * random_sym(rng, n)
+            ref = reference_max_step_psd(X, D)
+            interior += ref < 1.0
+            value = {"zero": 0.0, "one": 1.0, "nan": math.nan, "reference": ref,
+                     "random": np.random.default_rng(trial).uniform()}[guess]
+            monkeypatch.setattr(sdp, "_boundary_guess", lambda X, D: value)
+            for cap in (1.0, 0.0, 0.5 * ref, np.nextafter(ref, 0.0), ref,
+                        min(np.nextafter(ref, 1.0), 0.999), rng.uniform()):
+                counts = []
+                for batch_side in (batched, 0):
+                    monkeypatch.setattr(sdp, "_BATCH_SIDE", batch_side)
+                    stats = dict.fromkeys(STEP_COUNTS, 0)
+                    with np.errstate(invalid="ignore"):
+                        step = sdp._max_step_psd(X, D, cap, stats)
+                    assert min(cap, step) == min(cap, ref), (trial, cap, batch_side)
+                    assert stats["step_chol_calls"] <= stats["step_trials"]
+                    assert stats["step_batches"] <= stats["step_trials"]
+                    counts.append(stats)
+                assert counts[0]["step_chol_calls"] == counts[1]["step_chol_calls"], (trial, cap)
+                assert counts[1]["step_batches"] == counts[1]["step_chol_calls"]
+                if n <= batched:
+                    decisions += counts[0]["step_chol_calls"]
+                    batches += counts[0]["step_batches"]
+        assert 20 < interior < 100, interior
+        if guess == "reference":
+            # the stacked path decides most halvings up to _BATCH_SIDE
+            assert 2 * batches < decisions, (batches, decisions)
+
+    def test_boundary_guess(self):
+        rng = np.random.default_rng(15)
+        for trial in range(50):
+            n = 1 + trial % 10
+            X, D = random_spd(rng, n, 0.1), random_sym(rng, n)
+            ref = reference_max_step_psd(X, D)
+            if ref < 1.0:
+                assert sdp._boundary_guess(X, D) == pytest.approx(ref, rel=1e-6, abs=1e-11), trial
+        assert sdp._boundary_guess(np.eye(3), np.eye(3)) == 1.0  # no boundary
+        assert sdp._boundary_guess(-np.eye(3), np.eye(3)) == 0.5  # X does not factor
+        assert sdp._boundary_guess(np.eye(2), np.full((2, 2), np.nan)) == 0.5
 
     def test_steps_independent_of_block_order(self):
         # four psd blocks in all 24 orders per side, after a stacked nonneg
@@ -771,7 +853,7 @@ class TestStepLength:
             first = set()
             for perm in itertools.permutations(psd):
                 orders = [list(perm), list(reversed(perm))]
-                stats = {"step_chol_calls": 0}
+                stats = dict.fromkeys(STEP_COUNTS, 0)
                 steps = sdp._steps(X, dX, Z, dZ, lin, orders, stats)
                 assert steps == (expected[0][0], expected[1][0]), (trial, perm)
                 assert stats["step_chol_calls"] > 0
@@ -867,8 +949,9 @@ class TestStepLength:
         chol_ok = sdp._chol_ok
 
         def recorded(M):
-            outcomes.append(chol_ok(M))
-            return outcomes[-1]
+            ok = chol_ok(M)
+            outcomes.extend(np.atleast_1d(ok).tolist())  # one decision per matrix of a stack
+            return ok
 
         monkeypatch.setattr(sdp, "_chol_ok", recorded)
         with warnings.catch_warnings():
@@ -991,23 +1074,41 @@ class TestSchurFormation:
 
 
 class TestSolveStats:
-    KEYS = {"row_spans", "step_chol_calls", "factorizations", "regularized"}
+    KEYS = {"row_spans", "step_chol_calls", "step_trials", "step_batches", "factorizations",
+            "regularized", "seconds"}
 
     def test_sizes_and_counts(self, monkeypatch):
         prog, _, _ = mixed_cone_program(np.random.default_rng(2), 3, 2, 1, 4)
-        calls = []
+        trials = []  # matrices per `_chol_ok` call
         chol_ok = sdp._chol_ok
-        monkeypatch.setattr(sdp, "_chol_ok", lambda M: calls.append(M.shape) or chol_ok(M))
+        monkeypatch.setattr(sdp, "_chol_ok",
+                            lambda M: trials.append(math.prod(M.shape[:-2])) or chol_ok(M))
         sol = solve(prog, SolveOptions(gap_tol=1e-9, feas_tol=1e-8))
         assert sol.status == "optimal"
         stats = sol.stats
         assert set(stats) == self.KEYS
         assert [(blk.kind, blk.size) for blk in sol.blocks] == [("psd", 3), ("nonneg", 2), ("zero", 1)]
         assert stats["row_spans"] == {0: (0, 4)}
-        assert stats["step_chol_calls"] == len(calls) > 0
+        assert stats["step_trials"] == sum(trials)
+        assert stats["step_batches"] == len(trials)
+        assert 0 < stats["step_chol_calls"] <= stats["step_trials"]
+        assert stats["step_batches"] <= stats["step_trials"]
         # one Schur factorization and one of its free-column border per iteration
         assert stats["factorizations"] == 2 * sol.iterations
         assert stats["regularized"] == 0
+
+    def test_phase_seconds_within_the_solve(self):
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        prog = build_relaxation(build_eig_assign(3), 3)[0].program
+        start = time.perf_counter()
+        sol = solve(prog, SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
+        wall = time.perf_counter() - start
+        seconds = sol.stats["seconds"]
+        assert set(seconds) == {"schur", "factor", "direction", "step"}
+        assert all(value >= 0.0 for value in seconds.values())
+        assert 0.0 < sum(seconds.values()) <= wall
 
     def test_row_spans_of_a_gmp_program(self):
         from momentsdp.casestudies import build_saturation_cells

@@ -45,24 +45,61 @@ def _line(case: str, k: int, sol) -> str:
             f"{h.hexdigest()}\n")
 
 
+def load(src: Path):
+    """Import `momentsdp` from ``src`` (a checkout's `src/`); exit with code 2 if it comes from elsewhere.
+
+    BLAS/OpenMP are set to one thread unless the environment already sets a
+    count; this must run before numpy loads.
+    """
+    for var in THREAD_VARS:
+        os.environ.setdefault(var, "1")
+    src = src.resolve()
+    sys.path.insert(0, str(src))
+    sys.path.insert(1, str(ROOT / "tools"))
+    import momentsdp
+    import momentsdp.cli  # noqa: F401  (loaded now, so a wrapper of `solve` reaches it too)
+
+    if Path(momentsdp.__file__).resolve().parent.parent != src:
+        print(f"error: momentsdp was imported from {momentsdp.__file__}, not {src}", file=sys.stderr)
+        raise SystemExit(2)
+    return momentsdp
+
+
+def cases():
+    """Run the solves listed above, one case at a time; yield each case's name once it has run.
+
+    Works from the repository root, where the commands name their fixtures.
+    """
+    import momentsdp.cli
+    from momentsdp import casestudies, gmp, relaxation, sdp, spectra
+    from reports import commands
+
+    os.chdir(ROOT)
+    for name, argv in commands():
+        if argv[0] == "solve":
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = momentsdp.cli.main(argv)
+            yield f"{name}:exit{code}"
+    feasible = casestudies.build_polyopt().feasible_set
+    spectra.shadow_support_points(feasible, 2, spectra.unit_directions(64))
+    yield "shadow-planar-r2-64"
+    eig = sdp.SolveOptions(gap_tol=1e-4, feas_tol=1e-5)
+    for n in (4, 5):
+        relaxation.bound_and_moments(casestudies.build_eig_assign(n), 3, eig)
+        yield f"eig-assign-{n}-r3"
+    prog = gmp.build_gmp_relaxation(casestudies.build_saturation_cells(2).gmp, 2)[0].program
+    sdp.solve(prog, sdp.SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
+    yield "saturation-cells-2-r2"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", required=True, help="directory that holds the momentsdp package")
     ap.add_argument("--out", required=True, help="file for the hash lines")
     args = ap.parse_args()
-    for var in THREAD_VARS:  # before numpy loads
-        os.environ.setdefault(var, "1")
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    sys.path.insert(1, str(ROOT / "tools"))
-    import momentsdp
-    import momentsdp.cli
-    from momentsdp import casestudies, gmp, relaxation, sdp, spectra
-    from reports import commands
-
-    if Path(momentsdp.__file__).resolve().parent.parent != src:
-        print(f"error: momentsdp was imported from {momentsdp.__file__}, not {src}", file=sys.stderr)
-        return 2
+    out = Path(args.out).resolve()
+    momentsdp = load(Path(args.src))
+    sdp = momentsdp.sdp
 
     solves: list = []
     original = sdp.solve
@@ -75,25 +112,6 @@ def main() -> int:
         if name.split(".")[0] == "momentsdp" and getattr(module, "solve", None) is original:
             module.solve = recorded
 
-    def cases():
-        for name, argv in commands():
-            if argv[0] == "solve":
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = momentsdp.cli.main(argv)
-                yield f"{name}:exit{code}"
-        feasible = casestudies.build_polyopt().feasible_set
-        spectra.shadow_support_points(feasible, 2, spectra.unit_directions(64))
-        yield "shadow-planar-r2-64"
-        eig = sdp.SolveOptions(gap_tol=1e-4, feas_tol=1e-5)
-        for n in (4, 5):
-            relaxation.bound_and_moments(casestudies.build_eig_assign(n), 3, eig)
-            yield f"eig-assign-{n}-r3"
-        prog = gmp.build_gmp_relaxation(casestudies.build_saturation_cells(2).gmp, 2)[0].program
-        sdp.solve(prog, sdp.SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
-        yield "saturation-cells-2-r2"
-
-    out = Path(args.out).resolve()
-    os.chdir(ROOT)  # the commands name fixtures relative to the repository root
     lines = []
     for case in cases():
         lines += [_line(case, k, sol) for k, sol in enumerate(solves)]
