@@ -29,7 +29,6 @@ from .gmp import (
     MomentConstraint,
     build_dynamics_gmp,
     build_gmp_relaxation,
-    liouville_constraints,
     piecewise_liouville,
     resolve_minimal_time,
     solve_gmp,
@@ -109,7 +108,6 @@ __all__ = [
     "grlex_exponent",
     "grlex_index",
     "half_degree",
-    "liouville_constraints",
     "load_problem",
     "localizing_matrix_stencil",
     "membership",

@@ -156,8 +156,10 @@ def build_occtraj(r: int) -> DynamicsProblem:
     dspace = VarSpace.of("t", "x1")
     dyn = DynamicsSpec(
         states=("x1",),
-        f=[parse_polynomial("-x1", dspace)],
+        cells=[("occ", [parse_polynomial("-x1", dspace)])],
         lagrangian=parse_polynomial("x1^2", dspace),
+        initial="init",
+        terminal="term",
     )
     x1 = VarSpace.of("x1")
     P = lambda s: parse_polynomial(s, x1)
@@ -167,9 +169,7 @@ def build_occtraj(r: int) -> DynamicsProblem:
         "term": SemialgebraicSet(x1, inequalities=[P("1/4 - x1^2")]),
     }
     mass_one = MomentConstraint([("init", Polynomial.constant(1, 1))], Fraction(1), "eq")
-    return build_dynamics_gmp(
-        dyn, r, [("occ", dyn.f)], "init", "term", supports, extra_constraints=[mass_one]
-    )
+    return build_dynamics_gmp(dyn, r, supports, extra_constraints=[mass_one])
 
 
 LQR_MASS_CAP = 20
@@ -186,14 +186,16 @@ def build_lqr(r: int) -> DynamicsProblem:
     dspace = VarSpace.of("t", "x1", "u1")
     dyn = DynamicsSpec(
         states=("x1",),
-        controls=("u1",),
-        f=[parse_polynomial("u1", dspace)],
+        cells=[("occ", [parse_polynomial("u1", dspace)])],
         lagrangian=parse_polynomial("x1^2 + u1^2", dspace),
+        initial=(1,),
+        terminal=(0,),
+        controls=("u1",),
     )
     cap = MomentConstraint(
         [("occ", Polynomial.constant(2, 1))], Fraction(LQR_MASS_CAP), "le"
     )
-    return build_dynamics_gmp(dyn, r, [("occ", dyn.f)], (1,), (0,), {}, extra_constraints=[cap])
+    return build_dynamics_gmp(dyn, r, {}, extra_constraints=[cap])
 
 
 def build_bolza(r: int) -> DynamicsProblem:
@@ -203,20 +205,21 @@ def build_bolza(r: int) -> DynamicsProblem:
     No admissible function attains the infimum, but chattering controls push
     the cost to 0, and every relaxation order bounds it below by 0 exactly.
     """
-    dspace = VarSpace.of("t", "x1", "u1")
-    dyn = DynamicsSpec(
-        states=("x1",),
-        controls=("u1",),
-        f=[parse_polynomial("u1", dspace)],
-        lagrangian=parse_polynomial("x1^4 + (u1^2 - 1)^2", dspace),
-        horizon=Fraction(1),
-    )
     occ = VarSpace.of("t", "x1", "u1")
     P = lambda s: parse_polynomial(s, occ)
+    dyn = DynamicsSpec(
+        states=("x1",),
+        cells=[("occ", [P("u1")])],
+        lagrangian=P("x1^4 + (u1^2 - 1)^2"),
+        initial=(0,),
+        terminal=(0,),
+        controls=("u1",),
+        horizon=Fraction(1),
+    )
     supports = {
         "occ": SemialgebraicSet(occ, inequalities=[P("1 - u1^2"), P("1 - x1^2")]),
     }
-    return build_dynamics_gmp(dyn, r, [("occ", dyn.f)], (0,), (0,), supports)
+    return build_dynamics_gmp(dyn, r, supports)
 
 
 def build_saturation_cells(r: int) -> DynamicsProblem:
@@ -233,24 +236,23 @@ def build_saturation_cells(r: int) -> DynamicsProblem:
     P = lambda s: parse_polynomial(s, dspace)
     dyn = DynamicsSpec(
         states=("x1", "x2"),
-        f=[P("x2"), P("-x1 - x2")],
+        cells=[
+            ("lin", [P("x2"), P("-x1 - x2")]),
+            ("upper", [P("x2"), P("-1")]),
+            ("lower", [P("x2"), P("1")]),
+        ],
         lagrangian=Polynomial.zero(3),
+        initial="init",
+        terminal="term",
         horizon=Fraction(1),
     )
-    cells = [
-        ("lin", [P("x2"), P("-x1 - x2")]),
-        ("upper", [P("x2"), P("-1")]),
-        ("lower", [P("x2"), P("1")]),
-    ]
-    occ = VarSpace.of("t", "x1", "x2")
-    Q = lambda s: parse_polynomial(s, occ)
-    ball = Q("4 - x1^2 - x2^2")
+    ball = P("4 - x1^2 - x2^2")
     x12 = VarSpace.of("x1", "x2")
     R = lambda s: parse_polynomial(s, x12)
     supports = {
-        "lin": SemialgebraicSet(occ, inequalities=[Q("1 - (x1 + x2)^2"), ball]),
-        "upper": SemialgebraicSet(occ, inequalities=[Q("x1 + x2 - 1"), ball]),
-        "lower": SemialgebraicSet(occ, inequalities=[Q("-1 - x1 - x2"), ball]),
+        "lin": SemialgebraicSet(dspace, inequalities=[P("1 - (x1 + x2)^2"), ball]),
+        "upper": SemialgebraicSet(dspace, inequalities=[P("x1 + x2 - 1"), ball]),
+        "lower": SemialgebraicSet(dspace, inequalities=[P("-1 - x1 - x2"), ball]),
         "init": SemialgebraicSet(
             x12,
             inequalities=[R("x1 - 1/2"), R("1 - x1"), R("x2 + 1/2"), R("1/2 - x2")],
@@ -261,9 +263,6 @@ def build_saturation_cells(r: int) -> DynamicsProblem:
     return build_dynamics_gmp(
         dyn,
         r,
-        cells,
-        "init",
-        "term",
         supports,
         extra_constraints=[mass_one],
         objective=[("term", R("x1^2 + x2^2"))],
@@ -279,10 +278,15 @@ def build_two_cell_transport(r: int) -> DynamicsProblem:
     """
     dspace = VarSpace.of("t", "x1")
     one = parse_polynomial("1", dspace)
-    dyn = DynamicsSpec(states=("x1",), f=[one], lagrangian=Polynomial.zero(2))
+    dyn = DynamicsSpec(
+        states=("x1",),
+        cells=[("left", [one]), ("right", [one])],
+        lagrangian=Polynomial.zero(2),
+        initial=(Fraction(-1, 2),),
+        terminal=(Fraction(1, 2),),
+    )
     x1 = VarSpace.of("x1")
     P = lambda s: parse_polynomial(s, x1)
-    cells = [("left", [one]), ("right", [one])]
     supports = {
         "left": SemialgebraicSet(x1, inequalities=[P("-x1"), P("1 + x1")]),
         "right": SemialgebraicSet(x1, inequalities=[P("x1"), P("1 - x1")]),
@@ -290,9 +294,6 @@ def build_two_cell_transport(r: int) -> DynamicsProblem:
     return build_dynamics_gmp(
         dyn,
         r,
-        cells,
-        (Fraction(-1, 2),),
-        (Fraction(1, 2),),
         supports,
         objective=[
             ("left", parse_polynomial("x1^2", x1)),

@@ -25,7 +25,13 @@ import numpy as np
 from .extraction import Certificate, ExtractionError, certify
 from .gmp import resolve_minimal_time, solve_gmp, unscale_time_moments
 from .moments import MomentVector
-from .problemfile import GMPFileData, ParsedProblem, ProblemFileError, load_problem
+from .problemfile import (
+    GMPFileData,
+    ParsedProblem,
+    ProblemFileError,
+    load_problem,
+    moment_sum_text,
+)
 from .relaxation import OrderTooSmallError, POPProblem, bound_and_moments, minimal_order
 from .sdp import SDPSolution, SolveOptions, solve
 from .spectra import defining_polynomials, shadow_support_points, shadow_table, unit_directions
@@ -162,8 +168,11 @@ def _solve_gmp_file(data: GMPFileData, args, options: SolveOptions, report: Repo
     report.kv("bound", res.bound)
     report.solver_stats(sol)
     if dp is not None and dp.dynamics.autonomous:
-        occ_mass = sum(float(moments[name].mass) for name, _ in dp.cells)
+        occ_mass = sum(float(moments[name].mass) for name, _ in dp.dynamics.cells)
         report.kv("terminal_time", occ_mass)
+        if res.minimal_time is not None:
+            report.kv("minimal_time_status", res.minimal_time.status)
+            report.kv("minimal_time_iterations", res.minimal_time.iterations)
     for m in g.measures:
         report.moments(moments[m.name], m.name)
     if args.extract:
@@ -289,12 +298,8 @@ def cmd_liouville(args) -> int:
     report.kv("rows", dp.info.rows)
     report.section("rows")
     for con in dp.liouville_rows:
-        parts = []
-        for name, poly in con.terms:
-            parts.append(f"<{poly.to_string(spaces[name])}, {name}>")
-        lhs = " + ".join(parts) if parts else "0"
         label = f"v = {con.label}: " if con.label else ""
-        report.raw(f"{label}{lhs} == {con.rhs}")
+        report.raw(f"{label}{moment_sum_text(con.terms, spaces)} == {con.rhs}")
     _emit(report, args.out, sys.stdout, None)
     return 0
 

@@ -7,18 +7,22 @@ measure its own truncated moment vector (degree 2r), a moment-matrix block
 and localizing blocks per support constraint, and stacks the cross-measure
 rows on top.
 
-The module also generates the weak-form transport rows that tie an
-occupation measure of a polynomial ODE to its initial and terminal measures:
-for every test monomial v the row
+A trajectory problem is one record, `DynamicsSpec`: polynomial dynamics on
+one or more disjoint cells, each with its own vector field and occupation
+measure, between an initial and a terminal endpoint, over a free or fixed
+horizon.  `piecewise_liouville` generates its weak-form transport rows: for
+every test monomial v the row
 
-    <dv/dt + (grad_x v)' f, mu>  =  <v(T,.), mu_T> - <v(0,.), mu_0>
+    sum_j <dv/dt + (grad_x v)' f_j, mu_j>  =  <v(T,.), mu_T> - <v(0,.), mu_0>
 
-becomes a linear moment constraint.  Endpoints may be unknown measures or
-fixed points (whose contribution folds into the right-hand side).  Fixed
-horizons are rescaled to [0, 1] internally for conditioning; free-horizon
-problems must be autonomous, drop the time variable altogether, and read the
-terminal time off as the mass of the occupation measure.  Controls never get
-their own measure: the joint occupation measure over (t, x, u) carries them.
+becomes a linear moment constraint, and `build_dynamics_gmp` adds the
+measures, their supports and the objective.  Endpoints may be unknown
+measures or fixed points (whose contribution folds into the right-hand
+side).  Fixed horizons are rescaled to [0, 1] internally for conditioning;
+free-horizon problems must be autonomous, drop the time variable altogether,
+and read the terminal time off as the mass of the occupation measures.
+Controls never get their own measure: the joint occupation measure over
+(t, x, u) carries them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .moments import MomentVector
-from .polynomials import Exponent, Polynomial, VarSpace, exponents_up_to
+from .polynomials import Polynomial, VarSpace, exponents_up_to
 from .relaxation import (
     AssembledProgram,
     DegreeTooHighError,  # re-exported for callers of momentsdp.gmp
@@ -112,220 +116,150 @@ EndpointSpec = Union[str, Sequence[Union[int, float, Fraction]]]
 
 @dataclass
 class DynamicsSpec:
-    """Polynomial controlled dynamics xdot = f(t, x, u) with running cost.
+    """Polynomial dynamics on disjoint cells between two endpoints.
 
-    `f` and `lagrangian` live over the space (t, states..., controls...);
-    `terminal_cost` over the states alone.  A free horizon (`horizon=None`)
-    requires autonomous data: f and lagrangian must not involve t.
+    Each cell `(name, [f1, ..., fn])` is one occupation measure with its own
+    vector field xdot = f(t, x, u); the cells' measures sum to the global
+    occupation measure, and their disjointness is the caller's assertion.
+    The fields and `lagrangian` live over (t, states..., controls...),
+    `terminal_cost` over the states.  An endpoint is a measure name or a
+    point of the states.  A free horizon (`horizon=None`) requires
+    autonomous data: neither a field nor the lagrangian may involve t.
     """
 
     states: tuple[str, ...]
-    f: list[Polynomial]
+    cells: list[tuple[str, list[Polynomial]]]
     lagrangian: Polynomial
+    initial: EndpointSpec
+    terminal: EndpointSpec
     controls: tuple[str, ...] = ()
     terminal_cost: Optional[Polynomial] = None
     horizon: Optional[Union[float, Fraction]] = None
 
     def __post_init__(self) -> None:
         n = 1 + len(self.states) + len(self.controls)
-        if len(self.f) != len(self.states):
-            raise ValueError("need one dynamics polynomial per state")
-        for p in self.f:
-            if p.nvars != n:
-                raise ValueError("dynamics polynomials must live over (t, states, controls)")
+        if not self.cells:
+            raise ValueError("need at least one dynamics cell")
+        for name, fs in self.cells:
+            if len(fs) != len(self.states):
+                raise ValueError(f"cell {name!r} needs one dynamics polynomial per state")
+            if any(p.nvars != n for p in fs):
+                raise ValueError(f"cell {name!r}: dynamics must live over (t, states, controls)")
         if self.lagrangian.nvars != n:
             raise ValueError("lagrangian must live over (t, states, controls)")
         if self.terminal_cost is not None and self.terminal_cost.nvars != len(self.states):
             raise ValueError("terminal cost must live over the states")
         if self.horizon is not None and not self.horizon > 0:
             raise ValueError("fixed horizon must be positive")
-        if self.autonomous:
-            for p in list(self.f) + [self.lagrangian]:
-                if 0 in p.used_variables():
-                    raise ValueError("free-horizon dynamics must not depend on time")
+        data = [p for _, fs in self.cells for p in fs] + [self.lagrangian]
+        if self.autonomous and any(0 in p.used_variables() for p in data):
+            raise ValueError("free-horizon dynamics must not depend on time")
+        for which, end in (("initial", self.initial), ("terminal", self.terminal)):
+            if not isinstance(end, str) and len(tuple(end)) != len(self.states):
+                raise ValueError(f"{which} point dimension does not match the states")
+        names = [name for name, _ in self.cells]
+        names += [e for e in (self.initial, self.terminal) if isinstance(e, str)]
+        if len(set(names)) != len(names):
+            raise ValueError("measure names must be unique")
 
     @property
     def autonomous(self) -> bool:
         return self.horizon is None
 
-    @property
-    def state_dim(self) -> int:
-        return len(self.states)
-
-    @property
-    def control_dim(self) -> int:
-        return len(self.controls)
-
     def dynamics_space(self) -> VarSpace:
         return VarSpace((TIME_VAR,) + self.states + self.controls)
 
     def occupation_names(self) -> tuple[str, ...]:
-        if self.autonomous:
-            return self.states + self.controls
-        return (TIME_VAR,) + self.states + self.controls
+        time = () if self.autonomous else (TIME_VAR,)
+        return time + self.states + self.controls
 
-    def state_names(self) -> tuple[str, ...]:
-        return self.states
+    def measure_spaces(self) -> dict[str, VarSpace]:
+        """Each measure's variables: the cells', then the endpoint measures'."""
+        out = {name: VarSpace(self.occupation_names()) for name, _ in self.cells}
+        for end in (self.initial, self.terminal):
+            if isinstance(end, str):
+                out[end] = VarSpace(self.states)
+        return out
+
+    def to_occupation(self, p: Polynomial) -> Polynomial:
+        """A (t, x, u) polynomial over the occupation measure's variables.
+
+        A free horizon drops t; a fixed horizon T rescales time to [0, 1]
+        (t -> T*t, and dt -> T dt), exactly when T is rational.
+        """
+        if self.autonomous:
+            k = len(self.states) + len(self.controls)
+            return p.map_variables(k, [0] + list(range(k)))
+        h = self.horizon
+        T = Fraction(h) if isinstance(h, (int, Fraction)) else h
+        scaled = {exp: c * T ** exp[0] if exp[0] else c for exp, c in p.terms.items()}
+        return Polynomial(p.nvars, scaled) * T
+
+
+def time_box(nvars: int) -> Polynomial:
+    """t(1 - t), t the first of `nvars` variables: the rescaled fixed horizon."""
+    t = Polynomial.variable(nvars, 0)
+    return t * (Polynomial.constant(nvars, 1) - t)
 
 
 @dataclass
 class LiouvilleInfo:
     test_degree: int
     trimmed: bool
-    time_scale: float  # fixed horizon T folded into the dynamics (1.0 otherwise)
     rows: int
 
 
-def _scale_time(p: Polynomial, T: Union[Fraction, float]) -> Polynomial:
-    """Substitute t -> T*t (variable 0), exactly when T is rational."""
-    out: dict[Exponent, object] = {}
-    for exp, c in p.terms.items():
-        k = exp[0]
-        out[exp] = c * (Fraction(T) if isinstance(T, (int, Fraction)) else T) ** k if k else c
-    return Polynomial(p.nvars, out)
-
-
-def _to_occupation(p: Polynomial, dyn: DynamicsSpec) -> Polynomial:
-    """Map a (t, x, u) polynomial onto the occupation measure's variables."""
-    if dyn.autonomous:
-        if 0 in p.used_variables():
-            raise ValueError("autonomous occupation measure carries no time variable")
-        mapping = [0] + list(range(len(dyn.states) + len(dyn.controls)))
-        return p.map_variables(len(dyn.states) + len(dyn.controls), mapping)
-    return p
-
-
 def piecewise_liouville(
-    dyn: DynamicsSpec,
-    r: int,
-    cells: list[tuple[str, list[Polynomial]]],
-    initial: EndpointSpec,
-    terminal: EndpointSpec,
+    dyn: DynamicsSpec, r: int
 ) -> tuple[list[MomentConstraint], LiouvilleInfo]:
-    """Transport rows for dynamics that switch between disjoint cells.
+    """Transport rows of the dynamics, one per nonvanishing test monomial.
 
-    Each cell contributes <Lv, mu_j> with its own vector field; the cells'
-    occupation measures sum to the global one.  Disjointness of the cells is
-    the caller's assertion.  With a single cell this is the plain transport
-    family.
+    Each cell contributes <Lv, mu_j> with its own vector field.  A test
+    monomial v lives over (t, x) for a fixed horizon and over x for a free
+    one; it becomes a monomial over the occupation variables by padding its
+    exponent with zeros for the controls.
     """
-    if not cells:
-        raise ValueError("need at least one dynamics cell")
-    nx = dyn.state_dim
-    for name, fs in cells:
-        if len(fs) != nx:
-            raise ValueError(f"cell {name!r} needs one dynamics polynomial per state")
-        for p in fs:
-            if p.nvars != 1 + nx + dyn.control_dim:
-                raise ValueError(f"cell {name!r}: dynamics must live over (t, states, controls)")
-            if dyn.autonomous and 0 in p.used_variables():
-                raise ValueError("free-horizon dynamics must not depend on time")
-
-    T: Union[Fraction, float] = Fraction(1)
-    if not dyn.autonomous:
-        T = Fraction(dyn.horizon) if isinstance(dyn.horizon, (int, Fraction)) else dyn.horizon
-    # occupation-space dynamics; fixed horizons are rescaled to [0, 1]
-    cell_f: list[tuple[str, list[Polynomial]]] = []
-    for name, fs in cells:
-        if dyn.autonomous:
-            cell_f.append((name, [_to_occupation(p, dyn) for p in fs]))
-        else:
-            cell_f.append((name, [_to_occupation(_scale_time(p, T) * T, dyn) for p in fs]))
-
-    deg_f = max((p.degree for _, fs in cell_f for p in fs), default=0)
-    vmax = 2 * r - max(0, deg_f - 1)
+    cells = [(name, [dyn.to_occupation(p) for p in fs]) for name, fs in dyn.cells]
+    fields = [p for _, fs in cells for p in fs]
+    vmax = 2 * r - max(0, max((p.degree for p in fields), default=0) - 1)
     if vmax < 1:
-        raise OrderTooSmallError(r, minimal_order(p for _, fs in cell_f for p in fs))
-    trimmed = vmax < 2 * r
+        raise OrderTooSmallError(r, minimal_order(fields))
 
+    nt = 0 if dyn.autonomous else 1  # the time slot of a test exponent
+    test_space = VarSpace(dyn.occupation_names()[: nt + len(dyn.states)])
+    pad = (0,) * len(dyn.controls)
     n_occ = len(dyn.occupation_names())
-    nv_test = nx if dyn.autonomous else 1 + nx
-
-    def _embed_test(exp: Exponent) -> Polynomial:
-        # test monomial (over (t,x) or x) as a polynomial over occupation vars
-        full = [0] * n_occ
-        if dyn.autonomous:
-            for i, e in enumerate(exp):
-                full[i] = e
-        else:
-            full[0] = exp[0]
-            for i, e in enumerate(exp[1:]):
-                full[1 + i] = e
-        return Polynomial.monomial(tuple(full))
-
-    def _endpoint_value(point: Sequence, poly: Polynomial):
-        vals = [Fraction(v) if isinstance(v, (int, Fraction)) else v for v in point]
-        return poly.evaluate(vals)
-
-    init_fixed = not isinstance(initial, str)
-    term_fixed = not isinstance(terminal, str)
-    if init_fixed and len(tuple(initial)) != nx:
-        raise ValueError("initial point dimension does not match the states")
-    if term_fixed and len(tuple(terminal)) != nx:
-        raise ValueError("terminal point dimension does not match the states")
-
     rows: list[MomentConstraint] = []
-    for exp in exponents_up_to(nv_test, vmax):
-        v = _embed_test(exp)
+    for exp in exponents_up_to(test_space.n, vmax):
+        v = Polynomial.monomial(exp + pad)
         terms: list[tuple[str, Polynomial]] = []
-        rhs: Union[Fraction, float] = Fraction(0)
-
-        for name, fs in cell_f:
+        for name, fs in cells:
             lv = Polynomial.zero(n_occ)
-            if not dyn.autonomous:
+            if nt:
                 lv = lv + v.partial(0)
-            x_base = 0 if dyn.autonomous else 1
-            for i in range(nx):
-                lv = lv + v.partial(x_base + i) * fs[i]
+            for i, f in enumerate(fs):
+                lv = lv + v.partial(nt + i) * f
             if not lv.is_zero():
                 terms.append((name, lv))
 
-        # v at the endpoints, as a polynomial over the states alone
-        if dyn.autonomous:
-            v_states = Polynomial.monomial(exp)  # test exponent is over the states
-            v_end0 = v_states
-            v_end1 = v_states
-        else:
-            vx = Polynomial.monomial(tuple(exp[1:]))  # state part
-            t_pow = exp[0]
-            v_end0 = vx if t_pow == 0 else Polynomial.zero(nx)  # t = 0
-            v_end1 = vx  # scaled terminal time is 1
-
-        if term_fixed:
-            rhs = rhs + _endpoint_value(terminal, v_end1)
-        elif not v_end1.is_zero():
-            terms.append((terminal, -v_end1))
-        if init_fixed:
-            rhs = rhs - _endpoint_value(initial, v_end0)
-        elif not v_end0.is_zero():
-            terms.append((initial, v_end0))
+        # v over the states at the (scaled) terminal time 1 and at time 0,
+        # where a factor of t vanishes; point endpoints fold into the rhs
+        v_end = Polynomial.monomial(exp[nt:])
+        v_start = Polynomial.zero(len(dyn.states)) if nt and exp[0] else v_end
+        rhs: Union[Fraction, float] = Fraction(0)
+        for end, v_at, sign in ((dyn.terminal, v_end, -1), (dyn.initial, v_start, 1)):
+            if not isinstance(end, str):
+                point = [Fraction(c) if isinstance(c, (int, Fraction)) else c for c in end]
+                rhs = rhs - sign * v_at.evaluate(point)
+            elif not v_at.is_zero():
+                terms.append((end, sign * v_at))
 
         if not terms and rhs == 0:
             continue
-        vspace = VarSpace(
-            dyn.state_names() if dyn.autonomous else (TIME_VAR,) + dyn.state_names()
-        )
-        label = Polynomial.monomial(exp).to_string(vspace)
+        label = Polynomial.monomial(exp).to_string(test_space)
         rows.append(MomentConstraint(terms=terms, rhs=rhs, relation="eq", label=label))
 
-    info = LiouvilleInfo(
-        test_degree=vmax,
-        trimmed=trimmed,
-        time_scale=float(T),
-        rows=len(rows),
-    )
-    return rows, info
-
-
-def liouville_constraints(
-    dyn: DynamicsSpec,
-    r: int,
-    occupation: str,
-    initial: EndpointSpec,
-    terminal: EndpointSpec,
-) -> tuple[list[MomentConstraint], LiouvilleInfo]:
-    """Transport rows of a single-field dynamics (one occupation measure)."""
-    return piecewise_liouville(dyn, r, [(occupation, dyn.f)], initial, terminal)
+    return rows, LiouvilleInfo(test_degree=vmax, trimmed=vmax < 2 * r, rows=len(rows))
 
 
 # -- dynamics problems as GMPs -------------------------------------------------
@@ -336,9 +270,6 @@ class DynamicsProblem:
     """A trajectory-optimization GMP plus the data needed to interpret it."""
 
     dynamics: DynamicsSpec
-    cells: list[tuple[str, list[Polynomial]]]
-    initial: EndpointSpec
-    terminal: EndpointSpec
     gmp: GMPProblem
     liouville_rows: list[MomentConstraint]
     info: LiouvilleInfo
@@ -347,102 +278,63 @@ class DynamicsProblem:
 def build_dynamics_gmp(
     dyn: DynamicsSpec,
     r: int,
-    cells: list[tuple[str, list[Polynomial]]],
-    initial: EndpointSpec,
-    terminal: EndpointSpec,
     supports: dict[str, SemialgebraicSet],
     extra_constraints: Optional[list[MomentConstraint]] = None,
     objective: Optional[list[tuple[str, Polynomial]]] = None,
     sense: str = "min",
-    mass_cap: Optional[float] = None,
 ) -> DynamicsProblem:
     """Expand dynamics into a GMP: measures, transport rows, objective.
 
-    `supports` maps occupation-measure names to sets over (x, u) / (t, x, u)
-    variables as declared, and endpoint names to sets over the states.  For a
-    fixed horizon the time-box constraint t(1-t) >= 0 is appended to every
-    occupation support that does not already constrain time.
+    `supports` maps measure names to sets over their variables
+    (`DynamicsSpec.measure_spaces`); a measure without one is unconstrained.
+    For a fixed horizon the time box t(1-t) >= 0 is appended to every
+    occupation support that does not already hold it.  The default
+    objective is the lagrangian on every cell plus the terminal cost.
 
     Free-horizon problems leave the occupation mass (the terminal time)
-    unbounded above, which kills the interior the solver needs; `mass_cap`
-    adds mass(mu_j) <= cap rows in that case.  The cap is inactive at any
-    optimum a desk-scale problem has, and `resolve_minimal_time` pins the
-    mass from below afterwards.  Fixed horizons never need it.
+    unbounded above; a problem whose support does not bound it needs a
+    mass(mu_j) <= cap row among `extra_constraints`.
     """
-    rows, info = piecewise_liouville(dyn, r, cells, initial, terminal)
+    spaces = dyn.measure_spaces()
+    for name in supports:
+        if name not in spaces:
+            raise ValueError(f"support given for undeclared measure {name!r}")
+    rows, info = piecewise_liouville(dyn, r)
 
-    occ_space = VarSpace(dyn.occupation_names())
+    cells = [name for name, _ in dyn.cells]
     measures: list[MeasureDecl] = []
-    for name, _ in cells:
-        supp = supports.get(name)
-        if supp is None:
-            supp = SemialgebraicSet(occ_space)
-        if supp.space.names != occ_space.names:
+    for name, space in spaces.items():
+        supp = supports[name] if name in supports else SemialgebraicSet(space)
+        if supp.space.names != space.names:
             raise ValueError(
-                f"support of {name!r} must be over {occ_space.names}, got {supp.space.names}"
+                f"support of {name!r} must be over {space.names}, got {supp.space.names}"
             )
-        if not dyn.autonomous:
-            t_idx = 0
-            tvar = Polynomial.variable(occ_space.n, t_idx)
-            timebox = tvar * (Polynomial.constant(occ_space.n, 1) - tvar)
-            if all(q != timebox for q in supp.inequalities):
-                supp = SemialgebraicSet(
-                    supp.space,
-                    inequalities=list(supp.inequalities) + [timebox],
-                    equalities=list(supp.equalities),
-                    ball_radius=supp.ball_radius,
-                )
+        if name in cells and not dyn.autonomous:
+            box = time_box(space.n)
+            if box not in supp.inequalities:
+                supp = replace(supp, inequalities=list(supp.inequalities) + [box])
         measures.append(MeasureDecl(name, supp))
-
-    state_space = VarSpace(dyn.state_names())
-    for endpoint in (initial, terminal):
-        if isinstance(endpoint, str):
-            supp = supports.get(endpoint)
-            if supp is None:
-                supp = SemialgebraicSet(state_space)
-            if supp.space.names != state_space.names:
-                raise ValueError(f"support of {endpoint!r} must be over the states")
-            measures.append(MeasureDecl(endpoint, supp))
 
     obj_const = 0.0
     if objective is None:
-        T = Fraction(1) if dyn.autonomous else dyn.horizon
         objective = []
         if not dyn.lagrangian.is_zero():
-            if dyn.autonomous:
-                l_occ = _to_occupation(dyn.lagrangian, dyn)
+            objective = [(name, dyn.to_occupation(dyn.lagrangian)) for name in cells]
+        cost = dyn.terminal_cost
+        if cost is not None and not cost.is_zero():
+            if isinstance(dyn.terminal, str):
+                objective.append((dyn.terminal, cost))
             else:
-                l_occ = _to_occupation(_scale_time(dyn.lagrangian, T) * T, dyn)
-            for name, _ in cells:
-                objective.append((name, l_occ))
-        if dyn.terminal_cost is not None and not dyn.terminal_cost.is_zero():
-            if isinstance(terminal, str):
-                objective.append((terminal, dyn.terminal_cost))
-            else:
-                obj_const += float(dyn.terminal_cost.evaluate(list(terminal)))
-
-    cap_rows: list[MomentConstraint] = []
-    if dyn.autonomous and mass_cap is not None:
-        one = Polynomial.constant(occ_space.n, 1)
-        for name, _ in cells:
-            cap_rows.append(MomentConstraint([(name, one)], Fraction(mass_cap), "le"))
+                obj_const += float(cost.evaluate(list(dyn.terminal)))
 
     gmp = GMPProblem(
         measures=measures,
-        constraints=rows + list(extra_constraints or []) + cap_rows,
+        constraints=rows + list(extra_constraints or []),
         objective=objective,
         sense=sense,
         objective_constant=obj_const,
     )
-    return DynamicsProblem(
-        dynamics=dyn,
-        cells=cells,
-        initial=initial,
-        terminal=terminal,
-        gmp=gmp,
-        liouville_rows=rows,
-        info=info,
-    )
+    return DynamicsProblem(dynamics=dyn, gmp=gmp, liouville_rows=rows, info=info)
 
 
 def unscale_time_moments(dp: DynamicsProblem, moments: dict[str, MomentVector]) -> dict[str, MomentVector]:
@@ -456,8 +348,7 @@ def unscale_time_moments(dp: DynamicsProblem, moments: dict[str, MomentVector]) 
         return moments
     T = float(dyn.horizon)
     out = dict(moments)
-    occ_names = {name for name, _ in dp.cells}
-    for name in occ_names:
+    for name, _ in dyn.cells:
         y = moments[name]
         vals = np.asarray(y.values, dtype=float).copy()
         for k, exp in enumerate(y.exponents()):
@@ -510,19 +401,22 @@ def solve_gmp(g: GMPProblem, r: int, options: SolveOptions | None = None) -> GMP
     )
 
 
+# relative width of the slab that pins the cost in the minimal-time solve
+_PIN_SLACK = 1e-8
+
+
 def resolve_minimal_time(
     dp: DynamicsProblem,
     r: int,
     first: GMPResult,
     options: SolveOptions | None = None,
-    slack: float = 1e-8,
 ) -> GMPResult:
     """Among near-optimal solutions, pick the one of least occupation mass.
 
     A free-horizon occupation measure may park spurious mass at equilibria
     without changing the objective or any transport row, so the solver's
     mass is only bounded below.  This second solve pins the cost to the
-    first-phase bound (within `slack`, relative) and minimizes the total
+    first-phase bound (within `_PIN_SLACK`, relative) and minimizes the total
     occupation mass, i.e. the terminal time.  The returned result keeps the
     first phase's bound and status and records the second solve as
     ``minimal_time``; the moments are replaced only when that solve ends
@@ -535,16 +429,15 @@ def resolve_minimal_time(
     g = dp.gmp
     if not dp.dynamics.autonomous:
         return first
-    eps = slack * (1.0 + abs(first.bound))
+    eps = _PIN_SLACK * (1.0 + abs(first.bound))
     pin_rel = "le" if g.sense == "min" else "ge"
     pin_rhs = first.bound + eps if g.sense == "min" else first.bound - eps
     pin = MomentConstraint(list(g.objective), pin_rhs - g.objective_constant, pin_rel)
-    occ_space_n = len(dp.dynamics.occupation_names())
-    one = Polynomial.constant(occ_space_n, 1)
+    one = Polynomial.constant(len(dp.dynamics.occupation_names()), 1)
     g2 = GMPProblem(
         measures=g.measures,
         constraints=list(g.constraints) + [pin],
-        objective=[(name, one) for name, _ in dp.cells],
+        objective=[(name, one) for name, _ in dp.dynamics.cells],
         sense="min",
     )
     base = options or SolveOptions()
@@ -558,7 +451,7 @@ def resolve_minimal_time(
     # moments were already pinned at the optimum and the first (tighter)
     # solve knows them best
     moments = dict(first.moments)
-    for name, _ in dp.cells:
+    for name, _ in dp.dynamics.cells:
         moments[name] = second.moments[name]
     return GMPResult(
         bound=first.bound,

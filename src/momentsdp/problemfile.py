@@ -17,6 +17,10 @@ gmp:    [measures]  name: v1 v2 ...        (omit when [dynamics] is present)
         [constraints]  sums of <poly, measure> terms (or mass(name))
                        compared with ==, <=, >=
         [objective]  min|max  sum of <poly, measure> terms
+        A [dynamics] section reads into one `DynamicsSpec`
+        (`GMPFileData.dynamics`), whose cells and endpoint measures are the
+        file's measures.  `gmp_to_text` writes the file back; its
+        <poly, measure> sums come from `moment_sum_text`.
 
 sdp:    [blocks]  `kind size` per block (psd | nonneg | zero)
         [b]  whitespace-separated values, possibly over several lines
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -48,6 +52,7 @@ from .gmp import (
     MomentConstraint,
     TIME_VAR,
     build_dynamics_gmp,
+    time_box,
 )
 from .polynomials import (
     Polynomial,
@@ -71,14 +76,6 @@ class ProblemFileError(ValueError):
 
 
 @dataclass
-class DynamicsData:
-    spec: DynamicsSpec
-    cells: list[tuple[str, list[Polynomial]]]
-    initial: EndpointSpec
-    terminal: EndpointSpec
-
-
-@dataclass
 class GMPFileData:
     """A GMP file as written: declared measures, explicit rows, dynamics."""
 
@@ -86,7 +83,7 @@ class GMPFileData:
     constraints: list[MomentConstraint] = field(default_factory=list)
     objective: Optional[list[tuple[str, Polynomial]]] = None
     sense: str = "min"
-    dynamics: Optional[DynamicsData] = None
+    dynamics: Optional[DynamicsSpec] = None
 
     def instantiate(self, r: int) -> tuple[GMPProblem, Optional[DynamicsProblem]]:
         """Expand into a solvable problem; dynamics files need the order r."""
@@ -104,11 +101,8 @@ class GMPFileData:
             )
         supports = {m.name: m.support for m in self.measures}
         dp = build_dynamics_gmp(
-            self.dynamics.spec,
+            self.dynamics,
             r,
-            self.dynamics.cells,
-            self.dynamics.initial,
-            self.dynamics.terminal,
             supports,
             extra_constraints=self.constraints,
             objective=self.objective,
@@ -346,7 +340,7 @@ def _parse_gmp(sections: list[_Section]) -> GMPFileData:
     dynamics = [(no, lines) for name, no, lines in sections if name == "dynamics"]
     declared: dict[str, VarSpace] = {}
     supports: dict[str, tuple[int, list[_Line]]] = {}
-    dyn: Optional[DynamicsData] = None
+    dyn: Optional[DynamicsSpec] = None
 
     for name, no, lines in sections:
         if name == "measures":
@@ -376,8 +370,8 @@ def _parse_gmp(sections: list[_Section]) -> GMPFileData:
             raise ProblemFileError(f"unknown section [{name}] in a gmp file", no)
 
     if dynamics:
-        dyn, implied = _parse_dynamics(*dynamics[0])
-        declared.update(implied)
+        dyn = _parse_dynamics(*dynamics[0])
+        declared.update(dyn.measure_spaces())
 
     spaces = dict(declared)
     measures = []
@@ -428,7 +422,7 @@ def _parse_gmp(sections: list[_Section]) -> GMPFileData:
     )
 
 
-def _parse_dynamics(first: int, lines: list[_Line]) -> tuple[DynamicsData, dict[str, VarSpace]]:
+def _parse_dynamics(first: int, lines: list[_Line]) -> DynamicsSpec:
     """The [dynamics] section whose header is on line `first`."""
     horizon: Optional[Fraction] = None
     horizon_seen = False
@@ -500,9 +494,8 @@ def _parse_dynamics(first: int, lines: list[_Line]) -> tuple[DynamicsData, dict[
         if lagrangian_text
         else Polynomial.zero(dspace.n)
     )
-    state_space = VarSpace(states)
     terminal_cost = (
-        _poly(terminal_cost_text[0], state_space, terminal_cost_text[1])
+        _poly(terminal_cost_text[0], VarSpace(states), terminal_cost_text[1])
         if terminal_cost_text
         else None
     )
@@ -516,35 +509,27 @@ def _parse_dynamics(first: int, lines: list[_Line]) -> tuple[DynamicsData, dict[
         parsed_cells.append((cname, fs))
 
     with _at(first):
-        spec = DynamicsSpec(
+        return DynamicsSpec(
             states=states,
-            controls=controls,
-            f=parsed_cells[0][1],
+            cells=parsed_cells,
             lagrangian=lagrangian,
+            initial=initial,
+            terminal=terminal,
+            controls=controls,
             terminal_cost=terminal_cost,
             horizon=horizon,
         )
-    occ_names = spec.occupation_names()
-    implied: dict[str, VarSpace] = {c: VarSpace(occ_names) for c, _ in parsed_cells}
-    for endpoint in (initial, terminal):
-        if isinstance(endpoint, str):
-            implied[endpoint] = state_space
-    data = DynamicsData(
-        spec=spec, cells=parsed_cells, initial=initial, terminal=terminal
-    )
-    return data, implied
+
+
+def moment_sum_text(terms: Sequence[tuple[str, Polynomial]], spaces: dict[str, VarSpace]) -> str:
+    """`<poly, measure>` terms joined by " + ", each poly over its measure's space; "0" if none."""
+    return " + ".join(f"<{poly.to_string(spaces[name])}, {name}>" for name, poly in terms) or "0"
 
 
 def gmp_to_text(data: GMPFileData) -> str:
     out = ["kind: gmp"]
     dyn = data.dynamics
-    implied: set[str] = set()
-    if dyn is not None:
-        implied = {c for c, _ in dyn.cells}
-        for e in (dyn.initial, dyn.terminal):
-            if isinstance(e, str):
-                implied.add(e)
-    else:
+    if dyn is None:
         out += ["", "[measures]"]
         for m in data.measures:
             out.append(f"{m.name}: {' '.join(m.variables)}")
@@ -560,15 +545,12 @@ def gmp_to_text(data: GMPFileData) -> str:
         if supp.ball_radius is not None:
             out.append(f"ball: {supp.ball_radius}")
     if dyn is not None:
-        spec = dyn.spec
         out += ["", "[dynamics]"]
-        out.append(
-            "horizon: free" if spec.autonomous else f"horizon: fixed {spec.horizon}"
-        )
-        out.append(f"state: {' '.join(spec.states)}")
-        if spec.controls:
-            out.append(f"control: {' '.join(spec.controls)}")
-        dspace = spec.dynamics_space()
+        out.append("horizon: free" if dyn.autonomous else f"horizon: fixed {dyn.horizon}")
+        out.append(f"state: {' '.join(dyn.states)}")
+        if dyn.controls:
+            out.append(f"control: {' '.join(dyn.controls)}")
+        dspace = dyn.dynamics_space()
 
         def _endpoint_text(e: EndpointSpec) -> str:
             if isinstance(e, str):
@@ -577,32 +559,23 @@ def gmp_to_text(data: GMPFileData) -> str:
 
         out.append(f"initial: {_endpoint_text(dyn.initial)}")
         out.append(f"terminal: {_endpoint_text(dyn.terminal)}")
-        if not spec.lagrangian.is_zero():
-            out.append(f"lagrangian: {spec.lagrangian.to_string(dspace)}")
-        if spec.terminal_cost is not None and not spec.terminal_cost.is_zero():
-            out.append(
-                f"terminal_cost: {spec.terminal_cost.to_string(VarSpace(spec.states))}"
-            )
+        if not dyn.lagrangian.is_zero():
+            out.append(f"lagrangian: {dyn.lagrangian.to_string(dspace)}")
+        if dyn.terminal_cost is not None and not dyn.terminal_cost.is_zero():
+            out.append(f"terminal_cost: {dyn.terminal_cost.to_string(VarSpace(dyn.states))}")
         for cname, fs in dyn.cells:
             out.append(f"cell: {cname}")
             for i, f in enumerate(fs, start=1):
                 out.append(f"f{i}: {f.to_string(dspace)}")
 
     spaces = {m.name: m.support.space for m in data.measures}
-
-    def _sum_text(terms: Sequence[tuple[str, Polynomial]]) -> str:
-        parts = []
-        for name, poly in terms:
-            parts.append(f"<{poly.to_string(spaces[name])}, {name}>")
-        return " + ".join(parts)
-
     if data.constraints:
         out += ["", "[constraints]"]
         rel_text = {"eq": "==", "ge": ">=", "le": "<="}
         for con in data.constraints:
-            out.append(f"{_sum_text(con.terms)} {rel_text[con.relation]} {con.rhs}")
+            out.append(f"{moment_sum_text(con.terms, spaces)} {rel_text[con.relation]} {con.rhs}")
     if data.objective is not None:
-        out += ["", "[objective]", f"{data.sense} {_sum_text(data.objective)}"]
+        out += ["", "[objective]", f"{data.sense} {moment_sum_text(data.objective, spaces)}"]
     return "\n".join(out) + "\n"
 
 
@@ -610,36 +583,24 @@ def dynamics_to_file_data(dp: DynamicsProblem) -> GMPFileData:
     """Fold an expanded dynamics problem back into its file form.
 
     Inverse of `GMPFileData.instantiate` up to the relaxation order: the
-    generated transport rows, auto-added time boxes and default mass caps are
-    stripped so the result serializes like a hand-written file.
+    generated transport rows and the auto-added time boxes are stripped so
+    the result serializes like a hand-written file.
     """
-    spec = dp.dynamics
-    n_li = len(dp.liouville_rows)
-    user_constraints = list(dp.gmp.constraints[n_li:])
+    dyn = dp.dynamics
+    cells = {name for name, _ in dyn.cells}
     measures: list[MeasureDecl] = []
-    occ_names = {name for name, _ in dp.cells}
     for m in dp.gmp.measures:
         supp = m.support
-        if m.name in occ_names and not spec.autonomous:
-            nv = len(m.variables)
-            tvar = Polynomial.variable(nv, 0)
-            timebox = tvar * (Polynomial.constant(nv, 1) - tvar)
-            ineqs = [q for q in supp.inequalities if q != timebox]
-            supp = SemialgebraicSet(
-                supp.space,
-                inequalities=ineqs,
-                equalities=list(supp.equalities),
-                ball_radius=supp.ball_radius,
-            )
+        if m.name in cells and not dyn.autonomous:
+            box = time_box(len(m.variables))
+            supp = replace(supp, inequalities=[q for q in supp.inequalities if q != box])
         measures.append(MeasureDecl(m.name, supp))
     return GMPFileData(
         measures=measures,
-        constraints=user_constraints,
+        constraints=list(dp.gmp.constraints[len(dp.liouville_rows):]),
         objective=list(dp.gmp.objective),
         sense=dp.gmp.sense,
-        dynamics=DynamicsData(
-            spec=spec, cells=dp.cells, initial=dp.initial, terminal=dp.terminal
-        ),
+        dynamics=dyn,
     )
 
 

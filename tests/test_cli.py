@@ -81,6 +81,23 @@ class TestSolve:
         assert code == 0
         vals = report_values(out)
         assert -1e-6 <= float(vals["bound"]) <= 1e-3
+        assert "minimal_time_status" not in vals  # fixed horizon: no second solve
+
+    def test_failed_minimal_time_solve_is_reported(self, capsys):
+        # at 1e-8 the minimal-time solve of the regulator runs out of
+        # iterations; the report says so after terminal_time, and the exit
+        # code follows the first solve, whose bound is the one reported
+        code, out, _ = run(
+            capsys, "solve", fx("lqr_scalar.gmp"), "--order", "3", "--tol", "1e-8"
+        )
+        assert code == 0
+        vals = report_values(out)
+        assert vals["status"] == "optimal"
+        assert vals["minimal_time_status"] == "max_iter"
+        assert vals["minimal_time_iterations"] == "200"
+        keys = list(vals)
+        at = keys.index("terminal_time")
+        assert keys[at + 1 : at + 3] == ["minimal_time_status", "minimal_time_iterations"]
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "solve", fx("nonexistent.pop"))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from momentsdp.gmp import (
     MomentConstraint,
     build_dynamics_gmp,
     build_gmp_relaxation,
-    liouville_constraints,
     piecewise_liouville,
     resolve_minimal_time,
     solve_gmp,
@@ -39,17 +39,21 @@ X1 = VarSpace.of("x1")
 def decay_dynamics() -> DynamicsSpec:
     return DynamicsSpec(
         states=("x1",),
-        f=[parse_polynomial("-x1", TX)],
+        cells=[("occ", [parse_polynomial("-x1", TX)])],
         lagrangian=parse_polynomial("x1^2", TX),
+        initial="init",
+        terminal="term",
     )
 
 
 def control_dynamics() -> DynamicsSpec:
     return DynamicsSpec(
         states=("x1",),
-        controls=("u1",),
-        f=[parse_polynomial("u1", TXU)],
+        cells=[("occ", [parse_polynomial("u1", TXU)])],
         lagrangian=parse_polynomial("x1^2 + u1^2", TXU),
+        initial=(1,),
+        terminal=(0,),
+        controls=("u1",),
     )
 
 
@@ -60,7 +64,7 @@ def row_count(asm, kind: str) -> int:
 
 class TestLiouvilleRows:
     def test_decay_rows(self):
-        rows, info = liouville_constraints(decay_dynamics(), 2, "occ", "init", "term")
+        rows, info = piecewise_liouville(decay_dynamics(), 2)
         assert info.rows == 5 and info.test_degree == 4 and not info.trimmed
         # alpha = 0: pure mass conservation between the endpoint measures
         mass_row = rows[0]
@@ -78,7 +82,7 @@ class TestLiouvilleRows:
             assert row.rhs == 0
 
     def test_controlled_rows_with_fixed_endpoints(self):
-        rows, info = liouville_constraints(control_dynamics(), 1, "occ", (1,), (0,))
+        rows, info = piecewise_liouville(control_dynamics(), 1)
         # alpha = 0 degenerates to 0 = 0 and is dropped
         assert info.rows == 2
         XU = VarSpace.of("x1", "u1")
@@ -90,12 +94,14 @@ class TestLiouvilleRows:
     def test_bolza_rows_substitute_horizon_endpoints(self):
         dyn = DynamicsSpec(
             states=("x1",),
-            controls=("u1",),
-            f=[parse_polynomial("u1", TXU)],
+            cells=[("occ", [parse_polynomial("u1", TXU)])],
             lagrangian=parse_polynomial("x1^4 + (u1^2 - 1)^2", TXU),
+            initial=(0,),
+            terminal=(0,),
+            controls=("u1",),
             horizon=Fraction(1),
         )
-        rows, info = liouville_constraints(dyn, 2, "occ", (0,), (0,))
+        rows, info = piecewise_liouville(dyn, 2)
         assert info.test_degree == 4
         # v = t: <1, occ> = v(1,0) - v(0,0) = 1, pinning the occupation mass
         trow = next(r for r in rows if r.label == "t")
@@ -107,29 +113,15 @@ class TestLiouvilleRows:
         assert xrow.rhs == 0
 
     def test_nonlinear_dynamics_trim_reported(self):
-        dyn = DynamicsSpec(
-            states=("x1",),
-            f=[parse_polynomial("x1^2", TX)],
-            lagrangian=parse_polynomial("x1^2", TX),
-        )
-        rows, info = liouville_constraints(dyn, 2, "occ", "init", "term")
+        dyn = replace(decay_dynamics(), cells=[("occ", [parse_polynomial("x1^2", TX)])])
+        rows, info = piecewise_liouville(dyn, 2)
         assert info.trimmed
         assert info.test_degree == 3  # deg v + deg f - 1 <= 2r
         assert max(sum(p.degree for _ in [0]) for _, p in rows[-1].terms if _ == "occ") <= 4
 
     def test_free_horizon_requires_autonomous_data(self):
-        with pytest.raises(ValueError):
-            DynamicsSpec(
-                states=("x1",),
-                f=[parse_polynomial("t*x1", TX)],
-                lagrangian=parse_polynomial("x1^2", TX),
-            )
-
-    def test_single_cell_reduces_to_plain(self):
-        dyn = decay_dynamics()
-        a, _ = liouville_constraints(dyn, 2, "occ", "init", "term")
-        b, _ = piecewise_liouville(dyn, 2, [("occ", dyn.f)], "init", "term")
-        assert a == b
+        with pytest.raises(ValueError, match="must not depend on time"):
+            replace(decay_dynamics(), cells=[("occ", [parse_polynomial("t*x1", TX)])])
 
 
 class TestAnalyticOccupationMoments:
@@ -137,7 +129,7 @@ class TestAnalyticOccupationMoments:
         # the optimal trajectory runs from 1 to 1/2; its occupation moments
         # are y_a = (1 - 2^-a)/a, endpoint moments are point evaluations
         r = 4
-        rows, _ = liouville_constraints(decay_dynamics(), r, "occ", "init", "term")
+        rows, _ = piecewise_liouville(decay_dynamics(), r)
         occ = {(0,): Fraction(0)}  # mass never enters a row; any placeholder
         for a in range(1, 2 * r + 1):
             occ[(a,)] = Fraction(1 - Fraction(1, 2**a), a)
@@ -186,8 +178,7 @@ class TestBuildRelaxation:
         dp = build_lqr(1)
         # without the mass cap the structure is one 3x3 moment block plus
         # the two transport rows
-        dyn = control_dynamics()
-        dp0 = build_dynamics_gmp(dyn, 1, [("occ", dyn.f)], (1,), (0,), {})
+        dp0 = build_dynamics_gmp(control_dynamics(), 1, {})
         asm, info = build_gmp_relaxation(dp0.gmp, 1)
         assert info["occ"].block_sizes == [3]
         assert row_count(asm, "zero") == 2 and row_count(asm, "nonneg") == 0
@@ -314,8 +305,10 @@ class TestTimeScaling:
         dspace = VarSpace.of("t", "x1")
         dyn = DynamicsSpec(
             states=("x1",),
-            f=[parse_polynomial("1", dspace)],
+            cells=[("occ", [parse_polynomial("1", dspace)])],
             lagrangian=Polynomial.zero(2),
+            initial=(0,),
+            terminal=(2,),
             horizon=Fraction(2),
         )
         occ = VarSpace.of("t", "x1")
@@ -326,9 +319,6 @@ class TestTimeScaling:
         dp = build_dynamics_gmp(
             dyn,
             2,
-            [("occ", dyn.f)],
-            (0,),
-            (2,),
             supports,
             objective=[("occ", parse_polynomial("x1^2", occ))],
         )
@@ -361,28 +351,44 @@ class TestLiouvilleValidation:
     def test_cell_dynamics_dimension_checked(self):
         dyn = decay_dynamics()
         wrong = [parse_polynomial("u1", TXU)]  # lives over (t, x1, u1), not (t, x1)
-        with pytest.raises(ValueError):
-            piecewise_liouville(dyn, 2, [("occ", wrong)], "init", "term")
+        with pytest.raises(ValueError, match="must live over"):
+            replace(dyn, cells=[("occ", wrong)])
 
     def test_cell_count_checked(self):
         dyn = decay_dynamics()
-        with pytest.raises(ValueError):
-            piecewise_liouville(dyn, 2, [("occ", [])], "init", "term")
-        with pytest.raises(ValueError):
-            piecewise_liouville(dyn, 2, [], "init", "term")
+        with pytest.raises(ValueError, match="one dynamics polynomial per state"):
+            replace(dyn, cells=[("occ", [])])
+        with pytest.raises(ValueError, match="at least one dynamics cell"):
+            replace(dyn, cells=[])
 
     def test_endpoint_dimension_checked(self):
         dyn = decay_dynamics()
-        with pytest.raises(ValueError):
-            liouville_constraints(dyn, 2, "occ", (1.0, 2.0), "term")
+        with pytest.raises(ValueError, match="initial point dimension"):
+            replace(dyn, initial=(1.0, 2.0))
+
+    def test_measure_names_unique(self):
+        # a cell and an endpoint, or both endpoints, under one name
+        with pytest.raises(ValueError, match="measure names must be unique"):
+            replace(decay_dynamics(), terminal="occ")
+        with pytest.raises(ValueError, match="measure names must be unique"):
+            replace(decay_dynamics(), terminal="init")
+
+    def test_support_of_an_unknown_measure_rejected(self):
+        # a typo, and a support for an endpoint that is a point, not a measure
+        with pytest.raises(ValueError, match="undeclared measure 'ocx'"):
+            build_dynamics_gmp(decay_dynamics(), 2, {"ocx": SemialgebraicSet(X1)})
+        with pytest.raises(ValueError, match="undeclared measure 'init'"):
+            build_dynamics_gmp(control_dynamics(), 1, {"init": SemialgebraicSet(X1)})
+        dp = build_dynamics_gmp(decay_dynamics(), 2, {"init": SemialgebraicSet(X1)})
+        assert [m.name for m in dp.gmp.measures] == ["occ", "init", "term"]
 
     def test_degree_heavy_dynamics_need_higher_order(self):
         from momentsdp.relaxation import OrderTooSmallError
 
         p = parse_polynomial("x1^4", TX)
-        dyn = DynamicsSpec(states=("x1",), f=[p], lagrangian=Polynomial.zero(2))
+        dyn = replace(decay_dynamics(), cells=[("occ", [p])], lagrangian=Polynomial.zero(2))
         with pytest.raises(OrderTooSmallError):
-            piecewise_liouville(dyn, 1, [("occ", dyn.f)], "init", "term")
+            piecewise_liouville(dyn, 1)
 
 
 class TestConstraintRelations:

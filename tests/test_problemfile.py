@@ -89,7 +89,7 @@ class TestFixtures:
             d1, d2 = p1.gmp.dynamics, p2.gmp.dynamics
             assert (d1 is None) == (d2 is None)
             if d1 is not None:
-                assert d1.spec == d2.spec
+                assert d1 == d2
                 assert d1.cells == d2.cells
                 assert d1.initial == d2.initial and d1.terminal == d2.terminal
         else:

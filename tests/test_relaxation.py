@@ -314,15 +314,17 @@ class TestRowPrune:
         occ = VarSpace.of("t", "x1")
         dyn = DynamicsSpec(
             states=("x1",),
-            f=[parse_polynomial("1", occ)],
+            cells=[("occ", [parse_polynomial("1", occ)])],
             lagrangian=Polynomial.zero(2),
+            initial=(0,),
+            terminal=(2,),
             horizon=Fraction(2),
         )
         supp = SemialgebraicSet(
             occ, inequalities=[parse_polynomial("x1", occ), parse_polynomial("2 - x1", occ)]
         )
         dp = build_dynamics_gmp(
-            dyn, 2, [("occ", dyn.f)], (0,), (2,), {"occ": supp},
+            dyn, 2, {"occ": supp},
             objective=[("occ", parse_polynomial("x1^2", occ))],
         )
         build_gmp_relaxation(dp.gmp, 2)

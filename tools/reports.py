@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run 25 momentsdp commands and keep what each one wrote, in one directory.
+"""Run 29 momentsdp commands and keep what each one wrote, in one directory.
 
   python3 tools/reports.py --out DIR
 
@@ -10,6 +10,8 @@ PATH), from the repository root:
   - `solve FILE --extract --order R` at bolza 3, decay_energy 4, eigassign4 3,
     lqr_scalar 3, planar_nonconvex 3 and saturation3 3 (6);
   - `liouville FILE` on the four gmp fixtures at their default order (4);
+  - `liouville FILE --order R` at bolza 3, decay_energy 4, lqr_scalar 3 and
+    saturation3 3, the gmp fixtures' explicit orders above (4);
   - `shadow` on planar_nonconvex at order 2 over 64 directions and on
     unit_disk at order 1 over 16 (2).
 
@@ -52,6 +54,11 @@ def commands() -> list[tuple[str, list[str]]]:
         for f, r in EXPLICIT_ORDERS.items()
     ]
     out += [(f"liouville-{f}", ["liouville", f"fixtures/{f}"]) for f in fixtures if f.endswith(".gmp")]
+    out += [
+        (f"liouville-{f}-r{r}", ["liouville", f"fixtures/{f}", "--order", str(r)])
+        for f, r in EXPLICIT_ORDERS.items()
+        if f.endswith(".gmp")
+    ]
     out += [
         (f"shadow-{f}", ["shadow", f"fixtures/{f}", "--order", r, "--directions", k])
         for f, (r, k) in SHADOWS.items()
