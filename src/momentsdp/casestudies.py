@@ -26,23 +26,6 @@ from .polynomials import Polynomial, VarSpace, parse_polynomial
 from .relaxation import POPProblem, SemialgebraicSet
 
 
-def _fraction_matrix_inverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(M)
-    A = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        A[col], A[pivot] = A[pivot], A[col]
-        inv = Fraction(1) / A[col][col]
-        A[col] = [v * inv for v in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
 def _fraction_determinant(M: list[list[Fraction]]) -> Fraction:
     n = len(M)
     A = [row[:] for row in M]
@@ -76,7 +59,9 @@ def build_eig_assign(n: int, ball_radius: Fraction | float = 1) -> POPProblem:
     degrees 1..n; the objective sum_{i,j} (x_i - x_j)^2 singles out the
     solution with the most uniform entries.  (The k-th symmetric function
     of B^{-1} diag x is multilinear: sum over k-subsets S of
-    det(B^{-1}[S,S]) * prod_{i in S} x_i.)
+    det(B^{-1}[S,S]) * prod_{i in S} x_i, and Jacobi's complementary-minor
+    identity gives det(B^{-1}[S,S]) = det(B[S',S']) / det B exactly, S' the
+    complement of S, with the empty determinant 1; so B is never inverted.)
     """
     if not 2 <= n <= 8:
         raise ValueError("supported range is 2 <= n <= 8")
@@ -87,7 +72,7 @@ def build_eig_assign(n: int, ball_radius: Fraction | float = 1) -> POPProblem:
             B[i][i + 1] = Fraction(-1)
             B[i + 1][i] = Fraction(-1)
     B[n - 1][n - 1] = Fraction(n + 1, n)
-    Binv = _fraction_matrix_inverse(B)
+    det_B = _fraction_determinant(B)
 
     a = eig_assign_targets(n)
     # elementary symmetric functions of the targets via prod (s + a_k)
@@ -100,8 +85,8 @@ def build_eig_assign(n: int, ball_radius: Fraction | float = 1) -> POPProblem:
     for k in range(1, n + 1):
         terms: dict[tuple[int, ...], Fraction] = {}
         for subset in combinations(range(n), k):
-            sub = [[Binv[i][j] for j in subset] for i in subset]
-            coeff = _fraction_determinant(sub)
+            rest = [i for i in range(n) if i not in subset]
+            coeff = _fraction_determinant([[B[i][j] for j in rest] for i in rest]) / det_B
             if coeff != 0:
                 exp = [0] * n
                 for i in subset:

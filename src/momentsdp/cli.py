@@ -10,7 +10,11 @@ Three subcommands over the shared problem-file format:
 
 Reports are `key = value` lines followed by moment tables (`alpha y[alpha]`
 rows); numbers carry 12 significant digits.  Exit codes: 0 on a converged
-solve, 2 when the solver did not converge, 1 on input errors.
+solve, 2 when the solver did not converge, 1 on input errors: a usage error,
+or a `ValueError`, `KeyError` or `OSError` raised while reading, building or
+solving, which `main` alone catches.  An input error writes one `error:` line
+to standard error and nothing to standard output, unless only the `--out`
+write failed after the report was printed.
 """
 
 from __future__ import annotations
@@ -18,21 +22,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional, TextIO
+from typing import Optional
 
-import numpy as np
-
-from .extraction import Certificate, ExtractionError, certify
+from .extraction import ExtractionError, certify
 from .gmp import resolve_minimal_time, solve_gmp, unscale_time_moments
 from .moments import MomentVector
-from .problemfile import (
-    GMPFileData,
-    ParsedProblem,
-    ProblemFileError,
-    load_problem,
-    moment_sum_text,
-)
-from .relaxation import OrderTooSmallError, POPProblem, bound_and_moments, minimal_order
+from .problemfile import GMPFileData, load_problem, moment_sum_text
+from .relaxation import POPProblem, bound_and_moments, minimal_order
 from .sdp import SDPSolution, SolveOptions, solve
 from .spectra import defining_polynomials, shadow_support_points, shadow_table, unit_directions
 
@@ -46,14 +42,10 @@ class Report:
         self.lines: list[str] = []
 
     def kv(self, key: str, value) -> None:
-        if isinstance(value, float):
-            self.lines.append(f"{key} = {_fmt(value)}")
-        else:
-            self.lines.append(f"{key} = {value}")
+        self.lines.append(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
 
     def section(self, name: str) -> None:
-        self.lines.append("")
-        self.lines.append(f"[{name}]")
+        self.lines += ["", f"[{name}]"]
 
     def raw(self, line: str) -> None:
         self.lines.append(line)
@@ -62,27 +54,39 @@ class Report:
         for key in ("iterations", "gap", "primal_residual", "dual_residual"):
             self.kv(key, getattr(sol, key))
 
+    def relaxation(self, kind: str, r: int, res) -> None:
+        """The header of a pop or gmp report: `res` has a `.solution` and a `.bound`."""
+        self.kv("kind", kind)
+        self.kv("order", r)
+        self.kv("status", res.solution.status)
+        self.kv("bound", res.bound)
+        self.solver_stats(res.solution)
+
     def moments(self, y: MomentVector, name: Optional[str] = None) -> None:
         self.section("moments" + (f" {name}" if name else ""))
         for exp, v in zip(y.exponents(), y.values):
             self.raw(" ".join(str(e) for e in exp) + f"  {_fmt(float(v))}")
 
-    def certificate(self, cert: Certificate, name: Optional[str] = None) -> None:
+    def certificate(self, name: Optional[str], y: MomentVector, r: int, r_x: int, seed: int,
+                    constraints=None) -> None:
+        """The section of `certify`'s certificate of y, or why its extraction failed."""
         self.section("certificate" + (f" {name}" if name else ""))
-        for line in cert.lines():
-            self.raw(line)
+        try:
+            self.lines += certify(y, r, r_x, seed=seed, constraints=constraints).lines()
+        except ExtractionError as e:
+            self.kv("extraction_failed", str(e))
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 
 
-def _emit(report: Report, out_path: Optional[str], stream: TextIO, runtime: Optional[float]) -> None:
-    stream.write(report.text())
+def _emit(text: str, out_path: Optional[str], runtime: Optional[float]) -> None:
+    sys.stdout.write(text)
     if runtime is not None:
-        stream.write(f"runtime_seconds = {_fmt(runtime)}\n")
+        sys.stdout.write(f"runtime_seconds = {_fmt(runtime)}\n")
     if out_path:
         with open(out_path, "w") as f:
-            f.write(report.text())
+            f.write(text)
 
 
 def _status_exit(status: str) -> int:
@@ -91,15 +95,6 @@ def _status_exit(status: str) -> int:
 
 def _options(args) -> SolveOptions:
     return SolveOptions(gap_tol=args.tol, feas_tol=args.tol, max_iter=args.max_iter)
-
-
-def _load(path: str) -> Optional[ParsedProblem]:
-    """The parsed problem file, or None after reporting why it could not be read."""
-    try:
-        return load_problem(path)
-    except (ProblemFileError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None
 
 
 def _minimal_gmp_order(data: GMPFileData) -> int:
@@ -117,56 +112,27 @@ def _minimal_gmp_order(data: GMPFileData) -> int:
 
 def _solve_pop(pop: POPProblem, args, options: SolveOptions, report: Report) -> int:
     r = args.order if args.order is not None else pop.minimal_order()
-    try:
-        res = bound_and_moments(pop, r, options)
-    except OrderTooSmallError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    sol = res.solution
-    report.kv("kind", "pop")
-    report.kv("order", r)
-    report.kv("status", sol.status)
-    report.kv("bound", res.bound)
-    report.solver_stats(sol)
+    res = bound_and_moments(pop, r, options)
+    report.relaxation("pop", r, res)
     report.kv("compactness_certified", str(res.info.compactness_certified).lower())
     report.moments(res.moments)
     if args.extract:
         constraints = [("ineq", q) for q in pop.feasible_set.effective_inequalities()]
         constraints += [("eq", q) for q in pop.feasible_set.equalities]
-        try:
-            cert = certify(
-                res.moments,
-                r,
-                res.info.r_x,
-                seed=args.seed,
-                constraints=constraints,
-            )
-            report.certificate(cert)
-        except ExtractionError as e:
-            report.section("certificate")
-            report.kv("extraction_failed", str(e))
-    return _status_exit(sol.status)
+        report.certificate(None, res.moments, r, res.info.r_x, args.seed, constraints)
+    return _status_exit(res.solution.status)
 
 
 def _solve_gmp_file(data: GMPFileData, args, options: SolveOptions, report: Report) -> int:
-    try:
-        r = args.order if args.order is not None else _minimal_gmp_order(data)
-        g, dp = data.instantiate(r)
-        res = solve_gmp(g, r, options)
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    r = args.order if args.order is not None else _minimal_gmp_order(data)
+    g, dp = data.instantiate(r)
+    res = solve_gmp(g, r, options)
     if dp is not None and dp.dynamics.autonomous and res.solution.status == "optimal":
         res = resolve_minimal_time(dp, r, res, options)
     moments = res.moments
     if dp is not None and not dp.dynamics.autonomous:
         moments = unscale_time_moments(dp, moments)  # report in original time
-    sol = res.solution
-    report.kv("kind", "gmp")
-    report.kv("order", r)
-    report.kv("status", sol.status)
-    report.kv("bound", res.bound)
-    report.solver_stats(sol)
+    report.relaxation("gmp", r, res)
     if dp is not None and dp.dynamics.autonomous:
         occ_mass = sum(float(moments[name].mass) for name, _ in dp.dynamics.cells)
         report.kv("terminal_time", occ_mass)
@@ -177,13 +143,8 @@ def _solve_gmp_file(data: GMPFileData, args, options: SolveOptions, report: Repo
         report.moments(moments[m.name], m.name)
     if args.extract:
         for m in g.measures:
-            try:
-                cert = certify(moments[m.name], r, 1, seed=args.seed)
-                report.certificate(cert, m.name)
-            except ExtractionError as e:
-                report.section(f"certificate {m.name}")
-                report.kv("extraction_failed", str(e))
-    return _status_exit(sol.status)
+            report.certificate(m.name, moments[m.name], r, 1, args.seed)
+    return _status_exit(res.solution.status)
 
 
 def _solve_sdp(prog, options: SolveOptions, report: Report) -> int:
@@ -208,7 +169,7 @@ def _solve_sdp(prog, options: SolveOptions, report: Report) -> int:
     return _status_exit(sol.status)
 
 
-def _solve_pencil(pencil, args, report: Report) -> int:
+def _solve_pencil(pencil, report: Report) -> int:
     report.kv("kind", "pencil")
     report.kv("side", pencil.side)
     report.kv("variables", pencil.nvars)
@@ -220,14 +181,8 @@ def _solve_pencil(pencil, args, report: Report) -> int:
 
 
 def cmd_solve(args) -> int:
-    parsed = _load(args.file)
-    if parsed is None:
-        return 1
-    try:
-        options = _options(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    parsed = load_problem(args.file)
+    options = _options(args)
     report = Report()
     t0 = time.perf_counter()
     if parsed.kind == "pop":
@@ -237,58 +192,37 @@ def cmd_solve(args) -> int:
     elif parsed.kind == "sdp":
         code = _solve_sdp(parsed.sdp, options, report)
     else:
-        code = _solve_pencil(parsed.pencil, args, report)
-    if code != 1:
-        _emit(report, args.out, sys.stdout, time.perf_counter() - t0)
+        code = _solve_pencil(parsed.pencil, report)
+    _emit(report.text(), args.out, time.perf_counter() - t0)
     return code
 
 
 def cmd_shadow(args) -> int:
-    parsed = _load(args.file)
-    if parsed is None:
-        return 1
+    parsed = load_problem(args.file)
     if parsed.kind != "pop":
-        print("error: shadow needs a pop file", file=sys.stderr)
-        return 1
+        raise ValueError("shadow needs a pop file")
     pop = parsed.pop
     try:
         i, j = (int(t) - 1 for t in args.proj.split(","))
     except ValueError:
-        print("error: --proj takes two comma-separated variable indices", file=sys.stderr)
-        return 1
-    try:
-        points = shadow_support_points(
-            pop.feasible_set,
-            args.order if args.order is not None else pop.minimal_order(),
-            unit_directions(args.directions),
-            projection=(i, j),
-            options=_options(args),
-        )
-    except (OrderTooSmallError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    table = shadow_table(points)
-    sys.stdout.write(table)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(table)
+        raise ValueError("--proj takes two comma-separated variable indices") from None
+    points = shadow_support_points(
+        pop.feasible_set,
+        args.order if args.order is not None else pop.minimal_order(),
+        unit_directions(args.directions),
+        projection=(i, j),
+        options=_options(args),
+    )
+    _emit(shadow_table(points), args.out, None)
     return 0 if all(p.status == "optimal" for p in points) else 2
 
 
 def cmd_liouville(args) -> int:
-    parsed = _load(args.file)
-    if parsed is None:
-        return 1
+    parsed = load_problem(args.file)
     if parsed.kind != "gmp" or parsed.gmp.dynamics is None:
-        print("error: liouville needs a gmp file with a [dynamics] section", file=sys.stderr)
-        return 1
-    data = parsed.gmp
-    try:
-        r = args.order if args.order is not None else _minimal_gmp_order(data)
-        g, dp = data.instantiate(r)
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        raise ValueError("liouville needs a gmp file with a [dynamics] section")
+    r = args.order if args.order is not None else _minimal_gmp_order(parsed.gmp)
+    g, dp = parsed.gmp.instantiate(r)
     spaces = {m.name: m.support.space for m in g.measures}
     report = Report()
     report.kv("kind", "gmp")
@@ -300,16 +234,30 @@ def cmd_liouville(args) -> int:
     for con in dp.liouville_rows:
         label = f"v = {con.label}: " if con.label else ""
         report.raw(f"{label}{moment_sum_text(con.terms, spaces)} == {con.rhs}")
-    _emit(report, args.out, sys.stdout, None)
+    _emit(report.text(), args.out, None)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, the input-error code, instead of 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="momentsdp",
         description="moment relaxations, conic solves, certificates and shadows",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
+
+    def nonnegative_int(text: str) -> int:  # --seed: `np.random.default_rng` takes no negative seed
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        return value
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", help="problem file (kind: pop | gmp | sdp | pencil)")
@@ -323,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve a problem file")
     common(ps)
     ps.add_argument("--extract", action="store_true", help="rank certificate and atoms")
-    ps.add_argument("--seed", type=int, default=0, help="seed for atom extraction")
+    ps.add_argument("--seed", type=nonnegative_int, default=0, help="seed for atom extraction")
     ps.set_defaults(func=cmd_solve)
 
     psh = sub.add_parser("shadow", help="support points of the projected relaxation")
@@ -340,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as e:  # the input errors of every subcommand
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ sdp:    [blocks]  `kind size` per block (psd | nonneg | zero)
                     indices are 1-based and only the upper triangle of a psd
                     block is stored.  Values may be rationals like 3/4: they
                     are parsed exactly, then stored as binary floats.
+        A program needs a psd or nonneg block and at least one constraint
+        (a value in [b]); without either it is an error at [blocks].
 
 pencil: variables:, side:, then [F0] and [F k] with `i j value` entries.
 """
@@ -469,7 +471,7 @@ def _parse_dynamics(first: int, lines: list[_Line]) -> DynamicsSpec:
             initial = _endpoint(value, line.no)
         elif key == "terminal":
             terminal = _endpoint(value, line.no)
-        elif key == "cell" or key == "occupation":
+        elif key == "cell":
             cells.append((value, {}))
         elif re.fullmatch(r"f\d+", key):
             if not cells:
@@ -634,9 +636,11 @@ def _parse_sdp(sections: list[_Section]) -> ConicProgram:
     blocks: list[Block] = []
     b: list[float] = []
     data: list[tuple[Optional[int], int, list[_Line]]] = []  # (k of [A k], or None for [C])
+    blocks_no = 1  # the line of the [blocks] header
     for name, no, lines in sections:
         head = name.split()
         if head == ["blocks"]:
+            blocks_no = no
             for line in lines:
                 parts = line.text.split()
                 if len(parts) != 2:
@@ -674,7 +678,8 @@ def _parse_sdp(sections: list[_Section]) -> ConicProgram:
         )
         for cell in cells
     ]
-    return ConicProgram(blocks=blocks, A=A, b=np.asarray(b), C=C)
+    with _at(blocks_no):  # a program without cone blocks or constraints
+        return ConicProgram(blocks=blocks, A=A, b=np.asarray(b), C=C)
 
 
 def sdp_to_text(prog: ConicProgram) -> str:

@@ -151,7 +151,9 @@ class ConicProgram:
     (constraint, cell) with explicit zeros dropped.  A dense array is also
     accepted and converted at once: shape (m, s, s) for psd blocks and (m, s)
     for vector blocks, the k-th constraint along axis 0.  ``C[bi]`` is dense,
-    (s, s) or (s,) accordingly.  PSD data must be symmetric.
+    (s, s) or (s,) accordingly.  PSD data must be symmetric.  Construction
+    checks every shape, index and value, and refuses the programs `solve`
+    cannot run: those without a psd or nonneg block or without constraints.
     """
 
     blocks: list[Block]
@@ -173,6 +175,10 @@ class ConicProgram:
                 raise ValueError(f"block {bi}: nonfinite data")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite")
+        if all(blk.kind == "zero" for blk in self.blocks):
+            raise ValueError("program has no cone blocks")
+        if m == 0:
+            raise ValueError("program has no constraints")
 
     @property
     def m(self) -> int:
@@ -484,8 +490,6 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     m = prog.m
     psd, nonneg, free = ([bi for bi, blk in enumerate(prog.blocks) if blk.kind == kind]
                          for kind in ("psd", "nonneg", "zero"))
-    if not psd and not nonneg:
-        raise ValueError("program has no cone blocks")
     A = dict(zip(psd, _dense_data(prog, psd)))
     # a psd block's residual and Schur terms run over the rows that touch it only
     span = _row_spans(prog, psd)

@@ -20,6 +20,20 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def usage_error(capsys, *argv) -> str:
+    """Standard error of a command that argparse refuses, after checking its exit code 1."""
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert ei.value.code == 1
+    assert captured.out == ""
+    return captured.err
+
+
 def report_values(out: str) -> dict:
     vals = {}
     for line in out.splitlines():
@@ -156,6 +170,54 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err == "error: a gmp file without dynamics needs an [objective]\n"
+
+
+class TestInputErrors:
+    """Each input below once ended in a traceback or in argparse's exit code 2."""
+
+    @pytest.mark.parametrize("name, text", [
+        ("free.sdp", "kind: sdp\n[blocks]\nzero 2\n[b]\n1\n[A 1]\n1 1 1 1\n"),
+        ("unconstrained.sdp", "kind: sdp\n[blocks]\npsd 2\n[C]\n1 1 1 1\n"),
+        ("side9.pencil", "kind: pencil\nvariables: x\nside: 9\n[F0]\n1 1 1\n[F 1]\n1 1 1\n"),
+    ], ids=["free.sdp", "unconstrained.sdp", "side9.pencil"])
+    def test_one_error_line_and_no_report(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert one_error_line(err), err
+
+    def test_unwritable_out_after_the_report(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "solve", fx("sqrt2.sdp"), "--out", str(target))
+        assert code == 1
+        assert report_values(out)["status"] == "optimal"  # the report reached stdout
+        assert one_error_line(err) and "report.txt" in err, err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "fixtures.pop", "--order", "x"],
+        ["solve"],
+        ["shadow", "fixtures.pop", "--no-such-flag"],
+        ["liouville"],
+        [],
+    ], ids=["bad-int", "missing-file", "unknown-flag", "liouville-missing-file", "no-command"])
+    def test_usage_errors_exit_one(self, capsys, argv):
+        err = usage_error(capsys, *argv)
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: momentsdp")
+        assert [l for l in lines if "error:" in l] == lines[-1:]
+
+    def test_negative_seed_refused_before_solving(self, tmp_path, capsys):
+        # two atoms, +1 and -1, so extraction draws a random combination
+        path = tmp_path / "two_atoms.pop"
+        path.write_text(
+            "kind: pop\nvariables: x\n\n[objective]\nmin -x^2\n\n[constraints]\n1 - x^2 >= 0\n"
+        )
+        code, out, _ = run(capsys, "solve", str(path), "--order", "2", "--extract")
+        assert code == 0 and "atom 2:" in out
+        err = usage_error(capsys, "solve", str(path), "--order", "2", "--extract", "--seed", "-1")
+        assert "argument --seed: expected a nonnegative integer, got '-1'" in err
 
 
 class TestShadow:

@@ -46,6 +46,9 @@ MALFORMED = [
     ("sdp-infinite-entry", _SDP.format("1", "inf"), 7),
     ("sdp-overflowing-b", _SDP.format("1e400", "1"), 5),
     ("sdp-empty-header", "kind: sdp\n[]\n", 2),
+    ("sdp-only-zero-blocks", "kind: sdp\n# free\n[blocks]\nzero 2\n[b]\n1\n[A 1]\n1 1 1 1\n", 3),
+    ("sdp-no-constraints", "kind: sdp\n[blocks]\npsd 2\n[C]\n1 1 1 1\n", 2),
+    ("gmp-occupation-key", _DYNAMICS.format("free", "1").replace("cell: a", "occupation: a"), 7),
     ("pop-two-objectives", "kind: pop\nvariables: x\n[objective]\nmin x\n[objective]\nmin -x\n", 5),
     ("pop-two-objective-lines", "kind: pop\nvariables: x\n[objective]\nmin x\nmin -x^2\n", 5),
     ("gmp-two-objective-lines", "kind: gmp\n[measures]\nmu: x\n[objective]\nmin <x, mu>\nmax <x, mu>\n", 6),
@@ -181,6 +184,10 @@ class TestParseErrors:
         with pytest.raises(ProblemFileError) as ei:
             parse_problem_text(text)
         assert "f2" in str(ei.value)
+
+    def test_cell_is_the_only_cell_key(self):
+        with pytest.raises(ProblemFileError, match="unknown dynamics key 'occupation'"):
+            parse_problem_text(_DYNAMICS.format("free", "1").replace("cell: a", "occupation: a"))
 
     def test_support_for_unknown_measure(self):
         text = (

@@ -406,6 +406,14 @@ class TestProgramValidation:
         with pytest.raises(ValueError):
             Block("psd", 0)
 
+    def test_cone_block_and_constraint_required(self):
+        with pytest.raises(ValueError, match="program has no cone blocks"):
+            ConicProgram(blocks=[Block("zero", 2)], A=[np.ones((1, 2))], b=np.ones(1),
+                         C=[np.zeros(2)])
+        with pytest.raises(ValueError, match="program has no constraints"):
+            ConicProgram(blocks=[Block("psd", 2)], A=[np.zeros((0, 2, 2))], b=np.zeros(0),
+                         C=[np.eye(2)])
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             ConicProgram(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run 29 momentsdp commands and keep what each one wrote, in one directory.
+"""Run 39 momentsdp commands and keep what each one wrote, in one directory.
 
   python3 tools/reports.py --out DIR
 
@@ -13,16 +13,21 @@ PATH), from the repository root:
   - `liouville FILE --order R` at bolza 3, decay_energy 4, lqr_scalar 3 and
     saturation3 3, the gmp fixtures' explicit orders above (4);
   - `shadow` on planar_nonconvex at order 2 over 64 directions and on
-    unit_disk at order 1 over 16 (2).
+    unit_disk at order 1 over 16 (2);
+  - ten commands that must end in an input error, one per kind of refusal
+    (an order below the minimum, order 0 of a gmp file, a nan tolerance, a
+    missing file, `shadow` of an sdp file, a repeated or a non-numeric
+    `--proj`, zero directions, `liouville` of a pop file and at order 0).
 
 For a command NAME, DIR gets `NAME.report` (its `--out` report),
 `NAME.stdout` (standard output without the `runtime_seconds` line) and
 `NAME.stderr`, and `exit_codes` gets one `NAME CODE` line.  Two such
 directories made from two checkouts compare with `diff -r`.
 
-Exit code 1 when some command exited 1 (an input error) or printed a
-traceback, 2 when no `momentsdp` script is on PATH, 0 otherwise: exit code 2
-of a command (the solver did not converge) is a result, not a failure.
+Exit code 1 when some command printed a traceback or exited with a code it
+should not: the ten input errors must exit 1, every other command 0 or 2 (2,
+the solver did not converge, is a result, not a failure).  Exit code 2 when
+no `momentsdp` script is on PATH, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -43,10 +48,22 @@ EXPLICIT_ORDERS = {
     "saturation3.gmp": 3,
 }
 SHADOWS = {"planar_nonconvex.pop": ("2", "64"), "unit_disk.pop": ("1", "16")}
+INPUT_ERRORS = [
+    ("error-solve-eigassign3.pop-r1", ["solve", "fixtures/eigassign3.pop", "--order", "1"]),
+    ("error-solve-bolza.gmp-r0", ["solve", "fixtures/bolza.gmp", "--order", "0"]),
+    ("error-solve-tol-nan", ["solve", "fixtures/unit_disk.pop", "--tol", "nan"]),
+    ("error-solve-missing-file", ["solve", "fixtures/no_such_file.pop"]),
+    ("error-shadow-sqrt2.sdp", ["shadow", "fixtures/sqrt2.sdp"]),
+    ("error-shadow-proj-repeated", ["shadow", "fixtures/unit_disk.pop", "--proj", "1,1"]),
+    ("error-shadow-proj-word", ["shadow", "fixtures/unit_disk.pop", "--proj", "x"]),
+    ("error-shadow-no-directions", ["shadow", "fixtures/unit_disk.pop", "--directions", "0"]),
+    ("error-liouville-unit_disk.pop", ["liouville", "fixtures/unit_disk.pop"]),
+    ("error-liouville-bolza.gmp-r0", ["liouville", "fixtures/bolza.gmp", "--order", "0"]),
+]
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    """(name, arguments after `momentsdp`) of every command, `--out` left off."""
+    """(name, arguments after `momentsdp`) of every command but INPUT_ERRORS, `--out` left off."""
     fixtures = sorted(p.name for p in (ROOT / "fixtures").iterdir())
     out = [(f"solve-{f}", ["solve", f"fixtures/{f}", "--extract"]) for f in fixtures]
     out += [
@@ -78,7 +95,9 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     failed = []
     codes = []
-    for name, argv in commands():
+    runs = [(name, argv, (0, 2)) for name, argv in commands()]
+    runs += [(name, argv, (1,)) for name, argv in INPUT_ERRORS]
+    for name, argv, allowed in runs:
         report = out / f"{name}.report"
         run = subprocess.run(
             [script, *argv, "--out", str(report)], cwd=ROOT, capture_output=True, text=True
@@ -91,7 +110,7 @@ def main() -> int:
         (out / f"{name}.stderr").write_text(run.stderr)
         codes.append(f"{name} {run.returncode}\n")
         print(f"{name}: exit {run.returncode}")
-        if run.returncode == 1 or "Traceback (most recent call last)" in run.stderr:
+        if run.returncode not in allowed or "Traceback (most recent call last)" in run.stderr:
             failed.append(name)
     (out / "exit_codes").write_text("".join(codes))
     if failed:
