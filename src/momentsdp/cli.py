@@ -10,16 +10,17 @@ Three subcommands over the shared problem-file format:
 
 Reports are `key = value` lines followed by moment tables (`alpha y[alpha]`
 rows); numbers carry 12 significant digits.  Exit codes: 0 on a converged
-solve, 2 when the solver did not converge, 1 on input errors: a usage error,
-or a `ValueError`, `KeyError` or `OSError` raised while reading, building or
-solving, which `main` alone catches.  An input error writes one `error:` line
-to standard error and nothing to standard output, unless only the `--out`
-write failed after the report was printed.
+solve, 2 when the solver did not converge, 141 on a closed standard output, 1
+on input errors: a usage error, or a `ValueError`, `KeyError` or `OSError`
+raised while reading, building or solving, which `main` alone catches.  An
+input error writes one `error:` line to standard error and nothing to standard
+output, unless only the `--out` write failed after the report was printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional
@@ -84,6 +85,7 @@ def _emit(text: str, out_path: Optional[str], runtime: Optional[float]) -> None:
     sys.stdout.write(text)
     if runtime is not None:
         sys.stdout.write(f"runtime_seconds = {_fmt(runtime)}\n")
+    sys.stdout.flush()  # a closed standard output fails here, inside `main`, not at exit
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -143,7 +145,7 @@ def _solve_gmp_file(data: GMPFileData, args, options: SolveOptions, report: Repo
         report.moments(moments[m.name], m.name)
     if args.extract:
         for m in g.measures:
-            report.certificate(m.name, moments[m.name], r, 1, args.seed)
+            report.certificate(m.name, moments[m.name], r, res.info[m.name].r_x, args.seed)
     return _status_exit(res.solution.status)
 
 
@@ -290,6 +292,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # standard output was closed: end quietly, with SIGPIPE's exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 141
     except (ValueError, KeyError, OSError) as e:  # the input errors of every subcommand
         print(f"error: {e}", file=sys.stderr)
         return 1

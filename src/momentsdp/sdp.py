@@ -18,22 +18,22 @@ normalization and equality rows.
 
 The algorithm is infeasible-start path following on X Z = mu I with the
 HKM-style direction (linearize using Z^{-1} and symmetrize the X step) and a
-Mehrotra predictor-corrector.  Free entries enter the Newton system directly:
-eliminating the cone part leaves a saddle system in (dy, dx_free) which is
-solved by two Cholesky factorizations (LAPACK's, called directly).  Step
-lengths use a fraction-to-boundary rule.  The cone boundary of a psd block is
-located by bisection on numpy's Cholesky kernel, which stops early once the
-block cannot bind the step; each side searches first the block that bound
-its last search, which changes how much is searched, not the step.  Up to
-side `_BATCH_SIDE` an eigenvalue estimate of the boundary predicts the
-bisection's path, whose trial matrices are factored in one stacked call; the
-bisection reads those decisions only while it stays on the path, so the
-estimate, too, changes how much is factored, not the step.
+Mehrotra predictor-corrector.  `solve` holds the loop, the stop tests and the
+best-iterate fallback; each phase of an iteration is a step of its own on one
+record, `_Point`, the iterate and the search direction alike, and adds its
+wall seconds to ``stats``: `_Layout.residuals`; `_Layout.schur`, the Schur
+complement and its Cholesky factors (LAPACK's, called directly), bordered by
+the free entries, which leave a saddle system in (dy, dx_free);
+`_Layout.direction`, the predictor or the corrector; and `_steps`, the
+largest steps in the cone, of which `solve` takes a fixed fraction.  The cone
+boundary of a psd block is found by bisection on numpy's Cholesky kernel
+(`_max_step_psd`); the order in which the blocks are searched and the stacked
+trials change how much is factored, not the step.
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
-fill well under 1% of the dense (m, s, s) arrays.  `solve` splits the
-blocks by kind once, on entry.  It expands each psd block into a dense
+fill well under 1% of the dense (m, s, s) arrays.  `_Layout` splits the
+blocks by kind once per solve.  It expands each psd block into a dense
 working copy, and writes the nonneg blocks straight into one stacked (m, n_l)
 matrix and the zero blocks into one stacked (m, p) matrix, each with one
 vector of unknowns; X and Z are sliced back into declared block order once,
@@ -56,7 +56,9 @@ from __future__ import annotations
 import logging
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Literal, Optional
 
 import numpy as np
@@ -220,7 +222,7 @@ class SDPSolution:
     blocks: list[Block] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
     fallback_used: bool = False  # the best earlier iterate was returned, not the last
-    stats: dict = field(default_factory=dict)  # psd row spans, work counts, phase seconds; see `solve`
+    stats: dict = field(default_factory=dict)  # psd row spans, work counts, phase seconds; see `_Layout`
 
 
 def psd_project_check(M: np.ndarray, tol: float = 1e-9) -> tuple[float, bool]:
@@ -367,21 +369,46 @@ def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
     return float(min(1.0, np.min(-x[neg] / d[neg])))
 
 
-def _steps(X: dict, dX: dict, Z: dict, dZ: dict, lin: tuple, orders: list[list[int]],
-           stats: dict) -> tuple[float, float]:
+@dataclass
+class _Point:
+    """An iterate, or a search direction: psd blocks X and Z by block index, the stacked nonneg
+    part xl and its dual slack zl, the free entries xf and the multipliers y."""
+
+    X: dict[int, np.ndarray]
+    Z: dict[int, np.ndarray]
+    xl: np.ndarray
+    zl: np.ndarray
+    xf: np.ndarray
+    y: np.ndarray
+
+    def moved(self, d: "_Point", ap: float, ad: float) -> "_Point":
+        """The point a primal step ap and a dual step ad along d reach, each psd block symmetrized."""
+        sym = lambda V: 0.5 * (V + V.T)  # noqa: E731
+        return _Point({bi: sym(V + ap * d.X[bi]) for bi, V in self.X.items()},
+                      {bi: sym(V + ad * d.Z[bi]) for bi, V in self.Z.items()},
+                      self.xl + ap * d.xl, self.zl + ad * d.zl, self.xf + ap * d.xf, self.y + ad * d.y)
+
+
+# an iterate's residuals (primal; dual by psd block, nonneg and free), <X, Z>, objectives and relative norms
+_Residuals = namedtuple("_Residuals", "rp Rd rl rf gap pobj dobj pres dres")
+
+
+def _steps(pt: _Point, d: _Point, orders: list[list[int]], stats: dict) -> tuple[float, float]:
     """Primal and dual steps: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in the cone.
 
-    The cheap ratios of the stacked nonneg part ``lin`` = ((x, dx), (z, dz))
+    The cheap ratios of the stacked nonneg part, xl + t dxl and zl + t dzl,
     come first, then the psd blocks of X and Z in ``orders[0]`` (primal) or
     ``orders[1]`` (dual), each search stopping at the running cap.  A search
     returns its uncapped result or some value >= its cap, so the result is the
     same in every order; the block that bound a side moves to the front of
     that side's order, as it most likely binds the next search.
     """
+    start = perf_counter()
     out = []
     with np.errstate(invalid="ignore"):
-        for V, D, (v, d), order in ((X, dX, lin[0], orders[0]), (Z, dZ, lin[1], orders[1])):
-            a = _max_step_nonneg(v, d)
+        for V, D, v, dv, order in ((pt.X, d.X, pt.xl, d.xl, orders[0]),
+                                   (pt.Z, d.Z, pt.zl, d.zl, orders[1])):
+            a = _max_step_nonneg(v, dv)
             bound = None
             for bi in order:
                 t = _max_step_psd(V[bi], D[bi], a, stats)
@@ -391,6 +418,7 @@ def _steps(X: dict, dX: dict, Z: dict, dZ: dict, lin: tuple, orders: list[list[i
                 order.remove(bound)
                 order.insert(0, bound)
             out.append(a)
+    stats["seconds"]["step"] += perf_counter() - start
     return out[0], out[1]
 
 
@@ -405,10 +433,11 @@ def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]
 
 
 class _Factorization:
-    """Cholesky of the Schur complement, with the free-variable bordering; counted in ``stats``."""
+    """Cholesky of the Schur complement M, with the free-variable bordering F; counted in ``stats``."""
 
     def __init__(self, M: np.ndarray, F: np.ndarray, stats: dict):
         self.stats = stats
+        self.M = M
         self.cho_M = self._factor(M)
         self.F = F  # (m, p), bordered when p > 0
         if F.shape[1]:
@@ -434,10 +463,10 @@ class _Factorization:
         dxf = cho_solve(self.cho_S, self.F.T @ u - rf)
         return u - self.W @ dxf, dxf
 
-    def solve(self, h: np.ndarray, rf: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf], with one refinement pass."""
         dy, dxf = self._solve_once(h, rf)
-        e1, e2 = self._solve_once(h - M @ dy - self.F @ dxf, rf - self.F.T @ dy)
+        e1, e2 = self._solve_once(h - self.M @ dy - self.F @ dxf, rf - self.F.T @ dy)
         return dy + e1, dxf + e2
 
 
@@ -480,6 +509,115 @@ def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray, P:
     M += A.reshape(m, s * s) @ P.T
 
 
+class _Layout:
+    """A program split by cone kind once per solve (see "Storage" above), with its working
+    buffers and ``stats``; the methods are the phases of one iteration."""
+
+    def __init__(self, prog: ConicProgram):
+        self.prog, m = prog, prog.m
+        psd, self.nonneg, self.free = ([bi for bi, blk in enumerate(prog.blocks) if blk.kind == kind]
+                                       for kind in ("psd", "nonneg", "zero"))
+        self.psd = psd
+        self.A = dict(zip(psd, _dense_data(prog, psd)))
+        self.span = _row_spans(prog, psd)
+        self.Aspan = {bi: self.A[bi][slice(*self.span[bi])] for bi in psd}
+        self.P = {bi: np.zeros((m, prog.blocks[bi].size ** 2)) for bi in psd}
+        self.eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
+        # Al (m, n_l), cl (n_l,) of the nonneg blocks and F (m, p), c_f (p,) of the zero blocks
+        self.Al, self.F = _stacked_data(prog, self.nonneg), _stacked_data(prog, self.free)
+        self.cl, self.c_f = (np.concatenate([np.zeros(0), *(prog.C[bi] for bi in bis)])
+                             for bis in (self.nonneg, self.free))
+        self.nu = sum(prog.blocks[bi].size for bi in psd) + len(self.cl)
+        self.scale = max(1.0, float(np.max(np.abs(prog.b), initial=0.0)),
+                         *(float(np.max(np.abs(C), initial=0.0)) for C in prog.C))
+        self.bnorm = 1.0 + float(np.linalg.norm(prog.b))
+        self.cnorm = 1.0 + float(np.sqrt(sum(np.sum(C ** 2) for C in prog.C)))
+        # the psd row spans; the step search's bisection decisions, the trial matrices it factored
+        # and its `_chol_ok` calls; the Cholesky factorizations of the Schur system and those that
+        # needed the diagonal shift; the wall seconds of each phase, which each step adds itself
+        seconds = {"schur": 0.0, "factor": 0.0, "direction": 0.0, "step": 0.0}
+        self.stats = {"row_spans": self.span, "step_chol_calls": 0, "step_trials": 0,
+                      "step_batches": 0, "factorizations": 0, "regularized": 0, "seconds": seconds}
+
+    def start(self) -> _Point:
+        """X = Z = scale * I, xl = zl = scale, xf = 0 and y = 0."""
+        s, n_l = self.scale, len(self.cl)
+        return _Point({bi: s * I for bi, I in self.eye.items()}, {bi: s * I for bi, I in self.eye.items()},
+                      s * np.ones(n_l), s * np.ones(n_l), np.zeros(len(self.c_f)), np.zeros(self.prog.m))
+
+    def residuals(self, pt: _Point) -> _Residuals:
+        X, Z, xl, zl, xf, y = pt.X, pt.Z, pt.xl, pt.zl, pt.xf, pt.y
+        C, span, Aspan = self.prog.C, self.span, self.Aspan
+        rp = self.prog.b.copy()
+        for bi in self.psd:
+            rp[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], X[bi])
+        rp -= self.Al @ xl
+        rp -= self.F @ xf
+        Rd = {bi: C[bi] - np.einsum("kij,k->ij", Aspan[bi], y[slice(*span[bi])]) - Z[bi] for bi in self.psd}
+        rl = self.cl - self.Al.T @ y - zl
+        rf = self.c_f - self.F.T @ y
+        dnorm2 = sum(float(np.sum(R**2)) for R in (*Rd.values(), rl, rf))
+        gap = sum(float(np.sum(X[bi] * Z[bi])) for bi in self.psd) + float(np.sum(xl * zl))
+        pobj = float(sum(np.sum(C[bi] * X[bi]) for bi in self.psd) + np.sum(self.cl * xl))
+        pobj += float(self.c_f @ xf)
+        dobj = float(self.prog.b @ y)
+        return _Residuals(rp, Rd, rl, rf, gap, pobj, dobj, float(np.linalg.norm(rp)) / self.bnorm,
+                          float(np.sqrt(dnorm2)) / self.cnorm)
+
+    def schur(self, pt: _Point, res: _Residuals) -> tuple[dict, dict, _Factorization]:
+        """Z^{-1} and Z^{-1} Rd X by psd block, and the factored Schur complement
+        M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms."""
+        start = perf_counter()
+        M = np.zeros((self.prog.m, self.prog.m))
+        Zinv, ZRX = {}, {}  # Z^{-1} Rd X is a term of both directions
+        for bi in self.psd:
+            Zinv[bi] = cho_solve(cho_factor(pt.Z[bi]), self.eye[bi])
+            ZRX[bi] = Zinv[bi] @ (res.Rd[bi] @ pt.X[bi])
+            _schur_psd(M, self.A[bi], pt.X[bi], Zinv[bi], self.P[bi], self.span[bi])
+        M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
+        M = 0.5 * (M + M.T)
+        formed = perf_counter()
+        fact = _Factorization(M, self.F, self.stats)
+        self.stats["seconds"]["schur"] += formed - start
+        self.stats["seconds"]["factor"] += perf_counter() - formed
+        return Zinv, ZRX, fact
+
+    def direction(self, pt: _Point, res: _Residuals, newton: tuple, pred: Optional[_Point] = None,
+                  steps: Optional[tuple[float, float]] = None) -> _Point:
+        """The predictor direction from `schur`'s ``newton``; given the predictor ``pred`` and its
+        ``steps``, the corrector: toward Mehrotra's sigma mu, with the second-order term dZ dX."""
+        start = perf_counter()
+        Zinv, ZRX, fact = newton
+        X, xl, zl = pt.X, pt.xl, pt.zl
+        sigma_mu = 0.0
+        if pred is not None:  # sigma is the cube of the ratio of <X, Z> after the predictor step
+            (ap, ad), gap = steps, res.gap
+            gap_aff = sum(float(np.sum((X[bi] + ap * pred.X[bi]) * (pt.Z[bi] + ad * pred.Z[bi])))
+                          for bi in self.psd) + float(np.sum((xl + ap * pred.xl) * (zl + ad * pred.zl)))
+            sigma_mu = (min(1.0, max(1e-8, (gap_aff / gap) ** 3)) if gap > 0 else 0.1) * (gap / self.nu)
+        h = res.rp.copy()
+        G: dict[int, np.ndarray] = {}
+        for bi in self.psd:
+            G[bi] = sigma_mu * Zinv[bi] - X[bi] - ZRX[bi]
+            if pred is not None:
+                G[bi] = G[bi] - Zinv[bi] @ (pred.Z[bi] @ pred.X[bi])
+            h[slice(*self.span[bi])] -= np.einsum("kij,ij->k", self.Aspan[bi], G[bi])
+        gl = sigma_mu / zl - xl - res.rl * xl / zl
+        if pred is not None:
+            gl = gl - pred.zl * pred.xl / zl
+        h -= self.Al @ gl
+        dy, dxf = fact.solve(h, res.rf)
+        dX, dZ = {}, {}
+        for bi in self.psd:
+            Aty = np.einsum("kij,k->ij", self.Aspan[bi], dy[slice(*self.span[bi])])
+            dZ[bi] = res.Rd[bi] - Aty
+            dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
+            dX[bi] = 0.5 * (dxb + dxb.T)
+        Aty = self.Al.T @ dy
+        self.stats["seconds"]["direction"] += perf_counter() - start
+        return _Point(dX, dZ, gl + Aty * xl / zl, res.rl - Aty, dxf, dy)
+
+
 def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolution:
     """Run the interior-point iteration on a conic program.
 
@@ -487,263 +625,117 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     return in declared block order, with Z = 0 on the zero blocks.
     """
     opt = options or SolveOptions()
-    m = prog.m
-    psd, nonneg, free = ([bi for bi, blk in enumerate(prog.blocks) if blk.kind == kind]
-                         for kind in ("psd", "nonneg", "zero"))
-    A = dict(zip(psd, _dense_data(prog, psd)))
-    # a psd block's residual and Schur terms run over the rows that touch it only
-    span = _row_spans(prog, psd)
-    Aspan = {bi: A[bi][slice(*span[bi])] for bi in psd}
-    # Schur product buffers, one (m, s^2) per psd block, zero outside its span (see `_schur_psd`)
-    P = {bi: np.zeros((m, prog.blocks[bi].size ** 2)) for bi in psd}
-    eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
-    orders = [list(psd), list(psd)]  # primal and dual psd search orders (see `_steps`)
-
-    # stacked data and costs: Al (m, n_l), cl (n_l,) of the nonneg blocks and
-    # F (m, p), c_f (p,) of the zero blocks, with no columns where there is no block
-    Al, F = _stacked_data(prog, nonneg), _stacked_data(prog, free)
-    cl, c_f = (np.concatenate([np.zeros(0), *(prog.C[bi] for bi in bis)]) for bis in (nonneg, free))
-    nu = sum(prog.blocks[bi].size for bi in psd) + len(cl)
-
-    scale = max(
-        1.0,
-        float(np.max(np.abs(prog.b), initial=0.0)),
-        max(float(np.max(np.abs(prog.C[bi]), initial=0.0)) for bi in range(len(prog.blocks))),
-    )
-    X = {bi: scale * np.eye(prog.blocks[bi].size) for bi in psd}
-    Z = {bi: scale * np.eye(prog.blocks[bi].size) for bi in psd}
-    xl, zl = scale * np.ones(len(cl)), scale * np.ones(len(cl))
-    xf = np.zeros(len(c_f))
-    y = np.zeros(m)
-    # the psd row spans; the step search's bisection decisions, the trial
-    # matrices it factored and its `_chol_ok` calls; the Cholesky
-    # factorizations of the Schur system and those that needed the diagonal
-    # shift; the wall seconds of each phase of the iteration
-    seconds = {"schur": 0.0, "factor": 0.0, "direction": 0.0, "step": 0.0}
-    stats = {"row_spans": span, "step_chol_calls": 0, "step_trials": 0, "step_batches": 0,
-             "factorizations": 0, "regularized": 0, "seconds": seconds}
-    from time import perf_counter as clock  # for stats["seconds"]
-
-    bnorm = 1.0 + float(np.linalg.norm(prog.b))
-    cnorm = 1.0 + float(
-        np.sqrt(sum(np.sum(prog.C[bi] ** 2) for bi in range(len(prog.blocks))))
-    )
-
-    status: Status = "max_iter"
+    lay = _Layout(prog)
+    orders = [list(lay.psd), list(lay.psd)]  # primal and dual psd search orders (see `_steps`)
+    pt = lay.start()
+    status: Status = "max_iter"  # also where the loop breaks without naming a status
     trace: list[dict] = []
-    it = 0
-    mu = float("nan")
-    pres = dres = float("inf")
-    pobj = dobj = float("nan")
-    gap = float("nan")
     last_steps = (0.0, 0.0)
     best_merit = float("inf")
-    best_point = None
+    best = None
     regressions = 0
 
-    def _stats():
-        rp = prog.b.copy()
-        for bi in psd:
-            rp[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], X[bi])
-        rp -= Al @ xl
-        rp -= F @ xf
-        Rd = {bi: prog.C[bi] - np.einsum("kij,k->ij", Aspan[bi], y[slice(*span[bi])]) - Z[bi]
-              for bi in psd}
-        rl = cl - Al.T @ y - zl
-        rf = c_f - F.T @ y
-        dnorm2 = sum(float(np.sum(R**2)) for R in (*Rd.values(), rl, rf))
-        g = sum(float(np.sum(X[bi] * Z[bi])) for bi in psd) + float(np.sum(xl * zl))
-        po = float(sum(np.sum(prog.C[bi] * X[bi]) for bi in psd) + np.sum(cl * xl))
-        po += float(c_f @ xf)
-        do = float(prog.b @ y)
-        return (rp, Rd, rl, rf, g, po, do, float(np.linalg.norm(rp)) / bnorm,
-                float(np.sqrt(dnorm2)) / cnorm)
-
     for it in range(opt.max_iter + 1):
-        r_p, Rd, r_l, r_f, gap, pobj, dobj, pres, dres = _stats()
-        mu = gap / nu
+        res = lay.residuals(pt)
+        mu = res.gap / lay.nu
+        merit = max(res.pres, res.dres, abs(res.pobj - res.dobj) / (1.0 + abs(res.dobj)))
 
         trace.append(
             {
                 "iter": it,
                 "mu": mu,
-                "gap": gap,
-                "pobj": pobj,
-                "dobj": dobj,
-                "pres": pres,
-                "dres": dres,
+                "gap": res.gap,
+                "pobj": res.pobj,
+                "dobj": res.dobj,
+                "pres": res.pres,
+                "dres": res.dres,
                 "step_p": last_steps[0],
                 "step_d": last_steps[1],
             }
         )
         _log.debug(
             "it %3d  mu %9.2e  gap %10.3e  pres %8.2e  dres %8.2e",
-            it, mu, pobj - dobj, pres, dres,
+            it, mu, res.pobj - res.dobj, res.pres, res.dres,
         )
 
-        if not (np.isfinite(mu) and np.isfinite(pobj) and np.isfinite(dobj)):
+        if not (np.isfinite(mu) and np.isfinite(res.pobj) and np.isfinite(res.dobj)):
             status = "numerical_failure"
             break
-        merit = max(pres, dres, abs(pobj - dobj) / (1.0 + abs(dobj)))
         if merit < best_merit:
             best_merit = merit
-            best_point = (
-                {bi: X[bi].copy() for bi in psd},
-                {bi: Z[bi].copy() for bi in psd},
-                xl.copy(),
-                zl.copy(),
-                xf.copy(),
-                y.copy(),
-            )
+            best = pt  # no step changes a point in place
             regressions = 0
-        elif merit > 5.0 * best_merit and mu < 1e-8 * (1.0 + abs(dobj)):
+        elif merit > 5.0 * best_merit and mu < 1e-8 * (1.0 + abs(res.dobj)):
             # endgame degradation; keep the best point seen instead of
             # grinding the Newton system into the floating-point floor
             regressions += 1
             if regressions >= 3:
-                status = "max_iter"
                 break
         if (
-            abs(pobj - dobj) <= opt.gap_tol * (1.0 + abs(dobj))
-            and pres <= opt.feas_tol
-            and dres <= opt.feas_tol
+            abs(res.pobj - res.dobj) <= opt.gap_tol * (1.0 + abs(res.dobj))
+            and res.pres <= opt.feas_tol
+            and res.dres <= opt.feas_tol
         ):
             status = "optimal"
             break
         # divergence heuristics: residual stalls while an objective blows up
-        if dobj > 1e10 * scale and dres <= 1e-6:
+        if res.dobj > 1e10 * lay.scale and res.dres <= 1e-6:
             status = "infeasible"
             break
-        if pobj < -1e10 * scale and pres <= 1e-6:
+        if res.pobj < -1e10 * lay.scale and res.pres <= 1e-6:
             status = "unbounded"
             break
-        if it == opt.max_iter:
-            status = "max_iter"
-            break
-        # at the floating-point floor of the barrier there is nothing left to
-        # gain; stop with the current iterate rather than breaking the Newton
-        # system (max_iter flags that the requested tolerances were not met)
-        if mu < 1e-16 * (1.0 + abs(dobj)):
-            status = "max_iter"
+        # out of iterations, or at the floating-point floor of the barrier,
+        # where there is nothing left to gain: stop with the current iterate
+        # rather than breaking the Newton system (max_iter flags that the
+        # requested tolerances were not met)
+        if it == opt.max_iter or mu < 1e-16 * (1.0 + abs(res.dobj)):
             break
 
-        # Schur complement M_kl = sum_blocks tr(A_k Z^{-1} A_l X); the last
-        # iteration's system and factors are freed first, not held beside it
-        M = fact = None
-        t0 = clock()
-        M = np.zeros((m, m))
-        Zinv: dict[int, np.ndarray] = {}
-        ZRX: dict[int, np.ndarray] = {}  # Z^{-1} Rd X, a term of both directions
+        newton = None  # the last system and its factors are freed before the next is formed
         try:
-            for bi in psd:
-                Zinv[bi] = cho_solve(cho_factor(Z[bi]), eye[bi])
-                ZRX[bi] = Zinv[bi] @ (Rd[bi] @ X[bi])
-                _schur_psd(M, A[bi], X[bi], Zinv[bi], P[bi], span[bi])
-            M += (Al * (xl / zl)) @ Al.T
-            M = 0.5 * (M + M.T)
-            t1 = clock()
-            fact = _Factorization(M, F, stats)
+            newton = lay.schur(pt, res)
+            pred = lay.direction(pt, res, newton)
+            d = lay.direction(pt, res, newton, pred, _steps(pt, pred, orders, lay.stats))
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        t2 = clock()
-        seconds["schur"] += t1 - t0
-        seconds["factor"] += t2 - t1
-
-        def _direction(sigma_mu: float, E: Optional[dict] = None, El: Optional[np.ndarray] = None):
-            # E and El are the corrector's second-order terms (psd, nonneg)
-            h = r_p.copy()
-            G: dict[int, np.ndarray] = {}
-            for bi in psd:
-                G[bi] = sigma_mu * Zinv[bi] - X[bi] - ZRX[bi]
-                if E is not None:
-                    G[bi] = G[bi] - Zinv[bi] @ E[bi]
-                h[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], G[bi])
-            gl = sigma_mu / zl - xl - r_l * xl / zl
-            if El is not None:
-                gl = gl - El / zl
-            h -= Al @ gl
-            dy, dxf = fact.solve(h, r_f, M)
-            dX: dict[int, np.ndarray] = {}
-            dZ: dict[int, np.ndarray] = {}
-            for bi in psd:
-                Aty = np.einsum("kij,k->ij", Aspan[bi], dy[slice(*span[bi])])
-                dZ[bi] = Rd[bi] - Aty
-                dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
-                dX[bi] = 0.5 * (dxb + dxb.T)
-            Aty = Al.T @ dy
-            return dX, dZ, gl + Aty * xl / zl, r_l - Aty, dy, dxf
-
-        try:
-            # predictor (affine scaling)
-            t0 = clock()
-            dXa, dZa, dxla, dzla, dya, dxfa = _direction(0.0)
-            t1 = clock()
-            apa, ada = _steps(X, dXa, Z, dZa, ((xl, dxla), (zl, dzla)), orders, stats)
-            t2 = clock()
-            gap_aff = sum(float(np.sum((X[bi] + apa * dXa[bi]) * (Z[bi] + ada * dZa[bi])))
-                          for bi in psd) + float(np.sum((xl + apa * dxla) * (zl + ada * dzla)))
-            sigma = min(1.0, max(1e-8, (gap_aff / gap) ** 3)) if gap > 0 else 0.1
-
-            # corrector with second-order term dZ_aff dX_aff
-            E = {bi: dZa[bi] @ dXa[bi] for bi in psd}
-            t3 = clock()
-            dX, dZ, dxl, dzl, dy, dxf = _direction(sigma * mu, E, dzla * dxla)
-        except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            break
-
-        t4 = clock()
-        ap, ad = _steps(X, dX, Z, dZ, ((xl, dxl), (zl, dzl)), orders, stats)
-        seconds["direction"] += (t1 - t0) + (t4 - t3)
-        seconds["step"] += (t2 - t1) + (clock() - t4)
+        ap, ad = _steps(pt, d, orders, lay.stats)
         ap = min(1.0, _STEP_FRACTION * ap)
         ad = min(1.0, _STEP_FRACTION * ad)
         if max(ap, ad) < 1e-10:
-            status = "max_iter"  # step collapse: no further progress possible
-            break
+            break  # step collapse: no further progress possible
         last_steps = (ap, ad)
-        for bi in psd:
-            X[bi] = X[bi] + ap * dX[bi]
-            Z[bi] = Z[bi] + ad * dZ[bi]
-            X[bi] = 0.5 * (X[bi] + X[bi].T)
-            Z[bi] = 0.5 * (Z[bi] + Z[bi].T)
-        xl = xl + ap * dxl
-        zl = zl + ad * dzl
-        xf = xf + ap * dxf
-        y = y + ad * dy
+        pt = pt.moved(d, ap, ad)
 
-    fallback_used = False
-    if status in ("max_iter", "numerical_failure") and best_point is not None:
-        cur_merit = max(pres, dres, abs(pobj - dobj) / (1.0 + abs(dobj)))
-        if not np.isfinite(cur_merit) or best_merit < cur_merit:
-            fallback_used = True
-            X, Z, xl, zl, xf, y = best_point
-            _, _, _, _, gap, pobj, dobj, pres, dres = _stats()
-            mu = gap / nu
+    # return the best earlier iterate when the last one is worse or not finite
+    fallback_used = (status in ("max_iter", "numerical_failure") and best is not None
+                     and (not np.isfinite(merit) or best_merit < merit))
+    if fallback_used:
+        pt, res = best, lay.residuals(best)
 
     # slice the stacked parts back into their blocks, in declared order
-    out = {bi: (X[bi], Z[bi]) for bi in psd}
-    for bis, x, z in ((nonneg, xl, zl), (free, xf, np.zeros(len(xf)))):
+    out = {bi: (pt.X[bi], pt.Z[bi]) for bi in lay.psd}
+    for bis, x, z in ((lay.nonneg, pt.xl, pt.zl), (lay.free, pt.xf, np.zeros(len(pt.xf)))):
         cuts = np.cumsum([prog.blocks[bi].size for bi in bis[:-1]], dtype=int)
         out.update(zip(bis, zip(np.split(x, cuts), np.split(z, cuts))))
 
     return SDPSolution(
         status=status,
         X=[out[bi][0].copy() for bi in range(len(prog.blocks))],
-        y=y.copy(),
+        y=pt.y.copy(),
         Z=[out[bi][1].copy() for bi in range(len(prog.blocks))],
-        primal_obj=pobj,
-        dual_obj=dobj,
-        gap=gap,
-        primal_residual=pres,
-        dual_residual=dres,
+        primal_obj=res.pobj,
+        dual_obj=res.dobj,
+        gap=res.gap,
+        primal_residual=res.pres,
+        dual_residual=res.dres,
         iterations=it,
-        mu_final=mu,
+        mu_final=res.gap / lay.nu,
         blocks=list(prog.blocks),
         trace=trace,
         fallback_used=fallback_used,
-        stats=stats,
+        stats=lay.stats,
     )
 
 

@@ -173,7 +173,9 @@ def shadow_support_points(
     """
     n = pop_set.space.n
     i, j = projection
-    if not (0 <= i < n and 0 <= j < n and i != j):
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"projection index out of range: the problem has {n} variables")
+    if i == j:
         raise ValueError("projection must name two distinct variables")
     asm, _ = build_relaxation(POPProblem(Polynomial.zero(n), pop_set), r)
     out: list[ShadowPoint] = []

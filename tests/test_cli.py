@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +173,26 @@ class TestSolve:
         assert out == ""
         assert err == "error: a gmp file without dynamics needs an [objective]\n"
 
+    def test_gmp_certificate_uses_the_measures_r_x(self, tmp_path, capsys):
+        # one measure on 1 - x^4 >= 0 (r_x = 2) as a gmp file and as a pop file:
+        # at order 2 the ranks 1 2 2 are not flat for r_x = 2, though they are for r_x = 1
+        files = {
+            "quartic.gmp": "kind: gmp\n\n[measures]\nmu: x\n\n[support mu]\n1 - x^4 >= 0\n\n"
+                           "[constraints]\nmass(mu) == 1\n\n[objective]\nmin <-x^2, mu>\n",
+            "quartic.pop": "kind: pop\nvariables: x\n\n[objective]\nmin -x^2\n\n"
+                           "[constraints]\n1 - x^4 >= 0\n",
+        }
+        certificates = []
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, _ = run(capsys, "solve", str(path), "--order", "2", "--extract")
+            assert code == 0
+            certificates.append(report_values(out.split("[certificate")[1]))
+        for vals in certificates:
+            assert (vals["ranks"], vals["flat"]) == ("1 2 2", "false")
+            assert "atom 1" not in vals
+
 
 class TestInputErrors:
     """Each input below once ended in a traceback or in argparse's exit code 2."""
@@ -219,6 +241,20 @@ class TestInputErrors:
         err = usage_error(capsys, "solve", str(path), "--order", "2", "--extract", "--seed", "-1")
         assert "argument --seed: expected a nonnegative integer, got '-1'" in err
 
+    def test_closed_stdout_ends_quietly(self):
+        # standard output on a pipe whose read end is already closed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "momentsdp.cli", "solve", fx("sqrt2.sdp")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
 
 class TestShadow:
     def test_unit_disk_four_directions(self, capsys):
@@ -258,6 +294,15 @@ class TestShadow:
     def test_wrong_kind(self, capsys):
         code, out, err = run(capsys, "shadow", fx("sqrt2.sdp"))
         assert code == 1
+
+    @pytest.mark.parametrize("proj, message", [
+        ("1,3", "error: projection index out of range: the problem has 2 variables\n"),
+        ("0,1", "error: projection index out of range: the problem has 2 variables\n"),
+        ("1,1", "error: projection must name two distinct variables\n"),
+    ], ids=["1,3", "0,1", "1,1"])
+    def test_projection_error_names_its_fault(self, capsys, proj, message):
+        code, out, err = run(capsys, "shadow", fx("planar_nonconvex.pop"), "--proj", proj)
+        assert (code, out, err) == (1, "", message)
 
     @pytest.mark.parametrize("option", BAD_SOLVER_OPTIONS)
     def test_bad_solver_options_are_input_errors(self, capsys, option):

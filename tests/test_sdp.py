@@ -119,13 +119,12 @@ def reference_schur_psd(M, A, X, Zinv, P, span=None) -> None:
     M += A2 @ T2.T
 
 
-def reference_steps(X, dX, Z, dZ, lin, orders, stats) -> tuple[float, float]:
+def reference_steps(pt, d, orders, stats) -> tuple[float, float]:
     """The step search in declared block order, one `_max_step_psd` call per block and side."""
-    (x, dx), (z, dz) = lin
-    ap, ad = sdp._max_step_nonneg(x, dx), sdp._max_step_nonneg(z, dz)
+    ap, ad = sdp._max_step_nonneg(pt.xl, d.xl), sdp._max_step_nonneg(pt.zl, d.zl)
     for bi in sorted(orders[0]):
-        ap = min(ap, sdp._max_step_psd(X[bi], dX[bi], ap))
-        ad = min(ad, sdp._max_step_psd(Z[bi], dZ[bi], ad))
+        ap = min(ap, sdp._max_step_psd(pt.X[bi], d.X[bi], ap))
+        ad = min(ad, sdp._max_step_psd(pt.Z[bi], d.Z[bi], ad))
     return ap, ad
 
 
@@ -852,17 +851,18 @@ class TestStepLength:
             x, z = rng.uniform(0.5, 2.0, size=3), rng.uniform(0.5, 2.0, size=3)
             scale = 10.0 ** rng.uniform(-1.0, 3.0)
             dx, dz = scale * rng.uniform(-1.0, 0.2, size=(2, 3))
-            lin = ((x, dx), (z, dz))
+            pt = sdp._Point(X, Z, x, z, np.zeros(0), np.zeros(0))
+            d = sdp._Point(dX, dZ, dx, dz, np.zeros(0), np.zeros(0))
             expected = []
-            for V, D, (v, d) in ((X, dX, lin[0]), (Z, dZ, lin[1])):
-                cap = sdp._max_step_nonneg(v, d)
+            for V, D, v, dv in ((X, dX, x, dx), (Z, dZ, z, dz)):
+                cap = sdp._max_step_nonneg(v, dv)
                 full = {bi: reference_max_step_psd(V[bi], D[bi]) for bi in psd}
                 expected.append((min(cap, *full.values()), cap, full))
             first = set()
             for perm in itertools.permutations(psd):
                 orders = [list(perm), list(reversed(perm))]
-                stats = dict.fromkeys(STEP_COUNTS, 0)
-                steps = sdp._steps(X, dX, Z, dZ, lin, orders, stats)
+                stats = {**dict.fromkeys(STEP_COUNTS, 0), "seconds": {"step": 0.0}}
+                steps = sdp._steps(pt, d, orders, stats)
                 assert steps == (expected[0][0], expected[1][0]), (trial, perm)
                 assert stats["step_chol_calls"] > 0
                 for order, (step, cap, full) in zip(orders, expected):
@@ -1079,6 +1079,34 @@ class TestSchurFormation:
             tracemalloc.stop()
         assert sol.iterations == 2
         assert peak <= 3 * dense_bytes, peak / dense_bytes
+
+
+class TestIterationSteps:
+    def test_two_iterations_by_hand_equal_solve(self):
+        # residuals, Schur, predictor, step search, corrector, step search and
+        # move, driven by hand for two iterations, give the bytes `solve` returns
+        prog = load_problem(os.path.join(FIXTURES, "sqrt2.sdp")).sdp
+        sol = solve(prog, SolveOptions(max_iter=2))
+        assert (sol.status, sol.iterations, sol.fallback_used) == ("max_iter", 2, False)
+        lay = sdp._Layout(prog)
+        assert lay.psd == [0] and not lay.nonneg and not lay.free
+        orders = [list(lay.psd), list(lay.psd)]
+        pt = lay.start()
+        for _ in range(2):
+            res = lay.residuals(pt)
+            newton = lay.schur(pt, res)
+            pred = lay.direction(pt, res, newton)
+            d = lay.direction(pt, res, newton, pred, sdp._steps(pt, pred, orders, lay.stats))
+            ap, ad = sdp._steps(pt, d, orders, lay.stats)
+            pt = pt.moved(d, min(1.0, sdp._STEP_FRACTION * ap), min(1.0, sdp._STEP_FRACTION * ad))
+        assert pt.y.tobytes() == sol.y.tobytes()
+        assert pt.X[0].tobytes() == sol.X[0].tobytes()
+        assert pt.Z[0].tobytes() == sol.Z[0].tobytes()
+        res = lay.residuals(pt)
+        assert (res.pobj, res.dobj, res.gap, res.pres, res.dres) == (
+            sol.primal_obj, sol.dual_obj, sol.gap, sol.primal_residual, sol.dual_residual)
+        counts = (*STEP_COUNTS, "factorizations", "regularized")
+        assert [lay.stats[k] for k in counts] == [sol.stats[k] for k in counts]
 
 
 class TestSolveStats:

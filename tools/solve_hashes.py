@@ -6,12 +6,13 @@
 `momentsdp` is imported from DIR (a checkout's `src/`), and every module
 that bound `momentsdp.sdp.solve` gets a wrapper that records each solve.
 BLAS/OpenMP run on one thread, as in perfbench, unless the environment
-already sets a count.  The solves are:
+already sets a count.  The 89 solves are:
 
-  - the `solve` commands of `tools/reports.py`, run in process through
-    `momentsdp.cli.main` from the repository root;
+  - the 21 of the `solve` commands of `tools/reports.py`, run in process
+    through `momentsdp.cli.main` from the repository root;
   - the planar shadow at order 2 over 64 directions;
-  - eig-assign n = 4 and 5 at order 3 (gap 1e-4, feas 1e-5);
+  - eig-assign n = 4, 5 and 6 at order 3 (gap 1e-4, feas 1e-5), the
+    eig-ladder of perfbench (m = 210, 462 and 924);
   - the saturation cells of `build_saturation_cells(2)` at order 2
     (gap and feas 1e-6).
 
@@ -84,7 +85,7 @@ def cases():
     spectra.shadow_support_points(feasible, 2, spectra.unit_directions(64))
     yield "shadow-planar-r2-64"
     eig = sdp.SolveOptions(gap_tol=1e-4, feas_tol=1e-5)
-    for n in (4, 5):
+    for n in (4, 5, 6):
         relaxation.bound_and_moments(casestudies.build_eig_assign(n), 3, eig)
         yield f"eig-assign-{n}-r3"
     prog = gmp.build_gmp_relaxation(casestudies.build_saturation_cells(2).gmp, 2)[0].program
