@@ -16,7 +16,6 @@ from .extraction import (
     ExtractionError,
     certify,
     extract_atoms,
-    flat_check,
     numerical_rank,
 )
 from .gmp import (
@@ -39,7 +38,6 @@ from .moments import (
     evaluate_stencil,
     localizing_matrix_stencil,
     moment_matrix_stencil,
-    riesz_apply,
 )
 from .polynomials import (
     Polynomial,
@@ -63,8 +61,6 @@ from .sdp import (
     ConicProgram,
     SDPSolution,
     SolveOptions,
-    duality_report,
-    psd_project_check,
     solve,
 )
 from .spectra import Pencil, defining_polynomials, membership, shadow_support_points
@@ -101,10 +97,8 @@ __all__ = [
     "build_relaxation",
     "certify",
     "defining_polynomials",
-    "duality_report",
     "evaluate_stencil",
     "extract_atoms",
-    "flat_check",
     "grlex_exponent",
     "grlex_index",
     "half_degree",
@@ -117,9 +111,7 @@ __all__ = [
     "parse_polynomial",
     "parse_problem_text",
     "piecewise_liouville",
-    "psd_project_check",
     "resolve_minimal_time",
-    "riesz_apply",
     "shadow_support_points",
     "solve",
     "solve_gmp",

@@ -82,13 +82,15 @@ class Report:
 
 
 def _emit(text: str, out_path: Optional[str], runtime: Optional[float]) -> None:
-    sys.stdout.write(text)
-    if runtime is not None:
-        sys.stdout.write(f"runtime_seconds = {_fmt(runtime)}\n")
-    sys.stdout.flush()  # a closed standard output fails here, inside `main`, not at exit
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
+    try:
+        sys.stdout.write(text)
+        if runtime is not None:
+            sys.stdout.write(f"runtime_seconds = {_fmt(runtime)}\n")
+        sys.stdout.flush()  # a closed standard output fails here, inside `main`, not at exit
+    finally:  # the report file is written even when standard output is closed
+        if out_path:
+            with open(out_path, "w") as f:
+                f.write(text)
 
 
 def _status_exit(status: str) -> int:

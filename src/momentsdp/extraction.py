@@ -42,17 +42,6 @@ def moment_matrix(y: MomentVector, order: int) -> np.ndarray:
     return evaluate_stencil(moment_matrix_stencil(y.nvars, order), y)
 
 
-def flat_check(y: MomentVector, r: int, r_x: int, tol: float = 1e-6) -> bool:
-    """True when rank M_{r-r_x}(y) equals rank M_r(y)."""
-    if y.degree < 2 * r:
-        raise ValueError(f"moment vector of degree {y.degree} cannot form M_{r}")
-    if not 0 <= r_x <= r:
-        raise ValueError("need 0 <= r_x <= r")
-    inner = numerical_rank(moment_matrix(y, r - r_x), tol)
-    outer = numerical_rank(moment_matrix(y, r), tol)
-    return inner == outer
-
-
 def _pivoted_cholesky(M: np.ndarray, rank: int) -> tuple[np.ndarray, list[int]]:
     """Rank-limited outer-product Cholesky with diagonal pivoting.
 

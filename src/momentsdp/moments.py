@@ -1,4 +1,4 @@
-"""Truncated moment vectors, the Riesz functional, and matrix stencils.
+"""Truncated moment vectors and matrix stencils.
 
 A moment vector holds the values y_alpha for all exponents alpha up to a
 degree bound, laid out in grlex order.  A stencil describes, symbolically,
@@ -71,57 +71,25 @@ class MomentVector:
     def exponents(self) -> list[Exponent]:
         return exponents_up_to(self.nvars, self.degree)
 
-    def truncated(self, degree: int) -> "MomentVector":
-        if degree > self.degree:
-            raise ValueError("cannot extend a moment vector by truncation")
-        return MomentVector(self.nvars, degree, self.values[: monomial_count(self.nvars, degree)])
-
     @staticmethod
     def from_atoms(
         points: Sequence[Sequence[Union[int, float, Fraction]]],
         weights: Sequence[Union[int, float, Fraction]],
         degree: int,
-        exact: bool = False,
     ) -> "MomentVector":
-        """Moments of the atomic measure sum_i weights[i] * delta_{points[i]}.
-
-        With ``exact=True`` and rational data the result holds Fractions.
-        """
+        """Moments of the atomic measure sum_i weights[i] * delta_{points[i]}."""
         if len(points) != len(weights):
             raise ValueError("need one weight per point")
         if len(points) == 0:
             raise ValueError("need at least one atom")
         nvars = len(points[0])
         exps = exponents_up_to(nvars, degree)
-        if exact:
-            vals = np.empty(len(exps), dtype=object)
-            for k, e in enumerate(exps):
-                total = Fraction(0)
-                for p, w in zip(points, weights):
-                    m = Fraction(w)
-                    for x, a in zip(p, e):
-                        m *= Fraction(x) ** a
-                    total += m
-                vals[k] = total
-            return MomentVector(nvars, degree, vals)
         pts = np.asarray(points, dtype=float)
         ws = np.asarray(weights, dtype=float)
         vals = np.empty(len(exps))
         for k, e in enumerate(exps):
             vals[k] = float(np.sum(ws * np.prod(pts ** np.asarray(e, dtype=float), axis=1)))
         return MomentVector(nvars, degree, vals)
-
-
-def riesz_apply(p: Polynomial, y: MomentVector):
-    """Apply the linear functional of `y` to `p`: sum_alpha p_alpha y_alpha."""
-    if p.nvars != y.nvars:
-        raise ValueError(f"variable count mismatch: polynomial has {p.nvars}, moments have {y.nvars}")
-    total = 0
-    for exp, c in p.terms.items():
-        if sum(exp) > y.degree:
-            raise MissingMomentError(exp, y.degree)
-        total = total + c * y.values[grlex_index(exp)]
-    return total
 
 
 @dataclass(eq=False)
@@ -204,8 +172,3 @@ def evaluate_stencil(stencil: MatrixStencil, y: MomentVector) -> np.ndarray:
     out[stencil.j, stencil.i] = v
     return out
 
-
-def lebesgue_moments_01(degree: int) -> MomentVector:
-    """Moments of the uniform measure on [0, 1]: y_a = 1/(a+1).  Test helper."""
-    vals = np.array([1.0 / (a + 1) for a in range(degree + 1)])
-    return MomentVector(1, degree, vals)

@@ -291,10 +291,7 @@ class Polynomial:
             out[tuple(e)] = c * k
         return Polynomial(self.nvars, out)
 
-    # -- evaluation and substitution ----------------------------------------
-
-    def __call__(self, point: Sequence[Union[int, Fraction, float]]):
-        return self.evaluate(point)
+    # -- evaluation and re-indexing -----------------------------------------
 
     def evaluate(self, point: Sequence[Union[int, Fraction, float]]):
         """Evaluate at a point; exact if coefficients and point are rational."""
@@ -308,22 +305,6 @@ class Polynomial:
                     v = v * x**e
             total = total + v
         return total
-
-    def substitute(self, index: int, value: Union[int, Fraction, float]) -> "Polynomial":
-        """Fix variable `index` to `value`; the result no longer uses it."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
-        value = _as_coeff(value)
-        out: dict[Exponent, Coeff] = {}
-        for exp, c in self.terms.items():
-            k = exp[index]
-            e = list(exp)
-            e[index] = 0
-            e = tuple(e)
-            v = c * value**k if k else c
-            acc = out.get(e)
-            out[e] = v if acc is None else acc + v
-        return Polynomial(self.nvars, out)
 
     def map_variables(self, new_nvars: int, mapping: Sequence[int]) -> "Polynomial":
         """Re-index variables: old variable i becomes new variable mapping[i]."""

@@ -211,30 +211,6 @@ class LinearRow:
         """The row as a one-row family for `SparseRows.of`."""
         return list(self.coeffs.values()), np.array([list(self.coeffs)]), self.rhs
 
-    def normalized_key(self) -> Optional[tuple]:
-        """The row and its rhs divided by the leading coefficient; None for a zero row."""
-        items = sorted((k, c) for k, c in self.coeffs.items() if c != 0)
-        if not items:
-            return None
-        lead = items[0][1]
-        return tuple((k, c / lead) for k, c in items), self.rhs / lead, self.relation
-
-
-def dedupe_rows(rows: list[LinearRow]) -> list[LinearRow]:
-    """Drop exact duplicates (rows proportional with proportional rhs), keeping the first."""
-    seen: set[tuple] = set()
-    out: list[LinearRow] = []
-    for row in rows:
-        key = row.normalized_key()
-        if key is None:
-            if row.rhs != 0:
-                out.append(row)  # infeasible 0 = c row: keep, solver will report
-            continue
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
 
 @dataclass
 class SparseRows:
@@ -404,10 +380,6 @@ class AssembledProgram:
     objective: Optional[np.ndarray] = None
     objective_constant: float = 0.0
 
-    @property
-    def num_moments(self) -> int:
-        return self.program.m
-
     def moments_of(self, name: str, y: np.ndarray) -> MomentVector:
         off = self.measure_offsets[name]
         exps = self.measure_exponents[name]
@@ -471,11 +443,11 @@ def assemble(
     """Order-r relaxation of measures on `supports` under moment constraints.
 
     Rows are the explicit constraints first, then each measure's equality
-    products.  Exact duplicates among the inequality rows go, and
-    `prune_dependent_rows` keeps a maximal independent subset of the equality
-    rows.  Each measure's plan is freed once its rows and PSD data are out.
-    Constraint data is built as its nonzeros; no dense (m, s, s) array is
-    allocated.
+    products.  Each inequality row keeps its own nonneg slack, so a repeated
+    one is harmless; `prune_dependent_rows` keeps a maximal independent subset
+    of the equality rows.  Each measure's plan is freed once its rows and PSD
+    data are out.  Constraint data is built as its nonzeros; no dense
+    (m, s, s) array is allocated.
     """
     plans = {name: measure_plan(supp, r) for name, supp in supports.items()}
     exps = {name: exponents_up_to(supp.space.n, 2 * r) for name, supp in supports.items()}
@@ -516,7 +488,7 @@ def assemble(
     C: list[np.ndarray] = [np.zeros((blk.size, blk.size)) for blk in blocks]
     eq = SparseRows.of(eq_families)
     eq = eq.take(prune_dependent_rows(eq, m))
-    ge = SparseRows.of(row.family() for row in dedupe_rows(ge_rows))
+    ge = SparseRows.of(row.family() for row in ge_rows)
 
     for kind, rows in (("nonneg", ge), ("zero", eq)):
         if not len(rows):
@@ -569,7 +541,3 @@ def bound_and_moments(
     y = asm.moments_of(_POP_MEASURE, sol.y)
     return POPResult(bound=asm.bound_from(sol), moments=y, solution=sol, info=info, assembled=asm)
 
-
-def moment_vector_of_point(point: Sequence[float], degree: int) -> MomentVector:
-    """Truncated moments of the unit point mass at `point`."""
-    return MomentVector.from_atoms([list(point)], [1.0], degree)

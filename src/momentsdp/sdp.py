@@ -225,17 +225,6 @@ class SDPSolution:
     stats: dict = field(default_factory=dict)  # psd row spans, work counts, phase seconds; see `_Layout`
 
 
-def psd_project_check(M: np.ndarray, tol: float = 1e-9) -> tuple[float, bool]:
-    """Minimum eigenvalue of a symmetric matrix and whether it clears -tol."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("square matrix required")
-    if not np.allclose(M, M.T, atol=1e-12 * max(1.0, float(np.abs(M).max(initial=0.0)))):
-        raise ValueError("matrix is not symmetric")
-    min_eig = float(np.linalg.eigvalsh(M)[0])
-    return min_eig, min_eig >= -tol
-
-
 def cho_factor(a: np.ndarray):
     """scipy.linalg.cho_factor(a, lower=True, check_finite=False) minus its wrapper: same bits."""
     c, info = dpotrf(a, lower=1, clean=0)  # on a copy of a
@@ -736,42 +725,5 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         trace=trace,
         fallback_used=fallback_used,
         stats=lay.stats,
-    )
-
-
-@dataclass
-class DualityReport:
-    inner_gap: float  # <X, Z>
-    objective_gap: float  # <C,X> - b'y
-    complementarity: float  # ||XZ + ZX||_F over psd blocks (plus |xz| on nonneg)
-    primal_residual: float
-    dual_residual: float
-    converged: bool
-
-
-def duality_report(sol: SDPSolution) -> DualityReport:
-    """Inner-product gap and complementarity diagnostics of a solve."""
-    if sol.status not in ("optimal", "max_iter"):
-        raise ValueError(f"duality report needs an optimal or max_iter solve, got {sol.status}")
-    inner = 0.0
-    comp2 = 0.0
-    for blk, Xb, Zb in zip(sol.blocks, sol.X, sol.Z):
-        if blk.kind == "zero":
-            continue
-        inner += float(np.sum(Xb * Zb))
-        if blk.kind == "psd":
-            S = Xb @ Zb + Zb @ Xb
-            comp2 += float(np.sum(S**2))
-        else:
-            comp2 += float(np.sum((2.0 * Xb * Zb) ** 2))
-    if inner < -1e-8:
-        raise RuntimeError(f"weak duality violated: <X,Z> = {inner:.3e} < -1e-8")
-    return DualityReport(
-        inner_gap=inner,
-        objective_gap=sol.primal_obj - sol.dual_obj,
-        complementarity=float(np.sqrt(comp2)),
-        primal_residual=sol.primal_residual,
-        dual_residual=sol.dual_residual,
-        converged=sol.status == "optimal",
     )
 

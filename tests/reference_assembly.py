@@ -30,7 +30,6 @@ from momentsdp.relaxation import (
     OrderTooSmallError,
     RelaxationInfo,
     SemialgebraicSet,
-    dedupe_rows,
     half_degree,
     minimal_order,
 )
@@ -293,7 +292,6 @@ def assemble(
     blocks = [Block("psd", s) for mi in measures.values() for s in mi.block_sizes]
     C: list[np.ndarray] = [np.zeros((blk.size, blk.size)) for blk in blocks]
     eq_rows = prune_dependent_rows(eq_rows, m)
-    ge_rows = dedupe_rows(ge_rows)
     for kind, block_rows in (("nonneg", ge_rows), ("zero", eq_rows)):
         if not block_rows:
             continue

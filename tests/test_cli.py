@@ -22,6 +22,20 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def run_with_closed_stdout(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose standard output is a pipe with its read end closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "momentsdp.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
 def one_error_line(err: str) -> bool:
     return err.startswith("error: ") and err.count("\n") == 1
 
@@ -242,18 +256,16 @@ class TestInputErrors:
         assert "argument --seed: expected a nonnegative integer, got '-1'" in err
 
     def test_closed_stdout_ends_quietly(self):
-        # standard output on a pipe whose read end is already closed
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "momentsdp.cli", "solve", fx("sqrt2.sdp")],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
-            )
-        finally:
-            os.close(write_end)
+        proc = run_with_closed_stdout("solve", fx("sqrt2.sdp"))
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_closed_stdout_still_writes_out(self, tmp_path, capsys):
+        target = tmp_path / "report.txt"
+        proc = run_with_closed_stdout("solve", fx("sqrt2.sdp"), "--out", str(target))
+        assert (proc.returncode, proc.stderr) == (141, b"")
+        expected = tmp_path / "expected.txt"
+        assert run(capsys, "solve", fx("sqrt2.sdp"), "--out", str(expected))[0] == 0
+        assert target.read_bytes() == expected.read_bytes()
 
 
 class TestShadow:

@@ -7,15 +7,19 @@ from momentsdp.extraction import (
     _extract_general,
     certify,
     extract_atoms,
-    flat_check,
     moment_matrix,
     numerical_rank,
 )
-from momentsdp.moments import MomentVector, lebesgue_moments_01
+from momentsdp.moments import MomentVector
 from momentsdp.relaxation import bound_and_moments
 from momentsdp.sdp import SolveOptions
 
 HI = SolveOptions(gap_tol=1e-8, feas_tol=1e-8)
+
+
+def lebesgue_moments_01(degree):
+    """Moments of the uniform measure on [0, 1]: y_a = 1/(a+1)."""
+    return MomentVector(1, degree, np.array([1.0 / (a + 1) for a in range(degree + 1)]))
 
 
 class TestNumericalRank:
@@ -34,30 +38,6 @@ class TestNumericalRank:
         M = np.diag([1e6, 2.0, 1e-8])
         assert numerical_rank(M, 1e-6) == 2
         assert numerical_rank(np.diag([1.0, 1e-8]), 1e-6) == 1
-
-
-class TestFlatCheck:
-    def test_polyopt_solution_flat(self):
-        res = bound_and_moments(build_polyopt(), 2, HI)
-        assert flat_check(res.moments, 2, res.info.r_x)
-        assert numerical_rank(moment_matrix(res.moments, 2)) == 1
-
-    def test_lebesgue_not_flat(self):
-        y = lebesgue_moments_01(4)
-        assert numerical_rank(moment_matrix(y, 1)) == 2
-        assert numerical_rank(moment_matrix(y, 2)) == 3
-        assert not flat_check(y, 2, 1)
-
-    def test_order_equal_rx_compares_with_mass(self):
-        y = MomentVector.from_atoms([(0.5,)], [1.0], 4)
-        assert flat_check(y, 2, 2)  # rank M_0 = 1 = rank M_2
-        y2 = MomentVector.from_atoms([(0.0,), (1.0,)], [0.5, 0.5], 4)
-        assert not flat_check(y2, 2, 2)
-
-    def test_needs_enough_moments(self):
-        y = MomentVector.from_atoms([(0.5,)], [1.0], 2)
-        with pytest.raises(ValueError):
-            flat_check(y, 2, 1)
 
 
 class TestExtractAtoms:

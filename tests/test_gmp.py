@@ -417,6 +417,32 @@ class TestConstraintRelations:
         assert res.solution.status == "optimal"
         assert res.bound == pytest.approx(0.75, abs=1e-6)
 
+    def test_repeated_ge_row_keeps_its_own_slack(self, tmp_path):
+        # lqr_scalar's cap written three ways: twice as is and once scaled;
+        # each row gets its own nonneg slack and the bound does not move
+        from pathlib import Path
+
+        from momentsdp.cli import _minimal_gmp_order
+        from momentsdp.problemfile import load_problem
+
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "lqr_scalar.gmp"
+        text = fixture.read_text()
+        assert text.count("mass(occ) <= 20\n") == 1
+        repeated = tmp_path / "lqr_scalar_repeated_cap.gmp"
+        repeated.write_text(
+            text.replace("mass(occ) <= 20\n", "mass(occ) <= 20\nmass(occ) <= 20\n<2, occ> <= 40\n")
+        )
+        bounds = []
+        for path, caps in ((fixture, 1), (repeated, 3)):
+            data = load_problem(path).gmp
+            r = _minimal_gmp_order(data)
+            g, _ = data.instantiate(r)
+            res = solve_gmp(g, r, GMP_OPTS)
+            assert row_count(res.assembled, "nonneg") == caps
+            assert res.solution.status == "optimal"
+            bounds.append(res.bound)
+        assert bounds[1] == pytest.approx(bounds[0], abs=1e-6)
+
     def test_equality_support_pins_measure_to_a_point(self):
         decl = MeasureDecl(
             "mu",

@@ -136,11 +136,6 @@ class TestArithmetic:
         assert p.coeff((1,)) == Fraction(53, 1575)
         assert p.coeff((0,)) == Fraction(-1, 3)
 
-    def test_substitute(self):
-        p = parse_polynomial("x1^2*x2 + x2", SP2)
-        q = p.substitute(0, Fraction(2))
-        assert q == parse_polynomial("5*x2", SP2)
-
     def test_map_variables(self):
         p = parse_polynomial("x1*x2", SP2)
         q = p.map_variables(3, [2, 0])

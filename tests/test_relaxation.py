@@ -16,7 +16,7 @@ from momentsdp.casestudies import (
 )
 from momentsdp.cli import _minimal_gmp_order
 from momentsdp.gmp import DynamicsSpec, build_dynamics_gmp, build_gmp_relaxation
-from momentsdp.moments import evaluate_stencil, moment_matrix_stencil
+from momentsdp.moments import MomentVector, evaluate_stencil, moment_matrix_stencil
 from momentsdp.polynomials import (
     Polynomial,
     VarSpace,
@@ -32,9 +32,7 @@ from momentsdp.relaxation import (
     bound_and_moments,
     build_relaxation,
     half_degree,
-    dedupe_rows,
     measure_plan,
-    moment_vector_of_point,
     prune_dependent_rows,
 )
 from momentsdp.problemfile import load_problem
@@ -45,6 +43,22 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 HI = SolveOptions(gap_tol=1e-8, feas_tol=1e-8)
 PHI_BOUND = -(1 + np.sqrt(5.0)) / 2
+
+
+def _dedupe(rows: list[LinearRow]) -> list[LinearRow]:
+    """Rows without exact duplicates (proportional rows with proportional rhs), the first kept."""
+    seen, out = set(), []
+    for row in rows:
+        items = sorted((k, c) for k, c in row.coeffs.items() if c != 0)
+        if not items:
+            if row.rhs != 0:
+                out.append(row)
+            continue
+        key = tuple((k, c / items[0][1]) for k, c in items), row.rhs / items[0][1], row.relation
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
 
 
 class TestHalfDegree:
@@ -65,7 +79,7 @@ class TestStructure:
         asm, info = build_relaxation(build_polyopt(), 1)
         assert info.block_sizes == [3, 1, 1, 1]
         assert info.moment_dim == 6
-        assert asm.num_moments == 6
+        assert asm.program.m == 6
         assert info.r_x == 1 and info.r_k == [1, 1, 1]
         assert [b.kind for b in asm.program.blocks] == ["psd"] * 4 + ["zero"]
 
@@ -73,13 +87,13 @@ class TestStructure:
         asm, info = build_relaxation(build_polyopt(), 2)
         assert info.block_sizes == [6, 3, 3, 3]
         assert info.moment_dim == 15
-        assert asm.num_moments == monomial_count(2, 4)
+        assert asm.program.m == monomial_count(2, 4)
 
     def test_moment_dim_general(self):
         pop = build_polyopt()
         for r in (1, 2, 3):
             asm, info = build_relaxation(pop, r)
-            assert asm.num_moments == monomial_count(2, 2 * r)
+            assert asm.program.m == monomial_count(2, 2 * r)
 
     def test_order_below_minimum_reports_it(self):
         sp = VarSpace.of("x1")
@@ -162,7 +176,7 @@ class TestBounds:
             if not pop.feasible_set.contains(x):
                 continue
             found += 1
-            y = moment_vector_of_point(x, 4)
+            y = MomentVector.from_atoms([list(x)], [1.0], 4)
             for st in plan.psd_stencils:
                 M = evaluate_stencil(st, y)
                 assert np.linalg.eigvalsh(M)[0] >= -1e-9
@@ -364,7 +378,7 @@ class TestRowPrune:
         # on the rows after an exact dedupe (fixed-horizon repeats y0 = 1)
         for name in ("eig4-r3", "saturation-r3", "fixed-horizon"):
             all_rows, n_cols = self._prune_inputs_of(monkeypatch, name)
-            rows = dedupe_rows(all_rows)
+            rows = _dedupe(all_rows)
             A = np.zeros((len(rows), n_cols + 1))
             for ri, row in enumerate(rows):
                 for k, c in row.coeffs.items():
@@ -413,7 +427,7 @@ class TestRowPrune:
                 f = Fraction(int(rng.choice([-3, -2, -1, 1, 2, 3])), int(rng.integers(1, 4)))
                 copy = LinearRow({k: f * c for k, c in row.coeffs.items()}, f * row.rhs, "eq")
                 rows.insert(int(rng.integers(0, len(rows) + 1)), copy)
-            deduped = dedupe_rows(rows)
+            deduped = _dedupe(rows)
             assert len(deduped) < len(rows)
             kept = _prune(rows, n_cols)
             assert [id(row) for row in _prune(deduped, n_cols)] == [id(row) for row in kept], name
@@ -515,14 +529,3 @@ class TestAgainstReferenceAssembly:
             want = [i for i, row in enumerate(eq_rows) if id(row) in kept]
             assert prune_dependent_rows(rows, m).tolist() == want
 
-
-class TestDedupe:
-    def test_same_row_with_another_rhs_does_not_hide_the_first(self):
-        # y0 >= 1, y0 >= 2, 2 y0 >= 2: the third row repeats the first; the
-        # second, same row with another rhs, must not make the dedupe forget it
-        rows = [
-            LinearRow({0: Fraction(1)}, Fraction(1), "ge"),
-            LinearRow({0: Fraction(1)}, Fraction(2), "ge"),
-            LinearRow({0: Fraction(2)}, Fraction(2), "ge"),
-        ]
-        assert dedupe_rows(rows) == rows[:2]

@@ -23,8 +23,6 @@ from momentsdp.sdp import (
     BlockData,
     ConicProgram,
     SolveOptions,
-    duality_report,
-    psd_project_check,
     solve,
 )
 
@@ -349,46 +347,6 @@ class TestRandomPrograms:
         s2 = solve(scaled, SolveOptions(gap_tol=1e-11, feas_tol=1e-10))
         assert np.abs(s2.y - s1.y).max() < 1e-6 * max(1.0, np.abs(s1.y).max())
         assert s2.dual_obj == pytest.approx(lam * s1.dual_obj, rel=1e-7)
-
-
-class TestPsdCheck:
-    def test_identity(self):
-        lam, ok = psd_project_check(np.eye(3))
-        assert lam == pytest.approx(1.0) and ok
-
-    def test_indefinite(self):
-        lam, ok = psd_project_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert lam == pytest.approx(-1.0) and not ok
-
-    def test_pillow_corner(self):
-        F = np.ones((3, 3))
-        lam, ok = psd_project_check(F, tol=1e-9)
-        assert lam == pytest.approx(0.0, abs=1e-12) and ok
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            psd_project_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestDualityReport:
-    def test_optimal_report(self):
-        sol = solve(sqrt2_program(), TIGHT)
-        rep = duality_report(sol)
-        assert -1e-8 <= rep.inner_gap <= 1e-6
-        assert rep.complementarity <= 1e-6
-        assert rep.converged
-
-    def test_nonconverged_flagged(self):
-        sol = solve(sqrt2_program(), SolveOptions(max_iter=3))
-        rep = duality_report(sol)
-        assert not rep.converged
-        assert rep.primal_residual >= 0
-
-    def test_requires_usable_status(self):
-        sol = solve(sqrt2_program(), TIGHT)
-        sol.status = "unbounded"
-        with pytest.raises(ValueError):
-            duality_report(sol)
 
 
 class TestProgramValidation:
