@@ -34,18 +34,18 @@ Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
 fill well under 1% of the dense (m, s, s) arrays.  `_Layout` splits the
 blocks by kind once per solve.  It expands each psd block into a dense
-working copy, and writes the nonneg blocks straight into one stacked (m, n_l)
-matrix and the zero blocks into one stacked (m, p) matrix, each with one
-vector of unknowns; X and Z are sliced back into declared block order once,
-at the end.  Every sum over blocks takes the psd blocks first, then the
-nonneg part, then the free part.  Its dense working set is two
-(m, s^2) arrays per psd block: that copy of A and one buffer of the Schur
-products Z^{-1} A_k X, which `_schur_psd` fills a chunk of constraints at a
-time.  Both live only as long as the solve; each iteration frees the last
-Schur system and its factors before it forms the next.  A psd block's
-residual terms and products run over its row span, the rows from the first
-to the last one that touch it (all rows at side 1); the buffer stays zero
-outside the span, the bits the product of a zero A_k gives.
+working copy over its row span, the rows [lo, hi) from the first to the last
+one that touch it (all rows at side 1), and writes the nonneg blocks straight
+into one stacked (m, n_l) matrix and the zero blocks into one stacked (m, p)
+matrix, each with one vector of unknowns; X and Z are sliced back into
+declared block order once, at the end.  Every sum over blocks takes the psd
+blocks first, then the nonneg part, then the free part.  A psd block's
+residual terms run over its span, and its Schur terms fill only M[lo:hi,
+lo:hi].  Its dense working set is two (hi - lo, s^2) arrays: that copy of A
+and one buffer of the Schur products Z^{-1} A_k X, which `_schur_psd` fills a
+chunk of constraints at a time.  Both live only as long as the solve; each
+iteration frees the last Schur system and its factors before it forms the
+next.
 
 This module holds the program and its solver only; `problemfile` reads and
 writes programs as ``kind: sdp`` text.
@@ -471,31 +471,31 @@ def _stacked_data(prog: ConicProgram, bis: list[int]) -> np.ndarray:
     return out
 
 
-def _dense_data(prog: ConicProgram, bis: Optional[list[int]] = None) -> list[np.ndarray]:
-    """Dense (m, s, s) / (m, s) copies of the constraint data of blocks bis (default: all)."""
-    bis = range(len(prog.blocks)) if bis is None else bis
-    return [_stacked_data(prog, [bi]).reshape(prog.m, *prog.blocks[bi].shape) for bi in bis]
+def _span_data(prog: ConicProgram, bi: int, span: tuple[int, int]) -> np.ndarray:
+    """Dense (hi - lo, s, s) copy of psd block bi's constraint data over the rows [lo, hi) of ``span``."""
+    (lo, hi), s, data = span, prog.blocks[bi].size, prog.A[bi]
+    out = np.zeros((hi - lo, s * s))
+    out[data.rows - lo, data.cols] = data.vals
+    return out.reshape(hi - lo, s, s)
 
 
-def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray, P: np.ndarray,
-               span: Optional[tuple[int, int]] = None) -> None:
-    """Add one psd block's Schur terms tr(A_k Z^{-1} A_l X) to M.
+def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray, P: np.ndarray) -> None:
+    """Add one psd block's Schur terms tr(A_k Z^{-1} A_l X) over its n rows to the (n, n) M.
 
-    Row k of the (m, s^2) buffer ``P`` receives (Z^{-1} A_k X)^T, flattened,
-    from stacked products over a chunk of constraints at a time.  numpy's
-    stacked matmul computes each slice on its own, so every entry of P, and
-    so of M, is independent of the chunk size.  Only the rows k in ``span``
-    (default: all) are formed; the others must hold zeros, which is what the
-    product gives for an A_k that is zero on the block.
+    ``A`` is the (n, s, s) data of the rows of the block's span, and ``M`` the
+    view of the Schur complement on those rows and columns.  Row k of the (n,
+    s^2) buffer ``P`` receives (Z^{-1} A_k X)^T, flattened, from stacked
+    products over a chunk of constraints at a time.  numpy's stacked matmul
+    computes each slice on its own, so every entry of P, and so of M, is
+    independent of the chunk size.
     """
-    m, s, _ = A.shape
-    lo, hi = span or (0, m)
-    P3 = P.reshape(m, s, s)
+    n, s, _ = A.shape
+    P3 = P.reshape(n, s, s)
     step = max(1, _SCHUR_CHUNK // (s * s))
-    for k0 in range(lo, hi, step):
-        k1 = min(hi, k0 + step)
+    for k0 in range(0, n, step):
+        k1 = min(n, k0 + step)
         P3[k0:k1] = np.matmul(Zinv, np.matmul(A[k0:k1], X)).transpose(0, 2, 1)
-    M += A.reshape(m, s * s) @ P.T
+    M += A.reshape(n, s * s) @ P.T
 
 
 class _Layout:
@@ -503,14 +503,13 @@ class _Layout:
     buffers and ``stats``; the methods are the phases of one iteration."""
 
     def __init__(self, prog: ConicProgram):
-        self.prog, m = prog, prog.m
+        self.prog = prog
         psd, self.nonneg, self.free = ([bi for bi, blk in enumerate(prog.blocks) if blk.kind == kind]
                                        for kind in ("psd", "nonneg", "zero"))
         self.psd = psd
-        self.A = dict(zip(psd, _dense_data(prog, psd)))
         self.span = _row_spans(prog, psd)
-        self.Aspan = {bi: self.A[bi][slice(*self.span[bi])] for bi in psd}
-        self.P = {bi: np.zeros((m, prog.blocks[bi].size ** 2)) for bi in psd}
+        self.A = {bi: _span_data(prog, bi, self.span[bi]) for bi in psd}
+        self.P = {bi: np.zeros((len(self.A[bi]), prog.blocks[bi].size ** 2)) for bi in psd}
         self.eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
         # Al (m, n_l), cl (n_l,) of the nonneg blocks and F (m, p), c_f (p,) of the zero blocks
         self.Al, self.F = _stacked_data(prog, self.nonneg), _stacked_data(prog, self.free)
@@ -521,11 +520,13 @@ class _Layout:
                          *(float(np.max(np.abs(C), initial=0.0)) for C in prog.C))
         self.bnorm = 1.0 + float(np.linalg.norm(prog.b))
         self.cnorm = 1.0 + float(np.sqrt(sum(np.sum(C ** 2) for C in prog.C)))
-        # the psd row spans; the step search's bisection decisions, the trial matrices it factored
-        # and its `_chol_ok` calls; the Cholesky factorizations of the Schur system and those that
-        # needed the diagonal shift; the wall seconds of each phase, which each step adds itself
+        # the psd row spans and the multiply-adds of one Schur formation's GEMMs, sum (hi - lo)^2 s^2;
+        # the step search's bisection decisions, the trial matrices it factored and its `_chol_ok`
+        # calls; the Cholesky factorizations of the Schur system and those that needed the diagonal
+        # shift; the wall seconds of each phase, which each step adds itself
         seconds = {"schur": 0.0, "factor": 0.0, "direction": 0.0, "step": 0.0}
-        self.stats = {"row_spans": self.span, "step_chol_calls": 0, "step_trials": 0,
+        madds = sum((hi - lo) ** 2 * prog.blocks[bi].size ** 2 for bi, (lo, hi) in self.span.items())
+        self.stats = {"row_spans": self.span, "schur_madds": madds, "step_chol_calls": 0, "step_trials": 0,
                       "step_batches": 0, "factorizations": 0, "regularized": 0, "seconds": seconds}
 
     def start(self) -> _Point:
@@ -536,13 +537,13 @@ class _Layout:
 
     def residuals(self, pt: _Point) -> _Residuals:
         X, Z, xl, zl, xf, y = pt.X, pt.Z, pt.xl, pt.zl, pt.xf, pt.y
-        C, span, Aspan = self.prog.C, self.span, self.Aspan
+        C, span, A = self.prog.C, self.span, self.A
         rp = self.prog.b.copy()
         for bi in self.psd:
-            rp[slice(*span[bi])] -= np.einsum("kij,ij->k", Aspan[bi], X[bi])
+            rp[slice(*span[bi])] -= np.einsum("kij,ij->k", A[bi], X[bi])
         rp -= self.Al @ xl
         rp -= self.F @ xf
-        Rd = {bi: C[bi] - np.einsum("kij,k->ij", Aspan[bi], y[slice(*span[bi])]) - Z[bi] for bi in self.psd}
+        Rd = {bi: C[bi] - np.einsum("kij,k->ij", A[bi], y[slice(*span[bi])]) - Z[bi] for bi in self.psd}
         rl = self.cl - self.Al.T @ y - zl
         rf = self.c_f - self.F.T @ y
         dnorm2 = sum(float(np.sum(R**2)) for R in (*Rd.values(), rl, rf))
@@ -562,7 +563,8 @@ class _Layout:
         for bi in self.psd:
             Zinv[bi] = cho_solve(cho_factor(pt.Z[bi]), self.eye[bi])
             ZRX[bi] = Zinv[bi] @ (res.Rd[bi] @ pt.X[bi])
-            _schur_psd(M, self.A[bi], pt.X[bi], Zinv[bi], self.P[bi], self.span[bi])
+            lo, hi = self.span[bi]
+            _schur_psd(M[lo:hi, lo:hi], self.A[bi], pt.X[bi], Zinv[bi], self.P[bi])
         M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
         M = 0.5 * (M + M.T)
         formed = perf_counter()
@@ -590,7 +592,7 @@ class _Layout:
             G[bi] = sigma_mu * Zinv[bi] - X[bi] - ZRX[bi]
             if pred is not None:
                 G[bi] = G[bi] - Zinv[bi] @ (pred.Z[bi] @ pred.X[bi])
-            h[slice(*self.span[bi])] -= np.einsum("kij,ij->k", self.Aspan[bi], G[bi])
+            h[slice(*self.span[bi])] -= np.einsum("kij,ij->k", self.A[bi], G[bi])
         gl = sigma_mu / zl - xl - res.rl * xl / zl
         if pred is not None:
             gl = gl - pred.zl * pred.xl / zl
@@ -598,7 +600,7 @@ class _Layout:
         dy, dxf = fact.solve(h, res.rf)
         dX, dZ = {}, {}
         for bi in self.psd:
-            Aty = np.einsum("kij,k->ij", self.Aspan[bi], dy[slice(*self.span[bi])])
+            Aty = np.einsum("kij,k->ij", self.A[bi], dy[slice(*self.span[bi])])
             dZ[bi] = res.Rd[bi] - Aty
             dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
             dX[bi] = 0.5 * (dxb + dxb.T)

@@ -105,10 +105,9 @@ def near_singular_matrices():
 STEP_COUNTS = ("step_chol_calls", "step_trials", "step_batches")
 
 
-def reference_schur_psd(M, A, X, Zinv, P, span=None) -> None:
+def reference_schur_psd(M, A, X, Zinv, P) -> None:
     # the Schur formation before chunking: full (m, s, s) products A X and
-    # Z^{-1} A X over every row, whatever the span, then a transposed copy, and
-    # one GEMM
+    # Z^{-1} A X over every row of A, then a transposed copy, and one GEMM
     m, s, _ = A.shape
     AX = np.matmul(A, X)
     T = np.matmul(Zinv, AX)
@@ -124,6 +123,11 @@ def reference_steps(pt, d, orders, stats) -> tuple[float, float]:
         ap = min(ap, sdp._max_step_psd(pt.X[bi], d.X[bi], ap))
         ad = min(ad, sdp._max_step_psd(pt.Z[bi], d.Z[bi], ad))
     return ap, ad
+
+
+def dense_data(prog: ConicProgram) -> list[np.ndarray]:
+    """Dense (m, s, s) / (m, s) copies of every block's constraint data, over all rows."""
+    return [sdp._stacked_data(prog, [bi]).reshape(prog.m, *blk.shape) for bi, blk in enumerate(prog.blocks)]
 
 
 def random_spd(rng, n: int, floor: float = 1e-3) -> np.ndarray:
@@ -304,7 +308,7 @@ class TestRandomPrograms:
         for seed in range(10):
             prog, _, _ = self._random_feasible(np.random.default_rng(seed), 4, 5)
             sol = solve(prog, SolveOptions(gap_tol=1e-11, feas_tol=1e-10))
-            (A,) = sdp._dense_data(prog)
+            (A,) = dense_data(prog)
             X, Z, y = sol.X[0], sol.Z[0], sol.y
             r_p = prog.b - np.einsum("kij,ij->k", A, X)
             Rd = prog.C[0] - np.einsum("kij,k->ij", A, y) - Z
@@ -564,7 +568,7 @@ class TestStoredForm:
             b=prog.b,
             C=prog.C + [rng.normal(size=3)],
         )
-        dense = sdp._dense_data(prog)
+        dense = dense_data(prog)
         assert np.array_equal(sdp._stacked_data(prog, [2, 3]), np.hstack([dense[2], dense[3]]))
 
     def test_blocks_in_any_order_stack_and_slice_back(self):
@@ -883,12 +887,11 @@ class TestStepLength:
             m.setattr(sdp, "_steps", reference_steps)
             declared = solves()
         with monkeypatch.context() as m:
-            # scipy's Cholesky wrappers, every psd block over all rows, the psd
-            # blocks in declared order and each bisection run to the end
+            # scipy's Cholesky wrappers, the psd blocks in declared order and
+            # each bisection run to the end
             m.setattr(sdp, "cho_factor", functools.partial(scipy.linalg.cho_factor, lower=True,
                                                            check_finite=False))
             m.setattr(sdp, "cho_solve", functools.partial(scipy.linalg.cho_solve, check_finite=False))
-            m.setattr(sdp, "_row_spans", lambda prog, bis: {bi: (0, prog.m) for bi in bis})
             m.setattr(sdp, "_steps", reference_steps)
             m.setattr(sdp, "_max_step_psd", lambda X, D, cap: reference_max_step_psd(X, D))
             m.setattr(np.linalg, "cholesky", counted("reference", cholesky))
@@ -950,22 +953,52 @@ class TestSchurFormation:
             assert np.array_equal(P, T.transpose(0, 2, 1).reshape(m, s * s))
 
     def test_span_forms_only_its_rows(self):
-        # rows outside the span have zero data: P keeps its zeros there, which
-        # are the bits the full product gives, and M is that of the reference
+        # rows outside the span [lo, hi) have zero data: the span's data, its
+        # products and M[lo:hi, lo:hi] are all that is formed.  M keeps M0's
+        # bytes outside the span's square and holds the plain span product
+        # inside it, which is the full-row reference's up to the roundings of
+        # a GEMM of other dimensions
         rng = np.random.default_rng(6)
-        for m, s, lo, hi in [(9, 4, 2, 7), (12, 6, 0, 5), (5, 3, 4, 5), (6, 2, 3, 3)]:
+        for m, s, lo, hi in [(9, 4, 2, 7), (12, 6, 0, 5), (5, 3, 4, 5), (6, 2, 3, 3), (40, 7, 11, 29)]:
             A = np.zeros((m, s, s))
             for k in range(lo, hi):
                 A[k] = random_sym(rng, s)
             X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
             M0 = rng.normal(size=(m, m))
-            M, P = M0.copy(), np.zeros((m, s * s))
-            sdp._schur_psd(M, A, X, Zinv, P, (lo, hi))
+            M, P = M0.copy(), np.full((hi - lo, s * s), np.nan)
+            sdp._schur_psd(M[lo:hi, lo:hi], A[lo:hi], X, Zinv, P)
+            inside = np.zeros((m, m), dtype=bool)
+            inside[lo:hi, lo:hi] = True
+            assert M[~inside].tobytes() == M0[~inside].tobytes(), (m, s, lo, hi)
+            T = np.matmul(Zinv, np.matmul(A[lo:hi], X)).transpose(0, 2, 1).reshape(hi - lo, s * s)
+            assert P.tobytes() == T.tobytes()
+            plain = M0[lo:hi, lo:hi] + A[lo:hi].reshape(hi - lo, s * s) @ T.T
+            assert M[lo:hi, lo:hi].tobytes() == plain.tobytes(), (m, s, lo, hi)
             M_ref = M0.copy()
             reference_schur_psd(M_ref, A, X, Zinv, None)
-            assert M.tobytes() == M_ref.tobytes(), (m, s, lo, hi)
-            T = np.matmul(Zinv, np.matmul(A, X))
-            assert P.tobytes() == T.transpose(0, 2, 1).reshape(m, s * s).tobytes()
+            bound = 1e-13 * np.max(np.abs(M_ref))
+            assert np.max(np.abs(M - M_ref), initial=0.0) <= bound, (m, s, lo, hi)
+
+    def test_full_span_block_bit_equal_to_reference(self):
+        # a psd block touched by the first and the last row keeps every row:
+        # the layout's data is the dense (m, s, s) array and its Schur terms
+        # are the bytes of the full-row reference
+        rng = np.random.default_rng(7)
+        for m, s in [(8, 5), (30, 12)]:
+            A = np.zeros((m, s, s))
+            for k in [0, m - 1, *rng.choice(np.arange(1, m - 1), size=m // 2, replace=False)]:
+                A[k] = random_sym(rng, s)
+            prog = ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)])
+            lay = sdp._Layout(prog)
+            assert lay.span[0] == (0, m)
+            assert lay.A[0].tobytes() == A.tobytes()
+            X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
+            M0 = rng.normal(size=(m, m))
+            M = M0.copy()
+            sdp._schur_psd(M[0:m, 0:m], lay.A[0], X, Zinv, lay.P[0])
+            M_ref = M0.copy()
+            reference_schur_psd(M_ref, A, X, Zinv, None)
+            assert M.tobytes() == M_ref.tobytes(), (m, s)
 
     def test_span_residual_terms_bit_equal_to_full(self):
         # the A^T y and <A_k, G> terms over a block's row span equal those over
@@ -983,7 +1016,7 @@ class TestSchurFormation:
             prog = ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)])
             span = sdp._row_spans(prog, [0])[0]
             assert span == ((0, m) if s == 1 else (lo, hi)), (trial, span)
-            (Ad,) = sdp._dense_data(prog)
+            (Ad,) = dense_data(prog)
             y, G = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m), random_sym(rng, s)
             At = np.einsum("kij,k->ij", Ad[slice(*span)], y[slice(*span)])
             assert At.tobytes() == np.einsum("kij,k->ij", Ad, y).tobytes(), trial
@@ -1068,8 +1101,8 @@ class TestIterationSteps:
 
 
 class TestSolveStats:
-    KEYS = {"row_spans", "step_chol_calls", "step_trials", "step_batches", "factorizations",
-            "regularized", "seconds"}
+    KEYS = {"row_spans", "schur_madds", "step_chol_calls", "step_trials", "step_batches",
+            "factorizations", "regularized", "seconds"}
 
     def test_sizes_and_counts(self, monkeypatch):
         prog, _, _ = mixed_cone_program(np.random.default_rng(2), 3, 2, 1, 4)
@@ -1083,6 +1116,7 @@ class TestSolveStats:
         assert set(stats) == self.KEYS
         assert [(blk.kind, blk.size) for blk in sol.blocks] == [("psd", 3), ("nonneg", 2), ("zero", 1)]
         assert stats["row_spans"] == {0: (0, 4)}
+        assert stats["schur_madds"] == 4**2 * 3**2
         assert stats["step_trials"] == sum(trials)
         assert stats["step_batches"] == len(trials)
         assert 0 < stats["step_chol_calls"] <= stats["step_trials"]
@@ -1117,6 +1151,11 @@ class TestSolveStats:
             rows = prog.A[bi].rows
             assert spans[bi] == (rows.min(), rows.max() + 1)
         assert {hi - lo for lo, hi in spans.values()} <= set(range(9, 36))
+        # the GEMM multiply-adds of one Schur formation over the spans, against those over all m rows
+        sides = {bi: prog.blocks[bi].size for bi in psd}
+        madds = sum((hi - lo) ** 2 * sides[bi] ** 2 for bi, (lo, hi) in spans.items())
+        assert sol.stats["schur_madds"] == madds == 510_183
+        assert sum(prog.m ** 2 * s ** 2 for s in sides.values()) == 10_224_225
 
     def test_regularized_counts_the_fallback(self, monkeypatch):
         # the first Schur factorization fails once, as a singular M would
