@@ -28,8 +28,9 @@ from typing import Optional
 from .extraction import ExtractionError, certify
 from .gmp import resolve_minimal_time, solve_gmp, unscale_time_moments
 from .moments import MomentVector
+from .polynomials import Polynomial
 from .problemfile import GMPFileData, load_problem, moment_sum_text
-from .relaxation import POPProblem, bound_and_moments, minimal_order
+from .relaxation import POPProblem, SemialgebraicSet, bound_and_moments, minimal_order
 from .sdp import SDPSolution, SolveOptions, solve
 from .spectra import defining_polynomials, shadow_support_points, shadow_table, unit_directions
 
@@ -114,6 +115,22 @@ def _minimal_gmp_order(data: GMPFileData) -> int:
     return max(r_f, g.minimal_order())
 
 
+def _support_constraints(support: SemialgebraicSet, horizon=None) -> list[tuple[str, Polynomial]]:
+    """The ("ineq", q) and ("eq", q) pairs of a support, for `certify`'s residual.
+
+    A cell of a fixed horizon T != 1 has its support written in time scaled
+    to [0, 1] but its moments reported in original time, so t reads as t / T.
+    """
+    pairs = [("ineq", q) for q in support.effective_inequalities()]
+    pairs += [("eq", q) for q in support.equalities]
+    if horizon is None or horizon == 1:
+        return pairs
+    return [
+        (kind, Polynomial(q.nvars, {e: c / horizon ** e[0] for e, c in q.terms.items()}))
+        for kind, q in pairs
+    ]
+
+
 def _solve_pop(pop: POPProblem, args, options: SolveOptions, report: Report) -> int:
     r = args.order if args.order is not None else pop.minimal_order()
     res = bound_and_moments(pop, r, options)
@@ -121,8 +138,7 @@ def _solve_pop(pop: POPProblem, args, options: SolveOptions, report: Report) -> 
     report.kv("compactness_certified", str(res.info.compactness_certified).lower())
     report.moments(res.moments)
     if args.extract:
-        constraints = [("ineq", q) for q in pop.feasible_set.effective_inequalities()]
-        constraints += [("eq", q) for q in pop.feasible_set.equalities]
+        constraints = _support_constraints(pop.feasible_set)
         report.certificate(None, res.moments, r, res.info.r_x, args.seed, constraints)
     return _status_exit(res.solution.status)
 
@@ -146,8 +162,11 @@ def _solve_gmp_file(data: GMPFileData, args, options: SolveOptions, report: Repo
     for m in g.measures:
         report.moments(moments[m.name], m.name)
     if args.extract:
+        scaled = {name for name, _ in dp.dynamics.cells} if dp and not dp.dynamics.autonomous else ()
         for m in g.measures:
-            report.certificate(m.name, moments[m.name], r, res.info[m.name].r_x, args.seed)
+            horizon = dp.dynamics.horizon if m.name in scaled else None
+            constraints = _support_constraints(m.support, horizon)
+            report.certificate(m.name, moments[m.name], r, res.info[m.name].r_x, args.seed, constraints)
     return _status_exit(res.solution.status)
 
 

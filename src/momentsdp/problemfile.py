@@ -5,15 +5,24 @@ named ``[section]`` blocks; ``#`` starts a comment anywhere.  Polynomials use
 the expression syntax of the parser (rational coefficients, ``*``, ``^``,
 parentheses); all rational data round-trips exactly.
 
+One rule holds in every kind: a header, a section and a `key:` line appear
+once, and a repeat is an error at its second line.  Only [constraints] may
+repeat (its lines join in file order), and only `cell:` starts a group of
+its own in [dynamics].  Within one [C], [A k] or [F k] section a later
+entry for the same cell overwrites an earlier one.
+
 pop:    variables: x1 x2        [objective] min <poly>
         ball: R (optional)      [constraints] <poly> >= 0 | <poly> == 0
+        [constraints] reads as a [support] section whose `ball:` may be
+        the header instead.
 
 gmp:    [measures]  name: v1 v2 ...        (omit when [dynamics] is present)
         [support <name>]  constraint lines, plus optional `ball: R`
         [dynamics]  horizon: free | fixed T, state:, control:, initial:,
                     terminal: (point c1 c2 ... | measure name),
-                    lagrangian:, terminal_cost:, then one or more
-                    `cell: <name>` groups each followed by f1:, f2:, ...
+                    lagrangian:, terminal_cost:, and one or more
+                    `cell: <name>` groups, each holding exactly f1:, ...,
+                    fn: for n states; the other keys may follow the groups.
         [constraints]  sums of <poly, measure> terms (or mass(name))
                        compared with ==, <=, >=
         [objective]  min|max  sum of <poly, measure> terms
@@ -31,7 +40,9 @@ sdp:    [blocks]  `kind size` per block (psd | nonneg | zero)
         A program needs a psd or nonneg block and at least one constraint
         (a value in [b]); without either it is an error at [blocks].
 
-pencil: variables:, side:, then [F0] and [F k] with `i j value` entries.
+pencil: variables:, side: (1 to `spectra.MAX_SYMBOLIC_SIDE`, the largest
+        side whose symbolic minors are computed), then [F0] and [F k] with
+        `i j value` entries.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ from .polynomials import (
 )
 from .relaxation import POPProblem, SemialgebraicSet
 from .sdp import Block, BlockData, ConicProgram
-from .spectra import Pencil
+from .spectra import MAX_SYMBOLIC_SIDE, Pencil
 
 
 class ProblemFileError(ValueError):
@@ -135,46 +146,77 @@ class _Line:
 _Section = tuple[str, int, list[_Line]]
 
 
+def _table(
+    lines: Sequence[_Line], what: str, table: Optional[dict[str, _Line]] = None, fold: bool = True
+) -> dict[str, _Line]:
+    """`key: value` lines added to `table` as key -> value and line; a key's second line is an error.
+
+    Keys are read in lower case unless `fold` is False (measure names).
+    """
+    table = {} if table is None else table
+    for line in lines:
+        if ":" not in line.text:
+            raise ProblemFileError(f"expected `key: value` in {what} lines", line.no)
+        key, value = line.text.split(":", 1)
+        key = key.strip().lower() if fold else key.strip()
+        if key in table:
+            raise ProblemFileError(f"repeated {what} {key!r}", line.no)
+        table[key] = _Line(line.no, value.strip())
+    return table
+
+
 def _scan(text: str) -> tuple[dict[str, _Line], list[_Section]]:
-    """Split into leading `key: value` headers (value and line) and [section] groups."""
-    headers: dict[str, _Line] = {}
+    """Split into the leading `key: value` headers and [section] groups (names in single spaces)."""
+    lines = [
+        _Line(no, stripped)
+        for no, raw in enumerate(text.splitlines(), start=1)
+        if (stripped := raw.split("#", 1)[0].strip())
+    ]
+    first = next((k for k, line in enumerate(lines) if line.text.startswith("[")), len(lines))
+    headers = _table(lines[:first], "header")
     sections: list[_Section] = []
-    current: Optional[list[_Line]] = None
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ProblemFileError("unterminated section header", no)
-            current = []
-            sections.append((stripped[1:-1].strip(), no, current))
-            continue
-        if current is None:
-            if ":" not in stripped:
-                raise ProblemFileError("expected `key: value` before the first section", no)
-            key, value = stripped.split(":", 1)
-            key = key.strip().lower()
-            if key in headers:
-                raise ProblemFileError(f"duplicate header {key!r}", no)
-            headers[key] = _Line(no, value.strip())
+    for line in lines[first:]:
+        if not line.text.startswith("["):
+            sections[-1][2].append(line)
+        elif line.text.endswith("]"):
+            sections.append((" ".join(line.text[1:-1].split()), line.no, []))
         else:
-            current.append(_Line(no, stripped))
+            raise ProblemFileError("unterminated section header", line.no)
     if "kind" not in headers:
         raise ProblemFileError("missing `kind:` header", 1)
     return headers, sections
 
 
-def _single_sections(sections: list[_Section]) -> None:
-    """Pop and gmp sections other than [constraints] appear once; an [objective] has one line."""
-    seen: set[str] = set()
+def _single_sections(
+    sections: list[_Section], kind: str, key: Callable[[str, int], object]
+) -> dict:
+    """(header line, lines) of each section under `key(name, header line)`.
+
+    `key` gives None for a name `kind` does not know.  Only [constraints]
+    may repeat; its lines join in file order.
+    """
+    out: dict = {}
     for name, no, lines in sections:
-        key = " ".join(name.split())
-        if key in seen and key != "constraints":
-            raise ProblemFileError(f"repeated section [{key}]", no)
-        if key == "objective" and len(lines) > 1:
-            raise ProblemFileError("an [objective] has one line", lines[1].no)
-        seen.add(key)
+        k = key(name, no)
+        if k is None:
+            raise ProblemFileError(f"unknown section [{name}] in a {kind} file", no)
+        if k in out and k != "constraints":
+            raise ProblemFileError(f"repeated section [{name}]", no)
+        out.setdefault(k, (no, []))[1].extend(lines)
+    return out
+
+
+def _lines(sections: dict, key: str) -> list[_Line]:
+    """The lines of a section of `_single_sections`; none when it is absent."""
+    return sections[key][1] if key in sections else []
+
+
+def _indexed(name: str, head: str, no: int) -> Optional[int]:
+    """k of a `[head k]` section, None for another name."""
+    parts = name.split()
+    if len(parts) != 2 or parts[0] != head:
+        return None
+    return _number(parts[1], no, f"an integer [{head} k] index", int)
 
 
 def _number(tok: str, line: int, what: str, parse: Callable = Fraction):
@@ -209,32 +251,50 @@ def _poly(text: str, space: VarSpace, line: int) -> Polynomial:
 _REL = re.compile(r"(==|>=|<=)")
 
 
-def _constraint_poly(line: _Line, space: VarSpace) -> tuple[Polynomial, str]:
-    """Parse `p >= 0`-style set constraints into (poly >= 0) or (poly == 0)."""
+def _relation(line: _Line) -> list[str]:
+    """The left side, relation and right side of a constraint line."""
     parts = _REL.split(line.text)
     if len(parts) != 3:
         raise ProblemFileError("constraint needs exactly one of ==, >=, <=", line.no)
-    lhs, rel, rhs = parts
-    pl = _poly(lhs, space, line.no)
-    pr = _poly(rhs, space, line.no)
-    if rel == ">=":
-        return pl - pr, "ineq"
-    if rel == "<=":
-        return pr - pl, "ineq"
-    return pl - pr, "eq"
+    return parts
 
 
-def _parse_support(lines: list[_Line], space: VarSpace) -> SemialgebraicSet:
+def _objective(sections: dict) -> Optional[tuple[str, _Line]]:
+    """The sense (min or max) and the body of the one [objective] line; None without one."""
+    lines = _lines(sections, "objective")
+    if len(lines) > 1:
+        raise ProblemFileError("an [objective] has one line", lines[1].no)
+    for line in lines:
+        sense = line.text[:3].lower()
+        if sense not in ("min", "max"):
+            raise ProblemFileError("objective lines start with min or max", line.no)
+        return sense, _Line(line.no, line.text[3:])
+    return None
+
+
+def _parse_support(
+    lines: list[_Line], space: VarSpace, ball: Optional[_Line] = None
+) -> SemialgebraicSet:
+    """Constraint lines and at most one `ball: R`, which `ball` (a pop's header) may give."""
     ineqs: list[Polynomial] = []
     eqs: list[Polynomial] = []
-    ball: Optional[Fraction] = None
+    keyed: list[_Line] = []
     for line in lines:
         if line.text.lower().startswith("ball:"):
-            ball = _number(line.text.split(":", 1)[1].strip(), line.no, "a rational ball radius")
+            keyed.append(line)
             continue
-        poly, kind = _constraint_poly(line, space)
-        (ineqs if kind == "ineq" else eqs).append(poly)
-    return SemialgebraicSet(space, inequalities=ineqs, equalities=eqs, ball_radius=ball)
+        lhs, rel, rhs = _relation(line)
+        pl, pr = _poly(lhs, space, line.no), _poly(rhs, space, line.no)
+        if rel == "==":
+            eqs.append(pl - pr)
+        else:
+            ineqs.append(pl - pr if rel == ">=" else pr - pl)
+    ball = _table(keyed, "key", {"ball": ball} if ball else None).get("ball")
+    if ball is None:
+        return SemialgebraicSet(space, ineqs, eqs)
+    radius = _number(ball.text, ball.no, "a rational ball radius")
+    with _at(ball.no):  # only a radius <= 0 fails
+        return SemialgebraicSet(space, ineqs, eqs, ball_radius=radius)
 
 
 # -- pop ----------------------------------------------------------------------
@@ -245,30 +305,19 @@ def _parse_pop(headers: dict[str, _Line], sections: list[_Section]) -> POPProble
         raise ProblemFileError("pop files need a `variables:` header", 1)
     with _at(headers["variables"].no):
         space = VarSpace(tuple(headers["variables"].text.split()))
-    objective: Optional[Polynomial] = None
-    ineqs: list[Polynomial] = []
-    eqs: list[Polynomial] = []
-    ball: Optional[Fraction] = None
-    if "ball" in headers:
-        ball = _number(headers["ball"].text, headers["ball"].no, "a rational ball radius")
-    for name, no, lines in sections:
-        if name == "objective":
-            for line in lines:
-                body = line.text
-                if not body.lower().startswith("min"):
-                    raise ProblemFileError("pop objectives are minimized: write `min <poly>`", line.no)
-                objective = _poly(body[3:], space, line.no)
-        elif name == "constraints":
-            for line in lines:
-                poly, kind = _constraint_poly(line, space)
-                (ineqs if kind == "ineq" else eqs).append(poly)
-        else:
-            raise ProblemFileError(f"unknown section [{name}] in a pop file", no)
+    secs = _single_sections(
+        sections, "pop", lambda name, no: name if name in ("objective", "constraints") else None
+    )
+    objective = _objective(secs)
     if objective is None:
         raise ProblemFileError("pop files need an [objective] section", 1)
-    with _at(headers["ball"].no if ball is not None else 1):  # only a radius <= 0 fails
-        feasible = SemialgebraicSet(space, inequalities=ineqs, equalities=eqs, ball_radius=ball)
-    return POPProblem(objective=objective, feasible_set=feasible)
+    sense, body = objective
+    if sense != "min":
+        raise ProblemFileError("pop objectives are minimized: write `min <poly>`", body.no)
+    return POPProblem(
+        objective=_poly(body.text, space, body.no),
+        feasible_set=_parse_support(_lines(secs, "constraints"), space, headers.get("ball")),
+    )
 
 
 def pop_to_text(pop: POPProblem) -> str:
@@ -287,239 +336,168 @@ def pop_to_text(pop: POPProblem) -> str:
 
 # -- gmp ------------------------------------------------------------------------
 
-_TERM = re.compile(r"^<(?P<poly>[^,]+),\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*>$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# a term of a moment sum, after its signs: mass(name) or <poly, name>
+_TERM = re.compile(
+    rf"\s*(?P<signs>[-+\s]*)"
+    rf"(?:mass\(\s*(?P<mass>{_NAME})\s*\)|<(?P<poly>[^,<>]+),\s*(?P<name>{_NAME})\s*>)"
+)
 
 
 def _parse_moment_sum(
     text: str, line_no: int, spaces: dict[str, VarSpace]
 ) -> list[tuple[str, Polynomial]]:
-    """Sum of `<poly, measure>` terms (or mass(name)), with +/- separators."""
+    """Sum of `<poly, measure>` terms (or mass(name)), each but the first after + or -."""
     terms: list[tuple[str, Polynomial]] = []
-    # split on +/- at depth zero of <...> and (...)
-    chunks: list[tuple[int, str]] = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in text:
-        if ch in "<(":
-            depth += 1
-        elif ch in ">)":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            chunks.append((sign, cur.strip()))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch in "+-" and not cur.strip():
-            sign *= 1 if ch == "+" else -1
-        else:
-            cur += ch
-    if cur.strip():
-        chunks.append((sign, cur.strip()))
-    for sgn, chunk in chunks:
-        m = re.match(r"^mass\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)$", chunk)
-        if m:
-            name = m.group(1)
-            if name not in spaces:
-                raise ProblemFileError(f"unknown measure {name!r}", line_no)
-            terms.append((name, Polynomial.constant(spaces[name].n, sgn)))
-            continue
-        m = _TERM.match(chunk)
-        if m is None:
-            raise ProblemFileError(
-                f"expected `<poly, measure>` or `mass(name)`, got {chunk!r}", line_no
-            )
-        name = m.group("name")
+    pos = 0
+    while text[pos:].strip():
+        m = _TERM.match(text, pos)
+        if m is None or (terms and not m.group("signs").strip()):
+            rest = text[pos:].strip()
+            raise ProblemFileError(f"expected `<poly, measure>` or `mass(name)`, got {rest!r}", line_no)
+        name = m.group("mass") or m.group("name")
         if name not in spaces:
             raise ProblemFileError(f"unknown measure {name!r}", line_no)
-        poly = _poly(m.group("poly"), spaces[name], line_no)
-        terms.append((name, poly * sgn))
+        sign = -1 if m.group("signs").count("-") % 2 else 1
+        if m.group("mass"):
+            terms.append((name, Polynomial.constant(spaces[name].n, sign)))
+        else:
+            terms.append((name, _poly(m.group("poly"), spaces[name], line_no) * sign))
+        pos = m.end()
     if not terms:
         raise ProblemFileError("empty moment expression", line_no)
     return terms
 
 
+def _gmp_section(name: str, no: int) -> Optional[str]:
+    if name.split()[:1] == ["support"]:
+        if len(name.split()) != 2:
+            raise ProblemFileError("support sections are [support <measure>]", no)
+        return name
+    return name if name in ("measures", "dynamics", "constraints", "objective") else None
+
+
 def _parse_gmp(sections: list[_Section]) -> GMPFileData:
-    dynamics = [(no, lines) for name, no, lines in sections if name == "dynamics"]
-    declared: dict[str, VarSpace] = {}
-    supports: dict[str, tuple[int, list[_Line]]] = {}
+    secs = _single_sections(sections, "gmp", _gmp_section)
     dyn: Optional[DynamicsSpec] = None
+    spaces: dict[str, VarSpace] = {}
+    if "dynamics" in secs:
+        if "measures" in secs:
+            raise ProblemFileError(
+                "[measures] and [dynamics] are mutually exclusive; dynamics implies its measures",
+                secs["measures"][0],
+            )
+        dyn = _parse_dynamics(*secs["dynamics"])
+        spaces = dyn.measure_spaces()
+    for mname, line in _table(_lines(secs, "measures"), "measure", fold=False).items():
+        if not line.text:
+            raise ProblemFileError("measure needs at least one variable", line.no)
+        with _at(line.no):
+            spaces[mname] = VarSpace(tuple(line.text.split()))
 
-    for name, no, lines in sections:
-        if name == "measures":
-            if dynamics:
-                raise ProblemFileError(
-                    "[measures] and [dynamics] are mutually exclusive; dynamics implies its measures",
-                    no,
-                )
-            for line in lines:
-                if ":" not in line.text:
-                    raise ProblemFileError("measure lines look like `name: v1 v2`", line.no)
-                mname, vars_ = line.text.split(":", 1)
-                mname = mname.strip()
-                names = tuple(vars_.split())
-                if not names:
-                    raise ProblemFileError("measure needs at least one variable", line.no)
-                if mname in declared:
-                    raise ProblemFileError(f"measure {mname!r} declared twice", line.no)
-                with _at(line.no):
-                    declared[mname] = VarSpace(names)
-        elif name.startswith("support"):
-            parts = name.split()
-            if len(parts) != 2:
-                raise ProblemFileError("support sections are [support <measure>]", no)
-            supports[parts[1]] = (no, lines)
-        elif name not in ("dynamics", "constraints", "objective"):
-            raise ProblemFileError(f"unknown section [{name}] in a gmp file", no)
-
-    if dynamics:
-        dyn = _parse_dynamics(*dynamics[0])
-        declared.update(dyn.measure_spaces())
-
-    spaces = dict(declared)
-    measures = []
-    for mname, space in declared.items():
-        if mname in supports:
-            no, lines = supports[mname]
-            with _at(no):
-                supp = _parse_support(lines, space)
-        else:
-            supp = SemialgebraicSet(space)
-        measures.append(MeasureDecl(mname, supp))
-    for sname, (no, _) in supports.items():
-        if sname not in declared:
-            raise ProblemFileError(f"support given for undeclared measure {sname!r}", no)
+    for k, (no, _) in secs.items():
+        if k.startswith("support ") and k.split()[1] not in spaces:
+            raise ProblemFileError(f"support given for undeclared measure {k.split()[1]!r}", no)
+    measures = [
+        MeasureDecl(m, _parse_support(_lines(secs, f"support {m}"), space))
+        for m, space in spaces.items()
+    ]
 
     constraints: list[MomentConstraint] = []
-    objective: Optional[list[tuple[str, Polynomial]]] = None
-    sense = "min"
-    for name, _, lines in sections:
-        if name == "constraints":
-            for line in lines:
-                parts = _REL.split(line.text)
-                if len(parts) != 3:
-                    raise ProblemFileError("constraint needs one of ==, >=, <=", line.no)
-                lhs, rel, rhs = parts
-                terms = _parse_moment_sum(lhs.strip(), line.no, spaces)
-                rval = _number(rhs.strip(), line.no, "a rational right-hand side")
-                relation = {"==": "eq", ">=": "ge", "<=": "le"}[rel]
-                constraints.append(MomentConstraint(terms, rval, relation))
-        elif name == "objective":
-            for line in lines:
-                body = line.text
-                low = body.lower()
-                if low.startswith("min"):
-                    sense, body = "min", body[3:]
-                elif low.startswith("max"):
-                    sense, body = "max", body[3:]
-                else:
-                    raise ProblemFileError("objective lines start with min or max", line.no)
-                objective = _parse_moment_sum(body.strip(), line.no, spaces)
-
+    for line in _lines(secs, "constraints"):
+        lhs, rel, rhs = _relation(line)
+        constraints.append(MomentConstraint(
+            _parse_moment_sum(lhs.strip(), line.no, spaces),
+            _number(rhs.strip(), line.no, "a rational right-hand side"),
+            {"==": "eq", ">=": "ge", "<=": "le"}[rel],
+        ))
+    sense, body = _objective(secs) or ("min", None)
     return GMPFileData(
         measures=measures,
         constraints=constraints,
-        objective=objective,
+        objective=_parse_moment_sum(body.text, body.no, spaces) if body else None,
         sense=sense,
         dynamics=dyn,
     )
 
 
+_DYNAMICS_KEYS = ("horizon", "state", "control", "initial", "terminal", "lagrangian", "terminal_cost")
+
+
+def _endpoint(line: _Line) -> EndpointSpec:
+    parts = line.text.split()
+    if parts and parts[0] == "point":
+        return tuple(_number(v, line.no, "a rational endpoint coordinate") for v in parts[1:])
+    if len(parts) == 2 and parts[0] == "measure":
+        return parts[1]
+    raise ProblemFileError("endpoints are `point c1 c2 ...` or `measure name`", line.no)
+
+
 def _parse_dynamics(first: int, lines: list[_Line]) -> DynamicsSpec:
     """The [dynamics] section whose header is on line `first`."""
-    horizon: Optional[Fraction] = None
-    horizon_seen = False
-    states: tuple[str, ...] = ()
-    controls: tuple[str, ...] = ()
-    lagrangian_text: Optional[tuple[str, int]] = None
-    terminal_cost_text: Optional[tuple[str, int]] = None
-    initial: Optional[EndpointSpec] = None
-    terminal: Optional[EndpointSpec] = None
-    cells: list[tuple[str, dict[int, tuple[str, int]]]] = []
-
-    def _endpoint(value: str, no: int) -> EndpointSpec:
-        parts = value.split()
-        if parts and parts[0] == "point":
-            return tuple(_number(v, no, "a rational endpoint coordinate") for v in parts[1:])
-        if len(parts) == 2 and parts[0] == "measure":
-            return parts[1]
-        raise ProblemFileError("endpoints are `point c1 c2 ...` or `measure name`", no)
-
+    keys: list[_Line] = []
+    groups: list[list[_Line]] = []  # a `cell:` line and its f<i> lines
     for line in lines:
-        if ":" not in line.text:
-            raise ProblemFileError("dynamics lines look like `key: value`", line.no)
-        key, value = line.text.split(":", 1)
-        key = key.strip().lower()
-        value = value.strip()
-        if key == "horizon":
-            horizon_seen = True
-            if value == "free":
-                horizon = None
-            else:
-                parts = value.split()
-                if len(parts) != 2 or parts[0] != "fixed":
-                    raise ProblemFileError("horizon is `free` or `fixed T`", line.no)
-                horizon = _number(parts[1], line.no, "a rational horizon")
-        elif key == "state":
-            states = tuple(value.split())
-        elif key == "control":
-            controls = tuple(value.split())
-        elif key == "lagrangian":
-            lagrangian_text = (value, line.no)
-        elif key == "terminal_cost":
-            terminal_cost_text = (value, line.no)
-        elif key == "initial":
-            initial = _endpoint(value, line.no)
-        elif key == "terminal":
-            terminal = _endpoint(value, line.no)
-        elif key == "cell":
-            cells.append((value, {}))
+        key = line.text.split(":", 1)[0].strip().lower()
+        if key == "cell":
+            groups.append([line])
         elif re.fullmatch(r"f\d+", key):
-            if not cells:
+            if not groups:
                 raise ProblemFileError("f<i> lines belong to a `cell:` group", line.no)
-            cells[-1][1][int(key[1:])] = (value, line.no)
+            groups[-1].append(line)
+        elif key in _DYNAMICS_KEYS or ":" not in line.text:
+            keys.append(line)
         else:
             raise ProblemFileError(f"unknown dynamics key {key!r}", line.no)
-
+    table = _table(keys, "dynamics key")
+    states = tuple(table["state"].text.split()) if "state" in table else ()
     if not states:
         raise ProblemFileError("dynamics needs `state:` variables", first)
-    if not horizon_seen:
+    if "horizon" not in table:
         raise ProblemFileError("dynamics needs `horizon: free` or `horizon: fixed T`", first)
-    if initial is None or terminal is None:
+    if "initial" not in table or "terminal" not in table:
         raise ProblemFileError("dynamics needs `initial:` and `terminal:`", first)
-    if not cells:
+    if not groups:
         raise ProblemFileError("dynamics needs at least one `cell:` with f<i> lines", first)
 
+    horizon = table["horizon"]
+    T: Optional[Fraction] = None
+    if horizon.text != "free":
+        parts = horizon.text.split()
+        if len(parts) != 2 or parts[0] != "fixed":
+            raise ProblemFileError("horizon is `free` or `fixed T`", horizon.no)
+        T = _number(parts[1], horizon.no, "a rational horizon")
+    controls = tuple(table["control"].text.split()) if "control" in table else ()
     with _at(first):
         dspace = VarSpace((TIME_VAR,) + states + controls)
-    lagrangian = (
-        _poly(lagrangian_text[0], dspace, lagrangian_text[1])
-        if lagrangian_text
-        else Polynomial.zero(dspace.n)
-    )
-    terminal_cost = (
-        _poly(terminal_cost_text[0], VarSpace(states), terminal_cost_text[1])
-        if terminal_cost_text
-        else None
-    )
-    parsed_cells: list[tuple[str, list[Polynomial]]] = []
-    for cname, fmap in cells:
-        fs: list[Polynomial] = []
-        for i in range(1, len(states) + 1):
-            if i not in fmap:
-                raise ProblemFileError(f"cell {cname!r} is missing f{i}", first)
-            fs.append(_poly(fmap[i][0], dspace, fmap[i][1]))
-        parsed_cells.append((cname, fs))
+    fields = [f"f{i}" for i in range(1, len(states) + 1)]
+    cells: list[tuple[str, list[Polynomial]]] = []
+    for group in groups:
+        fs = _table(group, "cell key")
+        cname = fs.pop("cell").text
+        for key, line in fs.items():
+            if key not in fields:
+                raise ProblemFileError(
+                    f"cell {cname!r} takes {' '.join(fields)} (one per state), not {key}", line.no
+                )
+        for key in fields:
+            if key not in fs:
+                raise ProblemFileError(f"cell {cname!r} is missing {key}", group[0].no)
+        cells.append((cname, [_poly(fs[key].text, dspace, fs[key].no) for key in fields]))
+
+    def poly(key: str, space: VarSpace, default: Optional[Polynomial]) -> Optional[Polynomial]:
+        return _poly(table[key].text, space, table[key].no) if key in table else default
 
     with _at(first):
         return DynamicsSpec(
             states=states,
-            cells=parsed_cells,
-            lagrangian=lagrangian,
-            initial=initial,
-            terminal=terminal,
+            cells=cells,
+            lagrangian=poly("lagrangian", dspace, Polynomial.zero(dspace.n)),
+            initial=_endpoint(table["initial"]),
+            terminal=_endpoint(table["terminal"]),
             controls=controls,
-            terminal_cost=terminal_cost,
-            horizon=horizon,
+            terminal_cost=poly("terminal_cost", VarSpace(states), None),
+            horizon=T,
         )
 
 
@@ -613,13 +591,20 @@ def _sdp_value(tok: str) -> float:
     return float(Fraction(tok)) if "/" in tok else float(tok)
 
 
+def _entry(line: _Line, shape: str, parse: Callable) -> tuple[list[int], object]:
+    """The integer indices and the `parse`d value of an entry line laid out as `shape`."""
+    *indices, value = line.text.split()
+    if len(indices) + 1 != len(shape.split()):
+        raise ProblemFileError(f"entries are `{shape}`", line.no)
+    return (
+        [_number(t, line.no, "an integer entry index", int) for t in indices],
+        _number(value, line.no, "a finite entry value", parse),
+    )
+
+
 def _sdp_entry(line: _Line, blocks: list[Block]) -> tuple[int, list[int], float]:
     """Block, flattened cells (both triangles) and value of a `block i j value` line."""
-    parts = line.text.split()
-    if len(parts) != 4:
-        raise ProblemFileError("sdp entries are `block i j value`", line.no)
-    bi, i, j = (_number(t, line.no, "an integer entry index", int) for t in parts[:3])
-    v = _number(parts[3], line.no, "a finite entry value", _sdp_value)
+    (bi, i, j), v = _entry(line, "block i j value", _sdp_value)
     if not 1 <= bi <= len(blocks):
         raise ProblemFileError(f"block index {bi} out of range", line.no)
     blk = blocks[bi - 1]
@@ -633,40 +618,38 @@ def _sdp_entry(line: _Line, blocks: list[Block]) -> tuple[int, list[int], float]
 
 
 def _parse_sdp(sections: list[_Section]) -> ConicProgram:
-    blocks: list[Block] = []
-    b: list[float] = []
-    data: list[tuple[Optional[int], int, list[_Line]]] = []  # (k of [A k], or None for [C])
-    blocks_no = 1  # the line of the [blocks] header
-    for name, no, lines in sections:
-        head = name.split()
-        if head == ["blocks"]:
-            blocks_no = no
-            for line in lines:
-                parts = line.text.split()
-                if len(parts) != 2:
-                    raise ProblemFileError("block lines are `kind size`", line.no)
-                with _at(line.no):
-                    blocks.append(Block(parts[0], int(parts[1])))  # type: ignore[arg-type]
-        elif head == ["b"]:
-            for line in lines:
-                b += [_number(t, line.no, "a finite value", _sdp_value) for t in line.text.split()]
-        elif head == ["C"]:
-            data.append((None, no, lines))
-        elif len(head) == 2 and head[0] == "A":
-            data.append((_number(head[1], no, "an integer constraint index", int), no, lines))
-        else:
-            raise ProblemFileError(f"unknown section [{name}] in an sdp file", no)
-    if not blocks:
+    """[A k] sections are keyed by k, the others by name."""
+    secs = _single_sections(
+        sections,
+        "sdp",
+        lambda name, no: name if name in ("blocks", "b", "C") else _indexed(name, "A", no),
+    )
+    if "blocks" not in secs:
         raise ProblemFileError("sdp files need a [blocks] section", 1)
+    blocks_no, lines = secs["blocks"]
+    blocks: list[Block] = []
+    for line in lines:
+        parts = line.text.split()
+        if len(parts) != 2:
+            raise ProblemFileError("block lines are `kind size`", line.no)
+        with _at(line.no):
+            blocks.append(Block(parts[0], int(parts[1])))  # type: ignore[arg-type]
+    b = [
+        _number(t, line.no, "a finite value", _sdp_value)
+        for line in _lines(secs, "b")
+        for t in line.text.split()
+    ]
     C = [np.zeros(blk.shape) for blk in blocks]
     # a later entry for the same cell overwrites an earlier one
     cells: list[dict[tuple[int, int], float]] = [{} for _ in blocks]
-    for k, no, lines in data:
-        if k is not None and not 1 <= k <= len(b):
+    for k, (no, lines) in secs.items():
+        if k in ("blocks", "b"):
+            continue
+        if k != "C" and not 1 <= k <= len(b):
             raise ProblemFileError(f"constraint index {k} out of range (m = {len(b)})", no)
         for line in lines:
             bi, cols, v = _sdp_entry(line, blocks)
-            if k is None:
+            if k == "C":
                 C[bi].reshape(-1)[cols] = v
             else:
                 cells[bi].update(((k - 1, col), v) for col in cols)
@@ -717,32 +700,26 @@ def _parse_pencil(headers: dict[str, _Line], sections: list[_Section]) -> Pencil
         raise ProblemFileError("pencil files need `variables:` and `side:` headers", 1)
     with _at(headers["variables"].no):
         n = VarSpace(tuple(headers["variables"].text.split())).n
-    side = _number(headers["side"].text, headers["side"].no, "an integer matrix side", int)
-    if side < 1:
-        raise ProblemFileError("pencil matrices need a positive side", headers["side"].no)
-    mats: list[list[list[Fraction]]] = [
-        [[Fraction(0)] * side for _ in range(side)] for _ in range(n + 1)
-    ]
-    for name, no, lines in sections:
+    side_line = headers["side"]
+    side = _number(side_line.text, side_line.no, "an integer matrix side", int)
+    if not 1 <= side <= MAX_SYMBOLIC_SIDE:
+        raise ProblemFileError(f"a pencil's side is 1 to {MAX_SYMBOLIC_SIDE}, got {side}", side_line.no)
+
+    def index(name: str, no: int) -> Optional[int]:
         if name == "F0":
-            k = 0
-        else:
-            parts = name.split()
-            if len(parts) != 2 or parts[0] != "F":
-                raise ProblemFileError(f"unknown section [{name}] in a pencil file", no)
-            k = _number(parts[1], no, "an integer matrix index", int)
-            if not 1 <= k <= n:
-                raise ProblemFileError(f"pencil matrix index {k} out of range", no)
+            return 0
+        k = _indexed(name, "F", no)
+        if k is not None and not 1 <= k <= n:
+            raise ProblemFileError(f"pencil matrix index {k} out of range", no)
+        return k
+
+    mats = [[[Fraction(0)] * side for _ in range(side)] for _ in range(n + 1)]
+    for k, (_, lines) in _single_sections(sections, "pencil", index).items():
         for line in lines:
-            parts = line.text.split()
-            if len(parts) != 3:
-                raise ProblemFileError("pencil entries are `i j value`", line.no)
-            i, j = (_number(t, line.no, "an integer entry index", int) for t in parts[:2])
-            v = _number(parts[2], line.no, "a rational entry value")
+            (i, j), v = _entry(line, "i j value", Fraction)
             if not (1 <= i <= side and 1 <= j <= side):
                 raise ProblemFileError(f"entry ({i},{j}) outside the {side}x{side} matrix", line.no)
-            mats[k][i - 1][j - 1] = v
-            mats[k][j - 1][i - 1] = v
+            mats[k][i - 1][j - 1] = mats[k][j - 1][i - 1] = v
     return Pencil(
         nvars=n, side=side, coefficients=[tuple(tuple(row) for row in M) for M in mats]
     )
@@ -779,8 +756,6 @@ def parse_problem_text(text: str) -> ParsedProblem:
     for key, line in headers.items():
         if key != "kind" and key not in _HEADERS[kind]:
             raise ProblemFileError(f"unknown header {key!r} in a {kind} file", line.no)
-    if kind in ("pop", "gmp"):
-        _single_sections(sections)
     if kind == "pop":
         return ParsedProblem(kind="pop", pop=_parse_pop(headers, sections))
     if kind == "gmp":

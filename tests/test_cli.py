@@ -207,6 +207,41 @@ class TestSolve:
             assert (vals["ranks"], vals["flat"]) == ("1 2 2", "false")
             assert "atom 1" not in vals
 
+        # min x on x^2 - 1 = 0 at order 1: the gmp certificate checks the measure's support too
+        files = {
+            "circle.gmp": "kind: gmp\n[measures]\nmu: x\n[support mu]\nx^2 - 1 == 0\n"
+                          "[constraints]\nmass(mu) == 1\n[objective]\nmin <x, mu>\n",
+            "circle.pop": "kind: pop\nvariables: x\n[objective]\nmin x\n[constraints]\nx^2 - 1 == 0\n",
+        }
+        certificates = []
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, _ = run(capsys, "solve", str(path), "--order", "1", "--extract")
+            assert code == 0
+            certificates.append(out.split("[certificate")[1].split("\n", 1)[1].split("runtime")[0])
+        gmp, pop = certificates
+        assert gmp == pop and "atom 1: " in pop
+        assert float(report_values(pop)["residual"]) > 0
+
+    def test_gmp_certificate_reads_a_cell_support_in_scaled_time(self, tmp_path, capsys):
+        # xdot = 0 at x = 1 over the fixed horizon 4: minimizing the integral of t^2
+        # concentrates the relaxation's occupation moments on one atom (t, x) = (2, 1)
+        # in original time, which the support's time box t(1 - t) >= 0, written in
+        # time scaled to [0, 1], holds at t / 4 = 1/2 and would miss by 2 at t = 2
+        path = tmp_path / "fixed4.gmp"
+        path.write_text(
+            "kind: gmp\n[support occ]\nx1 - 1 == 0\n[dynamics]\nhorizon: fixed 4\nstate: x1\n"
+            "initial: point 1\nterminal: point 1\nlagrangian: t^2\ncell: occ\nf1: 0\n"
+        )
+        code, out, _ = run(capsys, "solve", str(path), "--extract", "--tol", "1e-5")
+        assert code == 0
+        certificate = out.split("[certificate occ]")[1]
+        assert report_values(certificate)["flat"] == "true"
+        point = re.search(r"atom 1: .* point = (.*)", certificate).group(1).split()
+        assert [round(float(v), 6) for v in point] == [2, 1]
+        assert float(report_values(certificate)["residual"]) < 1e-9
+
 
 class TestInputErrors:
     """Each input below once ended in a traceback or in argparse's exit code 2."""

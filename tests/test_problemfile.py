@@ -55,6 +55,22 @@ MALFORMED = [
     ("gmp-two-dynamics", _DYNAMICS.format("free", "1") + "[dynamics]\nhorizon: free\n", 9),
     ("gmp-two-supports", "kind: gmp\n[measures]\nmu: x\n[support mu]\nx >= 0\n[support  mu]\n1 - x >= 0\n"
      "[objective]\nmin <x, mu>\n", 6),
+    ("gmp-two-horizons", _DYNAMICS.format("free", "1") + "horizon: fixed 2\n", 9),
+    ("gmp-two-states", _DYNAMICS.format("free", "1") + "state: y\n", 9),
+    ("gmp-two-lagrangians", _DYNAMICS.format("free", "1") + "lagrangian: x\nlagrangian: x^2\n", 10),
+    ("gmp-two-f1", _DYNAMICS.format("free", "1") + "f1: 2\n", 9),
+    ("gmp-f0", _DYNAMICS.format("free", "1") + "f0: 1\n", 9),
+    ("gmp-f2-of-one-state", _DYNAMICS.format("free", "1") + "f2: 1\n", 9),
+    ("gmp-two-balls", "kind: gmp\n[measures]\nmu: x\n[support mu]\nball: 4\nball: 1\n"
+     "[objective]\nmin <x, mu>\n", 6),
+    ("sdp-two-blocks", "kind: sdp\n[blocks]\npsd 2\n[b]\n1\n[A 1]\n1 1 1 1\n[blocks]\nnonneg 1\n", 8),
+    ("sdp-two-b", _SDP.format("1", "1") + "[b]\n2\n", 10),
+    ("sdp-two-C", _SDP.format("1", "1") + "[C]\n1 2 2 1\n", 10),
+    ("sdp-two-A", _SDP.format("1", "1") + "[A 1]\n1 2 2 1\n", 10),
+    ("sdp-A-1-and-A-01", _SDP.format("1", "1") + "[A 01]\n1 2 2 1\n", 10),
+    ("pencil-two-F0", _PENCIL.format("2", "1") + "[F0]\n2 2 1\n", 8),
+    ("pencil-two-F", _PENCIL.format("2", "1") + "[F 1]\n2 2 1\n", 8),
+    ("pencil-side-too-large", _PENCIL.format("9", "1"), 3),
 ]
 
 
@@ -206,6 +222,12 @@ class TestMalformedInput:
         with pytest.raises(ProblemFileError) as ei:
             parse_problem_text(text)
         assert ei.value.line == line
+
+    def test_a_later_entry_for_a_cell_overwrites_within_a_section(self):
+        prog = parse_problem_text(_SDP.format("1", "1") + "1 1 1 3\n").sdp
+        assert prog.A[0].vals.tolist() == [3.0]
+        pencil = parse_problem_text(_PENCIL.format("2", "1") + "1 1 5\n").pencil
+        assert pencil.coefficients[1][0][0] == 5
 
     def test_gmp_rejects_unknown_section(self):
         text = (

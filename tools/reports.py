@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run 39 momentsdp commands and keep what each one wrote, in one directory.
+"""Run 46 momentsdp commands and keep what each one wrote, in one directory.
 
   python3 tools/reports.py --out DIR
 
@@ -14,10 +14,14 @@ PATH), from the repository root:
     saturation3 3, the gmp fixtures' explicit orders above (4);
   - `shadow` on planar_nonconvex at order 2 over 64 directions and on
     unit_disk at order 1 over 16 (2);
-  - ten commands that must end in an input error, one per kind of refusal
-    (an order below the minimum, order 0 of a gmp file, a nan tolerance, a
-    missing file, `shadow` of an sdp file, a repeated or a non-numeric
-    `--proj`, zero directions, `liouville` of a pop file and at order 0).
+  - seventeen commands that must end in an input error, one per kind of
+    refusal (an order below the minimum, order 0 of a gmp file, a nan
+    tolerance, a missing file, `shadow` of an sdp file, a repeated or a
+    non-numeric `--proj`, zero directions, `liouville` of a pop file and at
+    order 0), seven of them `solve` on a problem file in BAD_FILES, which
+    DIR also gets (a repeated dynamics key, a repeated or an extra f<i> line
+    in a cell, two `ball:` lines, a repeated sdp or pencil section, a pencil
+    side above 8).
 
 For a command NAME, DIR gets `NAME.report` (its `--out` report),
 `NAME.stdout` (standard output without the `runtime_seconds` line) and
@@ -25,9 +29,9 @@ For a command NAME, DIR gets `NAME.report` (its `--out` report),
 directories made from two checkouts compare with `diff -r`.
 
 Exit code 1 when some command printed a traceback or exited with a code it
-should not: the ten input errors must exit 1, every other command 0 or 2 (2,
-the solver did not converge, is a result, not a failure).  Exit code 2 when
-no `momentsdp` script is on PATH, 0 otherwise.
+should not: the seventeen input errors must exit 1, every other command 0 or
+2 (2, the solver did not converge, is a result, not a failure).  Exit code 2
+when no `momentsdp` script is on PATH, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -48,6 +52,23 @@ EXPLICIT_ORDERS = {
     "saturation3.gmp": 3,
 }
 SHADOWS = {"planar_nonconvex.pop": ("2", "64"), "unit_disk.pop": ("1", "16")}
+_DYNAMICS = (
+    "kind: gmp\n[dynamics]\nhorizon: free\nstate: x\ninitial: point 0\nterminal: point 1\n"
+    "cell: a\nf1: 1\n"
+)
+_PENCIL = "kind: pencil\nvariables: x\nside: {}\n[F0]\n1 1 1\n[F 1]\n1 1 1\n"
+# problem files each refused at one line, which main() writes into --out; not in
+# fixtures/, where every file parses
+BAD_FILES = {
+    "two-horizons.gmp": _DYNAMICS + "horizon: fixed 2\n",
+    "two-f1.gmp": _DYNAMICS + "f1: 2\n",
+    "f2-of-one-state.gmp": _DYNAMICS + "f2: 1\n",
+    "two-balls.gmp": "kind: gmp\n[measures]\nmu: x\n[support mu]\nball: 4\nball: 1\n"
+                     "[objective]\nmin <x, mu>\n",
+    "two-A1.sdp": "kind: sdp\n[blocks]\npsd 2\n[b]\n1\n[A 1]\n1 1 1 1\n[A 1]\n1 2 2 1\n",
+    "two-F1.pencil": _PENCIL.format(2) + "[F 1]\n2 2 1\n",
+    "side9.pencil": _PENCIL.format(9),
+}
 INPUT_ERRORS = [
     ("error-solve-eigassign3.pop-r1", ["solve", "fixtures/eigassign3.pop", "--order", "1"]),
     ("error-solve-bolza.gmp-r0", ["solve", "fixtures/bolza.gmp", "--order", "0"]),
@@ -59,7 +80,7 @@ INPUT_ERRORS = [
     ("error-shadow-no-directions", ["shadow", "fixtures/unit_disk.pop", "--directions", "0"]),
     ("error-liouville-unit_disk.pop", ["liouville", "fixtures/unit_disk.pop"]),
     ("error-liouville-bolza.gmp-r0", ["liouville", "fixtures/bolza.gmp", "--order", "0"]),
-]
+] + [(f"error-solve-{name}", ["solve", name]) for name in BAD_FILES]
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -96,7 +117,12 @@ def main() -> int:
     failed = []
     codes = []
     runs = [(name, argv, (0, 2)) for name, argv in commands()]
-    runs += [(name, argv, (1,)) for name, argv in INPUT_ERRORS]
+    for name, text in BAD_FILES.items():
+        (out / name).write_text(text)
+    runs += [
+        (name, [str(out / a) if a in BAD_FILES else a for a in argv], (1,))
+        for name, argv in INPUT_ERRORS
+    ]
     for name, argv, allowed in runs:
         report = out / f"{name}.report"
         run = subprocess.run(
