@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .moments import MomentVector
-from .polynomials import Polynomial, VarSpace, exponents_up_to
+from .polynomials import Coeff, Exponent, Polynomial, VarSpace, exponents_up_to
 from .relaxation import (
     AssembledProgram,
     DegreeTooHighError,  # re-exported for callers of momentsdp.gmp
@@ -209,6 +210,31 @@ class LiouvilleInfo:
     rows: int
 
 
+def _transport(a: Exponent, nt: int, fs: list[Polynomial]) -> dict[Exponent, Coeff]:
+    """The terms of Lv for v = x^a: dv/dt when `nt`, then each a_i x^(a - e_i) f_i.
+
+    dv/dx_i f_i is read straight off f_i's terms.  They are summed in the
+    order of the `Polynomial` sum dv/dt + sum_i v.partial(i) * f_i, and
+    zeros are dropped after each field as `+` drops them, so the result is
+    that sum's terms, in the same order.
+    """
+    lv: dict[Exponent, Coeff] = {}
+    if nt and a[0]:
+        lv[(a[0] - 1,) + a[1:]] = Fraction(a[0])
+    for i, f in enumerate(fs, start=nt):
+        k = a[i]
+        if not k:
+            continue
+        base = a[:i] + (k - 1,) + a[i + 1 :]
+        for e, c in f.terms.items():
+            e = tuple(map(add, base, e))
+            acc = lv.get(e)
+            lv[e] = k * c if acc is None else acc + k * c
+        if 0 in lv.values():
+            lv = {e: c for e, c in lv.items() if c != 0}
+    return lv
+
+
 def piecewise_liouville(
     dyn: DynamicsSpec, r: int
 ) -> tuple[list[MomentConstraint], LiouvilleInfo]:
@@ -231,16 +257,11 @@ def piecewise_liouville(
     n_occ = len(dyn.occupation_names())
     rows: list[MomentConstraint] = []
     for exp in exponents_up_to(test_space.n, vmax):
-        v = Polynomial.monomial(exp + pad)
         terms: list[tuple[str, Polynomial]] = []
         for name, fs in cells:
-            lv = Polynomial.zero(n_occ)
-            if nt:
-                lv = lv + v.partial(0)
-            for i, f in enumerate(fs):
-                lv = lv + v.partial(nt + i) * f
-            if not lv.is_zero():
-                terms.append((name, lv))
+            lv = _transport(exp + pad, nt, fs)
+            if lv:
+                terms.append((name, Polynomial._of(n_occ, lv)))
 
         # v over the states at the (scaled) terminal time 1 and at time 0,
         # where a factor of t vanishes; point endpoints fold into the rhs

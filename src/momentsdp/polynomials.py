@@ -147,13 +147,15 @@ class Polynomial:
     """Immutable sparse polynomial: a dict from exponent tuple to coefficient.
 
     Zero coefficients are never stored.  All exponents have length `nvars`.
+    The constructor checks and sums terms from outside; the arithmetic below
+    builds its results with `_of`, which trusts them.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Union[int, Fraction, float]] = ()):
         clean: dict[Exponent, Coeff] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         for exp, coeff in items:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
@@ -171,6 +173,18 @@ class Polynomial:
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[Exponent, Coeff]) -> "Polynomial":
+        """A polynomial that owns `terms`, a fresh dict of distinct, valid exponents
+        and coefficients that `__init__` would keep as they are; zero
+        coefficients are dropped and the order is kept, as `__init__` does."""
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c != 0}
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -231,12 +245,12 @@ class Polynomial:
         for exp, c in other.terms.items():
             acc = out.get(exp)
             out[exp] = c if acc is None else acc + c
-        return Polynomial(self.nvars, out)
+        return Polynomial._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["Polynomial", int, Fraction, float]) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -251,7 +265,7 @@ class Polynomial:
             c = _as_coeff(other)
             if c == 0:
                 return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return Polynomial._of(self.nvars, {e: v * c for e, v in self.terms.items()})
         self._check_same_space(other)
         out: dict[Exponent, Coeff] = {}
         for ea, ca in self.terms.items():
@@ -260,7 +274,7 @@ class Polynomial:
                 c = ca * cb
                 acc = out.get(e)
                 out[e] = c if acc is None else acc + c
-        return Polynomial(self.nvars, out)
+        return Polynomial._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -289,7 +303,7 @@ class Polynomial:
             e = list(exp)
             e[index] = k - 1
             out[tuple(e)] = c * k
-        return Polynomial(self.nvars, out)
+        return Polynomial._of(self.nvars, out)
 
     # -- evaluation and re-indexing -----------------------------------------
 
@@ -319,7 +333,7 @@ class Polynomial:
             e = tuple(e)
             acc = out.get(e)
             out[e] = c if acc is None else acc + c
-        return Polynomial(new_nvars, out)
+        return Polynomial._of(new_nvars, out)
 
     def used_variables(self) -> set[int]:
         used: set[int] = set()
@@ -332,7 +346,7 @@ class Polynomial:
     def top_form(self) -> "Polynomial":
         """Homogeneous part of highest total degree."""
         d = self.degree
-        return Polynomial(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return Polynomial._of(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     # -- printing -----------------------------------------------------------
 
@@ -376,10 +390,11 @@ class Polynomial:
 
 
 class PolynomialParseError(ValueError):
-    """Raised on malformed polynomial text; carries the offending column."""
+    """Raised on malformed polynomial text; carries the reason and the offending column (from 0)."""
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column + 1})")
+        self.reason = message
         self.column = column
 
 

@@ -140,6 +140,11 @@ class ParsedProblem:
 class _Line:
     no: int
     text: str
+    col: int = 0  # the file line's column of text[0], from 0
+
+    def part(self, start: int, end: Optional[int] = None) -> "_Line":
+        """text[start:end] at its own column of the file line."""
+        return _Line(self.no, self.text[start:end], self.col + start)
 
 
 # a section: its name, the line of its `[name]` header, and its lines
@@ -161,14 +166,15 @@ def _table(
         key = key.strip().lower() if fold else key.strip()
         if key in table:
             raise ProblemFileError(f"repeated {what} {key!r}", line.no)
-        table[key] = _Line(line.no, value.strip())
+        start = len(line.text) - len(value.lstrip())
+        table[key] = line.part(start, start + len(value.strip()))
     return table
 
 
 def _scan(text: str) -> tuple[dict[str, _Line], list[_Section]]:
     """Split into the leading `key: value` headers and [section] groups (names in single spaces)."""
     lines = [
-        _Line(no, stripped)
+        _Line(no, stripped, len(raw) - len(raw.lstrip()))
         for no, raw in enumerate(text.splitlines(), start=1)
         if (stripped := raw.split("#", 1)[0].strip())
     ]
@@ -241,22 +247,24 @@ def _at(line: int):
         raise ProblemFileError(str(e), line) from None
 
 
-def _poly(text: str, space: VarSpace, line: int) -> Polynomial:
+def _poly(part: _Line, space: VarSpace) -> Polynomial:
+    """The polynomial of a line or part of one; a parse error names the file line's column."""
     try:
-        return parse_polynomial(text, space)
+        return parse_polynomial(part.text, space)
     except PolynomialParseError as e:
-        raise ProblemFileError(str(e), line, e.column + 1)
+        raise ProblemFileError(e.reason, part.no, part.col + e.column + 1)
 
 
-_REL = re.compile(r"(==|>=|<=)")
+_REL = re.compile(r"==|>=|<=")
 
 
-def _relation(line: _Line) -> list[str]:
+def _relation(line: _Line) -> tuple[_Line, str, _Line]:
     """The left side, relation and right side of a constraint line."""
-    parts = _REL.split(line.text)
-    if len(parts) != 3:
+    found = list(_REL.finditer(line.text))
+    if len(found) != 1:
         raise ProblemFileError("constraint needs exactly one of ==, >=, <=", line.no)
-    return parts
+    rel = found[0]
+    return line.part(0, rel.start()), rel.group(), line.part(rel.end())
 
 
 def _objective(sections: dict) -> Optional[tuple[str, _Line]]:
@@ -268,7 +276,7 @@ def _objective(sections: dict) -> Optional[tuple[str, _Line]]:
         sense = line.text[:3].lower()
         if sense not in ("min", "max"):
             raise ProblemFileError("objective lines start with min or max", line.no)
-        return sense, _Line(line.no, line.text[3:])
+        return sense, line.part(3)
     return None
 
 
@@ -284,7 +292,7 @@ def _parse_support(
             keyed.append(line)
             continue
         lhs, rel, rhs = _relation(line)
-        pl, pr = _poly(lhs, space, line.no), _poly(rhs, space, line.no)
+        pl, pr = _poly(lhs, space), _poly(rhs, space)
         if rel == "==":
             eqs.append(pl - pr)
         else:
@@ -315,7 +323,7 @@ def _parse_pop(headers: dict[str, _Line], sections: list[_Section]) -> POPProble
     if sense != "min":
         raise ProblemFileError("pop objectives are minimized: write `min <poly>`", body.no)
     return POPProblem(
-        objective=_poly(body.text, space, body.no),
+        objective=_poly(body, space),
         feasible_set=_parse_support(_lines(secs, "constraints"), space, headers.get("ball")),
     )
 
@@ -344,10 +352,9 @@ _TERM = re.compile(
 )
 
 
-def _parse_moment_sum(
-    text: str, line_no: int, spaces: dict[str, VarSpace]
-) -> list[tuple[str, Polynomial]]:
+def _parse_moment_sum(line: _Line, spaces: dict[str, VarSpace]) -> list[tuple[str, Polynomial]]:
     """Sum of `<poly, measure>` terms (or mass(name)), each but the first after + or -."""
+    text, line_no = line.text, line.no
     terms: list[tuple[str, Polynomial]] = []
     pos = 0
     while text[pos:].strip():
@@ -362,7 +369,7 @@ def _parse_moment_sum(
         if m.group("mass"):
             terms.append((name, Polynomial.constant(spaces[name].n, sign)))
         else:
-            terms.append((name, _poly(m.group("poly"), spaces[name], line_no) * sign))
+            terms.append((name, _poly(line.part(*m.span("poly")), spaces[name]) * sign))
         pos = m.end()
     if not terms:
         raise ProblemFileError("empty moment expression", line_no)
@@ -407,15 +414,15 @@ def _parse_gmp(sections: list[_Section]) -> GMPFileData:
     for line in _lines(secs, "constraints"):
         lhs, rel, rhs = _relation(line)
         constraints.append(MomentConstraint(
-            _parse_moment_sum(lhs.strip(), line.no, spaces),
-            _number(rhs.strip(), line.no, "a rational right-hand side"),
+            _parse_moment_sum(lhs, spaces),
+            _number(rhs.text.strip(), line.no, "a rational right-hand side"),
             {"==": "eq", ">=": "ge", "<=": "le"}[rel],
         ))
     sense, body = _objective(secs) or ("min", None)
     return GMPFileData(
         measures=measures,
         constraints=constraints,
-        objective=_parse_moment_sum(body.text, body.no, spaces) if body else None,
+        objective=_parse_moment_sum(body, spaces) if body else None,
         sense=sense,
         dynamics=dyn,
     )
@@ -483,10 +490,10 @@ def _parse_dynamics(first: int, lines: list[_Line]) -> DynamicsSpec:
         for key in fields:
             if key not in fs:
                 raise ProblemFileError(f"cell {cname!r} is missing {key}", group[0].no)
-        cells.append((cname, [_poly(fs[key].text, dspace, fs[key].no) for key in fields]))
+        cells.append((cname, [_poly(fs[key], dspace) for key in fields]))
 
     def poly(key: str, space: VarSpace, default: Optional[Polynomial]) -> Optional[Polynomial]:
-        return _poly(table[key].text, space, table[key].no) if key in table else default
+        return _poly(table[key], space) if key in table else default
 
     with _at(first):
         return DynamicsSpec(

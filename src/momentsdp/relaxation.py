@@ -243,11 +243,11 @@ class SparseRows:
         """
         parts = [(np.zeros(0, np.intp),) + (np.zeros(0),) * 4 + (np.zeros(0, np.intp),)]
         for coeffs, cols, rhs in families:
-            exact, rhs, n = [Fraction(c) for c in coeffs], Fraction(rhs), len(cols)
+            exact, rhs, n = list(map(_exact, coeffs)), _exact(rhs), len(cols)
             scale = max(map(abs, exact), default=0) or Fraction(1)
-            parts.append((cols.astype(np.intp).ravel(), np.tile([float(c) for c in exact], n),
-                          np.tile([-float(c / scale) for c in exact], n), np.full(n, float(rhs)),
-                          np.full(n, -float(rhs / scale)), np.full(n, len(exact))))
+            parts.append((cols.astype(np.intp).ravel(), np.tile(list(map(float, exact)), n),
+                          np.tile([-_over(c, scale) for c in exact], n), np.full(n, float(rhs)),
+                          np.full(n, -_over(rhs, scale)), np.full(n, len(exact))))
         cols, coeffs, scaled, rhs, rhs_scaled, widths = map(np.concatenate, zip(*parts))
         return SparseRows(np.concatenate([[0], np.cumsum(widths)]), cols, coeffs, scaled, rhs, rhs_scaled)
 
@@ -258,6 +258,20 @@ class SparseRows:
         at = np.repeat(lo - indptr[:-1], widths) + np.arange(indptr[-1])
         return SparseRows(indptr, self.cols[at], self.coeffs[at], self.scaled[at],
                           self.rhs[keep], self.rhs_scaled[keep])
+
+
+def _exact(c: Union[Coeff, int]) -> Fraction:
+    """c as a Fraction; a Fraction is returned as it is."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _over(c: Fraction, s: Fraction) -> float:
+    """float(c / s) for s > 0, without reducing the quotient to lowest terms.
+
+    int / int rounds correctly, as float() of a Fraction does, so both give
+    the float nearest to the same rational.
+    """
+    return c.numerator * s.denominator / (c.denominator * s.numerator)
 
 
 # The prune weights row i by 1 + (n - 1 - i) * _TIE_WEIGHT so that exact ties go
@@ -468,9 +482,10 @@ def assemble(
                 raise DegreeTooHighError(f"constraint {ci + 1} (measure {name!r})", poly.degree, r)
             off = offsets[name]
             for exp, c in poly.terms.items():
-                k = off + grlex_index(exp)
-                coeffs[k] = coeffs.get(k, Fraction(0)) + Fraction(c)
-        rhs = Fraction(con.rhs)
+                k, c = off + grlex_index(exp), _exact(c)
+                acc = coeffs.get(k)
+                coeffs[k] = c if acc is None else acc + c
+        rhs = _exact(con.rhs)
         if con.relation == "eq":
             eq_rows.append(LinearRow(coeffs, rhs, "eq"))
         elif con.relation == "ge":

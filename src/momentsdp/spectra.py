@@ -198,12 +198,15 @@ def shadow_support_points(
 
 
 def shadow_table(points: Sequence[ShadowPoint]) -> str:
-    """Plain-text table `cx cy sx sy value`, one row per direction."""
-    lines = ["# cx cy sx sy value"]
+    """Plain-text table `cx cy sx sy value status`, one row per direction.
+
+    The status is the solve's: a row that is not `optimal` is no support point.
+    """
+    lines = ["# cx cy sx sy value status"]
     for p in points:
         lines.append(
             f"{p.direction[0]:.12g} {p.direction[1]:.12g} "
-            f"{p.point[0]:.12g} {p.point[1]:.12g} {p.value:.12g}"
+            f"{p.point[0]:.12g} {p.point[1]:.12g} {p.value:.12g} {p.status}"
         )
     return "\n".join(lines) + "\n"
 

@@ -326,7 +326,9 @@ class TestShadow:
         for line in out.strip().splitlines():
             if line.startswith("#"):
                 continue
-            cx, cy, sx, sy, val = map(float, line.split())
+            *numbers, status = line.split()
+            cx, cy, sx, sy, val = map(float, numbers)
+            assert status == "optimal"
             values[(round(cx, 9), round(cy, 9))] = (sy, val)
         sy, val = values[(0.0, 1.0)]
         assert val == pytest.approx(2.0, abs=1e-5)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from momentsdp.gmp import (
     unscale_time_moments,
 )
 from momentsdp.polynomials import Polynomial, VarSpace, parse_polynomial
-from momentsdp.relaxation import SemialgebraicSet, build_relaxation
+from momentsdp.relaxation import SemialgebraicSet, build_relaxation, minimal_order
+
+import reference_liouville
 from momentsdp.sdp import SolveOptions
 
 GMP_OPTS = SolveOptions(gap_tol=1e-6, feas_tol=1e-6)
@@ -122,6 +125,73 @@ class TestLiouvilleRows:
     def test_free_horizon_requires_autonomous_data(self):
         with pytest.raises(ValueError, match="must not depend on time"):
             replace(decay_dynamics(), cells=[("occ", [parse_polynomial("t*x1", TX)])])
+
+
+def _row_terms(row: MomentConstraint) -> list:
+    """A row's measures and terms, in order, each coefficient with its type."""
+    return [(name, p.nvars, [(e, type(c), c) for e, c in p.terms.items()]) for name, p in row.terms]
+
+
+def _cancelling_dynamics(horizon) -> DynamicsSpec:
+    """A field whose partials cancel: for v = x1 x2 x3 the first two fields sum
+    to zero, and the third brings the cancelled term back; float data enters
+    through 0.5 and a float horizon."""
+    space = VarSpace.of("t", "x1", "x2", "x3")
+    P = lambda s: parse_polynomial(s, space)
+    return DynamicsSpec(
+        states=("x1", "x2", "x3"),
+        cells=[
+            ("a", [P("x1"), P("-x2"), P("1/2*x3 + x1*x2")]),
+            ("b", [P("x1") * 0.5, P("-x2"), P("x3 - x2^2")]),
+        ],
+        lagrangian=Polynomial.zero(4),
+        initial=(0, 1, 0),
+        terminal="term",
+        horizon=horizon,
+    )
+
+
+class TestLiouvilleMatchesReference:
+    """Rows read off the fields' term tables equal the `Polynomial` arithmetic's."""
+
+    @staticmethod
+    def assert_rows_match(dyn: DynamicsSpec, r: int) -> None:
+        rows, info = piecewise_liouville(dyn, r)
+        ref = reference_liouville.piecewise_liouville(dyn, r)
+        assert info.rows == len(rows) == len(ref) > 0
+        for got, want in zip(rows, ref):
+            assert (got.label, got.relation) == (want.label, want.relation)
+            assert (type(got.rhs), got.rhs) == (type(want.rhs), want.rhs)
+            assert _row_terms(got) == _row_terms(want)
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_occtraj, build_lqr, build_bolza, build_saturation_cells, build_two_cell_transport],
+    )
+    def test_case_studies(self, build):
+        dyn = build(1).dynamics
+        r_f = minimal_order(p for _, fs in dyn.cells for p in fs)
+        r = max(r_f, build(r_f).gmp.minimal_order())
+        for order in (r, r + 1):
+            self.assert_rows_match(dyn, order)
+
+    @pytest.mark.parametrize(
+        "name", ["bolza.gmp", "decay_energy.gmp", "lqr_scalar.gmp", "saturation3.gmp"]
+    )
+    def test_gmp_fixtures(self, name):
+        from momentsdp.cli import _minimal_gmp_order
+        from momentsdp.problemfile import load_problem
+
+        data = load_problem(Path(__file__).resolve().parent.parent / "fixtures" / name).gmp
+        r = _minimal_gmp_order(data)
+        for order in (r, r + 1):
+            self.assert_rows_match(data.dynamics, order)
+
+    @pytest.mark.parametrize("horizon", [None, Fraction(3, 4), 0.75])
+    def test_cancelling_and_float_fields(self, horizon):
+        dyn = _cancelling_dynamics(horizon)
+        self.assert_rows_match(dyn, 2)
+        self.assert_rows_match(dyn, 3)
 
 
 class TestAnalyticOccupationMoments:

@@ -86,6 +86,93 @@ class TestGrlexOrder:
 SP2 = VarSpace.of("x1", "x2")
 
 
+def _items(p: Polynomial) -> list:
+    """Terms in dict order, each coefficient with its type."""
+    return [(e, type(c), c) for e, c in p.terms.items()]
+
+
+def _summed(nvars: int, pairs) -> Polynomial:
+    """Polynomial(nvars, terms) of the terms an operation accumulates, summed in the given order."""
+    out = {}
+    for e, c in pairs:
+        acc = out.get(e)
+        out[e] = c if acc is None else acc + c
+    return Polynomial(nvars, out)
+
+
+def _product(p: Polynomial, q: Polynomial) -> Polynomial:
+    return _summed(p.nvars, [(tuple(map(sum, zip(ea, eb))), ca * cb)
+                             for ea, ca in p.terms.items() for eb, cb in q.terms.items()])
+
+
+class TestArithmeticMatchesConstructor:
+    """Every result of the arithmetic is the checked constructor's, term for term and in order."""
+
+    @staticmethod
+    def random_poly(rng, n: int) -> Polynomial:
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            if rng.random() < 0.5:
+                terms[e] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 4]))
+            else:
+                terms[e] = rng.choice([0.5, -0.5, 0.25, -1.0, 1.5, 3.0])
+        return Polynomial(n, terms)
+
+    @staticmethod
+    def cancelling(rng, p: Polynomial) -> Polynomial:
+        """Some of -p's terms, some as floats, so sums with p cancel to Fraction or float zeros."""
+        terms = {e: (-float(c) if rng.random() < 0.5 else -c) for e, c in p.terms.items()
+                 if rng.random() < 0.7}
+        return Polynomial(p.nvars, terms)
+
+    def test_random_polynomials(self):
+        import random
+
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            p = self.random_poly(rng, n)
+            q = self.cancelling(rng, p) if rng.random() < 0.5 else self.random_poly(rng, n)
+            q = q + self.random_poly(rng, n) if rng.random() < 0.3 else q
+            neg_q = Polynomial(n, {e: -c for e, c in q.terms.items()})
+            pairs = [
+                (p + q, _summed(n, [*p.terms.items(), *q.terms.items()])),
+                (-q, neg_q),
+                (p - q, _summed(n, [*p.terms.items(), *neg_q.terms.items()])),
+                (p * q, _product(p, q)),
+            ]
+            for c in (Fraction(-2, 3), 0.5, 2):
+                pairs.append((p * c, Polynomial(n, {e: v * c for e, v in p.terms.items()})))
+            for k in range(4):  # by squaring, as `**` does
+                power, base, bits = Polynomial.constant(n, 1), p, k
+                while bits:
+                    power = _product(power, base) if bits & 1 else power
+                    base, bits = _product(base, base), bits >> 1
+                pairs.append((p**k, power))
+            for i in range(n):
+                drop = tuple(int(j == i) for j in range(n))
+                pairs.append((p.partial(i), Polynomial(n, {
+                    tuple(a - b for a, b in zip(e, drop)): c * e[i] for e, c in p.terms.items() if e[i]
+                })))
+            mapping = [rng.randrange(2) for _ in range(n)]
+            pairs.append((p.map_variables(2, mapping), _summed(2, [
+                (tuple(sum(k for k, m in zip(e, mapping) if m == j) for j in range(2)), c)
+                for e, c in p.terms.items()
+            ])))
+            pairs.append((p.top_form(), Polynomial(n, {e: c for e, c in p.terms.items()
+                                                       if sum(e) == p.degree})))
+            for got, want in pairs:
+                assert (got.nvars, _items(got)) == (want.nvars, _items(want))
+
+    def test_cancellation_drops_zeros_of_either_type(self):
+        x = Polynomial.variable(1, 0)
+        assert (x * Fraction(1, 2) + x * -0.5).is_zero()
+        assert (x - x).is_zero() and (x * 0.5 - x * Fraction(1, 2)).terms == {}
+        assert ((x + 1) * (x - 1)).terms == {(2,): 1, (0,): -1}
+        assert Polynomial(2, {(1, 0): 1, (0, 1): -1}).map_variables(1, [0, 0]).is_zero()
+
+
 class TestArithmetic:
     def test_eval_example(self):
         p = parse_polynomial("1 + 2*x2 + 3*x1^2 + 4*x1*x2", SP2)

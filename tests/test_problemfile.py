@@ -166,6 +166,16 @@ class TestParseErrors:
             parse_problem_text(text)
         assert ei.value.line == 5 and ei.value.column is not None
 
+    def test_polynomial_error_names_the_file_lines_column_once(self):
+        objective = "kind: pop\nvariables: x1\n[objective]\nmin x1 + + *\n"
+        constraint = "kind: pop\nvariables: x1\n[objective]\nmin x1\n[constraints]\nx1 >= 1 + + *\n"
+        indented = "kind: gmp\n[measures]\nmu: x\n[objective]\n  max <x, mu> + <x + + *, mu>\n"
+        for text, line, column in ((objective, 4, 12), (constraint, 6, 13), (indented, 5, 24)):
+            with pytest.raises(ProblemFileError) as ei:
+                parse_problem_text(text)
+            assert (ei.value.line, ei.value.column) == (line, column)
+            assert str(ei.value) == f"unexpected token '*' (line {line}, column {column})"
+
     def test_pop_requires_objective(self):
         with pytest.raises(ProblemFileError):
             parse_problem_text("kind: pop\nvariables: x1\n\n[constraints]\nx1 >= 0\n")

@@ -195,8 +195,9 @@ class TestShadow:
         pts = shadow_support_points(disk, 1, [(1.0, 0.0)], options=HI)
         table = shadow_table(pts)
         lines = table.strip().splitlines()
-        assert lines[0].startswith("#")
-        assert len(lines[1].split()) == 5
+        assert lines[0] == "# cx cy sx sy value status"
+        assert len(lines[1].split()) == 6
+        assert lines[1].split()[-1] == pts[0].status == "optimal"
 
     def test_projection_validation(self):
         disk = build_unit_disk()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hash the outcome of a fixed set of conic solves, one line per solve.
+"""Hash the outcome of a fixed set of conic solves and program builds, one line each.
 
   python3 tools/solve_hashes.py --src DIR --out FILE
 
@@ -18,8 +18,17 @@ already sets a count.  The 89 solves are:
 
 Each line reads `CASE #K status iterations fallback_used step_chol_calls
 factorizations regularized sha256`, the hash taken over the bytes of y and of
-every X and Z block.  Two files made from two checkouts compare with `diff`:
-equal lines mean bit-identical iterates.
+every X and Z block.
+
+The 6 builds are assembled without a solve: the three of perfbench's
+relax-build (eig-assign n = 5 and 6 at order 4, the saturation cells at
+order 5) and `build_saturation_cells(r)` at order r for r = 2, 3, 4.  Each
+line reads `CASE build m blocks sha256`, the hash taken over the kind and
+size of every block, the dtype, shape and bytes of its `rows`, `cols`,
+`vals` and `C`, and those of `b`: 95 lines in all.
+
+Two files made from two checkouts compare with `diff`: equal lines mean
+bit-identical iterates and programs.
 """
 
 from __future__ import annotations
@@ -44,6 +53,21 @@ def _line(case: str, k: int, sol) -> str:
     counts = " ".join(str(sol.stats.get(key)) for key in STAT_COUNTS)
     return (f"{case} #{k} {sol.status} {sol.iterations} {sol.fallback_used} {counts} "
             f"{h.hexdigest()}\n")
+
+
+def _build_line(case: str, prog) -> str:
+    h = hashlib.sha256()
+
+    def add(arr) -> None:
+        h.update(f"{arr.dtype.str} {arr.shape};".encode())
+        h.update(arr.tobytes())
+
+    for blk, data, c in zip(prog.blocks, prog.A, prog.C):
+        h.update(f"{blk.kind} {blk.size};".encode())
+        for arr in (data.rows, data.cols, data.vals, c):
+            add(arr)
+    add(prog.b)
+    return f"{case} build {prog.m} {len(prog.blocks)} {h.hexdigest()}\n"
 
 
 def load(src: Path):
@@ -93,6 +117,17 @@ def cases():
     yield "saturation-cells-2-r2"
 
 
+def builds():
+    """(name, program) of the builds listed above, one at a time."""
+    from momentsdp import casestudies, gmp, relaxation
+
+    for n in (5, 6):
+        yield f"eig-assign-{n}-r4", relaxation.build_relaxation(casestudies.build_eig_assign(n), 4)[0].program
+    for r in (2, 3, 4, 5):
+        g = casestudies.build_saturation_cells(r).gmp
+        yield f"saturation-cells-{r}-r{r}", gmp.build_gmp_relaxation(g, r)[0].program
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", required=True, help="directory that holds the momentsdp package")
@@ -118,6 +153,9 @@ def main() -> int:
         lines += [_line(case, k, sol) for k, sol in enumerate(solves)]
         print(f"{case}: {len(solves)} solves", file=sys.stderr)
         solves.clear()
+    for case, prog in builds():
+        lines.append(_build_line(case, prog))
+        print(f"{case}: built", file=sys.stderr)
     out.write_text("".join(lines))
     return 0
 
