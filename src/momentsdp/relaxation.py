@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil
+from time import perf_counter
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -393,6 +394,9 @@ class AssembledProgram:
     # filled by set_objective: cost c over the moment vector, bound = c'y + constant
     objective: Optional[np.ndarray] = None
     objective_constant: float = 0.0
+    # filled by `assemble`: the wall seconds of the build without the prune and of
+    # `prune_dependent_rows`, and the equality rows handed to the prune and kept by it
+    stats: dict = field(default_factory=dict)
 
     def moments_of(self, name: str, y: np.ndarray) -> MomentVector:
         off = self.measure_offsets[name]
@@ -463,6 +467,7 @@ def assemble(
     data are out.  Constraint data is built as its nonzeros; no dense
     (m, s, s) array is allocated.
     """
+    start = perf_counter()
     plans = {name: measure_plan(supp, r) for name, supp in supports.items()}
     exps = {name: exponents_up_to(supp.space.n, 2 * r) for name, supp in supports.items()}
     measures = {
@@ -502,7 +507,9 @@ def assemble(
     blocks = [Block("psd", s) for mi in measures.values() for s in mi.block_sizes]
     C: list[np.ndarray] = [np.zeros((blk.size, blk.size)) for blk in blocks]
     eq = SparseRows.of(eq_families)
-    eq = eq.take(prune_dependent_rows(eq, m))
+    pruning = perf_counter()
+    eq_in, eq = len(eq), eq.take(prune_dependent_rows(eq, m))
+    pruned = perf_counter()
     ge = SparseRows.of(row.family() for row in ge_rows)
 
     for kind, rows in (("nonneg", ge), ("zero", eq)):
@@ -515,6 +522,9 @@ def assemble(
     prog = ConicProgram(blocks=blocks, A=A, b=np.zeros(m), C=C)
     asm = AssembledProgram(prog, measures, offsets, exps)
     asm.set_objective(objective, sense, objective_constant)
+    prune = pruned - pruning
+    asm.stats = {"seconds": {"build": perf_counter() - start - prune, "prune": prune},
+                 "equality_rows": eq_in, "equality_rows_kept": len(eq)}
     return asm
 
 

@@ -40,12 +40,14 @@ into one stacked (m, n_l) matrix and the zero blocks into one stacked (m, p)
 matrix, each with one vector of unknowns; X and Z are sliced back into
 declared block order once, at the end.  Every sum over blocks takes the psd
 blocks first, then the nonneg part, then the free part.  A psd block's
-residual terms run over its span, and its Schur terms fill only M[lo:hi,
-lo:hi].  Its dense working set is two (hi - lo, s^2) arrays: that copy of A
-and one buffer of the Schur products Z^{-1} A_k X, which `_schur_psd` fills a
-chunk of constraints at a time.  Both live only as long as the solve; each
-iteration frees the last Schur system and its factors before it forms the
-next.
+residual and A^T y terms run over its span on the dense copy, and its Schur
+terms fill only M[lo:hi, lo:hi].  A block whose copy holds at most
+`_SCHUR_CHUNK` floats forms them by `_schur_psd`: stacked products and one
+GEMM.  A larger block forms them by `_schur_psd_nonzeros` from its nonzeros
+as a CSR (hi - lo, s^2) array, a chunk of rows at a time, which agrees with
+the GEMM to rounding; its dense copy serves only the residual terms.  The
+working set lives only as long as the solve; each iteration frees the last
+Schur system and its factors before it forms the next.
 
 This module holds the program and its solver only; `problemfile` reads and
 writes programs as ``kind: sdp`` text.
@@ -63,6 +65,7 @@ from typing import Literal, Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+import scipy.sparse
 from scipy.linalg.lapack import dpotrf, dpotrs, dsygv
 
 BlockKind = Literal["psd", "nonneg", "zero"]
@@ -70,7 +73,9 @@ BlockKind = Literal["psd", "nonneg", "zero"]
 _log = logging.getLogger(__name__)
 
 _REG = 1e-12  # diagonal regularization applied once on Cholesky failure
-_SCHUR_CHUNK = 1 << 17  # floats per stacked product chunk in `_schur_psd`
+# floats of a psd block's dense span copy above which it forms its Schur terms from its
+# nonzeros, and per chunk of the products that `_schur_psd_nonzeros` forms
+_SCHUR_CHUNK = 1 << 17
 _STEP_FRACTION = 0.98  # fraction of the way to the cone boundary each step takes
 # largest psd side whose step search starts with a stacked path (see
 # `_follow_guessed_path`).  On the step searches that `tools/step_bench.py`
@@ -479,23 +484,49 @@ def _span_data(prog: ConicProgram, bi: int, span: tuple[int, int]) -> np.ndarray
     return out.reshape(hi - lo, s, s)
 
 
-def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray, P: np.ndarray) -> None:
+def _span_csr(prog: ConicProgram, bi: int, span: tuple[int, int]) -> scipy.sparse.csr_array:
+    """psd block bi's constraint data over the rows [lo, hi) of ``span`` as a (hi - lo, s^2) CSR array."""
+    (lo, hi), s, data = span, prog.blocks[bi].size, prog.A[bi]
+    indptr = np.searchsorted(data.rows, np.arange(lo, hi + 1))
+    return scipy.sparse.csr_array((data.vals, data.cols, indptr), shape=(hi - lo, s * s))
+
+
+def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray) -> None:
     """Add one psd block's Schur terms tr(A_k Z^{-1} A_l X) over its n rows to the (n, n) M.
 
-    ``A`` is the (n, s, s) data of the rows of the block's span, and ``M`` the
-    view of the Schur complement on those rows and columns.  Row k of the (n,
-    s^2) buffer ``P`` receives (Z^{-1} A_k X)^T, flattened, from stacked
-    products over a chunk of constraints at a time.  numpy's stacked matmul
-    computes each slice on its own, so every entry of P, and so of M, is
-    independent of the chunk size.
+    ``A`` is the dense (n, s, s) data of the rows of the block's span, and
+    ``M`` the view of the Schur complement on those rows and columns.  Row k
+    of the (n, s^2) products P is (Z^{-1} A_k X)^T, flattened, from two
+    stacked products, and M += A P^T is one GEMM.
     """
     n, s, _ = A.shape
-    P3 = P.reshape(n, s, s)
+    P = np.matmul(Zinv, np.matmul(A, X)).transpose(0, 2, 1).reshape(n, s * s)
+    M += A.reshape(n, s * s) @ P.T
+
+
+def _schur_psd_nonzeros(M: np.ndarray, A: scipy.sparse.csr_array, X: np.ndarray, Zinv: np.ndarray) -> None:
+    """`_schur_psd` from the block's nonzeros: ``A`` is its (n, s^2) data over the span, as CSR.
+
+    Row k of P is (Z^{-1} A_k X)^T = sum_t v_t X[j_t, :]^T Z^{-1}[:, i_t]^T
+    over row k's nonzeros (i_t, j_t, v_t), one (s, q) by (q, s) product for
+    q nonzeros.  P is formed a chunk of `_SCHUR_CHUNK` floats of rows at a
+    time, and M[:, chunk] += A P_chunk^T is a sparse product: nnz (s^2 + n)
+    multiply-adds in all, against the n^2 s^2 of the dense GEMM.
+    """
+    n, s = A.shape[0], X.shape[0]
     step = max(1, _SCHUR_CHUNK // (s * s))
+    ptr = A.indptr.tolist()
+    Zt = Zinv.T
+    P = np.empty((min(step, n), s, s))
     for k0 in range(0, n, step):
         k1 = min(n, k0 + step)
-        P3[k0:k1] = np.matmul(Zinv, np.matmul(A[k0:k1], X)).transpose(0, 2, 1)
-    M += A.reshape(n, s * s) @ P.T
+        p0, p1 = ptr[k0], ptr[k1]
+        i, j = np.divmod(A.indices[p0:p1], s)
+        U, V = X[j] * A.data[p0:p1, None], Zt[i]
+        for k in range(k0, k1):
+            t0, t1 = ptr[k] - p0, ptr[k + 1] - p0
+            np.matmul(U[t0:t1].T, V[t0:t1], out=P[k - k0])
+        M[:, k0:k1] += A @ P[:k1 - k0].reshape(k1 - k0, s * s).T
 
 
 class _Layout:
@@ -509,7 +540,10 @@ class _Layout:
         self.psd = psd
         self.span = _row_spans(prog, psd)
         self.A = {bi: _span_data(prog, bi, self.span[bi]) for bi in psd}
-        self.P = {bi: np.zeros((len(self.A[bi]), prog.blocks[bi].size ** 2)) for bi in psd}
+        side = {bi: prog.blocks[bi].size for bi in psd}
+        # the blocks whose dense span copy exceeds one chunk form their Schur terms from their nonzeros
+        self.csr = {bi: _span_csr(prog, bi, (lo, hi)) for bi, (lo, hi) in self.span.items()
+                    if (hi - lo) * side[bi] ** 2 > _SCHUR_CHUNK}
         self.eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
         # Al (m, n_l), cl (n_l,) of the nonneg blocks and F (m, p), c_f (p,) of the zero blocks
         self.Al, self.F = _stacked_data(prog, self.nonneg), _stacked_data(prog, self.free)
@@ -520,14 +554,18 @@ class _Layout:
                          *(float(np.max(np.abs(C), initial=0.0)) for C in prog.C))
         self.bnorm = 1.0 + float(np.linalg.norm(prog.b))
         self.cnorm = 1.0 + float(np.sqrt(sum(np.sum(C ** 2) for C in prog.C)))
-        # the psd row spans and the multiply-adds of one Schur formation's GEMMs, sum (hi - lo)^2 s^2;
+        # the psd row spans, nonzeros and blocks on the nonzero path, and the multiply-adds of one
+        # Schur formation, nnz (s^2 + hi - lo) on that path and (hi - lo)^2 s^2 on the dense one;
         # the step search's bisection decisions, the trial matrices it factored and its `_chol_ok`
         # calls; the Cholesky factorizations of the Schur system and those that needed the diagonal
         # shift; the wall seconds of each phase, which each step adds itself
         seconds = {"schur": 0.0, "factor": 0.0, "direction": 0.0, "step": 0.0}
-        madds = sum((hi - lo) ** 2 * prog.blocks[bi].size ** 2 for bi, (lo, hi) in self.span.items())
-        self.stats = {"row_spans": self.span, "schur_madds": madds, "step_chol_calls": 0, "step_trials": 0,
-                      "step_batches": 0, "factorizations": 0, "regularized": 0, "seconds": seconds}
+        nnz = {bi: len(prog.A[bi].vals) for bi in psd}
+        madds = sum(nnz[bi] * (side[bi] ** 2 + hi - lo) if bi in self.csr else (hi - lo) ** 2 * side[bi] ** 2
+                    for bi, (lo, hi) in self.span.items())
+        self.stats = {"row_spans": self.span, "nonzeros": nnz, "sparse_schur": sorted(self.csr),
+                      "schur_madds": madds, "step_chol_calls": 0, "step_trials": 0, "step_batches": 0,
+                      "factorizations": 0, "regularized": 0, "seconds": seconds}
 
     def start(self) -> _Point:
         """X = Z = scale * I, xl = zl = scale, xf = 0 and y = 0."""
@@ -564,7 +602,10 @@ class _Layout:
             Zinv[bi] = cho_solve(cho_factor(pt.Z[bi]), self.eye[bi])
             ZRX[bi] = Zinv[bi] @ (res.Rd[bi] @ pt.X[bi])
             lo, hi = self.span[bi]
-            _schur_psd(M[lo:hi, lo:hi], self.A[bi], pt.X[bi], Zinv[bi], self.P[bi])
+            if bi in self.csr:
+                _schur_psd_nonzeros(M[lo:hi, lo:hi], self.csr[bi], pt.X[bi], Zinv[bi])
+            else:
+                _schur_psd(M[lo:hi, lo:hi], self.A[bi], pt.X[bi], Zinv[bi])
         M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
         M = 0.5 * (M + M.T)
         formed = perf_counter()

@@ -95,6 +95,21 @@ class TestStructure:
             asm, info = build_relaxation(pop, r)
             assert asm.program.m == monomial_count(2, 2 * r)
 
+    def test_assembly_stats(self):
+        # the build and prune seconds, and the equality rows the prune got and
+        # kept; a zero block holds exactly the kept rows
+        asms = [build_relaxation(build_polyopt(), 2)[0], build_relaxation(build_eig_assign(4), 3)[0],
+                build_gmp_relaxation(build_saturation_cells(2).gmp, 2)[0]]
+        for asm in asms:
+            stats = asm.stats
+            assert set(stats) == {"seconds", "equality_rows", "equality_rows_kept"}
+            assert set(stats["seconds"]) == {"build", "prune"}
+            assert 0 <= stats["equality_rows_kept"] <= stats["equality_rows"]
+            zero = [blk.size for blk in asm.program.blocks if blk.kind == "zero"]
+            assert zero == ([stats["equality_rows_kept"]] if stats["equality_rows_kept"] else [])
+        assert asms[0].stats["equality_rows"] == asms[0].stats["equality_rows_kept"] == 1  # the mass row
+        assert asms[1].stats["equality_rows_kept"] < asms[1].stats["equality_rows"]
+
     def test_order_below_minimum_reports_it(self):
         sp = VarSpace.of("x1")
         pop = POPProblem(

@@ -105,9 +105,9 @@ def near_singular_matrices():
 STEP_COUNTS = ("step_chol_calls", "step_trials", "step_batches")
 
 
-def reference_schur_psd(M, A, X, Zinv, P) -> None:
-    # the Schur formation before chunking: full (m, s, s) products A X and
-    # Z^{-1} A X over every row of A, then a transposed copy, and one GEMM
+def reference_schur_psd(M, A, X, Zinv) -> None:
+    # the dense Schur formation over every row: full (m, s, s) products A X
+    # and Z^{-1} A X, then a transposed copy, and one GEMM
     m, s, _ = A.shape
     AX = np.matmul(A, X)
     T = np.matmul(Zinv, AX)
@@ -931,8 +931,7 @@ class TestStepLength:
 
 
 class TestSchurFormation:
-    @pytest.mark.parametrize("chunks", ["one", "two", "slice"])
-    def test_chunked_products_bit_equal_to_reference(self, monkeypatch, chunks):
+    def test_dense_products_bit_equal_to_reference(self):
         rng = np.random.default_rng(5)
         for m, s in [(7, 5), (30, 12), (1, 3)]:
             A = rng.normal(size=(m, s, s))
@@ -942,19 +941,15 @@ class TestSchurFormation:
             L = rng.normal(size=(s, s))
             Zinv = np.linalg.inv(L @ L.T + 0.1 * np.eye(s))
             M0 = rng.normal(size=(m, m))
-            budget = {"one": m * s * s, "two": -(-m // 2) * s * s, "slice": 1}[chunks]
-            monkeypatch.setattr(sdp, "_SCHUR_CHUNK", budget)
-            M, P = M0.copy(), np.full((m, s * s), np.nan)
-            sdp._schur_psd(M, A, X, Zinv, P)
+            M = M0.copy()
+            sdp._schur_psd(M, A, X, Zinv)
             M_ref = M0.copy()
-            reference_schur_psd(M_ref, A, X, Zinv, None)
+            reference_schur_psd(M_ref, A, X, Zinv)
             assert np.array_equal(M, M_ref), (m, s)
-            T = np.matmul(Zinv, np.matmul(A, X))
-            assert np.array_equal(P, T.transpose(0, 2, 1).reshape(m, s * s))
 
     def test_span_forms_only_its_rows(self):
-        # rows outside the span [lo, hi) have zero data: the span's data, its
-        # products and M[lo:hi, lo:hi] are all that is formed.  M keeps M0's
+        # rows outside the span [lo, hi) have zero data: the span's data and
+        # M[lo:hi, lo:hi] are all that is formed.  M keeps M0's
         # bytes outside the span's square and holds the plain span product
         # inside it, which is the full-row reference's up to the roundings of
         # a GEMM of other dimensions
@@ -965,17 +960,16 @@ class TestSchurFormation:
                 A[k] = random_sym(rng, s)
             X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
             M0 = rng.normal(size=(m, m))
-            M, P = M0.copy(), np.full((hi - lo, s * s), np.nan)
-            sdp._schur_psd(M[lo:hi, lo:hi], A[lo:hi], X, Zinv, P)
+            M = M0.copy()
+            sdp._schur_psd(M[lo:hi, lo:hi], A[lo:hi], X, Zinv)
             inside = np.zeros((m, m), dtype=bool)
             inside[lo:hi, lo:hi] = True
             assert M[~inside].tobytes() == M0[~inside].tobytes(), (m, s, lo, hi)
             T = np.matmul(Zinv, np.matmul(A[lo:hi], X)).transpose(0, 2, 1).reshape(hi - lo, s * s)
-            assert P.tobytes() == T.tobytes()
             plain = M0[lo:hi, lo:hi] + A[lo:hi].reshape(hi - lo, s * s) @ T.T
             assert M[lo:hi, lo:hi].tobytes() == plain.tobytes(), (m, s, lo, hi)
             M_ref = M0.copy()
-            reference_schur_psd(M_ref, A, X, Zinv, None)
+            reference_schur_psd(M_ref, A, X, Zinv)
             bound = 1e-13 * np.max(np.abs(M_ref))
             assert np.max(np.abs(M - M_ref), initial=0.0) <= bound, (m, s, lo, hi)
 
@@ -990,14 +984,14 @@ class TestSchurFormation:
                 A[k] = random_sym(rng, s)
             prog = ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)])
             lay = sdp._Layout(prog)
-            assert lay.span[0] == (0, m)
+            assert lay.span[0] == (0, m) and not lay.csr
             assert lay.A[0].tobytes() == A.tobytes()
             X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
             M0 = rng.normal(size=(m, m))
             M = M0.copy()
-            sdp._schur_psd(M[0:m, 0:m], lay.A[0], X, Zinv, lay.P[0])
+            sdp._schur_psd(M[0:m, 0:m], lay.A[0], X, Zinv)
             M_ref = M0.copy()
-            reference_schur_psd(M_ref, A, X, Zinv, None)
+            reference_schur_psd(M_ref, A, X, Zinv)
             assert M.tobytes() == M_ref.tobytes(), (m, s)
 
     def test_span_residual_terms_bit_equal_to_full(self):
@@ -1024,6 +1018,40 @@ class TestSchurFormation:
             r[slice(*span)] -= np.einsum("kij,ij->k", Ad[slice(*span)], G)
             assert r.tobytes() == (np.zeros(m) - np.einsum("kij,ij->k", Ad, G)).tobytes(), trial
 
+    def test_nonzero_path_agrees_with_reference(self, monkeypatch):
+        # a block whose dense span copy exceeds `_SCHUR_CHUNK` floats forms its
+        # terms from its nonzeros; with the limit lowered, every block here does,
+        # a few rows per chunk.  The eig-assign n = 4 and 5 blocks at r = 3 and
+        # random sparse blocks whose spans leave rows out at both ends and hold
+        # rows without nonzeros
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 5000)
+        rng = np.random.default_rng(10)
+        programs = [build_relaxation(build_eig_assign(n), 3)[0].program for n in (4, 5)]
+        for m, s, lo, hi in [(40, 12, 2, 38), (60, 15, 0, 45), (30, 21, 17, 29)]:
+            A = np.zeros((m, s, s))
+            for k in [lo, hi - 1, *rng.choice(np.arange(lo, hi), size=(hi - lo) // 2)]:
+                i, j = rng.integers(0, s, size=2)
+                A[k, i, j] = A[k, j, i] = rng.normal()
+            programs.append(ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)]))
+        for prog in programs:
+            lay = sdp._Layout(prog)
+            assert sorted(lay.csr) == lay.psd
+            for bi, Ad in zip(lay.psd, dense_data(prog)):
+                (lo, hi), s = lay.span[bi], prog.blocks[bi].size
+                X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
+                M0 = rng.normal(size=(prog.m, prog.m))
+                M = M0.copy()
+                sdp._schur_psd_nonzeros(M[lo:hi, lo:hi], lay.csr[bi], X, Zinv)
+                inside = np.zeros(M.shape, dtype=bool)
+                inside[lo:hi, lo:hi] = True
+                assert M[~inside].tobytes() == M0[~inside].tobytes(), (prog.m, s)
+                M_ref = M0.copy()
+                reference_schur_psd(M_ref, Ad, X, Zinv)
+                assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref)), (prog.m, s)
+
     def test_solves_bit_identical_to_reference_schur(self, monkeypatch):
         from momentsdp.casestudies import build_eig_assign
         from momentsdp.relaxation import build_relaxation
@@ -1036,22 +1064,23 @@ class TestSchurFormation:
             (mixed_cone_program(rng, n, 2, pfree, m)[0], SolveOptions(gap_tol=1e-9, feas_tol=1e-8))
             for n, pfree, m in [(3, 1, 4), (5, 2, 6), (6, 1, 8)]
         ]
-        # several chunks per block on the eig-assign moment matrix (s = 20)
-        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 3 * 20 * 20)
-        chunked = [solve(prog, options) for prog, options in programs]
+        # every block here is dense (the eig-assign moment matrix: 84 rows of side 20)
+        dense = [solve(prog, options) for prog, options in programs]
         monkeypatch.setattr(sdp, "_schur_psd", reference_schur_psd)
         reference = [solve(prog, options) for prog, options in programs]
-        for a, b in zip(chunked, reference):
+        for a, b in zip(dense, reference):
+            assert a.stats["sparse_schur"] == []
             assert a.status == b.status
             assert a.iterations == b.iterations
             assert np.array_equal(a.y, b.y)
             for Xa, Xb in zip(a.X, b.X):
                 assert np.array_equal(Xa, Xb)
 
-    def test_working_set_within_three_dense_copies(self):
+    def test_working_set_within_two_dense_copies(self):
         # traced peak of a short eig-assign n = 5, r = 3 solve (m = 462, psd
         # sides 56 and 21, a free block of 372) against the bytes of its data
-        # as dense arrays: full (m, s, s) products would need about 4 copies
+        # as dense arrays: full (m, s, s) products would need about 4 copies,
+        # and a (span, s^2) product buffer per block about 2.4
         import math
         import tracemalloc
 
@@ -1069,7 +1098,7 @@ class TestSchurFormation:
         finally:
             tracemalloc.stop()
         assert sol.iterations == 2
-        assert peak <= 3 * dense_bytes, peak / dense_bytes
+        assert peak <= 2 * dense_bytes, peak / dense_bytes
 
 
 class TestIterationSteps:
@@ -1101,8 +1130,8 @@ class TestIterationSteps:
 
 
 class TestSolveStats:
-    KEYS = {"row_spans", "schur_madds", "step_chol_calls", "step_trials", "step_batches",
-            "factorizations", "regularized", "seconds"}
+    KEYS = {"row_spans", "nonzeros", "sparse_schur", "schur_madds", "step_chol_calls", "step_trials",
+            "step_batches", "factorizations", "regularized", "seconds"}
 
     def test_sizes_and_counts(self, monkeypatch):
         prog, _, _ = mixed_cone_program(np.random.default_rng(2), 3, 2, 1, 4)
@@ -1116,6 +1145,8 @@ class TestSolveStats:
         assert set(stats) == self.KEYS
         assert [(blk.kind, blk.size) for blk in sol.blocks] == [("psd", 3), ("nonneg", 2), ("zero", 1)]
         assert stats["row_spans"] == {0: (0, 4)}
+        assert stats["nonzeros"] == {0: len(prog.A[0].vals)}
+        assert stats["sparse_schur"] == []
         assert stats["schur_madds"] == 4**2 * 3**2
         assert stats["step_trials"] == sum(trials)
         assert stats["step_batches"] == len(trials)
@@ -1156,6 +1187,45 @@ class TestSolveStats:
         madds = sum((hi - lo) ** 2 * sides[bi] ** 2 for bi, (lo, hi) in spans.items())
         assert sol.stats["schur_madds"] == madds == 510_183
         assert sum(prog.m ** 2 * s ** 2 for s in sides.values()) == 10_224_225
+
+    def test_nonzero_path_of_eig_assign(self):
+        # eig-assign n = 4 at r = 3 (m = 210): the side-35 moment block's dense
+        # span copy, 210 * 35^2 floats, exceeds `_SCHUR_CHUNK`, so it forms its
+        # terms from its 1,225 nonzeros; the side-15 localizer's, 210 * 15^2 =
+        # 47,250 floats, does not, so it keeps the dense GEMM
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        prog = build_relaxation(build_eig_assign(4), 3)[0].program
+        sol = solve(prog, SolveOptions(max_iter=1))
+        stats = sol.stats
+        assert 210 * 15**2 <= sdp._SCHUR_CHUNK < 210 * 35**2
+        assert stats["row_spans"] == {0: (0, 210), 1: (0, 210)}
+        assert stats["nonzeros"] == {0: 1225, 1: 1125}
+        assert stats["sparse_schur"] == [0]
+        assert stats["schur_madds"] == 1225 * (35**2 + 210) + 210**2 * 15**2 == 11_680_375
+
+    def test_no_nonzero_path_on_the_planar_shadow(self, monkeypatch):
+        # every block of the planar shadow program at r = 2 fits one chunk
+        from momentsdp import spectra
+        from momentsdp.casestudies import build_polyopt
+
+        sols = []
+
+        def record(prog, options):
+            sols.append((prog, solve(prog, options)))
+            return sols[-1][1]
+
+        monkeypatch.setattr(spectra, "solve", record)
+        spectra.shadow_support_points(build_polyopt().feasible_set, 2, spectra.unit_directions(4))
+        assert len(sols) == 4
+        for prog, sol in sols:
+            psd = [bi for bi, blk in enumerate(prog.blocks) if blk.kind == "psd"]
+            assert sol.stats["nonzeros"] == {bi: len(prog.A[bi].vals) for bi in psd}
+            assert sol.stats["sparse_schur"] == []
+            spans, sides = sol.stats["row_spans"], {bi: prog.blocks[bi].size for bi in psd}
+            assert sol.stats["schur_madds"] == sum((hi - lo) ** 2 * sides[bi] ** 2
+                                                   for bi, (lo, hi) in spans.items())
 
     def test_regularized_counts_the_fallback(self, monkeypatch):
         # the first Schur factorization fails once, as a singular M would
