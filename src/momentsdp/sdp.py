@@ -22,8 +22,9 @@ Mehrotra predictor-corrector.  `solve` holds the loop, the stop tests and the
 best-iterate fallback; each phase of an iteration is a step of its own on one
 record, `_Point`, the iterate and the search direction alike, and adds its
 wall seconds to ``stats``: `_Layout.residuals`; `_Layout.schur`, the Schur
-complement and its Cholesky factors (LAPACK's, called directly), bordered by
-the free entries, which leave a saddle system in (dy, dx_free);
+complement M and the Newton system's factors (`_Factorization`): the free
+entries' data F pin dy to F'dy = rf, so only M's projection onto the null
+space of F' is factored, by LAPACK's Cholesky called directly;
 `_Layout.direction`, the predictor or the corrector; and `_steps`, the
 largest steps in the cone, of which `solve` takes a fixed fraction.  The cone
 boundary of a psd block is found by bisection on numpy's Cholesky kernel
@@ -37,7 +38,8 @@ blocks by kind once per solve.  It expands each psd block into a dense
 working copy over its row span, the rows [lo, hi) from the first to the last
 one that touch it (all rows at side 1), and writes the nonneg blocks straight
 into one stacked (m, n_l) matrix and the zero blocks into one stacked (m, p)
-matrix, each with one vector of unknowns; X and Z are sliced back into
+matrix F, each with one vector of unknowns, and takes one QR of F
+(`_free_basis`), which refuses dependent columns; X and Z are sliced back into
 declared block order once, at the end.  Every sum over blocks takes the psd
 blocks first, then the nonneg part, then the free part.  A psd block's
 residual and A^T y terms run over its span on the dense copy, and its Schur
@@ -66,7 +68,7 @@ from typing import Literal, Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 import scipy.sparse
-from scipy.linalg.lapack import dpotrf, dpotrs, dsygv
+from scipy.linalg.lapack import dpotrf, dpotrs, dsygv, dtrtrs
 
 BlockKind = Literal["psd", "nonneg", "zero"]
 
@@ -161,6 +163,8 @@ class ConicProgram:
     (s, s) or (s,) accordingly.  PSD data must be symmetric.  Construction
     checks every shape, index and value, and refuses the programs `solve`
     cannot run: those without a psd or nonneg block or without constraints.
+    `solve` also refuses, as it starts, zero blocks whose constraint columns
+    are linearly dependent (`_free_basis`).
     """
 
     blocks: list[Block]
@@ -427,16 +431,23 @@ def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]
 
 
 class _Factorization:
-    """Cholesky of the Schur complement M, with the free-variable bordering F; counted in ``stats``."""
+    """The Newton system [[M, F], [F', 0]] [dy, dxf] = [h, rf], factored on the null space of F'.
 
-    def __init__(self, M: np.ndarray, F: np.ndarray, stats: dict):
+    With F = [Q1 Q2] [R; 0] and T = Q1 R^{-T} from `_free_basis`, F'T = I and
+    F'Q2 = 0, so the dy with F'dy = rf are T rf + Q2 z, and the first block
+    row projected by Q2' leaves K z = Q2'(h - M T rf) with K = Q2' M Q2, of side
+    m - p, the only matrix factored.  K is positive definite when M is on the
+    null space of F', also where M itself is singular on the range of F.  Then
+    dxf = T'(h - M dy).  Without free entries (T is None) K is M itself; with
+    p = m, dy = T rf and nothing is factored.  Counted in ``stats``.
+    """
+
+    def __init__(self, M: np.ndarray, F: np.ndarray, T: Optional[np.ndarray], Q2: Optional[np.ndarray],
+                 stats: dict):
         self.stats = stats
-        self.M = M
-        self.cho_M = self._factor(M)
-        self.F = F  # (m, p), bordered when p > 0
-        if F.shape[1]:
-            self.W = cho_solve(self.cho_M, F)  # M^{-1} F
-            self.cho_S = self._factor(F.T @ self.W)
+        self.M, self.F, self.T, self.Q2 = M, F, T, Q2
+        K = M if T is None else Q2.T @ (M @ Q2)
+        self.cho = self._factor(K) if K.size else None
 
     def _factor(self, M: np.ndarray):
         # the solve loop checks finiteness first, so no input here needs a scan
@@ -451,17 +462,41 @@ class _Factorization:
         return cho_factor(Mreg)  # second failure propagates
 
     def _solve_once(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = cho_solve(self.cho_M, h)
-        if not self.F.shape[1]:
-            return u, np.zeros(0)
-        dxf = cho_solve(self.cho_S, self.F.T @ u - rf)
-        return u - self.W @ dxf, dxf
+        if self.T is None:
+            return cho_solve(self.cho, h), np.zeros(0)
+        dy = self.T @ rf
+        if self.cho is not None:
+            dy += self.Q2 @ cho_solve(self.cho, self.Q2.T @ (h - self.M @ dy))
+        return dy, self.T.T @ (h - self.M @ dy)
 
     def solve(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf], with one refinement pass."""
         dy, dxf = self._solve_once(h, rf)
         e1, e2 = self._solve_once(h - self.M @ dy - self.F @ dxf, rf - self.F.T @ dy)
         return dy + e1, dxf + e2
+
+
+def _free_basis(F: np.ndarray, blocks: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """T = Q1 R^{-T}, (m, p), and Q2, (m, m - p), of the complete QR F = [Q1 Q2] [R; 0] of the free columns.
+
+    ``blocks`` lists the (index, size) of the zero blocks stacked in F.  F of
+    dependent columns is refused, since the Newton system is singular then:
+    column j counts as dependent on the columns before it when j >= m or
+    |R_jj| <= m p eps ||F_j||, a bound on the rounding of Householder QR that
+    does not depend on the column's scale.  The ValueError names each such
+    column by its block and entry.
+    """
+    m, p = F.shape
+    Q, R = np.linalg.qr(F, mode="complete")
+    diag = np.abs(np.diagonal(R))
+    limit = m * p * np.finfo(float).eps * np.linalg.norm(F, axis=0)
+    dependent = [j for j in range(p) if j >= m or diag[j] <= limit[j]]
+    if dependent:
+        owner = [(bi, e) for bi, size in blocks for e in range(size)]
+        raise ValueError("zero-block entries whose constraint columns depend on earlier ones: "
+                         + ", ".join("block {} entry {}".format(*owner[j]) for j in dependent))
+    Tt, _ = dtrtrs(R[:p], Q[:, :p].T)  # R^{-1} Q1'; R's diagonal has no zero
+    return np.ascontiguousarray(Tt.T), np.ascontiguousarray(Q[:, p:])
 
 
 def _stacked_data(prog: ConicProgram, bis: list[int]) -> np.ndarray:
@@ -549,6 +584,12 @@ class _Layout:
         self.Al, self.F = _stacked_data(prog, self.nonneg), _stacked_data(prog, self.free)
         self.cl, self.c_f = (np.concatenate([np.zeros(0), *(prog.C[bi] for bi in bis)])
                              for bis in (self.nonneg, self.free))
+        # T and Q2 of the null-space Newton step (see `_Factorization`), from one QR of F per solve
+        start = perf_counter()
+        self.T = self.Q2 = None
+        if self.F.shape[1]:
+            self.T, self.Q2 = _free_basis(self.F, [(bi, prog.blocks[bi].size) for bi in self.free])
+        qr_seconds = perf_counter() - start
         self.nu = sum(prog.blocks[bi].size for bi in psd) + len(self.cl)
         self.scale = max(1.0, float(np.max(np.abs(prog.b), initial=0.0)),
                          *(float(np.max(np.abs(C), initial=0.0)) for C in prog.C))
@@ -558,14 +599,16 @@ class _Layout:
         # Schur formation, nnz (s^2 + hi - lo) on that path and (hi - lo)^2 s^2 on the dense one;
         # the step search's bisection decisions, the trial matrices it factored and its `_chol_ok`
         # calls; the Cholesky factorizations of the Schur system and those that needed the diagonal
-        # shift; the wall seconds of each phase, which each step adds itself
-        seconds = {"schur": 0.0, "factor": 0.0, "direction": 0.0, "step": 0.0}
+        # shift; the free columns p and the side m - p of the matrix each iteration factors; the wall
+        # seconds of each phase, which each step adds itself, the QR of F counted as factoring
+        seconds = {"schur": 0.0, "factor": qr_seconds, "direction": 0.0, "step": 0.0}
         nnz = {bi: len(prog.A[bi].vals) for bi in psd}
         madds = sum(nnz[bi] * (side[bi] ** 2 + hi - lo) if bi in self.csr else (hi - lo) ** 2 * side[bi] ** 2
                     for bi, (lo, hi) in self.span.items())
         self.stats = {"row_spans": self.span, "nonzeros": nnz, "sparse_schur": sorted(self.csr),
                       "schur_madds": madds, "step_chol_calls": 0, "step_trials": 0, "step_batches": 0,
-                      "factorizations": 0, "regularized": 0, "seconds": seconds}
+                      "factorizations": 0, "regularized": 0, "free_columns": len(self.c_f),
+                      "factored_side": prog.m - len(self.c_f), "seconds": seconds}
 
     def start(self) -> _Point:
         """X = Z = scale * I, xl = zl = scale, xf = 0 and y = 0."""
@@ -609,7 +652,7 @@ class _Layout:
         M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
         M = 0.5 * (M + M.T)
         formed = perf_counter()
-        fact = _Factorization(M, self.F, self.stats)
+        fact = _Factorization(M, self.F, self.T, self.Q2, self.stats)
         self.stats["seconds"]["schur"] += formed - start
         self.stats["seconds"]["factor"] += perf_counter() - formed
         return Zinv, ZRX, fact

@@ -250,7 +250,10 @@ class TestInputErrors:
         ("free.sdp", "kind: sdp\n[blocks]\nzero 2\n[b]\n1\n[A 1]\n1 1 1 1\n"),
         ("unconstrained.sdp", "kind: sdp\n[blocks]\npsd 2\n[C]\n1 1 1 1\n"),
         ("side9.pencil", "kind: pencil\nvariables: x\nside: 9\n[F0]\n1 1 1\n[F 1]\n1 1 1\n"),
-    ], ids=["free.sdp", "unconstrained.sdp", "side9.pencil"])
+        # two free entries with equal constraint columns, refused when the solve starts
+        ("dependent.sdp", "kind: sdp\n[blocks]\npsd 1\nzero 2\n[b]\n1\n[C]\n1 1 1 1\n"
+                          "[A 1]\n1 1 1 1\n2 1 1 1\n2 2 2 1\n"),
+    ], ids=["free.sdp", "unconstrained.sdp", "side9.pencil", "dependent.sdp"])
     def test_one_error_line_and_no_report(self, tmp_path, capsys, name, text):
         path = tmp_path / name
         path.write_text(text)

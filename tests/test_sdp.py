@@ -116,6 +116,14 @@ def reference_schur_psd(M, A, X, Zinv) -> None:
     M += A2 @ T2.T
 
 
+def reference_kkt_solve(M, F, h, rf) -> tuple[np.ndarray, np.ndarray]:
+    # the bordered Newton system [[M, F], [F', 0]] [dy, dxf] = [h, rf], dense, by LU
+    m, p = F.shape
+    K = np.block([[M, F], [F.T, np.zeros((p, p))]])
+    sol = np.linalg.solve(K, np.concatenate([h, rf]))
+    return sol[:m], sol[m:]
+
+
 def reference_steps(pt, d, orders, stats) -> tuple[float, float]:
     """The step search in declared block order, one `_max_step_psd` call per block and side."""
     ap, ad = sdp._max_step_nonneg(pt.xl, d.xl), sdp._max_step_nonneg(pt.zl, d.zl)
@@ -263,6 +271,66 @@ class TestCoreSolves:
         sol = solve(sqrt2_program(), SolveOptions(max_iter=2))
         assert sol.status == "max_iter"
         assert sol.iterations <= 2
+
+
+class TestNullSpaceStep:
+    @pytest.mark.parametrize("m, p", [(7, 0), (7, 1), (7, 4), (7, 7), (1, 1), (30, 12)])
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_solve_matches_dense_kkt(self, m, p, singular):
+        # M positive definite, or singular on the range of F and positive definite on the null
+        # space of F', where the bordered system is still nonsingular
+        rng = np.random.default_rng(100 * m + p)
+        F = rng.normal(size=(m, p))
+        if singular and p:
+            Q = np.linalg.qr(F, mode="complete")[0]
+            B = Q[:, p:] @ rng.normal(size=(m - p, m - p))
+            M = B @ B.T
+        else:
+            M = random_spd(rng, m, 0.1)
+        T, Q2 = sdp._free_basis(F, [(0, p)]) if p else (None, None)
+        stats = {"factorizations": 0, "regularized": 0}
+        fact = sdp._Factorization(M, F, T, Q2, stats)
+        for _ in range(3):
+            h, rf = rng.normal(size=m), rng.normal(size=p)
+            dy, dxf = fact.solve(h, rf)
+            dy_ref, dxf_ref = reference_kkt_solve(M, F, h, rf)
+            scale = 1.0 + np.abs(np.concatenate([dy_ref, dxf_ref])).max()
+            assert np.abs(dy - dy_ref).max() <= 1e-10 * scale
+            assert np.abs(dxf - dxf_ref).max(initial=0.0) <= 1e-10 * scale
+            assert np.abs(F.T @ dy - rf).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(rf).max(initial=0.0))
+        # one factorization of side m - p, none once the null space is empty, and no shift
+        assert stats == {"factorizations": int(p < m), "regularized": 0}
+
+    def test_basis_spans_the_null_space(self):
+        rng = np.random.default_rng(3)
+        F = rng.normal(size=(9, 4))
+        T, Q2 = sdp._free_basis(F, [(2, 4)])
+        assert T.shape == (9, 4) and Q2.shape == (9, 5)
+        assert T.flags.c_contiguous and Q2.flags.c_contiguous
+        assert np.abs(F.T @ T - np.eye(4)).max() < 1e-12
+        assert np.abs(F.T @ Q2).max() < 1e-12 * np.abs(F).max()
+        assert np.abs(Q2.T @ Q2 - np.eye(5)).max() < 1e-14
+
+    def test_dependent_free_columns_are_named(self):
+        # the second zero block's entries repeat a column of the first and scale another; with
+        # more columns than rows, every column from m on is dependent; so is a zero column
+        rng = np.random.default_rng(4)
+        F = rng.normal(size=(6, 5))
+        F[:, 3], F[:, 4] = F[:, 0], -3.0 * F[:, 2]
+        with pytest.raises(ValueError, match=r": block 5 entry 0, block 5 entry 1$"):
+            sdp._free_basis(F, [(2, 3), (5, 2)])
+        with pytest.raises(ValueError, match=r": block 0 entry 2$"):
+            sdp._free_basis(rng.normal(size=(2, 3)), [(0, 3)])
+        with pytest.raises(ValueError, match=r": block 0 entry 0$"):
+            sdp._free_basis(np.zeros((3, 1)), [(0, 1)])
+
+    def test_program_with_equal_free_columns_is_refused(self):
+        # free entries u1 and u2 enter every constraint alike, so only u1 + u2 is determined
+        text = ("kind: sdp\n[blocks]\npsd 2\nzero 2\n[b]\n1 2\n[C]\n1 1 1 1\n1 2 2 1\n"
+                "[A 1]\n1 1 1 1\n2 1 1 1\n2 2 2 1\n[A 2]\n1 2 2 1\n")
+        prog = parse_problem_text(text).sdp
+        with pytest.raises(ValueError, match=r"depend on earlier ones: block 1 entry 1$"):
+            solve(prog)
 
 
 class TestRandomPrograms:
@@ -1131,7 +1199,7 @@ class TestIterationSteps:
 
 class TestSolveStats:
     KEYS = {"row_spans", "nonzeros", "sparse_schur", "schur_madds", "step_chol_calls", "step_trials",
-            "step_batches", "factorizations", "regularized", "seconds"}
+            "step_batches", "factorizations", "regularized", "free_columns", "factored_side", "seconds"}
 
     def test_sizes_and_counts(self, monkeypatch):
         prog, _, _ = mixed_cone_program(np.random.default_rng(2), 3, 2, 1, 4)
@@ -1152,8 +1220,9 @@ class TestSolveStats:
         assert stats["step_batches"] == len(trials)
         assert 0 < stats["step_chol_calls"] <= stats["step_trials"]
         assert stats["step_batches"] <= stats["step_trials"]
-        # one Schur factorization and one of its free-column border per iteration
-        assert stats["factorizations"] == 2 * sol.iterations
+        # m = 4 rows and p = 1 free column: one factorization per iteration, of side m - p = 3
+        assert (stats["free_columns"], stats["factored_side"]) == (1, 3)
+        assert stats["factorizations"] == sol.iterations
         assert stats["regularized"] == 0
 
     def test_phase_seconds_within_the_solve(self):
@@ -1247,10 +1316,12 @@ class TestSolveStats:
 
 class TestFallback:
     def test_flag_marks_a_returned_earlier_iterate(self, monkeypatch):
-        # planar benchmark shadow at r = 2, default tolerance: direction 35 of
-        # 64 ends in max_iter on an earlier, better iterate; direction 0 converges
+        # planar benchmark shadow at r = 2, default tolerance: direction 0
+        # converges; saturation3.gmp at r = 3 and the CLI's tolerance 1e-6 ends
+        # in max_iter on an earlier, better iterate
         from momentsdp import spectra
         from momentsdp.casestudies import build_polyopt
+        from momentsdp.gmp import build_gmp_relaxation
 
         sols = []
 
@@ -1259,12 +1330,14 @@ class TestFallback:
             return sols[-1]
 
         monkeypatch.setattr(spectra, "solve", record)
-        directions = spectra.unit_directions(64)
-        spectra.shadow_support_points(build_polyopt().feasible_set, 2, [directions[0], directions[35]])
-        converged, fell_back = sols
+        spectra.shadow_support_points(build_polyopt().feasible_set, 2, spectra.unit_directions(64)[:1])
+        (converged,) = sols
         assert converged.status == "optimal" and not converged.fallback_used
         last = converged.trace[-1]
         assert (converged.primal_residual, converged.dual_residual) == (last["pres"], last["dres"])
+        gmp, _ = load_problem(os.path.join(FIXTURES, "saturation3.gmp")).gmp.instantiate(3)
+        prog = build_gmp_relaxation(gmp, 3)[0].program
+        fell_back = solve(prog, SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
         assert fell_back.status == "max_iter" and fell_back.fallback_used
         last = fell_back.trace[-1]
         merit = lambda pres, dres, pobj, dobj: max(pres, dres, abs(pobj - dobj) / (1.0 + abs(dobj)))

@@ -29,6 +29,11 @@ size of every block, the dtype, shape and bytes of its `rows`, `cols`,
 
 Two files made from two checkouts compare with `diff`: equal lines mean
 bit-identical iterates and programs.
+
+Once the file is written, the census of the 89 solves goes to stdout: the
+count of each status, then how many solves returned the best earlier iterate
+(`fallback_used`) and in how many a Schur factorization needed the diagonal
+shift (`regularized` > 0).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import hashlib
 import io
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +74,16 @@ def _build_line(case: str, prog) -> str:
             add(arr)
     add(prog.b)
     return f"{case} build {prog.m} {len(prog.blocks)} {h.hexdigest()}\n"
+
+
+def census(solves: list) -> str:
+    """The status counts (by name), then the solves with `fallback_used` and with `regularized` > 0."""
+    statuses = Counter(sol.status for sol in solves)
+    lines = [f"solves: {len(solves)}"]
+    lines += [f"status {status}: {statuses[status]}" for status in sorted(statuses)]
+    lines.append(f"fallback_used: {sum(bool(sol.fallback_used) for sol in solves)}")
+    lines.append(f"regularized > 0: {sum(sol.stats.get('regularized', 0) > 0 for sol in solves)}")
+    return "\n".join(lines) + "\n"
 
 
 def load(src: Path):
@@ -148,15 +164,17 @@ def main() -> int:
         if name.split(".")[0] == "momentsdp" and getattr(module, "solve", None) is original:
             module.solve = recorded
 
-    lines = []
+    lines, every = [], []
     for case in cases():
         lines += [_line(case, k, sol) for k, sol in enumerate(solves)]
         print(f"{case}: {len(solves)} solves", file=sys.stderr)
+        every += solves
         solves.clear()
     for case, prog in builds():
         lines.append(_build_line(case, prog))
         print(f"{case}: built", file=sys.stderr)
     out.write_text("".join(lines))
+    sys.stdout.write(census(every))
     return 0
 
 
