@@ -34,22 +34,24 @@ trials change how much is factored, not the step.
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
 fill well under 1% of the dense (m, s, s) arrays.  `_Layout` splits the
-blocks by kind once per solve.  It expands each psd block into a dense
-working copy over its row span, the rows [lo, hi) from the first to the last
-one that touch it (all rows at side 1), and writes the nonneg blocks straight
-into one stacked (m, n_l) matrix and the zero blocks into one stacked (m, p)
-matrix F, each with one vector of unknowns, and takes one QR of F
-(`_free_basis`), which refuses dependent columns; X and Z are sliced back into
-declared block order once, at the end.  Every sum over blocks takes the psd
-blocks first, then the nonneg part, then the free part.  A psd block's
-residual and A^T y terms run over its span on the dense copy, and its Schur
-terms fill only M[lo:hi, lo:hi].  A block whose copy holds at most
-`_SCHUR_CHUNK` floats forms them by `_schur_psd`: stacked products and one
-GEMM.  A larger block forms them by `_schur_psd_nonzeros` from its nonzeros
-as a CSR (hi - lo, s^2) array, a chunk of rows at a time, which agrees with
-the GEMM to rounding; its dense copy serves only the residual terms.  The
-working set lives only as long as the solve; each iteration frees the last
-Schur system and its factors before it forms the next.
+blocks by kind once per solve.  It writes the nonneg blocks straight into one
+stacked (m, n_l) matrix and the zero blocks into one stacked (m, p) matrix F,
+each with one vector of unknowns, and takes one QR of F (`_free_basis`),
+which refuses dependent columns; X and Z are sliced back into declared block
+order once, at the end.  Every sum over blocks takes the psd blocks first,
+then the nonneg part, then the free part.  Every term of a psd block runs
+over its row span, the rows [lo, hi) from the first to the last one that
+touch it (all rows at side 1), and its Schur terms fill only M[lo:hi, lo:hi].
+A block whose dense span copy would hold at most `_SCHUR_CHUNK` floats gets
+that copy: its residual terms <A_k, V> and its A^T y terms sum_k y_k A_k are
+np.einsum over it, and `_schur_psd` forms its Schur terms by stacked products
+and one GEMM.  A larger block gets no dense copy.  It keeps its nonzeros as a
+CSR (hi - lo, s^2) array and that array's transpose: its <A_k, V> are the
+product of the CSR array with V flattened, its A^T y the product of the
+transpose with y, and `_schur_psd_nonzeros` forms its Schur terms a chunk of
+rows at a time; each agrees with the dense path to rounding.  The working set
+lives only as long as the solve; each iteration frees the last Schur system
+and its factors before it forms the next.
 
 This module holds the program and its solver only; `problemfile` reads and
 writes programs as ``kind: sdp`` text.
@@ -75,8 +77,8 @@ BlockKind = Literal["psd", "nonneg", "zero"]
 _log = logging.getLogger(__name__)
 
 _REG = 1e-12  # diagonal regularization applied once on Cholesky failure
-# floats of a psd block's dense span copy above which it forms its Schur terms from its
-# nonzeros, and per chunk of the products that `_schur_psd_nonzeros` forms
+# floats of a psd block's dense span copy above which it forms every term from its nonzeros
+# and gets no such copy, and per chunk of the products that `_schur_psd_nonzeros` forms
 _SCHUR_CHUNK = 1 << 17
 _STEP_FRACTION = 0.98  # fraction of the way to the cone boundary each step takes
 # largest psd side whose step search starts with a stacked path (see
@@ -512,7 +514,10 @@ def _stacked_data(prog: ConicProgram, bis: list[int]) -> np.ndarray:
 
 
 def _span_data(prog: ConicProgram, bi: int, span: tuple[int, int]) -> np.ndarray:
-    """Dense (hi - lo, s, s) copy of psd block bi's constraint data over the rows [lo, hi) of ``span``."""
+    """Dense (hi - lo, s, s) copy of psd block bi's constraint data over the rows [lo, hi) of ``span``.
+
+    Only a block whose copy holds at most `_SCHUR_CHUNK` floats gets one (see "Storage" above).
+    """
     (lo, hi), s, data = span, prog.blocks[bi].size, prog.A[bi]
     out = np.zeros((hi - lo, s * s))
     out[data.rows - lo, data.cols] = data.vals
@@ -566,19 +571,25 @@ def _schur_psd_nonzeros(M: np.ndarray, A: scipy.sparse.csr_array, X: np.ndarray,
 
 class _Layout:
     """A program split by cone kind once per solve (see "Storage" above), with its working
-    buffers and ``stats``; the methods are the phases of one iteration."""
+    buffers and ``stats``.  ``A`` holds the dense span copies of the psd blocks on the dense
+    path, ``csr`` and ``csr_t`` the CSR data and its transpose of the others; `inner` and
+    `weighted_sum` read whichever a block has.  The other methods are the phases of one
+    iteration."""
 
     def __init__(self, prog: ConicProgram):
+        built = perf_counter()
         self.prog = prog
         psd, self.nonneg, self.free = ([bi for bi, blk in enumerate(prog.blocks) if blk.kind == kind]
                                        for kind in ("psd", "nonneg", "zero"))
         self.psd = psd
         self.span = _row_spans(prog, psd)
-        self.A = {bi: _span_data(prog, bi, self.span[bi]) for bi in psd}
         side = {bi: prog.blocks[bi].size for bi in psd}
-        # the blocks whose dense span copy exceeds one chunk form their Schur terms from their nonzeros
+        # a block whose dense span copy would exceed one chunk keeps, in place of that copy, its data
+        # over the span as CSR and the transpose of that for its A^T y terms
         self.csr = {bi: _span_csr(prog, bi, (lo, hi)) for bi, (lo, hi) in self.span.items()
                     if (hi - lo) * side[bi] ** 2 > _SCHUR_CHUNK}
+        self.csr_t = {bi: A.T.tocsr() for bi, A in self.csr.items()}
+        self.A = {bi: _span_data(prog, bi, self.span[bi]) for bi in psd if bi not in self.csr}
         self.eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
         # Al (m, n_l), cl (n_l,) of the nonneg blocks and F (m, p), c_f (p,) of the zero blocks
         self.Al, self.F = _stacked_data(prog, self.nonneg), _stacked_data(prog, self.free)
@@ -600,8 +611,10 @@ class _Layout:
         # the step search's bisection decisions, the trial matrices it factored and its `_chol_ok`
         # calls; the Cholesky factorizations of the Schur system and those that needed the diagonal
         # shift; the free columns p and the side m - p of the matrix each iteration factors; the wall
-        # seconds of each phase, which each step adds itself, the QR of F counted as factoring
-        seconds = {"schur": 0.0, "factor": qr_seconds, "direction": 0.0, "step": 0.0}
+        # seconds of this build and of each phase, which each step adds itself, the QR of F counted as
+        # factoring, not as the build
+        seconds = {"layout": 0.0, "residuals": 0.0, "schur": 0.0, "factor": qr_seconds, "direction": 0.0,
+                   "step": 0.0}
         nnz = {bi: len(prog.A[bi].vals) for bi in psd}
         madds = sum(nnz[bi] * (side[bi] ** 2 + hi - lo) if bi in self.csr else (hi - lo) ** 2 * side[bi] ** 2
                     for bi, (lo, hi) in self.span.items())
@@ -609,6 +622,7 @@ class _Layout:
                       "schur_madds": madds, "step_chol_calls": 0, "step_trials": 0, "step_batches": 0,
                       "factorizations": 0, "regularized": 0, "free_columns": len(self.c_f),
                       "factored_side": prog.m - len(self.c_f), "seconds": seconds}
+        seconds["layout"] = perf_counter() - built - qr_seconds
 
     def start(self) -> _Point:
         """X = Z = scale * I, xl = zl = scale, xf = 0 and y = 0."""
@@ -616,15 +630,29 @@ class _Layout:
         return _Point({bi: s * I for bi, I in self.eye.items()}, {bi: s * I for bi, I in self.eye.items()},
                       s * np.ones(n_l), s * np.ones(n_l), np.zeros(len(self.c_f)), np.zeros(self.prog.m))
 
+    def inner(self, bi: int, V: np.ndarray) -> np.ndarray:
+        """<A_k, V> for the rows k of psd block bi's span."""
+        if bi in self.csr:
+            return self.csr[bi] @ V.ravel()
+        return np.einsum("kij,ij->k", self.A[bi], V)
+
+    def weighted_sum(self, bi: int, y: np.ndarray) -> np.ndarray:
+        """sum_k y_k A_k on psd block bi, over the rows of its span."""
+        lo, hi = self.span[bi]
+        if bi in self.csr:
+            return (self.csr_t[bi] @ y[lo:hi]).reshape(self.prog.blocks[bi].shape)
+        return np.einsum("kij,k->ij", self.A[bi], y[lo:hi])
+
     def residuals(self, pt: _Point) -> _Residuals:
+        start = perf_counter()
         X, Z, xl, zl, xf, y = pt.X, pt.Z, pt.xl, pt.zl, pt.xf, pt.y
-        C, span, A = self.prog.C, self.span, self.A
+        C, span = self.prog.C, self.span
         rp = self.prog.b.copy()
         for bi in self.psd:
-            rp[slice(*span[bi])] -= np.einsum("kij,ij->k", A[bi], X[bi])
+            rp[slice(*span[bi])] -= self.inner(bi, X[bi])
         rp -= self.Al @ xl
         rp -= self.F @ xf
-        Rd = {bi: C[bi] - np.einsum("kij,k->ij", A[bi], y[slice(*span[bi])]) - Z[bi] for bi in self.psd}
+        Rd = {bi: C[bi] - self.weighted_sum(bi, y) - Z[bi] for bi in self.psd}
         rl = self.cl - self.Al.T @ y - zl
         rf = self.c_f - self.F.T @ y
         dnorm2 = sum(float(np.sum(R**2)) for R in (*Rd.values(), rl, rf))
@@ -632,6 +660,7 @@ class _Layout:
         pobj = float(sum(np.sum(C[bi] * X[bi]) for bi in self.psd) + np.sum(self.cl * xl))
         pobj += float(self.c_f @ xf)
         dobj = float(self.prog.b @ y)
+        self.stats["seconds"]["residuals"] += perf_counter() - start
         return _Residuals(rp, Rd, rl, rf, gap, pobj, dobj, float(np.linalg.norm(rp)) / self.bnorm,
                           float(np.sqrt(dnorm2)) / self.cnorm)
 
@@ -676,7 +705,7 @@ class _Layout:
             G[bi] = sigma_mu * Zinv[bi] - X[bi] - ZRX[bi]
             if pred is not None:
                 G[bi] = G[bi] - Zinv[bi] @ (pred.Z[bi] @ pred.X[bi])
-            h[slice(*self.span[bi])] -= np.einsum("kij,ij->k", self.A[bi], G[bi])
+            h[slice(*self.span[bi])] -= self.inner(bi, G[bi])
         gl = sigma_mu / zl - xl - res.rl * xl / zl
         if pred is not None:
             gl = gl - pred.zl * pred.xl / zl
@@ -684,7 +713,7 @@ class _Layout:
         dy, dxf = fact.solve(h, res.rf)
         dX, dZ = {}, {}
         for bi in self.psd:
-            Aty = np.einsum("kij,k->ij", self.A[bi], dy[slice(*self.span[bi])])
+            Aty = self.weighted_sum(bi, dy)
             dZ[bi] = res.Rd[bi] - Aty
             dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
             dX[bi] = 0.5 * (dxb + dxb.T)

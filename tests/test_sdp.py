@@ -1087,13 +1087,22 @@ class TestSchurFormation:
             assert r.tobytes() == (np.zeros(m) - np.einsum("kij,ij->k", Ad, G)).tobytes(), trial
 
     def test_nonzero_path_agrees_with_reference(self, monkeypatch):
-        # a block whose dense span copy exceeds `_SCHUR_CHUNK` floats forms its
-        # terms from its nonzeros; with the limit lowered, every block here does,
-        # a few rows per chunk.  The eig-assign n = 4 and 5 blocks at r = 3 and
-        # random sparse blocks whose spans leave rows out at both ends and hold
-        # rows without nonzeros
+        # a block whose dense span copy would exceed `_SCHUR_CHUNK` floats forms
+        # its terms from its nonzeros and gets no dense copy; with the limit
+        # lowered, every block here does, a few rows per chunk.  The eig-assign
+        # n = 4 and 5 blocks at r = 3 and random sparse blocks whose spans leave
+        # rows out at both ends and hold rows without nonzeros.  The Schur terms
+        # are checked against the dense formation, and the residual (rp, Rd),
+        # right-hand side (h) and A^T dy terms against np.einsum over the dense
+        # data of every row, each within 1e-13 of the largest dense term;
+        # `direction` forms h and A^T dy by the `inner` and `weighted_sum` that
+        # `residuals` uses
         from momentsdp.casestudies import build_eig_assign
         from momentsdp.relaxation import build_relaxation
+
+        def agree(got, want, *terms):
+            bound = 1e-13 * max(float(np.max(np.abs(t), initial=0.0)) for t in (want, *terms))
+            assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= bound
 
         monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 5000)
         rng = np.random.default_rng(10)
@@ -1106,8 +1115,9 @@ class TestSchurFormation:
             programs.append(ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)]))
         for prog in programs:
             lay = sdp._Layout(prog)
-            assert sorted(lay.csr) == lay.psd
-            for bi, Ad in zip(lay.psd, dense_data(prog)):
+            assert sorted(lay.csr) == lay.psd and lay.A == {}
+            dense = dense_data(prog)
+            for bi in lay.psd:
                 (lo, hi), s = lay.span[bi], prog.blocks[bi].size
                 X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
                 M0 = rng.normal(size=(prog.m, prog.m))
@@ -1117,8 +1127,24 @@ class TestSchurFormation:
                 inside[lo:hi, lo:hi] = True
                 assert M[~inside].tobytes() == M0[~inside].tobytes(), (prog.m, s)
                 M_ref = M0.copy()
-                reference_schur_psd(M_ref, Ad, X, Zinv)
+                reference_schur_psd(M_ref, dense[bi], X, Zinv)
                 assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref)), (prog.m, s)
+                G, dy = random_sym(rng, s), rng.normal(size=prog.m)
+                h = np.einsum("kij,ij->k", dense[bi], G)
+                assert not h[:lo].any() and not h[hi:].any()
+                agree(lay.inner(bi, G), h[lo:hi])
+                agree(lay.weighted_sum(bi, dy), np.einsum("kij,k->ij", dense[bi], dy))
+            n_l, p = len(lay.cl), len(lay.c_f)
+            pt = sdp._Point({bi: random_spd(rng, prog.blocks[bi].size) for bi in lay.psd},
+                            {bi: random_spd(rng, prog.blocks[bi].size) for bi in lay.psd},
+                            rng.random(n_l), rng.random(n_l), rng.normal(size=p), rng.normal(size=prog.m))
+            res = lay.residuals(pt)
+            psd_terms = [np.einsum("kij,ij->k", dense[bi], pt.X[bi]) for bi in lay.psd]
+            Al_x, F_x = lay.Al @ pt.xl, lay.F @ pt.xf
+            agree(res.rp, prog.b - sum(psd_terms) - Al_x - F_x, prog.b, Al_x, F_x, *psd_terms)
+            for bi in lay.psd:
+                Aty = np.einsum("kij,k->ij", dense[bi], pt.y)
+                agree(res.Rd[bi], prog.C[bi] - Aty - pt.Z[bi], prog.C[bi], Aty, pt.Z[bi])
 
     def test_solves_bit_identical_to_reference_schur(self, monkeypatch):
         from momentsdp.casestudies import build_eig_assign
@@ -1144,11 +1170,12 @@ class TestSchurFormation:
             for Xa, Xb in zip(a.X, b.X):
                 assert np.array_equal(Xa, Xb)
 
-    def test_working_set_within_two_dense_copies(self):
+    def test_working_set_within_one_dense_copy(self):
         # traced peak of a short eig-assign n = 5, r = 3 solve (m = 462, psd
         # sides 56 and 21, a free block of 372) against the bytes of its data
         # as dense arrays: full (m, s, s) products would need about 4 copies,
-        # and a (span, s^2) product buffer per block about 2.4
+        # and a (span, s^2) product buffer per block about 2.4.  Both psd
+        # blocks form every term from their nonzeros and have no dense copy
         import math
         import tracemalloc
 
@@ -1166,7 +1193,8 @@ class TestSchurFormation:
         finally:
             tracemalloc.stop()
         assert sol.iterations == 2
-        assert peak <= 2 * dense_bytes, peak / dense_bytes
+        assert sol.stats["sparse_schur"] == [0, 1]
+        assert peak <= dense_bytes, peak / dense_bytes
 
 
 class TestIterationSteps:
@@ -1234,7 +1262,7 @@ class TestSolveStats:
         sol = solve(prog, SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
         wall = time.perf_counter() - start
         seconds = sol.stats["seconds"]
-        assert set(seconds) == {"schur", "factor", "direction", "step"}
+        assert set(seconds) == {"layout", "residuals", "schur", "factor", "direction", "step"}
         assert all(value >= 0.0 for value in seconds.values())
         assert 0.0 < sum(seconds.values()) <= wall
 

@@ -6,13 +6,15 @@
 `momentsdp` is imported from DIR (a checkout's `src/`), and every module
 that bound `momentsdp.sdp.solve` gets a wrapper that records each solve.
 BLAS/OpenMP run on one thread, as in perfbench, unless the environment
-already sets a count.  The 89 solves are:
+already sets a count.  The 90 solves are:
 
   - the 21 of the `solve` commands of `tools/reports.py`, run in process
     through `momentsdp.cli.main` from the repository root;
   - the planar shadow at order 2 over 64 directions;
   - eig-assign n = 4, 5 and 6 at order 3 (gap 1e-4, feas 1e-5), the
-    eig-ladder of perfbench (m = 210, 462 and 924);
+    eig-ladder of perfbench (m = 210, 462 and 924), and n = 5 at order 4
+    (m = 1,287, psd sides 126 and 56), where every psd block forms its
+    terms from its nonzeros;
   - the saturation cells of `build_saturation_cells(2)` at order 2
     (gap and feas 1e-6).
 
@@ -25,12 +27,12 @@ relax-build (eig-assign n = 5 and 6 at order 4, the saturation cells at
 order 5) and `build_saturation_cells(r)` at order r for r = 2, 3, 4.  Each
 line reads `CASE build m blocks sha256`, the hash taken over the kind and
 size of every block, the dtype, shape and bytes of its `rows`, `cols`,
-`vals` and `C`, and those of `b`: 95 lines in all.
+`vals` and `C`, and those of `b`: 96 lines in all.
 
 Two files made from two checkouts compare with `diff`: equal lines mean
 bit-identical iterates and programs.
 
-Once the file is written, the census of the 89 solves goes to stdout: the
+Once the file is written, the census of the 90 solves goes to stdout: the
 count of each status, then how many solves returned the best earlier iterate
 (`fallback_used`) and in how many a Schur factorization needed the diagonal
 shift (`regularized` > 0).
@@ -128,6 +130,8 @@ def cases():
     for n in (4, 5, 6):
         relaxation.bound_and_moments(casestudies.build_eig_assign(n), 3, eig)
         yield f"eig-assign-{n}-r3"
+    relaxation.bound_and_moments(casestudies.build_eig_assign(5), 4, eig)
+    yield "eig-assign-5-r4"
     prog = gmp.build_gmp_relaxation(casestudies.build_saturation_cells(2).gmp, 2)[0].program
     sdp.solve(prog, sdp.SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
     yield "saturation-cells-2-r2"
