@@ -18,18 +18,19 @@ normalization and equality rows.
 
 The algorithm is infeasible-start path following on X Z = mu I with the
 HKM-style direction (linearize using Z^{-1} and symmetrize the X step) and a
-Mehrotra predictor-corrector.  `solve` holds the loop, the stop tests and the
-best-iterate fallback; each phase of an iteration is a step of its own on one
-record, `_Point`, the iterate and the search direction alike, and adds its
-wall seconds to ``stats``: `_Layout.residuals`; `_Layout.schur`, the Schur
-complement M and the Newton system's factors (`_Factorization`): the free
-entries' data F pin dy to F'dy = rf, so only M's projection onto the null
-space of F' is factored, by LAPACK's Cholesky called directly;
-`_Layout.direction`, the predictor or the corrector; and `_steps`, the
-largest steps in the cone, of which `solve` takes a fixed fraction.  The cone
-boundary of a psd block is found by bisection on numpy's Cholesky kernel
-(`_max_step_psd`); the order in which the blocks are searched and the stacked
-trials change how much is factored, not the step.
+Mehrotra predictor-corrector.  `solve` holds the loop and the stop tests, and
+returns the last iterate under a status that says why it stopped; each phase
+of an iteration is a step of its own on one record, `_Point`, the iterate and
+the search direction alike, and adds its wall seconds to ``stats``:
+`_Layout.residuals`; `_Layout.schur`, the Schur complement M and the Newton
+system's factors (`_Factorization`): the free entries' data F pin dy to
+F'dy = rf, so only M's projection onto the null space of F' is factored, by
+LAPACK's Cholesky called directly, and a failed factorization ends the solve
+as ``numerical_failure``; `_Layout.direction`, the predictor or the
+corrector; and `_steps`, the largest steps in the cone, of which `solve` takes
+a fixed fraction.  The cone boundary of a psd block is found by bisection on
+numpy's Cholesky kernel (`_max_step_psd`); the order in which the blocks are
+searched and the stacked trials change how much is factored, not the step.
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
@@ -76,7 +77,6 @@ BlockKind = Literal["psd", "nonneg", "zero"]
 
 _log = logging.getLogger(__name__)
 
-_REG = 1e-12  # diagonal regularization applied once on Cholesky failure
 # floats of a psd block's dense span copy above which it forms every term from its nonzeros
 # and gets no such copy, and per chunk of the products that `_schur_psd_nonzeros` forms
 _SCHUR_CHUNK = 1 << 17
@@ -232,7 +232,6 @@ class SDPSolution:
     mu_final: float
     blocks: list[Block] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
-    fallback_used: bool = False  # the best earlier iterate was returned, not the last
     stats: dict = field(default_factory=dict)  # psd row spans, work counts, phase seconds; see `_Layout`
 
 
@@ -441,27 +440,18 @@ class _Factorization:
     m - p, the only matrix factored.  K is positive definite when M is on the
     null space of F', also where M itself is singular on the range of F.  Then
     dxf = T'(h - M dy).  Without free entries (T is None) K is M itself; with
-    p = m, dy = T rf and nothing is factored.  Counted in ``stats``.
+    p = m, dy = T rf and nothing is factored.  A K that is not numerically
+    positive definite raises LinAlgError.  Counted in ``stats``.
     """
 
     def __init__(self, M: np.ndarray, F: np.ndarray, T: Optional[np.ndarray], Q2: Optional[np.ndarray],
                  stats: dict):
-        self.stats = stats
         self.M, self.F, self.T, self.Q2 = M, F, T, Q2
         K = M if T is None else Q2.T @ (M @ Q2)
-        self.cho = self._factor(K) if K.size else None
-
-    def _factor(self, M: np.ndarray):
-        # the solve loop checks finiteness first, so no input here needs a scan
-        self.stats["factorizations"] += 1
-        try:
-            return cho_factor(M)
-        except np.linalg.LinAlgError:
-            pass
-        self.stats["regularized"] += 1
-        scale = max(1.0, float(np.max(np.abs(np.diag(M)), initial=0.0)))
-        Mreg = M + (_REG * scale) * np.eye(M.shape[0])
-        return cho_factor(Mreg)  # second failure propagates
+        self.cho = None
+        if K.size:  # the solve loop checks finiteness first, so K needs no scan
+            stats["factorizations"] += 1
+            self.cho = cho_factor(K)
 
     def _solve_once(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.T is None:
@@ -609,10 +599,9 @@ class _Layout:
         # the psd row spans, nonzeros and blocks on the nonzero path, and the multiply-adds of one
         # Schur formation, nnz (s^2 + hi - lo) on that path and (hi - lo)^2 s^2 on the dense one;
         # the step search's bisection decisions, the trial matrices it factored and its `_chol_ok`
-        # calls; the Cholesky factorizations of the Schur system and those that needed the diagonal
-        # shift; the free columns p and the side m - p of the matrix each iteration factors; the wall
-        # seconds of this build and of each phase, which each step adds itself, the QR of F counted as
-        # factoring, not as the build
+        # calls; the Cholesky factorizations of the Schur system; the free columns p and the side
+        # m - p of the matrix each iteration factors; the wall seconds of this build and of each
+        # phase, which each step adds itself, the QR of F counted as factoring, not as the build
         seconds = {"layout": 0.0, "residuals": 0.0, "schur": 0.0, "factor": qr_seconds, "direction": 0.0,
                    "step": 0.0}
         nnz = {bi: len(prog.A[bi].vals) for bi in psd}
@@ -620,7 +609,7 @@ class _Layout:
                     for bi, (lo, hi) in self.span.items())
         self.stats = {"row_spans": self.span, "nonzeros": nnz, "sparse_schur": sorted(self.csr),
                       "schur_madds": madds, "step_chol_calls": 0, "step_trials": 0, "step_batches": 0,
-                      "factorizations": 0, "regularized": 0, "free_columns": len(self.c_f),
+                      "factorizations": 0, "free_columns": len(self.c_f),
                       "factored_side": prog.m - len(self.c_f), "seconds": seconds}
         seconds["layout"] = perf_counter() - built - qr_seconds
 
@@ -726,7 +715,12 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     """Run the interior-point iteration on a conic program.
 
     The blocks are split by kind once, on entry (see "Storage" above); X and Z
-    return in declared block order, with Z = 0 on the zero blocks.
+    return in declared block order, with Z = 0 on the zero blocks.  The
+    returned point is the last iterate, except after a non-finite one: then
+    it is the iterate before, with its residuals, under the status
+    ``numerical_failure``, and ``iterations`` and the trace still count the
+    non-finite one.  A failed factorization also ends the solve as
+    ``numerical_failure``, on the iterate it was formed at.
     """
     opt = options or SolveOptions()
     lay = _Layout(prog)
@@ -735,14 +729,11 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     status: Status = "max_iter"  # also where the loop breaks without naming a status
     trace: list[dict] = []
     last_steps = (0.0, 0.0)
-    best_merit = float("inf")
-    best = None
-    regressions = 0
+    finite = None  # the last finite iterate and its residuals
 
     for it in range(opt.max_iter + 1):
         res = lay.residuals(pt)
         mu = res.gap / lay.nu
-        merit = max(res.pres, res.dres, abs(res.pobj - res.dobj) / (1.0 + abs(res.dobj)))
 
         trace.append(
             {
@@ -764,17 +755,9 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
 
         if not (np.isfinite(mu) and np.isfinite(res.pobj) and np.isfinite(res.dobj)):
             status = "numerical_failure"
+            pt, res = finite or (pt, res)  # the start is finite, whatever its residuals
             break
-        if merit < best_merit:
-            best_merit = merit
-            best = pt  # no step changes a point in place
-            regressions = 0
-        elif merit > 5.0 * best_merit and mu < 1e-8 * (1.0 + abs(res.dobj)):
-            # endgame degradation; keep the best point seen instead of
-            # grinding the Newton system into the floating-point floor
-            regressions += 1
-            if regressions >= 3:
-                break
+        finite = (pt, res)  # no step changes a point in place
         if (
             abs(res.pobj - res.dobj) <= opt.gap_tol * (1.0 + abs(res.dobj))
             and res.pres <= opt.feas_tol
@@ -812,12 +795,6 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         last_steps = (ap, ad)
         pt = pt.moved(d, ap, ad)
 
-    # return the best earlier iterate when the last one is worse or not finite
-    fallback_used = (status in ("max_iter", "numerical_failure") and best is not None
-                     and (not np.isfinite(merit) or best_merit < merit))
-    if fallback_used:
-        pt, res = best, lay.residuals(best)
-
     # slice the stacked parts back into their blocks, in declared order
     out = {bi: (pt.X[bi], pt.Z[bi]) for bi in lay.psd}
     for bis, x, z in ((lay.nonneg, pt.xl, pt.zl), (lay.free, pt.xf, np.zeros(len(pt.xf)))):
@@ -838,7 +815,6 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         mu_final=res.gap / lay.nu,
         blocks=list(prog.blocks),
         trace=trace,
-        fallback_used=fallback_used,
         stats=lay.stats,
     )
 

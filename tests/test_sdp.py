@@ -133,6 +133,23 @@ def reference_steps(pt, d, orders, stats) -> tuple[float, float]:
     return ap, ad
 
 
+def iterates_by_hand(lay, iterations: int):
+    """(point, residuals) of `solve`'s iterates 0..iterations on the layout ``lay``: residuals,
+    Schur, predictor, step search, corrector, step search and move, each called by hand."""
+    orders = [list(lay.psd), list(lay.psd)]
+    pt = lay.start()
+    for it in range(iterations + 1):
+        res = lay.residuals(pt)
+        yield pt, res
+        if it == iterations:
+            return
+        newton = lay.schur(pt, res)
+        pred = lay.direction(pt, res, newton)
+        d = lay.direction(pt, res, newton, pred, sdp._steps(pt, pred, orders, lay.stats))
+        ap, ad = sdp._steps(pt, d, orders, lay.stats)
+        pt = pt.moved(d, min(1.0, sdp._STEP_FRACTION * ap), min(1.0, sdp._STEP_FRACTION * ad))
+
+
 def dense_data(prog: ConicProgram) -> list[np.ndarray]:
     """Dense (m, s, s) / (m, s) copies of every block's constraint data, over all rows."""
     return [sdp._stacked_data(prog, [bi]).reshape(prog.m, *blk.shape) for bi, blk in enumerate(prog.blocks)]
@@ -288,7 +305,7 @@ class TestNullSpaceStep:
         else:
             M = random_spd(rng, m, 0.1)
         T, Q2 = sdp._free_basis(F, [(0, p)]) if p else (None, None)
-        stats = {"factorizations": 0, "regularized": 0}
+        stats = {"factorizations": 0}
         fact = sdp._Factorization(M, F, T, Q2, stats)
         for _ in range(3):
             h, rf = rng.normal(size=m), rng.normal(size=p)
@@ -298,8 +315,8 @@ class TestNullSpaceStep:
             assert np.abs(dy - dy_ref).max() <= 1e-10 * scale
             assert np.abs(dxf - dxf_ref).max(initial=0.0) <= 1e-10 * scale
             assert np.abs(F.T @ dy - rf).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(rf).max(initial=0.0))
-        # one factorization of side m - p, none once the null space is empty, and no shift
-        assert stats == {"factorizations": int(p < m), "regularized": 0}
+        # one factorization of side m - p, none once the null space is empty
+        assert stats == {"factorizations": int(p < m)}
 
     def test_basis_spans_the_null_space(self):
         rng = np.random.default_rng(3)
@@ -362,13 +379,23 @@ class TestRandomPrograms:
             assert abs(sol.primal_obj - sol.dual_obj) <= 1e-8 * (1 + abs(sol.dual_obj))
 
     def test_weak_duality_along_iterates(self):
-        # once both residuals are small, <C,X> - b'y stays above -1e-8
-        rng = np.random.default_rng(4)
-        prog, _, _ = self._random_feasible(rng, 4, 5)
-        sol = solve(prog, SolveOptions(gap_tol=1e-11, feas_tol=1e-10))
-        for rec in sol.trace:
-            if rec["pres"] <= 1e-6 and rec["dres"] <= 1e-6:
-                assert rec["pobj"] - rec["dobj"] >= -1e-8
+        # pobj - dobj = <X,Z> + <X,Rd> - y'r_p and <X,Z> >= 0, so at every iterate
+        # pobj - dobj >= <X,Rd> - y'r_p, up to the rounding of the sums, bounded here
+        # by a multiple of eps times the sums of the terms' magnitudes
+        eps = np.finfo(float).eps
+        for seed in range(40):
+            prog, _, _ = self._random_feasible(np.random.default_rng(seed), 4, 5)
+            sol = solve(prog, SolveOptions(gap_tol=1e-11, feas_tol=1e-10))
+            (A,) = dense_data(prog)
+            C, b = prog.C[0], prog.b
+            lay = sdp._Layout(prog)
+            for it, (pt, res) in enumerate(iterates_by_hand(lay, sol.iterations)):
+                X, Z, y, Rd = pt.X[0], pt.Z[0], pt.y, res.Rd[0]
+                slack = res.pobj - res.dobj - (float(np.sum(X * Rd)) - float(y @ res.rp))
+                size = (np.sum(np.abs(C * X)) + np.abs(b) @ np.abs(y) + np.sum(np.abs(X * Z))
+                        + np.abs(y) @ np.einsum("kij,ij->k", np.abs(A), np.abs(X)))
+                assert slack >= -64 * eps * size, (seed, it, slack, size)
+            assert pt.y.tobytes() == sol.y.tobytes(), seed
 
     def test_gap_identity_with_residuals(self):
         # pobj - dobj = <X,Z> + <X,Rd> - y'r_p for any (X, y, Z); only <X,Z> >= 0
@@ -1199,35 +1226,25 @@ class TestSchurFormation:
 
 class TestIterationSteps:
     def test_two_iterations_by_hand_equal_solve(self):
-        # residuals, Schur, predictor, step search, corrector, step search and
-        # move, driven by hand for two iterations, give the bytes `solve` returns
+        # the phases driven by hand for two iterations give the bytes `solve` returns
         prog = load_problem(os.path.join(FIXTURES, "sqrt2.sdp")).sdp
         sol = solve(prog, SolveOptions(max_iter=2))
-        assert (sol.status, sol.iterations, sol.fallback_used) == ("max_iter", 2, False)
+        assert (sol.status, sol.iterations) == ("max_iter", 2)
         lay = sdp._Layout(prog)
         assert lay.psd == [0] and not lay.nonneg and not lay.free
-        orders = [list(lay.psd), list(lay.psd)]
-        pt = lay.start()
-        for _ in range(2):
-            res = lay.residuals(pt)
-            newton = lay.schur(pt, res)
-            pred = lay.direction(pt, res, newton)
-            d = lay.direction(pt, res, newton, pred, sdp._steps(pt, pred, orders, lay.stats))
-            ap, ad = sdp._steps(pt, d, orders, lay.stats)
-            pt = pt.moved(d, min(1.0, sdp._STEP_FRACTION * ap), min(1.0, sdp._STEP_FRACTION * ad))
+        *_, (pt, res) = iterates_by_hand(lay, 2)
         assert pt.y.tobytes() == sol.y.tobytes()
         assert pt.X[0].tobytes() == sol.X[0].tobytes()
         assert pt.Z[0].tobytes() == sol.Z[0].tobytes()
-        res = lay.residuals(pt)
         assert (res.pobj, res.dobj, res.gap, res.pres, res.dres) == (
             sol.primal_obj, sol.dual_obj, sol.gap, sol.primal_residual, sol.dual_residual)
-        counts = (*STEP_COUNTS, "factorizations", "regularized")
+        counts = (*STEP_COUNTS, "factorizations")
         assert [lay.stats[k] for k in counts] == [sol.stats[k] for k in counts]
 
 
 class TestSolveStats:
     KEYS = {"row_spans", "nonzeros", "sparse_schur", "schur_madds", "step_chol_calls", "step_trials",
-            "step_batches", "factorizations", "regularized", "free_columns", "factored_side", "seconds"}
+            "step_batches", "factorizations", "free_columns", "factored_side", "seconds"}
 
     def test_sizes_and_counts(self, monkeypatch):
         prog, _, _ = mixed_cone_program(np.random.default_rng(2), 3, 2, 1, 4)
@@ -1251,7 +1268,6 @@ class TestSolveStats:
         # m = 4 rows and p = 1 free column: one factorization per iteration, of side m - p = 3
         assert (stats["free_columns"], stats["factored_side"]) == (1, 3)
         assert stats["factorizations"] == sol.iterations
-        assert stats["regularized"] == 0
 
     def test_phase_seconds_within_the_solve(self):
         from momentsdp.casestudies import build_eig_assign
@@ -1324,32 +1340,60 @@ class TestSolveStats:
             assert sol.stats["schur_madds"] == sum((hi - lo) ** 2 * sides[bi] ** 2
                                                    for bi, (lo, hi) in spans.items())
 
-    def test_regularized_counts_the_fallback(self, monkeypatch):
-        # the first Schur factorization fails once, as a singular M would
-        failed = []
+    def test_failed_factorization_ends_the_solve(self, monkeypatch):
+        # the Schur factorization of iteration k fails, as a singular M would: the solve
+        # ends `numerical_failure` after k iterations on iterate k, with its residuals
+        k = 3
+        ref = solve(sqrt2_program(), SolveOptions(max_iter=k))
+        assert ref.status == "max_iter"
+        calls = []
         cho_factor = sdp.cho_factor
 
-        def flaky(a):
-            if a.shape == (1, 1) and not failed:
-                failed.append(a)
-                raise np.linalg.LinAlgError("1-th leading minor of the array is not positive definite")
+        def failing(a):
+            if a.shape == (1, 1):  # M; Z is 2 x 2
+                if len(calls) == k:
+                    raise np.linalg.LinAlgError("1-th leading minor of the array is not positive definite")
+                calls.append(a)
             return cho_factor(a)
 
-        monkeypatch.setattr(sdp, "cho_factor", flaky)
+        monkeypatch.setattr(sdp, "cho_factor", failing)
         sol = solve(sqrt2_program(), TIGHT)
-        assert sol.status == "optimal" and len(failed) == 1
-        assert sol.stats["regularized"] == 1
-        assert sol.stats["factorizations"] == sol.iterations
+        assert (sol.status, sol.iterations, sol.stats["factorizations"]) == ("numerical_failure", k, k + 1)
+        last = sol.trace[-1]
+        assert (sol.primal_residual, sol.dual_residual, sol.primal_obj, sol.dual_obj) == (
+            last["pres"], last["dres"], last["pobj"], last["dobj"])
+        assert sol.y.tobytes() == ref.y.tobytes()
+        assert sol.X[0].tobytes() == ref.X[0].tobytes() and sol.Z[0].tobytes() == ref.Z[0].tobytes()
+
+    def test_non_finite_iterate_is_not_returned(self, monkeypatch):
+        # the step of iteration k lands on a NaN point once: the solve ends
+        # `numerical_failure` on iterate k, the one before, with its residuals
+        k = 3
+        ref = solve(sqrt2_program(), SolveOptions(max_iter=k))
+        moves = []
+        moved = sdp._Point.moved
+
+        def once_nan(self, d, ap, ad):
+            moves.append(None)
+            return moved(self, d, math.nan, math.nan) if len(moves) == k + 1 else moved(self, d, ap, ad)
+
+        monkeypatch.setattr(sdp._Point, "moved", once_nan)
+        sol = solve(sqrt2_program(), TIGHT)
+        assert (sol.status, sol.iterations) == ("numerical_failure", k + 1)
+        assert all(np.all(np.isfinite(V)) for V in (*sol.X, sol.y, *sol.Z))
+        assert sol.y.tobytes() == ref.y.tobytes()
+        assert sol.X[0].tobytes() == ref.X[0].tobytes() and sol.Z[0].tobytes() == ref.Z[0].tobytes()
+        assert math.isnan(sol.trace[-1]["mu"])
+        before = sol.trace[-2]
+        assert (sol.primal_residual, sol.dual_residual, sol.primal_obj, sol.dual_obj) == (
+            before["pres"], before["dres"], before["pobj"], before["dobj"])
 
 
-class TestFallback:
-    def test_flag_marks_a_returned_earlier_iterate(self, monkeypatch):
-        # planar benchmark shadow at r = 2, default tolerance: direction 0
-        # converges; saturation3.gmp at r = 3 and the CLI's tolerance 1e-6 ends
-        # in max_iter on an earlier, better iterate
+class TestLastIterate:
+    def test_converged_solve_returns_its_last_iterate(self, monkeypatch):
+        # planar benchmark shadow at r = 2, default tolerance: direction 0 converges
         from momentsdp import spectra
         from momentsdp.casestudies import build_polyopt
-        from momentsdp.gmp import build_gmp_relaxation
 
         sols = []
 
@@ -1360,15 +1404,20 @@ class TestFallback:
         monkeypatch.setattr(spectra, "solve", record)
         spectra.shadow_support_points(build_polyopt().feasible_set, 2, spectra.unit_directions(64)[:1])
         (converged,) = sols
-        assert converged.status == "optimal" and not converged.fallback_used
+        assert converged.status == "optimal"
         last = converged.trace[-1]
         assert (converged.primal_residual, converged.dual_residual) == (last["pres"], last["dres"])
+
+    def test_singular_newton_system_ends_numerical_failure(self):
+        # saturation3.gmp at r = 3 and the CLI's tolerance 1e-6: a Schur system that
+        # does not factor ends the solve on its last iterate, which is finite
+        from momentsdp.gmp import build_gmp_relaxation
+
         gmp, _ = load_problem(os.path.join(FIXTURES, "saturation3.gmp")).gmp.instantiate(3)
         prog = build_gmp_relaxation(gmp, 3)[0].program
-        fell_back = solve(prog, SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
-        assert fell_back.status == "max_iter" and fell_back.fallback_used
-        last = fell_back.trace[-1]
-        merit = lambda pres, dres, pobj, dobj: max(pres, dres, abs(pobj - dobj) / (1.0 + abs(dobj)))
-        assert merit(
-            fell_back.primal_residual, fell_back.dual_residual, fell_back.primal_obj, fell_back.dual_obj
-        ) < merit(last["pres"], last["dres"], last["pobj"], last["dobj"])
+        sol = solve(prog, SolveOptions(gap_tol=1e-6, feas_tol=1e-6))
+        assert sol.status == "numerical_failure"
+        assert all(np.all(np.isfinite(V)) for V in (*sol.X, sol.y, *sol.Z))
+        last = sol.trace[-1]
+        assert (sol.primal_residual, sol.dual_residual, sol.primal_obj, sol.dual_obj) == (
+            last["pres"], last["dres"], last["pobj"], last["dobj"])

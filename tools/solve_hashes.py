@@ -18,9 +18,10 @@ already sets a count.  The 90 solves are:
   - the saturation cells of `build_saturation_cells(2)` at order 2
     (gap and feas 1e-6).
 
-Each line reads `CASE #K status iterations fallback_used step_chol_calls
-factorizations regularized sha256`, the hash taken over the bytes of y and of
-every X and Z block.
+Each line reads `CASE #K status iterations step_chol_calls factorizations
+sha256`, the hash taken over the bytes of y and of every X and Z block.  Every
+field is one that older checkouts' `SDPSolution` also has, so the lines of
+two checkouts compare.
 
 The 6 builds are assembled without a solve: the three of perfbench's
 relax-build (eig-assign n = 5 and 6 at order 4, the saturation cells at
@@ -33,9 +34,7 @@ Two files made from two checkouts compare with `diff`: equal lines mean
 bit-identical iterates and programs.
 
 Once the file is written, the census of the 90 solves goes to stdout: the
-count of each status, then how many solves returned the best earlier iterate
-(`fallback_used`) and in how many a Schur factorization needed the diagonal
-shift (`regularized` > 0).
+count of each status.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-STAT_COUNTS = ("step_chol_calls", "factorizations", "regularized")
+STAT_COUNTS = ("step_chol_calls", "factorizations")
 
 
 def _line(case: str, k: int, sol) -> str:
@@ -59,8 +58,7 @@ def _line(case: str, k: int, sol) -> str:
     for block in (*sol.X, *sol.Z):
         h.update(block.tobytes())
     counts = " ".join(str(sol.stats.get(key)) for key in STAT_COUNTS)
-    return (f"{case} #{k} {sol.status} {sol.iterations} {sol.fallback_used} {counts} "
-            f"{h.hexdigest()}\n")
+    return f"{case} #{k} {sol.status} {sol.iterations} {counts} {h.hexdigest()}\n"
 
 
 def _build_line(case: str, prog) -> str:
@@ -79,12 +77,10 @@ def _build_line(case: str, prog) -> str:
 
 
 def census(solves: list) -> str:
-    """The status counts (by name), then the solves with `fallback_used` and with `regularized` > 0."""
+    """The solve count, then the count of each status, by name."""
     statuses = Counter(sol.status for sol in solves)
     lines = [f"solves: {len(solves)}"]
     lines += [f"status {status}: {statuses[status]}" for status in sorted(statuses)]
-    lines.append(f"fallback_used: {sum(bool(sol.fallback_used) for sol in solves)}")
-    lines.append(f"regularized > 0: {sum(sol.stats.get('regularized', 0) > 0 for sol in solves)}")
     return "\n".join(lines) + "\n"
 
 
