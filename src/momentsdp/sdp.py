@@ -27,10 +27,10 @@ system's factors (`_Factorization`): the free entries' data F pin dy to
 F'dy = rf, so only M's projection onto the null space of F' is factored, by
 LAPACK's Cholesky called directly, and a failed factorization ends the solve
 as ``numerical_failure``; `_Layout.direction`, the predictor or the
-corrector; and `_steps`, the largest steps in the cone, of which `solve` takes
-a fixed fraction.  The cone boundary of a psd block is found by bisection on
-numpy's Cholesky kernel (`_max_step_psd`); the order in which the blocks are
-searched and the stacked trials change how much is factored, not the step.
+corrector, from two solves with those factors, the second a refinement pass
+on the primal equation; and `_steps`, the largest steps in the cone, of which
+`solve` takes a fixed fraction.  A psd block's step to its boundary is an
+eigenvalue of the pencil (D, X), from one LAPACK dsygv call (`_max_step_psd`).
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
@@ -69,7 +69,6 @@ from time import perf_counter
 from typing import Literal, Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 import scipy.sparse
 from scipy.linalg.lapack import dpotrf, dpotrs, dsygv, dtrtrs
 
@@ -81,13 +80,6 @@ _log = logging.getLogger(__name__)
 # and gets no such copy, and per chunk of the products that `_schur_psd_nonzeros` forms
 _SCHUR_CHUNK = 1 << 17
 _STEP_FRACTION = 0.98  # fraction of the way to the cone boundary each step takes
-# largest psd side whose step search starts with a stacked path (see
-# `_follow_guessed_path`).  On the step searches that `tools/step_bench.py`
-# records (one BLAS thread, 15 replays), stacking every side took 0.63-0.66
-# of the one-trial time at side 10 and 0.75-0.77 at 15, but 0.92-1.03 at 20
-# and 1.02-1.47 at sides 21, 35 and 56, where a wrong guess wastes costlier
-# trials
-_BATCH_SIDE = 15
 
 
 @dataclass(frozen=True)
@@ -248,117 +240,18 @@ def cho_solve(c_and_lower, b: np.ndarray) -> np.ndarray:
     return dpotrs(c_and_lower[0], b, lower=1)[0]  # on a copy of b
 
 
-def _chol_ok(M: np.ndarray):
-    """Whether numpy's Cholesky kernel factors M: a bool for one matrix, a bool array for a stack.
+def _max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
+    """Largest step t <= 1 keeping X + t D positive definite: min(1, -1/lambda_min(L^-1 D L^-T)), L = chol(X).
 
-    This is numpy's Cholesky gufunc without np.linalg.cholesky's exception
-    path: a failed factor comes back all NaN (with the invalid flag raised), a
-    good one with a zero strict upper triangle.  The gufunc runs LAPACK on each
-    matrix of a stack (..., s, s) on its own, so each decision is the one the
-    2-D call gives.
-    """
-    L = _umath_linalg.cholesky_lo(M)
-    if L.ndim == 2:  # a Python float test: about 1 us less per one-trial step than numpy's
-        return not math.isnan(L[0, -1])
-    corner = L[..., 0, -1]
-    return corner == corner  # False where NaN
-
-
-def _boundary_guess(X: np.ndarray, D: np.ndarray) -> float:
-    """1 / -lambda_min(L^{-1} D L^{-T}), L = chol(X): where X + t D leaves the cone, up to rounding.
-
-    LAPACK's dsygv reduces D x = lambda X x to that symmetric problem.  0.5
-    when X does not factor or the estimate is not a number; 1.0 when no
-    eigenvalue is negative.
+    LAPACK's dsygv reduces D v = lambda X v to that symmetric problem (Toh,
+    Comput. Optim. Appl. 21, 2002); 1.0 when no eigenvalue is negative.  Where
+    dsygv fails, as on an X that does not factor, a rounding outside the cone,
+    the step is 1.0 if X + D factors and 0.0 otherwise.
     """
     w, _, info = dsygv(D, X, jobz="N")  # ascending eigenvalues
-    if info or math.isnan(w[0]):
-        return 0.5
-    return -1.0 / w[0] if w[0] < 0.0 else 1.0
-
-
-def _max_step_psd(X: np.ndarray, D: np.ndarray, cap: float, stats: Optional[dict] = None) -> float:
-    """Largest step t <= 1 keeping X + t D positive definite, as far as min(cap, t) needs.
-
-    After a check of t = 1, 40 halvings of [0, 1], each decided by `_chol_ok`
-    on the rounding of X + t * D that ``np.multiply`` then ``np.add`` give;
-    the lower end only grows, so the search stops once that end reaches
-    ``cap``.  Up to side `_BATCH_SIDE` the first halvings are decided from
-    one stack of trials (`_follow_guessed_path`), the rest one trial at a
-    time; the decisions read and the points they are read at are those of
-    the one-trial loop alone, so the result is too.  A caller that passes
-    ``stats`` has the invalid flag ignored already (a failed factor raises
-    it) and gets "step_chol_calls" (decisions read), "step_trials"
-    (matrices factored) and "step_batches" (`_chol_ok` calls) counted.
-    """
-    if stats is None:
-        with np.errstate(invalid="ignore"):
-            return _max_step_psd(X, D, cap, {"step_chol_calls": 0, "step_trials": 0,
-                                             "step_batches": 0})
-    buf = X + D
-    stats["step_chol_calls"] += 1
-    stats["step_trials"] += 1
-    stats["step_batches"] += 1
-    if _chol_ok(buf):
-        return 1.0
-    lo, hi, calls = 0.0, 1.0, 0
-    if cap > 0.0 and X.shape[0] <= _BATCH_SIDE:
-        lo, hi, calls = _follow_guessed_path(X, D, cap, stats)
-    single = 0
-    while calls < 40 and lo < cap:
-        mid = 0.5 * (lo + hi)
-        np.multiply(D, mid, out=buf)
-        np.add(buf, X, out=buf)
-        calls += 1
-        single += 1
-        if _chol_ok(buf):
-            lo = mid
-        else:
-            hi = mid
-    stats["step_chol_calls"] += calls
-    stats["step_trials"] += single
-    stats["step_batches"] += single
-    return lo
-
-
-def _follow_guessed_path(X: np.ndarray, D: np.ndarray, cap: float,
-                         stats: dict) -> tuple[float, float, int]:
-    """The first halvings of `_max_step_psd`'s bisection, decided from one stacked `_chol_ok` call.
-
-    The stack holds the trials of the midpoints the bisection of (0, 1)
-    visits if X + t D factors exactly for t <= `_boundary_guess`, at most 40
-    and none once the predicted lower end reaches ``cap``.  The bisection
-    reads their decisions in order while each point is its own next
-    midpoint: up to and including the first decision the guess got wrong,
-    after which its midpoints leave the path.  A point on the path is
-    computed by the same expression from the same bounds as that midpoint,
-    so it is the same float, and its trial the same bits.  Returns the
-    bounds and the number of decisions read.
-    """
-    guess = _boundary_guess(X, D)
-    path: list[float] = []
-    lo, hi = 0.0, 1.0
-    while len(path) < 40 and lo < cap:
-        mid = 0.5 * (lo + hi)
-        path.append(mid)
-        if mid <= guess:
-            lo = mid
-        else:
-            hi = mid
-    trials = np.multiply(D, np.array(path)[:, None, None])
-    np.add(trials, X, out=trials)
-    stats["step_trials"] += len(path)
-    stats["step_batches"] += 1
-    lo, hi, calls = 0.0, 1.0, 0
-    for t, ok in zip(path, _chol_ok(trials).tolist()):
-        if lo >= cap or t != 0.5 * (lo + hi):
-            break
-        calls += 1
-        if ok:
-            lo = t
-        else:
-            hi = t
-    return lo, hi, calls
+    if info:
+        return 0.0 if dpotrf(X + D, lower=1, clean=0)[1] else 1.0
+    return min(1.0, -1.0 / w[0]) if w[0] < 0.0 else 1.0
 
 
 def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
@@ -392,33 +285,14 @@ class _Point:
 _Residuals = namedtuple("_Residuals", "rp Rd rl rf gap pobj dobj pres dres")
 
 
-def _steps(pt: _Point, d: _Point, orders: list[list[int]], stats: dict) -> tuple[float, float]:
-    """Primal and dual steps: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in the cone.
-
-    The cheap ratios of the stacked nonneg part, xl + t dxl and zl + t dzl,
-    come first, then the psd blocks of X and Z in ``orders[0]`` (primal) or
-    ``orders[1]`` (dual), each search stopping at the running cap.  A search
-    returns its uncapped result or some value >= its cap, so the result is the
-    same in every order; the block that bound a side moves to the front of
-    that side's order, as it most likely binds the next search.
-    """
+def _steps(pt: _Point, d: _Point, stats: dict) -> tuple[float, float]:
+    """Primal and dual steps: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in the cone,
+    the least of the stacked nonneg part's ratio and every psd block's step."""
     start = perf_counter()
-    out = []
-    with np.errstate(invalid="ignore"):
-        for V, D, v, dv, order in ((pt.X, d.X, pt.xl, d.xl, orders[0]),
-                                   (pt.Z, d.Z, pt.zl, d.zl, orders[1])):
-            a = _max_step_nonneg(v, dv)
-            bound = None
-            for bi in order:
-                t = _max_step_psd(V[bi], D[bi], a, stats)
-                if t < a:
-                    a, bound = t, bi
-            if bound is not None:
-                order.remove(bound)
-                order.insert(0, bound)
-            out.append(a)
+    ap, ad = (min((_max_step_nonneg(v, dv), *(_max_step_psd(V[bi], D[bi]) for bi in V)))
+              for V, D, v, dv in ((pt.X, d.X, pt.xl, d.xl), (pt.Z, d.Z, pt.zl, d.zl)))
     stats["seconds"]["step"] += perf_counter() - start
-    return out[0], out[1]
+    return ap, ad
 
 
 def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]:
@@ -444,28 +318,22 @@ class _Factorization:
     positive definite raises LinAlgError.  Counted in ``stats``.
     """
 
-    def __init__(self, M: np.ndarray, F: np.ndarray, T: Optional[np.ndarray], Q2: Optional[np.ndarray],
-                 stats: dict):
-        self.M, self.F, self.T, self.Q2 = M, F, T, Q2
+    def __init__(self, M: np.ndarray, T: Optional[np.ndarray], Q2: Optional[np.ndarray], stats: dict):
+        self.M, self.T, self.Q2 = M, T, Q2
         K = M if T is None else Q2.T @ (M @ Q2)
         self.cho = None
         if K.size:  # the solve loop checks finiteness first, so K needs no scan
             stats["factorizations"] += 1
             self.cho = cho_factor(K)
 
-    def _solve_once(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf]."""
         if self.T is None:
             return cho_solve(self.cho, h), np.zeros(0)
         dy = self.T @ rf
         if self.cho is not None:
             dy += self.Q2 @ cho_solve(self.cho, self.Q2.T @ (h - self.M @ dy))
         return dy, self.T.T @ (h - self.M @ dy)
-
-    def solve(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf], with one refinement pass."""
-        dy, dxf = self._solve_once(h, rf)
-        e1, e2 = self._solve_once(h - self.M @ dy - self.F @ dxf, rf - self.F.T @ dy)
-        return dy + e1, dxf + e2
 
 
 def _free_basis(F: np.ndarray, blocks: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -598,8 +466,7 @@ class _Layout:
         self.cnorm = 1.0 + float(np.sqrt(sum(np.sum(C ** 2) for C in prog.C)))
         # the psd row spans, nonzeros and blocks on the nonzero path, and the multiply-adds of one
         # Schur formation, nnz (s^2 + hi - lo) on that path and (hi - lo)^2 s^2 on the dense one;
-        # the step search's bisection decisions, the trial matrices it factored and its `_chol_ok`
-        # calls; the Cholesky factorizations of the Schur system; the free columns p and the side
+        # the Cholesky factorizations of the Schur system; the free columns p and the side
         # m - p of the matrix each iteration factors; the wall seconds of this build and of each
         # phase, which each step adds itself, the QR of F counted as factoring, not as the build
         seconds = {"layout": 0.0, "residuals": 0.0, "schur": 0.0, "factor": qr_seconds, "direction": 0.0,
@@ -608,8 +475,7 @@ class _Layout:
         madds = sum(nnz[bi] * (side[bi] ** 2 + hi - lo) if bi in self.csr else (hi - lo) ** 2 * side[bi] ** 2
                     for bi, (lo, hi) in self.span.items())
         self.stats = {"row_spans": self.span, "nonzeros": nnz, "sparse_schur": sorted(self.csr),
-                      "schur_madds": madds, "step_chol_calls": 0, "step_trials": 0, "step_batches": 0,
-                      "factorizations": 0, "free_columns": len(self.c_f),
+                      "schur_madds": madds, "factorizations": 0, "free_columns": len(self.c_f),
                       "factored_side": prog.m - len(self.c_f), "seconds": seconds}
         seconds["layout"] = perf_counter() - built - qr_seconds
 
@@ -632,15 +498,20 @@ class _Layout:
             return (self.csr_t[bi] @ y[lo:hi]).reshape(self.prog.blocks[bi].shape)
         return np.einsum("kij,k->ij", self.A[bi], y[lo:hi])
 
+    def primal_residual(self, rhs: np.ndarray, X: dict, xl: np.ndarray, xf: np.ndarray) -> np.ndarray:
+        """rhs - A(X) - Al xl - F xf, the psd terms over each block's span."""
+        r = rhs.copy()
+        for bi in self.psd:
+            r[slice(*self.span[bi])] -= self.inner(bi, X[bi])
+        r -= self.Al @ xl
+        r -= self.F @ xf
+        return r
+
     def residuals(self, pt: _Point) -> _Residuals:
         start = perf_counter()
         X, Z, xl, zl, xf, y = pt.X, pt.Z, pt.xl, pt.zl, pt.xf, pt.y
-        C, span = self.prog.C, self.span
-        rp = self.prog.b.copy()
-        for bi in self.psd:
-            rp[slice(*span[bi])] -= self.inner(bi, X[bi])
-        rp -= self.Al @ xl
-        rp -= self.F @ xf
+        C = self.prog.C
+        rp = self.primal_residual(self.prog.b, X, xl, xf)
         Rd = {bi: C[bi] - self.weighted_sum(bi, y) - Z[bi] for bi in self.psd}
         rl = self.cl - self.Al.T @ y - zl
         rf = self.c_f - self.F.T @ y
@@ -670,7 +541,7 @@ class _Layout:
         M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
         M = 0.5 * (M + M.T)
         formed = perf_counter()
-        fact = _Factorization(M, self.F, self.T, self.Q2, self.stats)
+        fact = _Factorization(M, self.T, self.Q2, self.stats)
         self.stats["seconds"]["schur"] += formed - start
         self.stats["seconds"]["factor"] += perf_counter() - formed
         return Zinv, ZRX, fact
@@ -678,7 +549,12 @@ class _Layout:
     def direction(self, pt: _Point, res: _Residuals, newton: tuple, pred: Optional[_Point] = None,
                   steps: Optional[tuple[float, float]] = None) -> _Point:
         """The predictor direction from `schur`'s ``newton``; given the predictor ``pred`` and its
-        ``steps``, the corrector: toward Mehrotra's sigma mu, with the second-order term dZ dX."""
+        ``steps``, the corrector: toward Mehrotra's sigma mu, with the second-order term dZ dX.
+
+        One refinement pass follows the first solve.  Its right-hand side is what the step leaves of
+        the primal equation A(dX) + Al dxl + F dxf = rp, of which dX's rounding, growing with
+        ||Z^{-1}|| ~ 1/mu, takes the largest share, and of the free one F'dy = rf; its increments
+        are added to every part of the step."""
         start = perf_counter()
         Zinv, ZRX, fact = newton
         X, xl, zl = pt.X, pt.xl, pt.zl
@@ -699,16 +575,24 @@ class _Layout:
         if pred is not None:
             gl = gl - pred.zl * pred.xl / zl
         h -= self.Al @ gl
+
+        def lifted(v, GX, R, gx, r):
+            """The step of multipliers v, from the primal parts GX, gx and the dual parts R, r."""
+            dX, dZ = {}, {}
+            for bi in self.psd:
+                Aty = self.weighted_sum(bi, v)
+                dZ[bi] = R[bi] - Aty
+                dxb = GX[bi] + Zinv[bi] @ (Aty @ X[bi])
+                dX[bi] = 0.5 * (dxb + dxb.T)
+            Aty = self.Al.T @ v
+            return dX, dZ, gx + Aty * xl / zl, r - Aty
+
         dy, dxf = fact.solve(h, res.rf)
-        dX, dZ = {}, {}
-        for bi in self.psd:
-            Aty = self.weighted_sum(bi, dy)
-            dZ[bi] = res.Rd[bi] - Aty
-            dxb = G[bi] + Zinv[bi] @ (Aty @ X[bi])
-            dX[bi] = 0.5 * (dxb + dxb.T)
-        Aty = self.Al.T @ dy
+        dX, dZ, dxl, dzl = lifted(dy, G, res.Rd, gl, res.rl)
+        ey, exf = fact.solve(self.primal_residual(res.rp, dX, dxl, dxf), res.rf - self.F.T @ dy)
+        dX, dZ, dxl, dzl = lifted(ey, dX, dZ, dxl, dzl)
         self.stats["seconds"]["direction"] += perf_counter() - start
-        return _Point(dX, dZ, gl + Aty * xl / zl, res.rl - Aty, dxf, dy)
+        return _Point(dX, dZ, dxl, dzl, dxf + exf, dy + ey)
 
 
 def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolution:
@@ -724,7 +608,6 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     """
     opt = options or SolveOptions()
     lay = _Layout(prog)
-    orders = [list(lay.psd), list(lay.psd)]  # primal and dual psd search orders (see `_steps`)
     pt = lay.start()
     status: Status = "max_iter"  # also where the loop breaks without naming a status
     trace: list[dict] = []
@@ -783,11 +666,11 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         try:
             newton = lay.schur(pt, res)
             pred = lay.direction(pt, res, newton)
-            d = lay.direction(pt, res, newton, pred, _steps(pt, pred, orders, lay.stats))
+            d = lay.direction(pt, res, newton, pred, _steps(pt, pred, lay.stats))
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        ap, ad = _steps(pt, d, orders, lay.stats)
+        ap, ad = _steps(pt, d, lay.stats)
         ap = min(1.0, _STEP_FRACTION * ap)
         ad = min(1.0, _STEP_FRACTION * ad)
         if max(ap, ad) < 1e-10:

@@ -18,8 +18,8 @@ already sets a count.  The 90 solves are:
   - the saturation cells of `build_saturation_cells(2)` at order 2
     (gap and feas 1e-6).
 
-Each line reads `CASE #K status iterations step_chol_calls factorizations
-sha256`, the hash taken over the bytes of y and of every X and Z block.  Every
+Each line reads `CASE #K status iterations factorizations sha256`, the
+hash taken over the bytes of y and of every X and Z block.  Every
 field is one that older checkouts' `SDPSolution` also has, so the lines of
 two checkouts compare.
 
@@ -50,7 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-STAT_COUNTS = ("step_chol_calls", "factorizations")
+STAT_COUNTS = ("factorizations",)
 
 
 def _line(case: str, k: int, sol) -> str:
