@@ -3,11 +3,11 @@
 Flatness (rank M_{r-r_X}(y) equal to rank M_r(y)) certifies that the
 truncated moments come from an atomic measure, and the number of atoms is
 that common rank.  Extraction then proceeds by pivoted Cholesky of the
-moment matrix, column-echelon reduction of the factor to identify a monomial
-basis of the quotient, formation of single-variable shift matrices,
-simultaneous diagonalization through a real Schur decomposition of a random
-convex combination of the shifts (seeded, hence reproducible), and a
-Vandermonde-type least-squares fit for the weights.  A rebuilt-moment
+moment matrix (LAPACK's dpstrf), column-echelon reduction of the factor to
+identify a monomial basis of the quotient, formation of single-variable
+shift matrices, simultaneous diagonalization through a real Schur
+decomposition of a random convex combination of the shifts (seeded, hence
+reproducible), and a Vandermonde-type least-squares fit for the weights.  A rebuilt-moment
 residual guards every answer: if the extracted atoms fail to reproduce the
 input moments, extraction reports failure rather than returning garbage.
 """
@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpstrf
 
 from .moments import MomentVector, evaluate_stencil, moment_matrix_stencil
 from .polynomials import exponents_up_to, monomial_count
@@ -43,28 +44,13 @@ def moment_matrix(y: MomentVector, order: int) -> np.ndarray:
 
 
 def _pivoted_cholesky(M: np.ndarray, rank: int) -> tuple[np.ndarray, list[int]]:
-    """Rank-limited outer-product Cholesky with diagonal pivoting.
-
-    Ties on the diagonal break to the lowest index, keeping runs
-    deterministic.  Returns (R, pivots) with M ~= R R' and R[:, t] supported
-    on the chosen pivot order.
-    """
-    n = M.shape[0]
-    R = np.zeros((n, rank))
-    d = np.diag(M).astype(float).copy()
-    pivots: list[int] = []
-    work = M.astype(float).copy()
-    for t in range(rank):
-        p = int(np.argmax(d))  # argmax returns the first (lowest) maximizer
-        if d[p] <= 0:
-            break
-        pivots.append(p)
-        alpha = np.sqrt(d[p])
-        col = work[:, p] / alpha
-        R[:, t] = col
-        work = work - np.outer(col, col)
-        d = np.maximum(np.diag(work).copy(), 0.0)
-    return R[:, : len(pivots)], pivots
+    """(R, pivots) with M ~= R R' over the first min(rank, dpstrf's rank) pivots of LAPACK's
+    diagonally pivoted Cholesky, dpstrf, whose ties break to the lowest index."""
+    L, piv, found, _ = dpstrf(M, lower=1)  # P' M P = L L', piv 1-based
+    k = min(rank, found)
+    R = np.empty((M.shape[0], k))
+    R[piv - 1] = np.tril(L[:, :k])
+    return R, (piv[:k] - 1).tolist()
 
 
 def _column_echelon_basis(R: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
@@ -111,9 +97,15 @@ def extract_atoms(
     rebuilt moments of the atomic candidate miss the input beyond
     ``1e-6 * (1 + max |y|)`` through degree 2 (r - r_x).
     """
-    n = y.nvars
     M = moment_matrix(y, r)
-    rank = numerical_rank(M, tol)
+    return _atoms(y, M, numerical_rank(M, tol), r, tol, r_x, seed)
+
+
+def _atoms(
+    y: MomentVector, M: np.ndarray, rank: int, r: int, tol: float, r_x: int, seed: int
+) -> list[tuple[np.ndarray, float]]:
+    """`extract_atoms` given M = M_r(y) and its numerical rank."""
+    n = y.nvars
     if rank == 0:
         raise ExtractionError("moment matrix is numerically zero")
 
@@ -137,10 +129,9 @@ def _extract_general(
 ) -> list[tuple[np.ndarray, float]]:
     n = y.nvars
     R, _ = _pivoted_cholesky(M, rank)
-    if R.shape[1] < rank:
-        rank = R.shape[1]
-        if rank == 0:
-            raise ExtractionError("pivoted Cholesky found no positive pivots")
+    rank = R.shape[1]
+    if rank == 0:
+        raise ExtractionError("pivoted Cholesky found no positive pivots")
     U, basis = _column_echelon_basis(R, tol)
     exps = exponents_up_to(n, r)
     index_of = {e: i for i, e in enumerate(exps)}
@@ -240,12 +231,15 @@ def certify(
     understood as >= 0 and equalities as = 0 pairs ("ineq"/"eq", poly));
     the certificate residual is the worst violation over the atoms.
     """
-    ranks = [numerical_rank(moment_matrix(y, s), rank_tol) for s in range(r + 1)]
+    # M_s(y) is the leading block of M_r(y) on the monomials of degree <= s (grlex order)
+    M = moment_matrix(y, r)
+    counts = [monomial_count(y.nvars, s) for s in range(r + 1)]
+    ranks = [numerical_rank(M[:c, :c], rank_tol) for c in counts]
     flat = ranks[max(0, r - r_x)] == ranks[r]
     atoms: list[tuple[np.ndarray, float]] = []
     residual = 0.0
     if flat:
-        atoms = extract_atoms(y, r, tol=rank_tol, r_x=r_x, seed=seed)
+        atoms = _atoms(y, M, ranks[r], r, rank_tol, r_x, seed)
         if constraints:
             worst = 0.0
             for kind, poly in constraints:

@@ -445,14 +445,7 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            p = self.term()
-            if val == "-":
-                p = -p
-        else:
-            p = self.term()
+        p = self.term()  # a leading sign is the unary one of `factor`
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -474,11 +467,7 @@ class _Parser:
                 q = self.factor()
                 if q.degree != 0 or q.is_zero():
                     raise PolynomialParseError("division only by nonzero constants", col)
-                c = q.coeff((0,) * q.nvars)
-                if isinstance(c, Fraction):
-                    p = p * (Fraction(1) / c)
-                else:
-                    p = p * (1.0 / c)
+                p = p * (1 / q.coeff((0,) * q.nvars))  # a Fraction: every parsed constant is one
             else:
                 return p
 

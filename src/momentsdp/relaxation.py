@@ -287,9 +287,10 @@ def prune_dependent_rows(rows: SparseRows, n_cols: int) -> np.ndarray:
     Equality families built from products of one polynomial carry many exact
     linear dependencies; leaving them in makes the Newton systems singular.
     Ranks are those of the augmented [coefficients | rhs] rows: an inconsistent
-    row stays (and the solve reports infeasibility), a redundant consistent
-    row, exact duplicates included, goes.  LAPACK's pivoted Cholesky (dpstrf)
-    of the Gram matrix of the rows, each scaled to unit infinity-norm, picks
+    row stays (and `sdp.solve` refuses the program, whose zero-block columns
+    are then dependent), a redundant consistent row, exact duplicates
+    included, goes.  LAPACK's pivoted Cholesky (dpstrf) of the
+    Gram matrix of the rows, each scaled to unit infinity-norm, picks
     them greedily by largest remaining norm, as a column-pivoted QR would, with
     exact ties to the earlier row, so the kept set depends neither on rounding
     nor on how the moments are numbered.  The cutoff is dpstrf's n * eps *

@@ -46,11 +46,11 @@ touch it (all rows at side 1), and its Schur terms fill only M[lo:hi, lo:hi].
 A block whose dense span copy would hold at most `_SCHUR_CHUNK` floats gets
 that copy: its residual terms <A_k, V> and its A^T y terms sum_k y_k A_k are
 np.einsum over it, and `_schur_psd` forms its Schur terms by stacked products
-and one GEMM.  A larger block gets no dense copy.  It keeps its nonzeros as a
-CSR (hi - lo, s^2) array and that array's transpose: its <A_k, V> are the
-product of the CSR array with V flattened, its A^T y the product of the
-transpose with y, and `_schur_psd_nonzeros` forms its Schur terms a chunk of
-rows at a time; each agrees with the dense path to rounding.  The working set
+and one GEMM.  A larger block gets no dense copy.  It keeps its nonzeros
+once, as a CSR (hi - lo, s^2) array: its <A_k, V> are that array's product
+with V flattened, its A^T y the product of its transpose, a CSC view of the
+same arrays, with y, and `_schur_psd_nonzeros` forms its Schur terms a chunk
+of rows at a time; each agrees with the dense path to rounding.  The working set
 lives only as long as the solve; each iteration frees the last Schur system
 and its factors before it forms the next.
 
@@ -206,7 +206,7 @@ class SolveOptions:
             raise ValueError("iteration budget must be positive")
 
 
-Status = Literal["optimal", "infeasible", "unbounded", "max_iter", "numerical_failure"]
+Status = Literal["optimal", "max_iter", "numerical_failure"]
 
 
 @dataclass
@@ -359,27 +359,18 @@ def _free_basis(F: np.ndarray, blocks: list[tuple[int, int]]) -> tuple[np.ndarra
     return np.ascontiguousarray(Tt.T), np.ascontiguousarray(Q[:, p:])
 
 
-def _stacked_data(prog: ConicProgram, bis: list[int]) -> np.ndarray:
-    """The constraint data of blocks bis side by side, dense: (m, total data width)."""
+def _stacked_data(prog: ConicProgram, bis: list[int], span: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """The constraint data of blocks bis side by side, dense, over the rows [lo, hi) of ``span``,
+    which must hold every row of their nonzeros (all m rows by default): (hi - lo, total width)."""
+    lo, hi = span or (0, prog.m)
     widths = [math.prod(prog.blocks[bi].shape) for bi in bis]
-    out = np.zeros((prog.m, sum(widths)))
+    out = np.zeros((hi - lo, sum(widths)))
     offset = 0
     for bi, width in zip(bis, widths):
         data = prog.A[bi]
-        out[data.rows, data.cols + offset] = data.vals
+        out[data.rows - lo, data.cols + offset] = data.vals
         offset += width
     return out
-
-
-def _span_data(prog: ConicProgram, bi: int, span: tuple[int, int]) -> np.ndarray:
-    """Dense (hi - lo, s, s) copy of psd block bi's constraint data over the rows [lo, hi) of ``span``.
-
-    Only a block whose copy holds at most `_SCHUR_CHUNK` floats gets one (see "Storage" above).
-    """
-    (lo, hi), s, data = span, prog.blocks[bi].size, prog.A[bi]
-    out = np.zeros((hi - lo, s * s))
-    out[data.rows - lo, data.cols] = data.vals
-    return out.reshape(hi - lo, s, s)
 
 
 def _span_csr(prog: ConicProgram, bi: int, span: tuple[int, int]) -> scipy.sparse.csr_array:
@@ -429,10 +420,9 @@ def _schur_psd_nonzeros(M: np.ndarray, A: scipy.sparse.csr_array, X: np.ndarray,
 
 class _Layout:
     """A program split by cone kind once per solve (see "Storage" above), with its working
-    buffers and ``stats``.  ``A`` holds the dense span copies of the psd blocks on the dense
-    path, ``csr`` and ``csr_t`` the CSR data and its transpose of the others; `inner` and
-    `weighted_sum` read whichever a block has.  The other methods are the phases of one
-    iteration."""
+    buffers and ``stats``.  ``A`` holds the dense (hi - lo, s, s) span copies of the psd blocks
+    on the dense path, ``csr`` the CSR span data of the others; `inner` and `weighted_sum` read
+    whichever a block has.  The other methods are the phases of one iteration."""
 
     def __init__(self, prog: ConicProgram):
         built = perf_counter()
@@ -443,11 +433,11 @@ class _Layout:
         self.span = _row_spans(prog, psd)
         side = {bi: prog.blocks[bi].size for bi in psd}
         # a block whose dense span copy would exceed one chunk keeps, in place of that copy, its data
-        # over the span as CSR and the transpose of that for its A^T y terms
+        # over the span as CSR
         self.csr = {bi: _span_csr(prog, bi, (lo, hi)) for bi, (lo, hi) in self.span.items()
                     if (hi - lo) * side[bi] ** 2 > _SCHUR_CHUNK}
-        self.csr_t = {bi: A.T.tocsr() for bi, A in self.csr.items()}
-        self.A = {bi: _span_data(prog, bi, self.span[bi]) for bi in psd if bi not in self.csr}
+        self.A = {bi: _stacked_data(prog, [bi], self.span[bi]).reshape(-1, side[bi], side[bi])
+                  for bi in psd if bi not in self.csr}
         self.eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
         # Al (m, n_l), cl (n_l,) of the nonneg blocks and F (m, p), c_f (p,) of the zero blocks
         self.Al, self.F = _stacked_data(prog, self.nonneg), _stacked_data(prog, self.free)
@@ -495,7 +485,7 @@ class _Layout:
         """sum_k y_k A_k on psd block bi, over the rows of its span."""
         lo, hi = self.span[bi]
         if bi in self.csr:
-            return (self.csr_t[bi] @ y[lo:hi]).reshape(self.prog.blocks[bi].shape)
+            return (self.csr[bi].T @ y[lo:hi]).reshape(self.prog.blocks[bi].shape)
         return np.einsum("kij,k->ij", self.A[bi], y[lo:hi])
 
     def primal_residual(self, rhs: np.ndarray, X: dict, xl: np.ndarray, xf: np.ndarray) -> np.ndarray:
@@ -647,13 +637,6 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
             and res.dres <= opt.feas_tol
         ):
             status = "optimal"
-            break
-        # divergence heuristics: residual stalls while an objective blows up
-        if res.dobj > 1e10 * lay.scale and res.dres <= 1e-6:
-            status = "infeasible"
-            break
-        if res.pobj < -1e10 * lay.scale and res.pres <= 1e-6:
-            status = "unbounded"
             break
         # out of iterations, or at the floating-point floor of the barrier,
         # where there is nothing left to gain: stop with the current iterate

@@ -168,6 +168,33 @@ class TestSolve:
         assert code == 2
         assert report_values(out)["status"] == "max_iter"
 
+    @pytest.mark.parametrize("name, text", [
+        # feasible, with the bound unbounded below
+        ("unbounded.pop", "kind: pop\nvariables: x\n\n[objective]\nmin x\n\n[constraints]\n"),
+        # no measure has mean 2 and second moment 1: its variance would be 1 - 4
+        ("infeasible.gmp", "kind: gmp\n\n[measures]\nmu: x\n\n[objective]\nmin <x, mu>\n\n"
+                           "[constraints]\nmass(mu) == 1\n<x, mu> == 2\n<x^2, mu> == 1\n"),
+    ], ids=["unbounded.pop", "infeasible.gmp"])
+    def test_divergent_relaxation_is_not_converged(self, tmp_path, capsys, name, text):
+        # without a certificate, neither `infeasible` nor `unbounded` is reported
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 2
+        assert report_values(out)["status"] in ("max_iter", "numerical_failure")
+
+    def test_inconsistent_equalities_are_refused(self, tmp_path, capsys):
+        # x = 0 and x = 1: the dependent-row prune keeps the inconsistent row, the
+        # program's zero-block columns are then dependent, and the solve refuses it
+        path = tmp_path / "inconsistent.pop"
+        path.write_text("kind: pop\nvariables: x\n\n[objective]\nmin x\n\n"
+                        "[constraints]\nx == 0\nx - 1 == 0\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: zero-block entries whose constraint columns depend on earlier ones: "
+                       "block 1 entry 2, block 1 entry 3\n")
+
     @pytest.mark.parametrize("name", ["unit_disk.pop", "bolza.gmp", "sqrt2.sdp", "pillow.pencil"])
     @pytest.mark.parametrize("option", BAD_SOLVER_OPTIONS)
     def test_bad_solver_options_are_input_errors(self, capsys, name, option):

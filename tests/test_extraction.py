@@ -5,6 +5,7 @@ from momentsdp.casestudies import build_polyopt
 from momentsdp.extraction import (
     ExtractionError,
     _extract_general,
+    _pivoted_cholesky,
     certify,
     extract_atoms,
     moment_matrix,
@@ -20,6 +21,66 @@ HI = SolveOptions(gap_tol=1e-8, feas_tol=1e-8)
 def lebesgue_moments_01(degree):
     """Moments of the uniform measure on [0, 1]: y_a = 1/(a+1)."""
     return MomentVector(1, degree, np.array([1.0 / (a + 1) for a in range(degree + 1)]))
+
+
+def reference_pivoted_cholesky(M: np.ndarray, rank: int) -> tuple[np.ndarray, list[int]]:
+    """Rank-limited outer-product Cholesky with diagonal pivoting, ties to the lowest index:
+    (R, pivots) with M ~= R R'."""
+    n = M.shape[0]
+    R = np.zeros((n, rank))
+    d = np.diag(M).astype(float).copy()
+    pivots: list[int] = []
+    work = M.astype(float).copy()
+    for t in range(rank):
+        p = int(np.argmax(d))  # argmax returns the first (lowest) maximizer
+        if d[p] <= 0:
+            break
+        pivots.append(p)
+        alpha = np.sqrt(d[p])
+        col = work[:, p] / alpha
+        R[:, t] = col
+        work = work - np.outer(col, col)
+        d = np.maximum(np.diag(work).copy(), 0.0)
+    return R[:, : len(pivots)], pivots
+
+
+class TestPivotedCholesky:
+    @staticmethod
+    def cases():
+        """(M, rank) on random PSD matrices, full rank or not, limited to at most their rank, and
+        on matrices whose diagonal ties exactly at each pivot taken: ties that the updates keep
+        exact, since the tied entries' updates are exact zeros."""
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            k = int(rng.integers(1, n + 1))
+            G = rng.normal(size=(n, k))
+            yield G @ G.T, int(rng.integers(1, k + 1))
+        B = rng.normal(size=(4, 4))
+        A = B @ B.T
+        yield np.eye(6), 6
+        yield np.ones((5, 5)), 1
+        yield np.kron(np.eye(3), A), 3
+        yield np.kron(np.ones((2, 2)), A), 1
+        # two variables swapped by symmetry: x1 and x2, x1^2 and x2^2 tie on the diagonal
+        pts = [(0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.0, 0.0)]
+        M = moment_matrix(MomentVector.from_atoms(pts, [1.0] * 5, 4), 2)
+        yield M, 5
+
+    def test_matches_the_outer_product_loop(self):
+        for M, rank in self.cases():
+            R, pivots = _pivoted_cholesky(M, rank)
+            R0, pivots0 = reference_pivoted_cholesky(M, rank)
+            assert pivots == pivots0 and R.shape == R0.shape == (len(M), rank)
+            scale = np.abs(M).max()
+            assert np.abs(R @ R.T - R0 @ R0.T).max() <= 1e-12 * scale
+            assert np.abs(R - R0).max() <= 1e-10 * np.sqrt(scale)
+
+    def test_stops_at_the_rank_lapack_finds(self):
+        G = np.random.default_rng(37).normal(size=(8, 3))
+        R, pivots = _pivoted_cholesky(G @ G.T, 8)
+        assert R.shape == (8, 3) and len(pivots) == 3
+        assert np.abs(R @ R.T - G @ G.T).max() <= 1e-12 * np.abs(G @ G.T).max()
 
 
 class TestNumericalRank:
@@ -140,6 +201,23 @@ class TestCertify:
         # the atom's objective value sits on the certified bound
         value = float(pop.objective.evaluate([float(v) for v in cert.atoms[0][0]]))
         assert value - res.bound <= 1e-6
+
+    def test_ranks_are_those_of_each_moment_matrix(self):
+        # certify reads each M_s(y) off M_r(y): its leading block, with the same floats
+        pts = np.random.default_rng(41).uniform(-1, 1, size=(3, 2))
+        cases = [
+            (lebesgue_moments_01(6), 3),
+            (MomentVector.from_atoms(pts, [0.2, 0.3, 0.5], 6), 3),
+            (bound_and_moments(build_polyopt(), 2, HI).moments, 2),
+        ]
+        for y, r in cases:
+            M = moment_matrix(y, r)
+            cert = certify(y, r, 1)
+            for s in range(r + 1):
+                Ms = moment_matrix(y, s)
+                assert np.array_equal(M[: len(Ms), : len(Ms)], Ms)
+                assert cert.ranks[s] == numerical_rank(Ms, cert.rank_tol)
+        assert [certify(y, r, 1).ranks for y, r in cases[:2]] == [[1, 2, 3, 4], [1, 3, 3, 3]]
 
     def test_weights_sum_to_mass(self):
         y = MomentVector.from_atoms([(-0.5,), (0.5,)], [0.3, 0.9], 6)

@@ -259,6 +259,12 @@ class TestParser:
     def test_unary_minus(self):
         assert parse_polynomial("-x1 - -x2", SP2) == parse_polynomial("x2 - x1", SP2)
 
+    def test_leading_sign_binds_to_the_first_factor(self):
+        x1 = parse_polynomial("x1", SP2)
+        assert parse_polynomial("-x1^2 + 1", SP2) == 1 - x1 * x1
+        assert parse_polynomial("-x1*x2/2", SP2) == parse_polynomial("-(x1*x2)/2", SP2)
+        assert parse_polynomial("+x1 - 3/4", SP2).coeff((0, 0)) == Fraction(-3, 4)
+
     def test_unknown_variable(self):
         with pytest.raises(PolynomialParseError):
             parse_polynomial("x3 + 1", SP2)

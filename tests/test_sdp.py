@@ -246,7 +246,8 @@ class TestCoreSolves:
         assert sol.primal_obj == pytest.approx(0.0, abs=1e-8)
 
     def test_infeasible_detection(self):
-        # <E11, X> = -1 with X >= 0 is primal infeasible (dual unbounded)
+        # <E11, X> = -1 with X >= 0 is primal infeasible (dual unbounded); with no
+        # certificate of that, the solve stops at the barrier's floor short of the tolerances
         prog = ConicProgram(
             blocks=[Block("psd", 2)],
             A=[np.array([[[1.0, 0.0], [0.0, 0.0]]])],
@@ -254,7 +255,7 @@ class TestCoreSolves:
             C=[np.eye(2)],
         )
         sol = solve(prog)
-        assert sol.status in ("infeasible", "max_iter")
+        assert sol.status == "max_iter"
 
     def test_max_iter_status(self):
         sol = solve(sqrt2_program(), SolveOptions(max_iter=2))
@@ -658,6 +659,19 @@ class TestStoredForm:
         )
         dense = dense_data(prog)
         assert np.array_equal(sdp._stacked_data(prog, [2, 3]), np.hstack([dense[2], dense[3]]))
+
+    def test_span_data_is_rows_of_the_full_data(self):
+        # each psd block's dense copy over its row span is those rows of its data over all m rows
+        from momentsdp.casestudies import build_saturation_cells
+        from momentsdp.gmp import build_gmp_relaxation
+
+        prog = build_gmp_relaxation(build_saturation_cells(2).gmp, 2)[0].program
+        spans = sdp._row_spans(prog, [bi for bi, blk in enumerate(prog.blocks) if blk.kind == "psd"])
+        assert len(spans) == 19 and any(hi - lo < prog.m for lo, hi in spans.values())
+        for bi, (lo, hi) in spans.items():
+            full = sdp._stacked_data(prog, [bi])
+            assert np.array_equal(sdp._stacked_data(prog, [bi], (lo, hi)), full[lo:hi])
+            assert not full[:lo].any() and not full[hi:].any()
 
     def test_blocks_in_any_order_stack_and_slice_back(self):
         # two nonneg blocks and a zero block between psd blocks: solve stacks
