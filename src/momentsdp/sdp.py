@@ -28,31 +28,35 @@ F'dy = rf, so only M's projection onto the null space of F' is factored, by
 LAPACK's Cholesky called directly, and a failed factorization ends the solve
 as ``numerical_failure``; `_Layout.direction`, the predictor or the
 corrector, from two solves with those factors, the second a refinement pass
-on the primal equation; and `_steps`, the largest steps in the cone, of which
-`solve` takes a fixed fraction.  A psd block's step to its boundary is an
-eigenvalue of the pencil (D, X), from one LAPACK dsygv call (`_max_step_psd`).
+on the primal equation; and `_Layout.steps`, the largest steps in the cone,
+of which `solve` takes a fixed fraction.  A psd block's step to its boundary
+is an eigenvalue of the pencil (D, X), from one LAPACK dsygv call
+(`_max_step_psd`).
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
 fill well under 1% of the dense (m, s, s) arrays.  `_Layout` splits the
-blocks by kind once per solve.  It writes the nonneg blocks straight into one
-stacked (m, n_l) matrix and the zero blocks into one stacked (m, p) matrix F,
-each with one vector of unknowns, and takes one QR of F (`_free_basis`),
-which refuses dependent columns; X and Z are sliced back into declared block
-order once, at the end.  Every sum over blocks takes the psd blocks first,
-then the nonneg part, then the free part.  Every term of a psd block runs
-over its row span, the rows [lo, hi) from the first to the last one that
-touch it (all rows at side 1), and its Schur terms fill only M[lo:hi, lo:hi].
-A block whose dense span copy would hold at most `_SCHUR_CHUNK` floats gets
-that copy: its residual terms <A_k, V> and its A^T y terms sum_k y_k A_k are
-np.einsum over it, and `_schur_psd` forms its Schur terms by stacked products
-and one GEMM.  A larger block gets no dense copy.  It keeps its nonzeros
-once, as a CSR (hi - lo, s^2) array: its <A_k, V> are that array's product
-with V flattened, its A^T y the product of its transpose, a CSC view of the
-same arrays, with y, and `_schur_psd_nonzeros` forms its Schur terms a chunk
-of rows at a time; each agrees with the dense path to rounding.  The working set
-lives only as long as the solve; each iteration frees the last Schur system
-and its factors before it forms the next.
+blocks by kind once per solve.  It stacks the nonneg blocks into one dense
+(m, n_l) matrix and the zero blocks into one dense (m, p) matrix F, and takes
+one QR of F (`_free_basis`), which refuses dependent columns.  Every matrix
+of the psd blocks (X, Z, C, Z^{-1}, ...) is one flat vector of N = sum s^2
+cells, the blocks ordered by side so that each run of equal sides is one
+(k, s, s) stack, and their data one (m, N) CSR array over those cells: A(X),
+<A_k, G> and A^T y (by the transpose, a CSC view of the same arrays) are one
+sparse product each, every sum and the symmetrization (a gather through the
+transpose permutation) act on whole vectors, and each Z^{-1} V W is one
+stacked product per run.  Z^{-1}, the Schur terms and the steps run per
+block on views of the flat vectors; X and Z are sliced back into declared
+block order once, at the end.  Every sum over blocks takes the psd blocks
+first, by side, then the nonneg part, then the free part.  A block's Schur
+terms fill only M[lo:hi, lo:hi], over its row span, the rows [lo, hi) from
+the first to the last one that touch it.  A block whose dense span copy
+would hold at most `_SCHUR_CHUNK` floats gets that copy, and `_schur_psd`
+forms its terms by stacked products and one GEMM; a larger block keeps its
+span data as CSR, and `_schur_psd_nonzeros` forms them from its nonzeros, in
+agreement with the dense path to rounding.  The working set lives only as
+long as the solve; each iteration frees the last Schur system and its
+factors before it forms the next.
 
 This module holds the program and its solver only; `problemfile` reads and
 writes programs as ``kind: sdp`` text.
@@ -76,8 +80,8 @@ BlockKind = Literal["psd", "nonneg", "zero"]
 
 _log = logging.getLogger(__name__)
 
-# floats of a psd block's dense span copy above which it forms every term from its nonzeros
-# and gets no such copy, and per chunk of the products that `_schur_psd_nonzeros` forms
+# floats of a psd block's dense span copy above which it forms its Schur terms from its nonzeros
+# and gets no such copy, and per chunk (of at least 16 rows) of the products they take
 _SCHUR_CHUNK = 1 << 17
 _STEP_FRACTION = 0.98  # fraction of the way to the cone boundary each step takes
 
@@ -263,46 +267,25 @@ def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
 
 @dataclass
 class _Point:
-    """An iterate, or a search direction: psd blocks X and Z by block index, the stacked nonneg
-    part xl and its dual slack zl, the free entries xf and the multipliers y."""
+    """An iterate, or a search direction: X and Z of every psd block as flat vectors over the
+    layout's cells (see `_Layout`), the stacked nonneg part xl and its dual slack zl, the free
+    entries xf and the multipliers y."""
 
-    X: dict[int, np.ndarray]
-    Z: dict[int, np.ndarray]
+    X: np.ndarray
+    Z: np.ndarray
     xl: np.ndarray
     zl: np.ndarray
     xf: np.ndarray
     y: np.ndarray
 
-    def moved(self, d: "_Point", ap: float, ad: float) -> "_Point":
-        """The point a primal step ap and a dual step ad along d reach, each psd block symmetrized."""
-        sym = lambda V: 0.5 * (V + V.T)  # noqa: E731
-        return _Point({bi: sym(V + ap * d.X[bi]) for bi, V in self.X.items()},
-                      {bi: sym(V + ad * d.Z[bi]) for bi, V in self.Z.items()},
-                      self.xl + ap * d.xl, self.zl + ad * d.zl, self.xf + ap * d.xf, self.y + ad * d.y)
 
-
-# an iterate's residuals (primal; dual by psd block, nonneg and free), <X, Z>, objectives and relative norms
+# an iterate's residuals (primal; dual on psd cells, nonneg and free), <X, Z>, objectives and relative norms
 _Residuals = namedtuple("_Residuals", "rp Rd rl rf gap pobj dobj pres dres")
 
 
-def _steps(pt: _Point, d: _Point, stats: dict) -> tuple[float, float]:
-    """Primal and dual steps: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in the cone,
-    the least of the stacked nonneg part's ratio and every psd block's step."""
-    start = perf_counter()
-    ap, ad = (min((_max_step_nonneg(v, dv), *(_max_step_psd(V[bi], D[bi]) for bi in V)))
-              for V, D, v, dv in ((pt.X, d.X, pt.xl, d.xl), (pt.Z, d.Z, pt.zl, d.zl)))
-    stats["seconds"]["step"] += perf_counter() - start
-    return ap, ad
-
-
 def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]:
-    """[first, last + 1) of the (sorted) constraint rows that touch each psd block bi.
-
-    A block of side 1, or of no rows, keeps all of them, (0, m): the A^T y term
-    of side 1 is a plain dot, which numpy sums in SIMD lanes set by the start.
-    """
-    return {bi: (int(r[0]), int(r[-1]) + 1) if (r := prog.A[bi].rows).size and prog.blocks[bi].size > 1
-            else (0, prog.m) for bi in psd}
+    """[first, last + 1) of the (sorted) constraint rows that touch each psd block bi; (0, 0) without rows."""
+    return {bi: (int(r[0]), int(r[-1]) + 1) if (r := prog.A[bi].rows).size else (0, 0) for bi in psd}
 
 
 class _Factorization:
@@ -398,12 +381,14 @@ def _schur_psd_nonzeros(M: np.ndarray, A: scipy.sparse.csr_array, X: np.ndarray,
 
     Row k of P is (Z^{-1} A_k X)^T = sum_t v_t X[j_t, :]^T Z^{-1}[:, i_t]^T
     over row k's nonzeros (i_t, j_t, v_t), one (s, q) by (q, s) product for
-    q nonzeros.  P is formed a chunk of `_SCHUR_CHUNK` floats of rows at a
-    time, and M[:, chunk] += A P_chunk^T is a sparse product: nnz (s^2 + n)
-    multiply-adds in all, against the n^2 s^2 of the dense GEMM.
+    q nonzeros.  P is formed a chunk of rows at a time, at least 16 and as
+    many as `_SCHUR_CHUNK` floats hold, and M[:, chunk] += A P_chunk^T is a
+    sparse product: nnz (s^2 + n) multiply-adds in all, against the n^2 s^2
+    of the dense GEMM.  Each column of M sums the same terms in the same
+    order whatever the chunk, so M's bits do not depend on it.
     """
     n, s = A.shape[0], X.shape[0]
-    step = max(1, _SCHUR_CHUNK // (s * s))
+    step = max(16, _SCHUR_CHUNK // (s * s))
     ptr = A.indptr.tolist()
     Zt = Zinv.T
     P = np.empty((min(step, n), s, s))
@@ -419,26 +404,43 @@ def _schur_psd_nonzeros(M: np.ndarray, A: scipy.sparse.csr_array, X: np.ndarray,
 
 
 class _Layout:
-    """A program split by cone kind once per solve (see "Storage" above), with its working
-    buffers and ``stats``.  ``A`` holds the dense (hi - lo, s, s) span copies of the psd blocks
-    on the dense path, ``csr`` the CSR span data of the others; `inner` and `weighted_sum` read
-    whichever a block has.  The other methods are the phases of one iteration."""
+    """A program split by cone kind once per solve (see "Storage" above), with its working buffers
+    and ``stats``.  ``psd`` lists the psd blocks by side, in declared order within a side; ``cuts``
+    holds each one's (side, offset) in the flat cell vectors of length ``N``, ``runs`` the (side,
+    start, stop) of each run of equal sides, and ``tperm`` the gather that transposes every block.
+    ``A`` is the (m, N) CSR data of all psd blocks, ``At`` its transpose.  The Schur terms read
+    ``dense``, the (hi - lo, s, s) span copies of the blocks on the dense path, and ``csr``, the
+    (hi - lo, s^2) CSR span data of the others.  The other methods are the phases of one iteration."""
 
     def __init__(self, prog: ConicProgram):
         built = perf_counter()
         self.prog = prog
         psd, self.nonneg, self.free = ([bi for bi, blk in enumerate(prog.blocks) if blk.kind == kind]
                                        for kind in ("psd", "nonneg", "zero"))
-        self.psd = psd
-        self.span = _row_spans(prog, psd)
         side = {bi: prog.blocks[bi].size for bi in psd}
+        self.psd = sorted(psd, key=side.get)
+        offsets = np.cumsum([0] + [side[bi] ** 2 for bi in self.psd]).tolist()
+        self.N = offsets[-1]
+        self.cuts = [(side[bi], o) for bi, o in zip(self.psd, offsets)]
+        runs: dict[int, tuple[int, int]] = {}
+        for s, o in self.cuts:
+            runs[s] = (runs.get(s, (o,))[0], o + s * s)
+        self.runs = [(s, lo, hi) for s, (lo, hi) in runs.items()]
+        self.tperm = np.arange(self.N)
+        for s, lo, hi in self.runs:
+            self.tperm[lo:hi] = self.tperm[lo:hi].reshape(-1, s, s).transpose(0, 2, 1).ravel()
+        self.ident = np.concatenate([np.zeros(0), *(np.eye(s).ravel() for s, _ in self.cuts)])
+        self.c = np.concatenate([np.zeros(0), *(prog.C[bi].ravel() for bi in self.psd)])
+        self.A = scipy.sparse.hstack([scipy.sparse.csr_array((prog.m, 0)),
+                                      *(_span_csr(prog, bi, (0, prog.m)) for bi in self.psd)], format="csr")
+        self.At = self.A.T
+        self.span = _row_spans(prog, psd)
         # a block whose dense span copy would exceed one chunk keeps, in place of that copy, its data
         # over the span as CSR
         self.csr = {bi: _span_csr(prog, bi, (lo, hi)) for bi, (lo, hi) in self.span.items()
                     if (hi - lo) * side[bi] ** 2 > _SCHUR_CHUNK}
-        self.A = {bi: _stacked_data(prog, [bi], self.span[bi]).reshape(-1, side[bi], side[bi])
-                  for bi in psd if bi not in self.csr}
-        self.eye = {bi: np.eye(prog.blocks[bi].size) for bi in psd}
+        self.dense = {bi: _stacked_data(prog, [bi], self.span[bi]).reshape(-1, side[bi], side[bi])
+                      for bi in psd if bi not in self.csr}
         # Al (m, n_l), cl (n_l,) of the nonneg blocks and F (m, p), c_f (p,) of the zero blocks
         self.Al, self.F = _stacked_data(prog, self.nonneg), _stacked_data(prog, self.free)
         self.cl, self.c_f = (np.concatenate([np.zeros(0), *(prog.C[bi] for bi in bis)])
@@ -469,65 +471,60 @@ class _Layout:
                       "factored_side": prog.m - len(self.c_f), "seconds": seconds}
         seconds["layout"] = perf_counter() - built - qr_seconds
 
+    def blocks(self, V: np.ndarray) -> list[np.ndarray]:
+        """The (s, s) views of flat cell vector V's psd blocks, in the order of ``psd``."""
+        return [V[o:o + s * s].reshape(s, s) for s, o in self.cuts]
+
+    def sym(self, V: np.ndarray) -> np.ndarray:
+        """Every psd block of flat cell vector V symmetrized, (V + V^T) / 2."""
+        return 0.5 * (V + V[self.tperm])
+
+    def zinv_product(self, Zinv: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Z^{-1} (V W) on every psd block, as a flat cell vector: one stacked product per run."""
+        out = np.empty(self.N)
+        for s, lo, hi in self.runs:
+            Zs, Vs, Ws, Os = (U[lo:hi].reshape(-1, s, s) for U in (Zinv, V, W, out))
+            np.matmul(Zs, np.matmul(Vs, Ws), out=Os)
+        return out
+
     def start(self) -> _Point:
         """X = Z = scale * I, xl = zl = scale, xf = 0 and y = 0."""
         s, n_l = self.scale, len(self.cl)
-        return _Point({bi: s * I for bi, I in self.eye.items()}, {bi: s * I for bi, I in self.eye.items()},
-                      s * np.ones(n_l), s * np.ones(n_l), np.zeros(len(self.c_f)), np.zeros(self.prog.m))
+        return _Point(s * self.ident, s * self.ident, s * np.ones(n_l), s * np.ones(n_l),
+                      np.zeros(len(self.c_f)), np.zeros(self.prog.m))
 
-    def inner(self, bi: int, V: np.ndarray) -> np.ndarray:
-        """<A_k, V> for the rows k of psd block bi's span."""
-        if bi in self.csr:
-            return self.csr[bi] @ V.ravel()
-        return np.einsum("kij,ij->k", self.A[bi], V)
-
-    def weighted_sum(self, bi: int, y: np.ndarray) -> np.ndarray:
-        """sum_k y_k A_k on psd block bi, over the rows of its span."""
-        lo, hi = self.span[bi]
-        if bi in self.csr:
-            return (self.csr[bi].T @ y[lo:hi]).reshape(self.prog.blocks[bi].shape)
-        return np.einsum("kij,k->ij", self.A[bi], y[lo:hi])
-
-    def primal_residual(self, rhs: np.ndarray, X: dict, xl: np.ndarray, xf: np.ndarray) -> np.ndarray:
-        """rhs - A(X) - Al xl - F xf, the psd terms over each block's span."""
-        r = rhs.copy()
-        for bi in self.psd:
-            r[slice(*self.span[bi])] -= self.inner(bi, X[bi])
-        r -= self.Al @ xl
-        r -= self.F @ xf
-        return r
+    def primal_residual(self, rhs: np.ndarray, X: np.ndarray, xl: np.ndarray, xf: np.ndarray) -> np.ndarray:
+        """rhs - A(X) - Al xl - F xf."""
+        return rhs - self.A @ X - self.Al @ xl - self.F @ xf
 
     def residuals(self, pt: _Point) -> _Residuals:
         start = perf_counter()
-        X, Z, xl, zl, xf, y = pt.X, pt.Z, pt.xl, pt.zl, pt.xf, pt.y
-        C = self.prog.C
-        rp = self.primal_residual(self.prog.b, X, xl, xf)
-        Rd = {bi: C[bi] - self.weighted_sum(bi, y) - Z[bi] for bi in self.psd}
-        rl = self.cl - self.Al.T @ y - zl
-        rf = self.c_f - self.F.T @ y
-        dnorm2 = sum(float(np.sum(R**2)) for R in (*Rd.values(), rl, rf))
-        gap = sum(float(np.sum(X[bi] * Z[bi])) for bi in self.psd) + float(np.sum(xl * zl))
-        pobj = float(sum(np.sum(C[bi] * X[bi]) for bi in self.psd) + np.sum(self.cl * xl))
-        pobj += float(self.c_f @ xf)
-        dobj = float(self.prog.b @ y)
+        rp = self.primal_residual(self.prog.b, pt.X, pt.xl, pt.xf)
+        Rd = self.c - self.At @ pt.y - pt.Z
+        rl = self.cl - self.Al.T @ pt.y - pt.zl
+        rf = self.c_f - self.F.T @ pt.y
+        dnorm = math.sqrt(float(Rd @ Rd) + float(rl @ rl) + float(rf @ rf))
+        gap = float(pt.X @ pt.Z) + float(pt.xl @ pt.zl)
+        pobj = float(self.c @ pt.X) + float(self.cl @ pt.xl) + float(self.c_f @ pt.xf)
+        dobj = float(self.prog.b @ pt.y)
         self.stats["seconds"]["residuals"] += perf_counter() - start
         return _Residuals(rp, Rd, rl, rf, gap, pobj, dobj, float(np.linalg.norm(rp)) / self.bnorm,
-                          float(np.sqrt(dnorm2)) / self.cnorm)
+                          dnorm / self.cnorm)
 
-    def schur(self, pt: _Point, res: _Residuals) -> tuple[dict, dict, _Factorization]:
-        """Z^{-1} and Z^{-1} Rd X by psd block, and the factored Schur complement
+    def schur(self, pt: _Point, res: _Residuals) -> tuple[np.ndarray, np.ndarray, _Factorization]:
+        """Z^{-1} and Z^{-1} Rd X as flat cell vectors, and the factored Schur complement
         M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms."""
         start = perf_counter()
         M = np.zeros((self.prog.m, self.prog.m))
-        Zinv, ZRX = {}, {}  # Z^{-1} Rd X is a term of both directions
-        for bi in self.psd:
-            Zinv[bi] = cho_solve(cho_factor(pt.Z[bi]), self.eye[bi])
-            ZRX[bi] = Zinv[bi] @ (res.Rd[bi] @ pt.X[bi])
+        Zinv = np.empty(self.N)
+        for bi, X, Z, Zi, I in zip(self.psd, *map(self.blocks, (pt.X, pt.Z, Zinv, self.ident))):
+            Zi[...] = cho_solve(cho_factor(Z), I)
             lo, hi = self.span[bi]
             if bi in self.csr:
-                _schur_psd_nonzeros(M[lo:hi, lo:hi], self.csr[bi], pt.X[bi], Zinv[bi])
+                _schur_psd_nonzeros(M[lo:hi, lo:hi], self.csr[bi], X, Zi)
             else:
-                _schur_psd(M[lo:hi, lo:hi], self.A[bi], pt.X[bi], Zinv[bi])
+                _schur_psd(M[lo:hi, lo:hi], self.dense[bi], X, Zi)
+        ZRX = self.zinv_product(Zinv, res.Rd, pt.X)  # a term of both directions
         M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
         M = 0.5 * (M + M.T)
         formed = perf_counter()
@@ -551,31 +548,20 @@ class _Layout:
         sigma_mu = 0.0
         if pred is not None:  # sigma is the cube of the ratio of <X, Z> after the predictor step
             (ap, ad), gap = steps, res.gap
-            gap_aff = sum(float(np.sum((X[bi] + ap * pred.X[bi]) * (pt.Z[bi] + ad * pred.Z[bi])))
-                          for bi in self.psd) + float(np.sum((xl + ap * pred.xl) * (zl + ad * pred.zl)))
+            gap_aff = (float((X + ap * pred.X) @ (pt.Z + ad * pred.Z))
+                       + float((xl + ap * pred.xl) @ (zl + ad * pred.zl)))
             sigma_mu = (min(1.0, max(1e-8, (gap_aff / gap) ** 3)) if gap > 0 else 0.1) * (gap / self.nu)
-        h = res.rp.copy()
-        G: dict[int, np.ndarray] = {}
-        for bi in self.psd:
-            G[bi] = sigma_mu * Zinv[bi] - X[bi] - ZRX[bi]
-            if pred is not None:
-                G[bi] = G[bi] - Zinv[bi] @ (pred.Z[bi] @ pred.X[bi])
-            h[slice(*self.span[bi])] -= self.inner(bi, G[bi])
+        G = sigma_mu * Zinv - X - ZRX
         gl = sigma_mu / zl - xl - res.rl * xl / zl
         if pred is not None:
-            gl = gl - pred.zl * pred.xl / zl
-        h -= self.Al @ gl
+            G -= self.zinv_product(Zinv, pred.Z, pred.X)
+            gl -= pred.zl * pred.xl / zl
+        h = res.rp - self.A @ G - self.Al @ gl
 
         def lifted(v, GX, R, gx, r):
             """The step of multipliers v, from the primal parts GX, gx and the dual parts R, r."""
-            dX, dZ = {}, {}
-            for bi in self.psd:
-                Aty = self.weighted_sum(bi, v)
-                dZ[bi] = R[bi] - Aty
-                dxb = GX[bi] + Zinv[bi] @ (Aty @ X[bi])
-                dX[bi] = 0.5 * (dxb + dxb.T)
-            Aty = self.Al.T @ v
-            return dX, dZ, gx + Aty * xl / zl, r - Aty
+            Aty, aty = self.At @ v, self.Al.T @ v
+            return self.sym(GX + self.zinv_product(Zinv, Aty, X)), R - Aty, gx + aty * xl / zl, r - aty
 
         dy, dxf = fact.solve(h, res.rf)
         dX, dZ, dxl, dzl = lifted(dy, G, res.Rd, gl, res.rl)
@@ -583,6 +569,20 @@ class _Layout:
         dX, dZ, dxl, dzl = lifted(ey, dX, dZ, dxl, dzl)
         self.stats["seconds"]["direction"] += perf_counter() - start
         return _Point(dX, dZ, dxl, dzl, dxf + exf, dy + ey)
+
+    def steps(self, pt: _Point, d: _Point) -> tuple[float, float]:
+        """Primal and dual steps: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in the cone,
+        the least of the stacked nonneg part's ratio and every psd block's step."""
+        start = perf_counter()
+        ap, ad = (min((_max_step_nonneg(v, dv), *map(_max_step_psd, self.blocks(V), self.blocks(D))))
+                  for V, D, v, dv in ((pt.X, d.X, pt.xl, d.xl), (pt.Z, d.Z, pt.zl, d.zl)))
+        self.stats["seconds"]["step"] += perf_counter() - start
+        return ap, ad
+
+    def moved(self, pt: _Point, d: _Point, ap: float, ad: float) -> _Point:
+        """The point a primal step ap and a dual step ad along d reach, each psd block symmetrized."""
+        return _Point(self.sym(pt.X + ap * d.X), self.sym(pt.Z + ad * d.Z), pt.xl + ap * d.xl,
+                      pt.zl + ad * d.zl, pt.xf + ap * d.xf, pt.y + ad * d.y)
 
 
 def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolution:
@@ -649,20 +649,20 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         try:
             newton = lay.schur(pt, res)
             pred = lay.direction(pt, res, newton)
-            d = lay.direction(pt, res, newton, pred, _steps(pt, pred, lay.stats))
+            d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred))
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        ap, ad = _steps(pt, d, lay.stats)
+        ap, ad = lay.steps(pt, d)
         ap = min(1.0, _STEP_FRACTION * ap)
         ad = min(1.0, _STEP_FRACTION * ad)
         if max(ap, ad) < 1e-10:
             break  # step collapse: no further progress possible
         last_steps = (ap, ad)
-        pt = pt.moved(d, ap, ad)
+        pt = lay.moved(pt, d, ap, ad)
 
-    # slice the stacked parts back into their blocks, in declared order
-    out = {bi: (pt.X[bi], pt.Z[bi]) for bi in lay.psd}
+    # slice the flat and stacked parts back into their blocks, in declared order
+    out = dict(zip(lay.psd, zip(lay.blocks(pt.X), lay.blocks(pt.Z))))
     for bis, x, z in ((lay.nonneg, pt.xl, pt.zl), (lay.free, pt.xf, np.zeros(len(pt.xf)))):
         cuts = np.cumsum([prog.blocks[bi].size for bi in bis[:-1]], dtype=int)
         out.update(zip(bis, zip(np.split(x, cuts), np.split(z, cuts))))
@@ -683,4 +683,3 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
         trace=trace,
         stats=lay.stats,
     )
-

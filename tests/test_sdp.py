@@ -117,14 +117,44 @@ def iterates_by_hand(lay, iterations: int):
             return
         newton = lay.schur(pt, res)
         pred = lay.direction(pt, res, newton)
-        d = lay.direction(pt, res, newton, pred, sdp._steps(pt, pred, lay.stats))
-        ap, ad = sdp._steps(pt, d, lay.stats)
-        pt = pt.moved(d, min(1.0, sdp._STEP_FRACTION * ap), min(1.0, sdp._STEP_FRACTION * ad))
+        d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred))
+        ap, ad = lay.steps(pt, d)
+        pt = lay.moved(pt, d, min(1.0, sdp._STEP_FRACTION * ap), min(1.0, sdp._STEP_FRACTION * ad))
 
 
 def dense_data(prog: ConicProgram) -> list[np.ndarray]:
     """Dense (m, s, s) / (m, s) copies of every block's constraint data, over all rows."""
     return [sdp._stacked_data(prog, [bi]).reshape(prog.m, *blk.shape) for bi, blk in enumerate(prog.blocks)]
+
+
+def agree(got, want, *terms):
+    """got equals want within 1e-13 of the largest of want and the terms summed into it."""
+    bound = 1e-13 * max(float(np.max(np.abs(t), initial=0.0)) for t in (want, *terms))
+    assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= bound
+
+
+def check_joint_products(rng, lay, prog: ConicProgram, dense: list[np.ndarray]) -> None:
+    """The layout's joint products A(V) and A^T y, and the residuals of a random point, against
+    np.einsum over the dense data of every row, each within 1e-13 of the largest dense term."""
+    V, y = rng.normal(size=lay.N), rng.normal(size=prog.m)
+    terms = [np.einsum("kij,ij->k", dense[bi], G) for bi, G in zip(lay.psd, lay.blocks(V))]
+    agree(lay.A @ V, sum(terms, np.zeros(prog.m)), *terms)
+    for bi, Aty in zip(lay.psd, lay.blocks(lay.At @ y)):
+        agree(Aty, np.einsum("kij,k->ij", dense[bi], y))
+    n_l, p = len(lay.cl), len(lay.c_f)
+
+    def spd():
+        return np.concatenate([np.zeros(0), *(random_spd(rng, s).ravel() for s, _ in lay.cuts)])
+
+    pt = sdp._Point(spd(), spd(), rng.random(n_l), rng.random(n_l), rng.normal(size=p),
+                    rng.normal(size=prog.m))
+    res = lay.residuals(pt)
+    terms = [np.einsum("kij,ij->k", dense[bi], X) for bi, X in zip(lay.psd, lay.blocks(pt.X))]
+    Al_x, F_x = lay.Al @ pt.xl, lay.F @ pt.xf
+    agree(res.rp, prog.b - sum(terms, np.zeros(prog.m)) - Al_x - F_x, prog.b, Al_x, F_x, *terms)
+    for bi, Rd, Z in zip(lay.psd, lay.blocks(res.Rd), lay.blocks(pt.Z)):
+        Aty = np.einsum("kij,k->ij", dense[bi], pt.y)
+        agree(Rd, prog.C[bi] - Aty - Z, prog.C[bi], Aty, Z)
 
 
 def random_spd(rng, n: int, floor: float = 1e-3) -> np.ndarray:
@@ -169,12 +199,13 @@ def mixed_cone_program(rng, n: int, q: int, pfree: int, m: int):
     return prog, lo, hi
 
 
-def feasible_program(rng, blocks: list[Block], m: int) -> ConicProgram:
+def feasible_program(rng, blocks: list[Block], m: int, spans: dict | None = None) -> ConicProgram:
     # data for any list of blocks, built from a strictly feasible primal-dual
-    # pair with zero dual slack on the zero blocks
+    # pair with zero dual slack on the zero blocks; block bi's data is zero
+    # outside the rows [lo, hi) of spans[bi], where given
     y0 = rng.normal(size=m)
     A, C, b = [], [], np.zeros(m)
-    for blk in blocks:
+    for bi, blk in enumerate(blocks):
         n = blk.size
         if blk.kind == "psd":
             T = rng.normal(size=(m, n, n))
@@ -184,6 +215,9 @@ def feasible_program(rng, blocks: list[Block], m: int) -> ConicProgram:
             Ab = rng.normal(size=(m, n))
             X0 = rng.uniform(0.3, 1.5, size=n) if blk.kind == "nonneg" else rng.normal(size=n)
             Z0 = rng.uniform(0.3, 1.5, size=n) if blk.kind == "nonneg" else np.zeros(n)
+        if spans and bi in spans:
+            lo, hi = spans[bi]
+            Ab[:lo] = Ab[hi:] = 0.0
         b += np.tensordot(Ab, X0, axes=X0.ndim)
         A.append(Ab)
         C.append(np.tensordot(y0, Ab, axes=1) + Z0)
@@ -384,7 +418,7 @@ class TestRandomPrograms:
             C, b = prog.C[0], prog.b
             lay = sdp._Layout(prog)
             for it, (pt, res) in enumerate(iterates_by_hand(lay, sol.iterations)):
-                X, Z, y, Rd = pt.X[0], pt.Z[0], pt.y, res.Rd[0]
+                (X,), (Z,), (Rd,), y = lay.blocks(pt.X), lay.blocks(pt.Z), lay.blocks(res.Rd), pt.y
                 slack = res.pobj - res.dobj - (float(np.sum(X * Rd)) - float(y @ res.rp))
                 size = (np.sum(np.abs(C * X)) + np.abs(b) @ np.abs(y) + np.sum(np.abs(X * Z))
                         + np.abs(y) @ np.einsum("kij,ij->k", np.abs(A), np.abs(X)))
@@ -896,56 +930,28 @@ class TestSchurFormation:
             prog = ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)])
             lay = sdp._Layout(prog)
             assert lay.span[0] == (0, m) and not lay.csr
-            assert lay.A[0].tobytes() == A.tobytes()
+            assert lay.dense[0].tobytes() == A.tobytes()
             X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
             M0 = rng.normal(size=(m, m))
             M = M0.copy()
-            sdp._schur_psd(M[0:m, 0:m], lay.A[0], X, Zinv)
+            sdp._schur_psd(M[0:m, 0:m], lay.dense[0], X, Zinv)
             M_ref = M0.copy()
             reference_schur_psd(M_ref, A, X, Zinv)
             assert M.tobytes() == M_ref.tobytes(), (m, s)
 
-    def test_span_residual_terms_bit_equal_to_full(self):
-        # the A^T y and <A_k, G> terms over a block's row span equal those over
-        # all m rows, byte for byte; a block of side 1 keeps every row, since
-        # numpy's SIMD dot would group the terms of a sliced span differently
-        rng = np.random.default_rng(9)
-        for trial in range(120):
-            s, m = 1 + trial % 6, int(rng.integers(32, 120))
-            lo = 4 * int(rng.integers(0, 6)) + int(rng.integers(1, 4))
-            hi = int(rng.integers(lo + 5, m + 1))
-            rows = np.r_[lo, hi - 1, rng.choice(np.arange(lo + 1, hi - 1), size=3, replace=False)]
-            A = np.zeros((m, s, s))
-            for k in rows:
-                A[k] = 10.0 ** rng.uniform(-3, 3) * random_sym(rng, s)
-            prog = ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)])
-            span = sdp._row_spans(prog, [0])[0]
-            assert span == ((0, m) if s == 1 else (lo, hi)), (trial, span)
-            (Ad,) = dense_data(prog)
-            y, G = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m), random_sym(rng, s)
-            At = np.einsum("kij,k->ij", Ad[slice(*span)], y[slice(*span)])
-            assert At.tobytes() == np.einsum("kij,k->ij", Ad, y).tobytes(), trial
-            r = np.zeros(m)
-            r[slice(*span)] -= np.einsum("kij,ij->k", Ad[slice(*span)], G)
-            assert r.tobytes() == (np.zeros(m) - np.einsum("kij,ij->k", Ad, G)).tobytes(), trial
-
     def test_nonzero_path_agrees_with_reference(self, monkeypatch):
         # a block whose dense span copy would exceed `_SCHUR_CHUNK` floats forms
-        # its terms from its nonzeros and gets no dense copy; with the limit
+        # its Schur terms from its nonzeros and gets no dense copy; with the limit
         # lowered, every block here does, a few rows per chunk.  The eig-assign
         # n = 4 and 5 blocks at r = 3 and random sparse blocks whose spans leave
         # rows out at both ends and hold rows without nonzeros.  The Schur terms
         # are checked against the dense formation, and the residual (rp, Rd),
         # right-hand side (h) and A^T dy terms against np.einsum over the dense
         # data of every row, each within 1e-13 of the largest dense term;
-        # `direction` forms h and A^T dy by the `inner` and `weighted_sum` that
-        # `residuals` uses
+        # `direction` forms h and A^T dy by the products with ``A`` and ``At``
+        # that `residuals` uses
         from momentsdp.casestudies import build_eig_assign
         from momentsdp.relaxation import build_relaxation
-
-        def agree(got, want, *terms):
-            bound = 1e-13 * max(float(np.max(np.abs(t), initial=0.0)) for t in (want, *terms))
-            assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= bound
 
         monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 5000)
         rng = np.random.default_rng(10)
@@ -958,7 +964,7 @@ class TestSchurFormation:
             programs.append(ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)]))
         for prog in programs:
             lay = sdp._Layout(prog)
-            assert sorted(lay.csr) == lay.psd and lay.A == {}
+            assert sorted(lay.csr) == sorted(lay.psd) and lay.dense == {}
             dense = dense_data(prog)
             for bi in lay.psd:
                 (lo, hi), s = lay.span[bi], prog.blocks[bi].size
@@ -972,22 +978,30 @@ class TestSchurFormation:
                 M_ref = M0.copy()
                 reference_schur_psd(M_ref, dense[bi], X, Zinv)
                 assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref)), (prog.m, s)
-                G, dy = random_sym(rng, s), rng.normal(size=prog.m)
-                h = np.einsum("kij,ij->k", dense[bi], G)
-                assert not h[:lo].any() and not h[hi:].any()
-                agree(lay.inner(bi, G), h[lo:hi])
-                agree(lay.weighted_sum(bi, dy), np.einsum("kij,k->ij", dense[bi], dy))
-            n_l, p = len(lay.cl), len(lay.c_f)
-            pt = sdp._Point({bi: random_spd(rng, prog.blocks[bi].size) for bi in lay.psd},
-                            {bi: random_spd(rng, prog.blocks[bi].size) for bi in lay.psd},
-                            rng.random(n_l), rng.random(n_l), rng.normal(size=p), rng.normal(size=prog.m))
-            res = lay.residuals(pt)
-            psd_terms = [np.einsum("kij,ij->k", dense[bi], pt.X[bi]) for bi in lay.psd]
-            Al_x, F_x = lay.Al @ pt.xl, lay.F @ pt.xf
-            agree(res.rp, prog.b - sum(psd_terms) - Al_x - F_x, prog.b, Al_x, F_x, *psd_terms)
-            for bi in lay.psd:
-                Aty = np.einsum("kij,k->ij", dense[bi], pt.y)
-                agree(res.Rd[bi], prog.C[bi] - Aty - pt.Z[bi], prog.C[bi], Aty, pt.Z[bi])
+            check_joint_products(rng, lay, prog, dense)
+
+    def test_nonzero_chunk_leaves_the_bits(self, monkeypatch):
+        # `_schur_psd_nonzeros` forms max(16, `_SCHUR_CHUNK` // s^2) rows of
+        # products per chunk; each column of M sums the same terms in the same
+        # order whatever the chunk, so M's bytes are those of one chunk of all
+        # rows.  Side 21 and 70 rows: chunks of 70, 16 (the floor) and 45 rows
+        rng = np.random.default_rng(11)
+        m, s = 70, 21
+        A = np.zeros((m, s, s))
+        for k in range(m):
+            for i, j in rng.integers(0, s, size=(6, 2)):
+                A[k, i, j] = A[k, j, i] = rng.normal()
+        prog = ConicProgram([Block("psd", s)], [A], np.ones(m), [np.eye(s)])
+        csr = sdp._span_csr(prog, 0, (0, m))
+        X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
+        M0 = rng.normal(size=(m, m))
+        formed = []
+        for chunk in (m * s * s, 1, 45 * s * s):
+            monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
+            M = M0.copy()
+            sdp._schur_psd_nonzeros(M, csr, X, Zinv)
+            formed.append(M.tobytes())
+        assert formed[1] == formed[0] and formed[2] == formed[0]
 
     def test_solves_bit_identical_to_reference_schur(self, monkeypatch):
         from momentsdp.casestudies import build_eig_assign
@@ -1040,6 +1054,50 @@ class TestSchurFormation:
         assert peak <= dense_bytes, peak / dense_bytes
 
 
+class TestFlatLayout:
+    # psd sides 3, 5, 1, 3, 5 in declared order among nonneg and zero blocks,
+    # and a side-2 psd block without rows; spans that leave rows out
+    BLOCKS = [Block("psd", 3), Block("nonneg", 2), Block("psd", 5), Block("psd", 1), Block("zero", 1),
+              Block("psd", 3), Block("psd", 2), Block("psd", 5), Block("nonneg", 1)]
+    SPANS = {0: (1, 7), 3: (2, 6), 5: (0, 4), 6: (0, 0)}
+
+    def program(self) -> ConicProgram:
+        return feasible_program(np.random.default_rng(12), self.BLOCKS, 8, self.SPANS)
+
+    def test_cells_runs_and_joint_products(self):
+        # blocks ordered by side, declared order within a side; each run of
+        # equal sides one stack; the gather transposes every block; a block
+        # of side 1 spans its first to last row, one without rows spans none
+        prog = self.program()
+        lay = sdp._Layout(prog)
+        assert lay.psd == [3, 6, 0, 5, 2, 7]
+        assert lay.N == 1 + 4 + 9 + 9 + 25 + 25
+        assert lay.runs == [(1, 0, 1), (2, 1, 5), (3, 5, 23), (5, 23, 73)]
+        assert lay.span[3] == (2, 6) and lay.span[6] == (0, 0) and lay.span[2] == (0, 8)
+        V = np.random.default_rng(0).normal(size=lay.N)
+        for B, Bt in zip(lay.blocks(V), lay.blocks(V[lay.tperm])):
+            assert np.array_equal(Bt, B.T)
+        for B, S in zip(lay.blocks(V), lay.blocks(lay.sym(V))):
+            assert np.array_equal(S, S.T) and np.array_equal(S, 0.5 * (B + B.T))
+        check_joint_products(np.random.default_rng(1), lay, prog, dense_data(prog))
+
+    def test_declared_order_returned_and_permutation_invariant(self):
+        prog = self.program()
+        options = SolveOptions(gap_tol=1e-9, feas_tol=1e-9)
+        sol = solve(prog, options)
+        assert sol.status == "optimal"
+        for blk, X, Z in zip(self.BLOCKS, sol.X, sol.Z):
+            assert X.shape == Z.shape == blk.shape
+            if blk.kind == "psd":
+                assert np.array_equal(X, X.T) and np.array_equal(Z, Z.T)
+        order = [7, 4, 3, 0, 8, 6, 2, 1, 5]
+        permuted = ConicProgram([prog.blocks[bi] for bi in order], [prog.A[bi] for bi in order], prog.b,
+                                [prog.C[bi] for bi in order])
+        ref = solve(permuted, options)
+        assert ref.status == sol.status
+        assert abs(sol.dual_obj - ref.dual_obj) <= options.gap_tol * (1.0 + abs(ref.dual_obj))
+
+
 class TestIterationSteps:
     def test_two_iterations_by_hand_equal_solve(self):
         # the phases driven by hand for two iterations give the bytes `solve` returns
@@ -1050,8 +1108,8 @@ class TestIterationSteps:
         assert lay.psd == [0] and not lay.nonneg and not lay.free
         *_, (pt, res) = iterates_by_hand(lay, 2)
         assert pt.y.tobytes() == sol.y.tobytes()
-        assert pt.X[0].tobytes() == sol.X[0].tobytes()
-        assert pt.Z[0].tobytes() == sol.Z[0].tobytes()
+        assert lay.blocks(pt.X)[0].tobytes() == sol.X[0].tobytes()
+        assert lay.blocks(pt.Z)[0].tobytes() == sol.Z[0].tobytes()
         assert (res.pobj, res.dobj, res.gap, res.pres, res.dres) == (
             sol.primal_obj, sol.dual_obj, sol.gap, sol.primal_residual, sol.dual_residual)
         assert lay.stats["factorizations"] == sol.stats["factorizations"]
@@ -1178,13 +1236,15 @@ class TestSolveStats:
         k = 3
         ref = solve(sqrt2_program(), SolveOptions(max_iter=k))
         moves = []
-        moved = sdp._Point.moved
+        moved = sdp._Layout.moved
 
-        def once_nan(self, d, ap, ad):
+        def once_nan(self, pt, d, ap, ad):
             moves.append(None)
-            return moved(self, d, math.nan, math.nan) if len(moves) == k + 1 else moved(self, d, ap, ad)
+            if len(moves) == k + 1:
+                ap = ad = math.nan
+            return moved(self, pt, d, ap, ad)
 
-        monkeypatch.setattr(sdp._Point, "moved", once_nan)
+        monkeypatch.setattr(sdp._Layout, "moved", once_nan)
         sol = solve(sqrt2_program(), TIGHT)
         assert (sol.status, sol.iterations) == ("numerical_failure", k + 1)
         assert all(np.all(np.isfinite(V)) for V in (*sol.X, sol.y, *sol.Z))

@@ -34,7 +34,10 @@ Two files made from two checkouts compare with `diff`: equal lines mean
 bit-identical iterates and programs.
 
 Once the file is written, the census of the 90 solves goes to stdout: the
-count of each status.
+count of each status, then one `near budget: CASE #K iterations/max_iter`
+line for each solve that used at least 90% of its iteration budget, since a
+change of rounding can push such a solve to `max_iter` without any test
+failing.
 """
 
 from __future__ import annotations
@@ -76,11 +79,12 @@ def _build_line(case: str, prog) -> str:
     return f"{case} build {prog.m} {len(prog.blocks)} {h.hexdigest()}\n"
 
 
-def census(solves: list) -> str:
-    """The solve count, then the count of each status, by name."""
+def census(solves: list, near: list[str]) -> str:
+    """The solve count, then the count of each status, by name, then the solves in ``near``."""
     statuses = Counter(sol.status for sol in solves)
     lines = [f"solves: {len(solves)}"]
     lines += [f"status {status}: {statuses[status]}" for status in sorted(statuses)]
+    lines += [f"near budget: {entry}" for entry in near]
     return "\n".join(lines) + "\n"
 
 
@@ -154,27 +158,32 @@ def main() -> int:
     sdp = momentsdp.sdp
 
     solves: list = []
+    budgets: list[int] = []  # max_iter of each solve in ``solves``
     original = sdp.solve
 
-    def recorded(*a, **kw):
-        solves.append(original(*a, **kw))
+    def recorded(prog, options=None):
+        solves.append(original(prog, options))
+        budgets.append((options or sdp.SolveOptions()).max_iter)
         return solves[-1]
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "momentsdp" and getattr(module, "solve", None) is original:
             module.solve = recorded
 
-    lines, every = [], []
+    lines, every, near = [], [], []
     for case in cases():
         lines += [_line(case, k, sol) for k, sol in enumerate(solves)]
+        near += [f"{case} #{k} {sol.iterations}/{budget}"
+                 for k, (sol, budget) in enumerate(zip(solves, budgets)) if sol.iterations >= 0.9 * budget]
         print(f"{case}: {len(solves)} solves", file=sys.stderr)
         every += solves
         solves.clear()
+        budgets.clear()
     for case, prog in builds():
         lines.append(_build_line(case, prog))
         print(f"{case}: built", file=sys.stderr)
     out.write_text("".join(lines))
-    sys.stdout.write(census(every))
+    sys.stdout.write(census(every, near))
     return 0
 
 
