@@ -41,11 +41,11 @@ blocks by kind once per solve.  It stacks the nonneg blocks into one dense
 one QR of F (`_free_basis`), which refuses dependent columns.  Every matrix
 of the psd blocks (X, Z, C, Z^{-1}, ...) is one flat vector of N = sum s^2
 cells, the blocks ordered by side so that each run of equal sides is one
-(k, s, s) stack, and their data one (m, N) CSR array over those cells: A(X),
-<A_k, G> and A^T y (by the transpose, a CSC view of the same arrays) are one
-sparse product each, every sum and the symmetrization (a gather through the
-transpose permutation) act on whole vectors, and each Z^{-1} V W is one
-stacked product per run.  Z^{-1}, the Schur terms and the steps run per
+(k, s, s) stack, and their data one (row, cell, value) triple, block by
+block: A(X), <A_k, G> and A^T y are one `np.bincount` each (in the order of
+scipy's CSR and CSC sums), every sum and the symmetrization (a gather
+through the transpose permutation) act on whole vectors, and each Z^{-1} V W
+is one stacked product per run.  Z^{-1}, the Schur terms and the steps run per
 block on views of the flat vectors; X and Z are sliced back into declared
 block order once, at the end.  Every sum over blocks takes the psd blocks
 first, by side, then the nonneg part, then the free part.  A block's Schur
@@ -259,8 +259,7 @@ def _max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
 
 
 def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
-    neg = d < 0
-    if not np.any(neg):
+    if not x.size or not np.any(neg := d < 0):
         return 1.0
     return float(min(1.0, np.min(-x[neg] / d[neg])))
 
@@ -407,10 +406,12 @@ class _Layout:
     """A program split by cone kind once per solve (see "Storage" above), with its working buffers
     and ``stats``.  ``psd`` lists the psd blocks by side, in declared order within a side; ``cuts``
     holds each one's (side, offset) in the flat cell vectors of length ``N``, ``runs`` the (side,
-    start, stop) of each run of equal sides, and ``tperm`` the gather that transposes every block.
-    ``A`` is the (m, N) CSR data of all psd blocks, ``At`` its transpose.  The Schur terms read
-    ``dense``, the (hi - lo, s, s) span copies of the blocks on the dense path, and ``csr``, the
-    (hi - lo, s^2) CSR span data of the others.  The other methods are the phases of one iteration."""
+    start, stop) of each run of equal sides, ``stacks`` and ``slices`` the (slice, shape) of the
+    views of each run and block, and ``tperm`` the gather that transposes every block.  ``rows``,
+    ``cols`` and ``vals`` hold the nonzeros of all psd blocks over the flat cells, block by block,
+    for `apply` and `adjoint`.  The Schur terms read ``dense``, the (hi - lo, s, s) span
+    copies of the blocks on the dense path, and ``csr``, the (hi - lo, s^2) CSR span data of the
+    others.  The other methods are the phases of one iteration."""
 
     def __init__(self, prog: ConicProgram):
         built = perf_counter()
@@ -426,14 +427,20 @@ class _Layout:
         for s, o in self.cuts:
             runs[s] = (runs.get(s, (o,))[0], o + s * s)
         self.runs = [(s, lo, hi) for s, (lo, hi) in runs.items()]
+        self.stacks = [(slice(lo, hi), (-1, s, s)) for s, lo, hi in self.runs]
+        self.slices = [(slice(o, o + s * s), (s, s)) for s, o in self.cuts]
         self.tperm = np.arange(self.N)
         for s, lo, hi in self.runs:
             self.tperm[lo:hi] = self.tperm[lo:hi].reshape(-1, s, s).transpose(0, 2, 1).ravel()
         self.ident = np.concatenate([np.zeros(0), *(np.eye(s).ravel() for s, _ in self.cuts)])
+        self.eyes = self.blocks(self.ident)
         self.c = np.concatenate([np.zeros(0), *(prog.C[bi].ravel() for bi in self.psd)])
-        self.A = scipy.sparse.hstack([scipy.sparse.csr_array((prog.m, 0)),
-                                      *(_span_csr(prog, bi, (0, prog.m)) for bi in self.psd)], format="csr")
-        self.At = self.A.T
+        # each block's nonzeros, sorted by (row, cell), at its cell offset: every row's cells and
+        # every cell's rows come in ascending order, the orders in which scipy's CSR and CSC sum
+        data = [prog.A[bi] for bi in self.psd]
+        self.rows = np.concatenate([np.zeros(0, np.intp), *(d.rows for d in data)])
+        self.cols = np.concatenate([np.zeros(0, np.intp), *(d.cols + o for d, (_, o) in zip(data, self.cuts))])
+        self.vals = np.concatenate([np.zeros(0), *(d.vals for d in data)])
         self.span = _row_spans(prog, psd)
         # a block whose dense span copy would exceed one chunk keeps, in place of that copy, its data
         # over the span as CSR
@@ -473,7 +480,15 @@ class _Layout:
 
     def blocks(self, V: np.ndarray) -> list[np.ndarray]:
         """The (s, s) views of flat cell vector V's psd blocks, in the order of ``psd``."""
-        return [V[o:o + s * s].reshape(s, s) for s, o in self.cuts]
+        return [V[cells].reshape(shape) for cells, shape in self.slices]
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """A(V) = (<A_k, V>)_k over every psd block of flat cell vector V."""
+        return np.bincount(self.rows, self.vals * V[self.cols], minlength=self.prog.m)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A^T y = sum_k y_k A_k over every psd block, as a flat cell vector."""
+        return np.bincount(self.cols, self.vals * y[self.rows], minlength=self.N)
 
     def sym(self, V: np.ndarray) -> np.ndarray:
         """Every psd block of flat cell vector V symmetrized, (V + V^T) / 2."""
@@ -482,8 +497,8 @@ class _Layout:
     def zinv_product(self, Zinv: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Z^{-1} (V W) on every psd block, as a flat cell vector: one stacked product per run."""
         out = np.empty(self.N)
-        for s, lo, hi in self.runs:
-            Zs, Vs, Ws, Os = (U[lo:hi].reshape(-1, s, s) for U in (Zinv, V, W, out))
+        for cells, shape in self.stacks:
+            Zs, Vs, Ws, Os = (U[cells].reshape(shape) for U in (Zinv, V, W, out))
             np.matmul(Zs, np.matmul(Vs, Ws), out=Os)
         return out
 
@@ -495,12 +510,12 @@ class _Layout:
 
     def primal_residual(self, rhs: np.ndarray, X: np.ndarray, xl: np.ndarray, xf: np.ndarray) -> np.ndarray:
         """rhs - A(X) - Al xl - F xf."""
-        return rhs - self.A @ X - self.Al @ xl - self.F @ xf
+        return rhs - self.apply(X) - self.Al @ xl - self.F @ xf
 
     def residuals(self, pt: _Point) -> _Residuals:
         start = perf_counter()
         rp = self.primal_residual(self.prog.b, pt.X, pt.xl, pt.xf)
-        Rd = self.c - self.At @ pt.y - pt.Z
+        Rd = self.c - self.adjoint(pt.y) - pt.Z
         rl = self.cl - self.Al.T @ pt.y - pt.zl
         rf = self.c_f - self.F.T @ pt.y
         dnorm = math.sqrt(float(Rd @ Rd) + float(rl @ rl) + float(rf @ rf))
@@ -517,7 +532,7 @@ class _Layout:
         start = perf_counter()
         M = np.zeros((self.prog.m, self.prog.m))
         Zinv = np.empty(self.N)
-        for bi, X, Z, Zi, I in zip(self.psd, *map(self.blocks, (pt.X, pt.Z, Zinv, self.ident))):
+        for bi, X, Z, Zi, I in zip(self.psd, *map(self.blocks, (pt.X, pt.Z, Zinv)), self.eyes):
             Zi[...] = cho_solve(cho_factor(Z), I)
             lo, hi = self.span[bi]
             if bi in self.csr:
@@ -525,8 +540,10 @@ class _Layout:
             else:
                 _schur_psd(M[lo:hi, lo:hi], self.dense[bi], X, Zi)
         ZRX = self.zinv_product(Zinv, res.Rd, pt.X)  # a term of both directions
-        M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
-        M = 0.5 * (M + M.T)
+        if self.cl.size:  # M holds no -0.0, so adding the zero term of no nonneg entries keeps its bits
+            M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
+        M += M.T
+        M *= 0.5
         formed = perf_counter()
         fact = _Factorization(M, self.T, self.Q2, self.stats)
         self.stats["seconds"]["schur"] += formed - start
@@ -556,11 +573,11 @@ class _Layout:
         if pred is not None:
             G -= self.zinv_product(Zinv, pred.Z, pred.X)
             gl -= pred.zl * pred.xl / zl
-        h = res.rp - self.A @ G - self.Al @ gl
+        h = res.rp - self.apply(G) - self.Al @ gl
 
         def lifted(v, GX, R, gx, r):
             """The step of multipliers v, from the primal parts GX, gx and the dual parts R, r."""
-            Aty, aty = self.At @ v, self.Al.T @ v
+            Aty, aty = self.adjoint(v), self.Al.T @ v
             return self.sym(GX + self.zinv_product(Zinv, Aty, X)), R - Aty, gx + aty * xl / zl, r - aty
 
         dy, dxf = fact.solve(h, res.rf)
@@ -626,7 +643,7 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
             it, mu, res.pobj - res.dobj, res.pres, res.dres,
         )
 
-        if not (np.isfinite(mu) and np.isfinite(res.pobj) and np.isfinite(res.dobj)):
+        if not (math.isfinite(mu) and math.isfinite(res.pobj) and math.isfinite(res.dobj)):
             status = "numerical_failure"
             pt, res = finite or (pt, res)  # the start is finite, whatever its residuals
             break

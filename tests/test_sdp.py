@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from momentsdp import sdp
 from momentsdp.problemfile import (
@@ -138,8 +139,8 @@ def check_joint_products(rng, lay, prog: ConicProgram, dense: list[np.ndarray]) 
     np.einsum over the dense data of every row, each within 1e-13 of the largest dense term."""
     V, y = rng.normal(size=lay.N), rng.normal(size=prog.m)
     terms = [np.einsum("kij,ij->k", dense[bi], G) for bi, G in zip(lay.psd, lay.blocks(V))]
-    agree(lay.A @ V, sum(terms, np.zeros(prog.m)), *terms)
-    for bi, Aty in zip(lay.psd, lay.blocks(lay.At @ y)):
+    agree(lay.apply(V), sum(terms, np.zeros(prog.m)), *terms)
+    for bi, Aty in zip(lay.psd, lay.blocks(lay.adjoint(y))):
         agree(Aty, np.einsum("kij,k->ij", dense[bi], y))
     n_l, p = len(lay.cl), len(lay.c_f)
 
@@ -948,7 +949,7 @@ class TestSchurFormation:
         # are checked against the dense formation, and the residual (rp, Rd),
         # right-hand side (h) and A^T dy terms against np.einsum over the dense
         # data of every row, each within 1e-13 of the largest dense term;
-        # `direction` forms h and A^T dy by the products with ``A`` and ``At``
+        # `direction` forms h and A^T dy by the products `apply` and `adjoint`
         # that `residuals` uses
         from momentsdp.casestudies import build_eig_assign
         from momentsdp.relaxation import build_relaxation
@@ -1080,6 +1081,54 @@ class TestFlatLayout:
         for B, S in zip(lay.blocks(V), lay.blocks(lay.sym(V))):
             assert np.array_equal(S, S.T) and np.array_equal(S, 0.5 * (B + B.T))
         check_joint_products(np.random.default_rng(1), lay, prog, dense_data(prog))
+
+    def test_products_bit_equal_to_joint_csr(self):
+        # A(V) and A^T y sum each row and each cell in the order of scipy's CSR
+        # and CSC products over the joint (m, N) array of the psd blocks by
+        # side: on the mixed program, an eig-assign relaxation, a program with
+        # no psd block (N = 0) and one with a psd block no constraint touches.
+        # The layout keeps no sparse array but the span data of ``csr``
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        rng = np.random.default_rng(13)
+        programs = [self.program(), build_relaxation(build_eig_assign(3), 3)[0].program,
+                    feasible_program(rng, [Block("nonneg", 3), Block("zero", 1)], 4),
+                    feasible_program(rng, [Block("psd", 2), Block("psd", 3), Block("nonneg", 2)], 5, {0: (0, 0)})]
+        for prog in programs:
+            lay = sdp._Layout(prog)
+            A = scipy.sparse.hstack([scipy.sparse.csr_array((prog.m, 0)),
+                                     *(sdp._span_csr(prog, bi, (0, prog.m)) for bi in lay.psd)], format="csr")
+            V, y = rng.normal(size=lay.N), rng.normal(size=prog.m)
+            assert lay.apply(V).shape == (prog.m,) and np.array_equal(lay.apply(V), A @ V)
+            assert lay.adjoint(y).shape == (lay.N,) and np.array_equal(lay.adjoint(y), A.T @ y)
+            held = {name: value.values() if isinstance(value, dict) else value if isinstance(value, list)
+                    else [value] for name, value in vars(lay).items()}
+            assert {name for name, values in held.items() if any(map(scipy.sparse.issparse, values))} <= {"csr"}
+        assert programs[2].m == 4 and sdp._Layout(programs[2]).N == 0
+
+    def test_schur_bit_equal_to_explicit_formation(self):
+        # `schur` adds the nonneg term only where there are nonneg entries and
+        # symmetrizes in place: M has the bytes of the explicit term
+        # (Al diag(xl / zl)) Al^T and of 0.5 (M + M^T), with nonneg entries
+        # (the mixed program) and without (an eig-assign relaxation)
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        for prog in (self.program(), build_relaxation(build_eig_assign(3), 3)[0].program):
+            lay = sdp._Layout(prog)
+            *_, (pt, res) = iterates_by_hand(lay, 2)
+            Zinv, _, fact = lay.schur(pt, res)
+            M = np.zeros((prog.m, prog.m))
+            for bi, X, Zi in zip(lay.psd, lay.blocks(pt.X), lay.blocks(Zinv)):
+                lo, hi = lay.span[bi]
+                if bi in lay.csr:
+                    sdp._schur_psd_nonzeros(M[lo:hi, lo:hi], lay.csr[bi], X, Zi)
+                else:
+                    sdp._schur_psd(M[lo:hi, lo:hi], lay.dense[bi], X, Zi)
+            M += (lay.Al * (pt.xl / pt.zl)) @ lay.Al.T
+            M = 0.5 * (M + M.T)
+            assert fact.M.tobytes() == M.tobytes(), len(lay.cl)
 
     def test_declared_order_returned_and_permutation_invariant(self):
         prog = self.program()

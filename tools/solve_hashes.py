@@ -33,6 +33,10 @@ size of every block, the dtype, shape and bytes of its `rows`, `cols`,
 Two files made from two checkouts compare with `diff`: equal lines mean
 bit-identical iterates and programs.
 
+While it runs, each case's line `CASE: K solves, S s` goes to stderr, S
+the wall seconds of the case's K solves, so two checkouts run on one host
+compare in time as well.
+
 Once the file is written, the census of the 90 solves goes to stdout: the
 count of each status, then one `near budget: CASE #K iterations/max_iter`
 line for each solve that used at least 90% of its iteration budget, since a
@@ -48,6 +52,7 @@ import hashlib
 import io
 import os
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -171,14 +176,16 @@ def main() -> int:
             module.solve = recorded
 
     lines, every, near = [], [], []
+    start = time.perf_counter()
     for case in cases():
         lines += [_line(case, k, sol) for k, sol in enumerate(solves)]
         near += [f"{case} #{k} {sol.iterations}/{budget}"
                  for k, (sol, budget) in enumerate(zip(solves, budgets)) if sol.iterations >= 0.9 * budget]
-        print(f"{case}: {len(solves)} solves", file=sys.stderr)
+        print(f"{case}: {len(solves)} solves, {time.perf_counter() - start:.2f} s", file=sys.stderr)
         every += solves
         solves.clear()
         budgets.clear()
+        start = time.perf_counter()
     for case, prog in builds():
         lines.append(_build_line(case, prog))
         print(f"{case}: built", file=sys.stderr)
