@@ -136,6 +136,9 @@ def _solve_pop(pop: POPProblem, args, options: SolveOptions, report: Report) -> 
     res = bound_and_moments(pop, r, options)
     report.relaxation("pop", r, res)
     report.kv("compactness_certified", str(res.info.compactness_certified).lower())
+    if res.eliminated:
+        space = pop.feasible_set.space
+        report.kv("eliminated", "; ".join(f"{space.names[v]} = {f.to_string(space)}" for v, f in res.eliminated))
     report.moments(res.moments)
     if args.extract:
         constraints = _support_constraints(pop.feasible_set)

@@ -20,15 +20,29 @@ assembles the measure "mu" with the mass row <1, mu> = 1 and the objective
 <p0, mu>.  The objective is filled in a separate step
 (`AssembledProgram.set_objective`), so problems that differ only in their
 objective share one assembly.
+
+`bound_and_moments`, the one entry that solves a POP, first eliminates its
+linear equalities, one variable at a time, in exact arithmetic
+(`eliminate_linear_equalities`): each pivots on its variable of largest
+|coefficient|, whose affine form is substituted into the objective, the
+inequalities (the ball included) and the other equalities.  The reduced POP,
+in fewer variables, goes through `build_relaxation` and `sdp.solve` like any
+other, and its moments are lifted back in floats, y_gamma = L'(pi^gamma)
+with pi the affine map from the kept variables to all of them.  Both
+relaxations have the same value in exact arithmetic: f - f(pi) is a sum of
+products p h of linear equalities p with deg h <= deg f - 1, and every such
+product is a combination of rows of the unreduced relaxation.  Where a
+degree drops, the reduced relaxation is at least as tight.
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil
+from operator import add
 from time import perf_counter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -546,13 +560,134 @@ def build_relaxation(pop: POPProblem, r: int) -> tuple[AssembledProgram, Relaxat
     return asm, asm.measures[_POP_MEASURE]
 
 
+def _substitute(p: Polynomial, v: int, form: Polynomial) -> Polynomial:
+    """p with x_v replaced by `form`, a polynomial without x_v, exactly."""
+    powers = [Polynomial.constant(p.nvars, 1)]  # form^k
+    out: dict[Exponent, Coeff] = {}
+    for e, c in p.terms.items():
+        while len(powers) <= e[v]:
+            powers.append(powers[-1] * form)
+        rest = e[:v] + (0,) + e[v + 1:]
+        for f, d in powers[e[v]].terms.items():
+            g = tuple(map(add, rest, f))
+            out[g] = out.get(g, 0) + c * d
+    return Polynomial(p.nvars, out)
+
+
+def _pivot(q: Polynomial) -> tuple[int, Polynomial]:
+    """The variable of largest |coefficient| in the affine, nonconstant q (the first
+    on ties) and its affine form on q = 0."""
+    lin = {e.index(1): c for e, c in q.terms.items() if sum(e) == 1}
+    v = max(lin, key=lambda i: (abs(lin[i]), -i))
+    return v, (Polynomial.variable(q.nvars, v) * lin[v] - q) * (1 / lin[v])
+
+
+def eliminate_linear_equalities(pop: POPProblem) -> tuple[POPProblem, list[tuple[int, Polynomial]]]:
+    """The POP on the affine subspace of its linear equalities, and the variables eliminated.
+
+    While some equality is affine once the substitutions so far are made, it
+    is taken in turn: 0 is dropped, a nonzero constant is refused with a
+    `ValueError` that names the equality, and otherwise its variable of
+    largest |coefficient| is eliminated, its affine form substituted exactly
+    into the objective, the inequalities (the ball included) and the other
+    equalities.  At most n - 1 variables go: an affine equality after that,
+    in the one variable left, stays an equality, and the later ones are
+    checked against it.  An inequality that becomes a constant >= 0 holds
+    everywhere and is dropped.  The reduced POP's variables are the kept
+    ones in their order; each eliminated variable comes with its affine form
+    over them, written in the original n variables.  A POP without an affine
+    equality is returned as it is.
+    """
+    fs, n = pop.feasible_set, pop.feasible_set.space.n
+    objective, ineqs = pop.objective, fs.effective_inequalities()
+    rest = list(enumerate(fs.equalities, start=1))  # equalities not yet taken, by number
+    kept: list[tuple[int, Polynomial]] = []
+    eliminated: list[tuple[int, Polynomial]] = []
+    pin: Optional[tuple[int, Polynomial]] = None  # the equality in the last variable
+    while (at := next((i for i, (_, q) in enumerate(rest) if q.degree <= 1), None)) is not None:
+        k, q = rest.pop(at)
+        if pin is not None:
+            q = _substitute(q, *pin)
+        if q.degree == 0:
+            if q.is_zero():
+                continue
+            raise ValueError(
+                f"equality {k}, {fs.equalities[k - 1].to_string(fs.space)} = 0, reduces to "
+                f"{q.to_string()} = 0 under the linear equalities: the feasible set is empty"
+            )
+        v, form = _pivot(q)
+        if len(eliminated) == n - 1:
+            pin = v, form
+            kept.append((k, q))
+            continue
+        eliminated = [(u, _substitute(f, v, form)) for u, f in eliminated] + [(v, form)]
+        objective = _substitute(objective, v, form)
+        ineqs = [_substitute(g, v, form) for g in ineqs]
+        rest = [(j, _substitute(p, v, form)) for j, p in rest]
+    if not eliminated:
+        return pop, []
+    keep = [i for i in range(n) if i not in dict(eliminated)]
+    mapping = [keep.index(i) if i in keep else 0 for i in range(n)]  # eliminated ones occur nowhere
+
+    def on_kept(p: Polynomial) -> Polynomial:
+        return p.map_variables(len(keep), mapping)
+
+    ineqs = [g for g in ineqs if g.degree > 0 or g.coeff((0,) * n) < 0]
+    equalities = [q for _, q in sorted(kept + rest, key=lambda kq: kq[0])]
+    space = VarSpace(tuple(fs.space.names[i] for i in keep))
+    reduced = SemialgebraicSet(space, list(map(on_kept, ineqs)), list(map(on_kept, equalities)))
+    return POPProblem(on_kept(objective), reduced), sorted(eliminated, key=lambda vf: vf[0])
+
+
+def _lift(z: np.ndarray, n: int, degree: int, eliminated: list[tuple[int, Polynomial]]) -> np.ndarray:
+    """The moments y_gamma = L'(pi^gamma), |gamma| <= degree, of the n variables, in floats.
+
+    z holds L' on the monomials of the kept variables, and pi maps them to
+    all n: x_v is its affine form c_v + sum_u c_vu x_u for each eliminated v,
+    and a kept x_u is itself.  So y_gamma is z's where gamma has no
+    eliminated variable, and otherwise, with v the first eliminated variable
+    of gamma and beta = gamma - e_v,
+    y_gamma = L'(pi^beta (c_v + sum_u c_vu x_u)) = c_v y_beta + sum_u c_vu y_(beta + e_u),
+    which the y of one less eliminated degree give.  No form is ever raised
+    to a power.
+    """
+    E = exponent_array(n, degree)
+    elim = np.array([v for v, _ in eliminated])
+    keep = np.setdiff1d(np.arange(n), elim)
+    units = np.eye(n, dtype=np.int64)
+    monomials = [(0,) * n, *map(tuple, units[keep].tolist())]  # 1 and the kept x_u
+    forms = np.array([[float(f.coeff(e)) for e in monomials] for _, f in eliminated])
+    depth = E[:, elim].sum(axis=1)
+    y = np.empty(len(E))
+    y[depth == 0] = z[grlex_ranks(E[depth == 0][:, keep])]
+    for d in range(1, degree + 1):
+        at = np.flatnonzero(depth == d)
+        first = np.argmax(E[at][:, elim] > 0, axis=1)
+        beta = E[at] - units[elim[first]]
+        acc = forms[first, 0] * y[grlex_ranks(beta)]
+        for j, u in enumerate(keep, start=1):
+            acc += forms[first, j] * y[grlex_ranks(beta + units[u])]
+        y[at] = acc
+    return y
+
+
 @dataclass
 class POPResult:
+    """A POP's relaxation solve.
+
+    `moments` and `info.r_x` are the POP's own: its n-variable moments and
+    its minimal order.  `solution`, `assembled`, and the rest of `info`
+    describe the program actually solved, that of the POP with its linear
+    equalities eliminated.  `eliminated` lists each eliminated variable's
+    index with its exact affine form over the kept variables.
+    """
+
     bound: float
     moments: MomentVector
     solution: SDPSolution
     info: RelaxationInfo
     assembled: AssembledProgram
+    eliminated: list[tuple[int, Polynomial]] = field(default_factory=list)
 
 
 def bound_and_moments(
@@ -560,10 +695,22 @@ def bound_and_moments(
 ) -> POPResult:
     """Solve the order-r relaxation: lower bound and optimal truncated moments.
 
-    Solver failure statuses pass through in `result.solution.status`.
+    The relaxation solved is that of `eliminate_linear_equalities(pop)`,
+    whose moments are lifted back to pop's variables.  The order is checked
+    against pop itself, as `build_relaxation(pop, r)` would.  Solver failure
+    statuses pass through in `result.solution.status`.
     """
-    asm, info = build_relaxation(pop, r)
+    fs, n = pop.feasible_set, pop.feasible_set.space.n
+    r_x = minimal_order(fs.effective_inequalities() + fs.equalities)
+    if r < r_x:
+        raise OrderTooSmallError(r, r_x)
+    if pop.objective.degree > 2 * r:
+        raise DegreeTooHighError(f"objective term on measure {_POP_MEASURE!r}", pop.objective.degree, r)
+    reduced, eliminated = eliminate_linear_equalities(pop)
+    asm, info = build_relaxation(reduced, r)
     sol = solve(asm.program, options)
     y = asm.moments_of(_POP_MEASURE, sol.y)
-    return POPResult(bound=asm.bound_from(sol), moments=y, solution=sol, info=info, assembled=asm)
-
+    if eliminated:
+        y = MomentVector(n, 2 * r, _lift(y.values, n, 2 * r, eliminated))
+        info = replace(info, r_x=r_x, compactness_certified=fs.certifies_compactness())
+    return POPResult(asm.bound_from(sol), y, sol, info, asm, eliminated)

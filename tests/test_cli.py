@@ -183,17 +183,27 @@ class TestSolve:
         assert code == 2
         assert report_values(out)["status"] in ("max_iter", "numerical_failure")
 
+    def test_report_names_the_eliminated_variables(self, capsys):
+        code, out, _ = run(capsys, "solve", fx("eigassign2.pop"))
+        assert code == 0
+        assert report_values(out)["eliminated"] == "x2 = 2/5 - 3/4*x1"
+        assert out.index("compactness_certified = ") < out.index("eliminated = ") < out.index("[moments]")
+        table = out.split("[moments]\n")[1].splitlines()[:-1]  # the moments of x1 and x2
+        assert [row.split("  ")[0] for row in table] == ["0 0", "1 0", "0 1", "2 0", "1 1", "0 2"]
+        code, out, _ = run(capsys, "solve", fx("unit_disk.pop"))
+        assert "eliminated" not in report_values(out)
+
     def test_inconsistent_equalities_are_refused(self, tmp_path, capsys):
-        # x = 0 and x = 1: the dependent-row prune keeps the inconsistent row, the
-        # program's zero-block columns are then dependent, and the solve refuses it
+        # x = 0 and x = 1: x = 0 stays an equality (the one variable is kept), and
+        # x - 1 reduces to -1 under it before anything is assembled
         path = tmp_path / "inconsistent.pop"
         path.write_text("kind: pop\nvariables: x\n\n[objective]\nmin x\n\n"
                         "[constraints]\nx == 0\nx - 1 == 0\n")
         code, out, err = run(capsys, "solve", str(path))
         assert code == 1
         assert out == ""
-        assert err == ("error: zero-block entries whose constraint columns depend on earlier ones: "
-                       "block 1 entry 2, block 1 entry 3\n")
+        assert err == ("error: equality 2, -1 + x = 0, reduces to -1 = 0 under the linear "
+                       "equalities: the feasible set is empty\n")
 
     @pytest.mark.parametrize("name", ["unit_disk.pop", "bolza.gmp", "sqrt2.sdp", "pillow.pencil"])
     @pytest.mark.parametrize("option", BAD_SOLVER_OPTIONS)

@@ -227,6 +227,162 @@ class TestEqualityHandling:
         assert np.linalg.eigvalsh(M)[0] >= -1e-8
 
 
+
+def _on_subspace(pop: POPProblem, eliminated, z) -> list:
+    """The point of pop's variables that the kept coordinates z map to."""
+    n, done = pop.feasible_set.space.n, dict(eliminated)
+    x, it = [Fraction(0)] * n, iter(z)
+    for i in range(n):
+        if i not in done:
+            x[i] = next(it)
+    return [done[i].evaluate(x) if i in done else x[i] for i in range(n)]
+
+
+def _two_linear_pop() -> POPProblem:
+    """Three variables, two linear equalities, a cubic equality and a quadratic inequality."""
+    sp = VarSpace.of("x1", "x2", "x3")
+    P = lambda t: parse_polynomial(t, sp)
+    feas = SemialgebraicSet(
+        sp,
+        inequalities=[P("x1*x2 + 1/4")],
+        equalities=[P("x1 + 2*x2 - x3 - 1/2"), P("x1^3 - x2*x3"), P("x1 - 3*x3 + 1/5")],
+        ball_radius=2,
+    )
+    return POPProblem(P("x1^2 + x2*x3 - x3"), feas)
+
+
+class TestLinearElimination:
+    def test_substitution_is_exact(self):
+        rng = np.random.default_rng(3)
+        for pop in (build_eig_assign(3), build_eig_assign(5), _two_linear_pop()):
+            fs = pop.feasible_set
+            reduced, eliminated = relaxation.eliminate_linear_equalities(pop)
+            rs = reduced.feasible_set
+            linear = [q for q in fs.equalities if q.degree == 1]
+            assert len(eliminated) == len(linear) and rs.space.n == fs.space.n - len(linear)
+            assert all(q.degree > 1 for q in rs.equalities) and rs.ball_radius is None
+            for _ in range(5):
+                z = [Fraction(int(k), 97) for k in rng.integers(-97, 98, size=rs.space.n)]
+                x = _on_subspace(pop, eliminated, z)
+                assert all(type(v) is Fraction for v in x)
+                assert reduced.objective.evaluate(z) == pop.objective.evaluate(x)
+                pairs = zip(rs.inequalities, fs.effective_inequalities(), strict=True)
+                assert all(g.evaluate(z) == q.evaluate(x) for g, q in pairs)
+                pairs = zip(rs.equalities, [q for q in fs.equalities if q.degree > 1], strict=True)
+                assert all(g.evaluate(z) == q.evaluate(x) for g, q in pairs)
+                assert all(q.evaluate(x) == 0 for q in linear)
+
+    def test_pivot_is_the_largest_coefficient(self):
+        reduced, eliminated = relaxation.eliminate_linear_equalities(build_eig_assign(4))
+        sp = build_eig_assign(4).feasible_set.space
+        assert [(v, f.to_string(sp)) for v, f in eliminated] == [(3, "2/9 - 7/16*x1 - 3/4*x2 - 15/16*x3")]
+        assert reduced.feasible_set.space.names == ("x1", "x2", "x3")
+        # _two_linear_pop's linear equalities pivot on x2 (|2|), then on x3 (|-3|),
+        # and both forms end up over x1, the one variable kept
+        _, eliminated = relaxation.eliminate_linear_equalities(_two_linear_pop())
+        assert [v for v, _ in eliminated] == [1, 2]
+        assert all(f.used_variables() == {0} for _, f in eliminated)
+        # on a tie the first variable goes
+        sp = VarSpace.of("x1", "x2")
+        tie = POPProblem(parse_polynomial("x1", sp), SemialgebraicSet(sp, equalities=[parse_polynomial("x2 - x1", sp)]))
+        assert relaxation.eliminate_linear_equalities(tie)[1] == [(0, parse_polynomial("x2", sp))]
+
+    def test_lift_of_atoms_is_the_atoms_moments(self):
+        pop = _two_linear_pop()
+        _, eliminated = relaxation.eliminate_linear_equalities(pop)
+        zs, weights = [[Fraction(1, 3)], [Fraction(-2, 7)]], [0.25, 0.75]
+        for degree in (0, 1, 4, 6):
+            z = MomentVector.from_atoms(zs, weights, degree).values
+            want = MomentVector.from_atoms([_on_subspace(pop, eliminated, p) for p in zs], weights, degree)
+            y = relaxation._lift(np.asarray(z, dtype=float), 3, degree, eliminated)
+            assert np.abs(y - np.asarray(want.values, dtype=float)).max() <= 1e-14
+
+    def test_lifted_moments_satisfy_the_unreduced_relaxation(self):
+        for pop, r in ((build_eig_assign(4), 3), (_two_linear_pop(), 3)):
+            res = bound_and_moments(pop, r, HI)
+            assert res.solution.status == "optimal" and res.eliminated
+            asm, _ = build_relaxation(pop, r)
+            prog, y = asm.program, np.asarray(res.moments.values, dtype=float)
+            assert res.moments.nvars == pop.feasible_set.space.n and len(y) == prog.m
+            assert asm.objective @ y == pytest.approx(res.bound, abs=1e-12)
+            for blk, data, C in zip(prog.blocks, prog.A, prog.C):
+                if blk.kind == "zero":  # every row p x^alpha: C_j - sum_k y_k A_k[j] = 0
+                    Ay = np.bincount(data.cols, data.vals * y[data.rows], minlength=blk.size)
+                    assert np.abs(C - Ay).max() <= 1e-9
+                else:  # Z = -sum_k y_k A_k is the moment or a localizing matrix
+                    Z = -np.bincount(data.cols, data.vals * y[data.rows], minlength=blk.size**2)
+                    assert np.linalg.eigvalsh(Z.reshape(blk.size, blk.size))[0] >= -1e-9
+
+    def test_eig4_tight_bound_and_flat_certificate(self):
+        from momentsdp.extraction import certify
+
+        pop = build_eig_assign(4)
+        res = bound_and_moments(pop, 3, HI)
+        assert res.solution.status == "optimal"
+        assert res.bound == pytest.approx(0.0119411, abs=1e-7)
+        assert res.assembled.program.m == 84 and res.info.block_sizes == [20, 10]
+        assert res.info.r_x == 2 and res.moments.nvars == 4 and res.moments.degree == 6
+        cert = certify(res.moments, 3, res.info.r_x, constraints=[("eq", q) for q in pop.feasible_set.equalities])
+        assert cert.flat and len(cert.atoms) == 1
+
+    def test_equality_that_reduces_to_zero_is_dropped(self):
+        sp = VarSpace.of("x1", "x2")
+        P = lambda t: parse_polynomial(t, sp)
+        pop = POPProblem(P("x1^2 + x2^2"), SemialgebraicSet(
+            sp, equalities=[P("x1 + x2 - 1"), P("2*x1 + 2*x2 - 2")], ball_radius=4))
+        reduced, eliminated = relaxation.eliminate_linear_equalities(pop)
+        assert len(eliminated) == 1 and reduced.feasible_set.equalities == []
+        assert bound_and_moments(pop, 1, HI).bound == pytest.approx(0.5, abs=1e-7)
+
+    def test_equality_that_reduces_to_a_constant_is_refused(self):
+        sp = VarSpace.of("x1", "x2")
+        P = lambda t: parse_polynomial(t, sp)
+        pop = POPProblem(P("x1"), SemialgebraicSet(
+            sp, equalities=[P("x1^2 - x2"), P("x1 + x2 - 1"), P("x1 + x2 - 2")]))
+        with pytest.raises(ValueError, match=r"^equality 3, -2 \+ x1 \+ x2 = 0, reduces to -1 = 0 "):
+            bound_and_moments(pop, 1, HI)
+
+    def test_at_most_n_minus_one_variables_go(self):
+        sp = VarSpace.of("x1", "x2")
+        P = lambda t: parse_polynomial(t, sp)
+        eqs = [P("x1 + x2 - 1"), P("x1^2 - x2^2"), P("x1 - x2"), P("2*x1 - 1")]
+        pop = POPProblem(P("x1^2 + x2^2"), SemialgebraicSet(sp, equalities=eqs, ball_radius=4))
+        reduced, eliminated = relaxation.eliminate_linear_equalities(pop)
+        # x1 = 1 - x2 turns x1^2 - x2^2 into 1 - 2 x2, the second affine equality:
+        # it stays, in the variable left, and the two after it reduce to 0 under it
+        assert [v for v, _ in eliminated] == [0]
+        assert reduced.feasible_set.equalities == [parse_polynomial("1 - 2*x2", VarSpace.of("x2"))]
+        res = bound_and_moments(pop, 1, HI)
+        assert res.bound == pytest.approx(0.5, abs=1e-7)
+        assert [b.kind for b in res.assembled.program.blocks] == ["psd", "psd", "zero"]
+        one = POPProblem(P("x1"), SemialgebraicSet(sp, equalities=eqs[:1] + [P("x1 - x2 - 1")] + eqs[2:]))
+        with pytest.raises(ValueError, match="^equality 3, "):
+            relaxation.eliminate_linear_equalities(one)
+
+    def test_without_linear_equality_nothing_changes(self):
+        disk = POPProblem(parse_polynomial("x1 - x2", VarSpace.of("x1", "x2")), build_unit_disk())
+        for pop in (build_polyopt(), disk):
+            reduced, eliminated = relaxation.eliminate_linear_equalities(pop)
+            assert reduced is pop and eliminated == []
+            res = bound_and_moments(pop, 2, HI)
+            assert res.eliminated == [] and res.assembled.program.m == build_relaxation(pop, 2)[0].program.m
+
+    def test_order_and_flags_are_the_pops_own(self):
+        # x1 = x2 makes the cubic inequality 1 >= 0, which is dropped: the reduced
+        # problem needs order 1 only, and its blocks are those of one variable
+        sp = VarSpace.of("x1", "x2")
+        P = lambda t: parse_polynomial(t, sp)
+        pop = POPProblem(P("x1 + x2"), SemialgebraicSet(
+            sp, inequalities=[P("x1^3 - x2^3 + 1")], equalities=[P("x1 - x2")], ball_radius=1))
+        with pytest.raises(OrderTooSmallError) as ei:
+            bound_and_moments(pop, 1, HI)
+        assert ei.value.minimal_order == 2
+        res = bound_and_moments(pop, 2, HI)
+        assert res.info.r_x == 2 and res.info.block_sizes == [3, 2]
+        assert res.info.compactness_certified
+        assert res.bound == pytest.approx(-np.sqrt(2), abs=1e-6)
+
+
 class TestUnitDisk:
     def test_linear_objective_exact_at_order_one(self):
         disk = build_unit_disk()

@@ -12,9 +12,10 @@ already sets a count.  The 90 solves are:
     through `momentsdp.cli.main` from the repository root;
   - the planar shadow at order 2 over 64 directions;
   - eig-assign n = 4, 5 and 6 at order 3 (gap 1e-4, feas 1e-5), the
-    eig-ladder of perfbench (m = 210, 462 and 924), and n = 5 at order 4
-    (m = 1,287, psd sides 126 and 56), where every psd block forms its
-    terms from its nonzeros;
+    eig-ladder of perfbench, and n = 5 at order 4.  `bound_and_moments`
+    eliminates their linear equality first, so they solve programs of
+    m = 84, 210 and 462, and m = 495 with psd sides 70 and 35 at order 4,
+    where both psd blocks still form their terms from their nonzeros;
   - the saturation cells of `build_saturation_cells(2)` at order 2
     (gap and feas 1e-6).
 
