@@ -62,6 +62,7 @@ from .sdp import (
     SDPSolution,
     SolveOptions,
     solve,
+    solve_batch,
 )
 from .spectra import Pencil, defining_polynomials, membership, shadow_support_points
 
@@ -114,5 +115,6 @@ __all__ = [
     "resolve_minimal_time",
     "shadow_support_points",
     "solve",
+    "solve_batch",
     "solve_gmp",
 ]

@@ -18,25 +18,39 @@ normalization and equality rows.
 
 The algorithm is infeasible-start path following on X Z = mu I with the
 HKM-style direction (linearize using Z^{-1} and symmetrize the X step) and a
-Mehrotra predictor-corrector.  `solve` holds the loop and the stop tests, and
-returns the last iterate under a status that says why it stopped; each phase
-of an iteration is a step of its own on one record, `_Point`, the iterate and
-the search direction alike, and adds its wall seconds to ``stats``:
-`_Layout.residuals`; `_Layout.schur`, the Schur complement M and the Newton
-system's factors (`_Factorization`): the free entries' data F pin dy to
-F'dy = rf, so only M's projection onto the null space of F' is factored, by
-LAPACK's Cholesky called directly, and a failed factorization ends the solve
-as ``numerical_failure``; `_Layout.direction`, the predictor or the
-corrector, from two solves with those factors, the second a refinement pass
+Mehrotra predictor-corrector.  `solve_batch` holds the loop and the stop
+tests, and returns the last iterate under a status that says why it stopped;
+`solve` is its batch of one.  The loop runs a batch of right-hand sides b of
+one program at once: every iterate array carries a leading batch axis, one
+row per b, and a row leaves the batch when its own stop tests, steps or
+factorizations end it.  Each phase of an iteration is a step of its own on
+one record, `_Point`, the iterates and the search directions alike, and adds
+its wall seconds to ``stats``, those of the whole batch, which its solutions
+share: `_Layout.residuals`; `_Layout.schur`, the Schur complements M and the
+Newton systems' factors (`_Factorization`): the free entries' data F pin dy
+to F'dy = rf, so only M's projection onto the null space of F' is factored,
+by LAPACK's Cholesky called directly, and a failed factorization ends its
+row as ``numerical_failure``; `_Layout.direction`, the predictors or the
+correctors, from two solves with those factors, the second a refinement pass
 on the primal equation; and `_Layout.steps`, the largest steps in the cone,
-of which `solve` takes a fixed fraction.  A psd block's step to its boundary
-is an eigenvalue of the pencil (D, X), from one LAPACK dsygv call
+of which the loop takes a fixed fraction.  A psd block's step to its
+boundary is an eigenvalue of the pencil (D, X), from one LAPACK dsygv call
 (`_max_step_psd`).
+
+Batches.  Each row computes what a solve of its b alone computes, in the
+same order: the numpy calls that a batch shares act on each row as on a lone
+vector.  LAPACK runs once per row (the Cholesky factors, dsygv), `np.matmul`
+takes a product of each row's own shapes, `np.vecdot` and `np.matvec` take
+each row's dot and matrix-vector products by the BLAS call a lone vector
+gets, and one `np.bincount` bins every row's products apart, at row and cell
+offsets; Mehrotra's sigma is a float power per row.  So every row carries
+the bits of its own solve.  The batch a loop runs is as large as its (m, m)
+Schur complements fit `_SCHUR_CHUNK` floats, at least one row.
 
 Storage.  A program stores each block's constraint data as its nonzeros
 (`BlockData`: constraint index, cell, coefficient), since moment relaxations
 fill well under 1% of the dense (m, s, s) arrays.  `_Layout` splits the
-blocks by kind once per solve.  It stacks the nonneg blocks into one dense
+blocks by kind once per program.  It stacks the nonneg blocks into one dense
 (m, n_l) matrix and the zero blocks into one dense (m, p) matrix F, and takes
 one QR of F (`_free_basis`), which refuses dependent columns.  Every matrix
 of the psd blocks (X, Z, C, Z^{-1}, ...) is one flat vector of N = sum s^2
@@ -55,7 +69,7 @@ would hold at most `_SCHUR_CHUNK` floats gets that copy, and `_schur_psd`
 forms its terms by stacked products and one GEMM; a larger block keeps its
 span data as CSR, and `_schur_psd_nonzeros` forms them from its nonzeros, in
 agreement with the dense path to rounding.  The working set lives only as
-long as the solve; each iteration frees the last Schur system and its
+long as the solve; each iteration frees the last Schur systems and their
 factors before it forms the next.
 
 This module holds the program and its solver only; `problemfile` reads and
@@ -64,6 +78,7 @@ writes programs as ``kind: sdp`` text.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import operator
@@ -239,9 +254,12 @@ def cho_factor(a: np.ndarray):
     return c, True
 
 
-def cho_solve(c_and_lower, b: np.ndarray) -> np.ndarray:
-    """scipy.linalg.cho_solve(c_and_lower, b, check_finite=False) for a lower factor: same bits."""
-    return dpotrs(c_and_lower[0], b, lower=1)[0]  # on a copy of b
+def cho_solve(c_and_lower, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """scipy.linalg.cho_solve(c_and_lower, b, check_finite=False) for a lower factor: same bits.
+
+    With ``overwrite_b`` the solution is written into b itself, if b is a contiguous vector.
+    """
+    return dpotrs(c_and_lower[0], b, lower=1, overwrite_b=overwrite_b)[0]  # on a copy of b by default
 
 
 def _max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
@@ -258,17 +276,31 @@ def _max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
     return min(1.0, -1.0 / w[0]) if w[0] < 0.0 else 1.0
 
 
-def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
-    if not x.size or not np.any(neg := d < 0):
-        return 1.0
-    return float(min(1.0, np.min(-x[neg] / d[neg])))
+def _column(values: list[float]):
+    """One value per row of a batch as a (B, 1) column; for a batch of one, its float, which numpy
+    applies without broadcasting."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _dots(U: np.ndarray, V: np.ndarray) -> list[float]:
+    """The dot product of each row of U and V, as floats; that of empty rows is 0.0, as from BLAS."""
+    return np.vecdot(U, V).tolist() if U.shape[-1] else [0.0] * len(U)
+
+
+def _max_steps_nonneg(x: np.ndarray, d: np.ndarray) -> list[float]:
+    """Largest step t <= 1 keeping each row of x + t d nonnegative, for (B, n) x and d."""
+    if not x.shape[-1]:
+        return [1.0] * len(x)
+    ratio = np.divide(-x, d, out=np.full(x.shape, np.inf), where=d < 0)
+    return [min(1.0, r) for r in ratio.min(axis=-1).tolist()]
 
 
 @dataclass
 class _Point:
-    """An iterate, or a search direction: X and Z of every psd block as flat vectors over the
-    layout's cells (see `_Layout`), the stacked nonneg part xl and its dual slack zl, the free
-    entries xf and the multipliers y."""
+    """Iterates, or search directions, of a batch of right-hand sides: X and Z of every psd block
+    as flat vectors over the layout's cells (see `_Layout`), the stacked nonneg part xl and its
+    dual slack zl, the free entries xf and the multipliers y, each with a leading batch axis, and
+    ``ids``, the index of each row's right-hand side among the layout's."""
 
     X: np.ndarray
     Z: np.ndarray
@@ -276,10 +308,22 @@ class _Point:
     zl: np.ndarray
     xf: np.ndarray
     y: np.ndarray
+    ids: np.ndarray
+
+    def take(self, keep: list[int]) -> "_Point":
+        """The rows ``keep`` of the batch."""
+        return _Point(*(v[keep] for v in vars(self).values()))
 
 
-# an iterate's residuals (primal; dual on psd cells, nonneg and free), <X, Z>, objectives and relative norms
-_Residuals = namedtuple("_Residuals", "rp Rd rl rf gap pobj dobj pres dres")
+class _Residuals(namedtuple("_Residuals", "rp Rd rl rf gap pobj dobj pres dres")):
+    """A batch's residuals (primal; dual on psd cells, nonneg and free), each with a leading batch
+    axis, and <X, Z>, the objectives and the relative norms, a sequence of floats each."""
+
+    __slots__ = ()
+
+    def take(self, keep: list[int]) -> "_Residuals":
+        """The rows ``keep`` of the batch."""
+        return _Residuals(*(v[keep] for v in self[:4]), *([v[i] for i in keep] for v in self[4:]))
 
 
 def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]:
@@ -288,7 +332,8 @@ def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]
 
 
 class _Factorization:
-    """The Newton system [[M, F], [F', 0]] [dy, dxf] = [h, rf], factored on the null space of F'.
+    """The Newton systems [[M, F], [F', 0]] [dy, dxf] = [h, rf] of a batch, factored on the null
+    space of F'.
 
     With F = [Q1 Q2] [R; 0] and T = Q1 R^{-T} from `_free_basis`, F'T = I and
     F'Q2 = 0, so the dy with F'dy = rf are T rf + Q2 z, and the first block
@@ -296,26 +341,46 @@ class _Factorization:
     m - p, the only matrix factored.  K is positive definite when M is on the
     null space of F', also where M itself is singular on the range of F.  Then
     dxf = T'(h - M dy).  Without free entries (T is None) K is M itself; with
-    p = m, dy = T rf and nothing is factored.  A K that is not numerically
-    positive definite raises LinAlgError.  Counted in ``stats``.
+    p = m, dy = T rf and nothing is factored.  ``M`` is the (B, m, m) stack of
+    the batch's Schur complements; each K is factored by its own LAPACK call,
+    but those of the rows in ``skip``.  ``failed`` lists the rows skipped and
+    those whose K is not numerically positive definite.
     """
 
-    def __init__(self, M: np.ndarray, T: Optional[np.ndarray], Q2: Optional[np.ndarray], stats: dict):
+    def __init__(self, M: np.ndarray, T: Optional[np.ndarray], Q2: Optional[np.ndarray],
+                 skip: set = frozenset()):
         self.M, self.T, self.Q2 = M, T, Q2
-        K = M if T is None else Q2.T @ (M @ Q2)
-        self.cho = None
-        if K.size:  # the solve loop checks finiteness first, so K needs no scan
-            stats["factorizations"] += 1
-            self.cho = cho_factor(K)
+        K = M if T is None else np.matmul(Q2.T, np.matmul(M, Q2))
+        self.cho: list = [None] * len(M)
+        self.failed = list(skip)
+        if K.shape[-1]:  # the solve loop checks finiteness first, so K needs no scan
+            for i in range(len(K)):
+                if i not in skip:
+                    try:
+                        self.cho[i] = cho_factor(K[i])
+                    except np.linalg.LinAlgError:
+                        self.failed.append(i)
+
+    def take(self, keep: list[int]) -> "_Factorization":
+        """The factored systems of the rows ``keep`` of the batch."""
+        part = copy.copy(self)
+        part.M, part.cho, part.failed = self.M[keep], [self.cho[i] for i in keep], []
+        return part
+
+    def _cho_solve(self, r: np.ndarray) -> np.ndarray:
+        """Each row of r solved with its own factor, in place."""
+        for c, ri in zip(self.cho, r):
+            cho_solve(c, ri, overwrite_b=True)
+        return r
 
     def solve(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf]."""
+        """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf] for each row of (B, m) h and (B, p) rf."""
         if self.T is None:
-            return cho_solve(self.cho, h), np.zeros(0)
-        dy = self.T @ rf
-        if self.cho is not None:
-            dy += self.Q2 @ cho_solve(self.cho, self.Q2.T @ (h - self.M @ dy))
-        return dy, self.T.T @ (h - self.M @ dy)
+            return self._cho_solve(h.copy()), np.zeros((len(h), 0))
+        dy = np.matvec(self.T, rf)
+        if self.Q2.shape[1]:
+            dy += np.matvec(self.Q2, self._cho_solve(np.matvec(self.Q2.T, h - np.matvec(self.M, dy))))
+        return dy, np.matvec(self.T.T, h - np.matvec(self.M, dy))
 
 
 def _free_basis(F: np.ndarray, blocks: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -368,11 +433,19 @@ def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray) ->
     ``A`` is the dense (n, s, s) data of the rows of the block's span, and
     ``M`` the view of the Schur complement on those rows and columns.  Row k
     of the (n, s^2) products P is (Z^{-1} A_k X)^T, flattened, from two
-    stacked products, and M += A P^T is one GEMM.
+    stacked products, and M += A P^T is one GEMM.  For a batch, X, Z^{-1}
+    and M carry a leading axis, and each system takes the products of its own
+    shapes; a batch of one takes them without that axis, which costs less.
     """
     n, s, _ = A.shape
-    P = np.matmul(Zinv, np.matmul(A, X)).transpose(0, 2, 1).reshape(n, s * s)
-    M += A.reshape(n, s * s) @ P.T
+    if X.ndim == 2:
+        P = np.matmul(Zinv, np.matmul(A, X)).transpose(0, 2, 1).reshape(n, s * s)
+        M += A.reshape(n, s * s) @ P.T
+    elif len(X) == 1:
+        _schur_psd(M[0], A, X[0], Zinv[0])
+    else:
+        P = np.matmul(Zinv[:, None], np.matmul(A, X[:, None])).transpose(0, 1, 3, 2).reshape(len(X), n, s * s)
+        M += np.matmul(A.reshape(n, s * s), P.transpose(0, 2, 1))
 
 
 def _schur_psd_nonzeros(M: np.ndarray, A: scipy.sparse.csr_array, X: np.ndarray, Zinv: np.ndarray) -> None:
@@ -403,19 +476,26 @@ def _schur_psd_nonzeros(M: np.ndarray, A: scipy.sparse.csr_array, X: np.ndarray,
 
 
 class _Layout:
-    """A program split by cone kind once per solve (see "Storage" above), with its working buffers
-    and ``stats``.  ``psd`` lists the psd blocks by side, in declared order within a side; ``cuts``
-    holds each one's (side, offset) in the flat cell vectors of length ``N``, ``runs`` the (side,
-    start, stop) of each run of equal sides, ``stacks`` and ``slices`` the (slice, shape) of the
-    views of each run and block, and ``tperm`` the gather that transposes every block.  ``rows``,
-    ``cols`` and ``vals`` hold the nonzeros of all psd blocks over the flat cells, block by block,
-    for `apply` and `adjoint`.  The Schur terms read ``dense``, the (hi - lo, s, s) span
-    copies of the blocks on the dense path, and ``csr``, the (hi - lo, s^2) CSR span data of the
-    others.  The other methods are the phases of one iteration."""
+    """A program split by cone kind once, with the right-hand sides it is solved for, its working
+    buffers and ``stats`` (see "Storage" above).  ``psd`` lists the psd blocks by side, in
+    declared order within a side; ``cuts`` holds each one's (side, offset) in the flat cell
+    vectors of length ``N``, ``runs`` the (side, start, stop) of each run of equal sides,
+    ``stacks`` the (slice, shape) of the stacked views of each run, ``slices`` the (slice, side)
+    of each block, and ``tperm`` the gather that transposes every block.  ``b`` holds the
+    right-hand sides, one row each, and ``group`` the most of them one batch solves (see
+    `solve_batch`).  ``data[B]`` holds the (rows, cols, vals) of the nonzeros of all psd blocks
+    over the flat cells, block by block, once for each row k of a batch of B, at row offset k m
+    and cell offset k N, for `apply` and `adjoint`.  The Schur terms read ``dense``, the
+    (hi - lo, s, s) span copies of the blocks on the dense path, and ``csr``, the (hi - lo, s^2)
+    CSR span data of the others.  The other methods are the phases of one iteration of a
+    batch."""
 
-    def __init__(self, prog: ConicProgram):
+    def __init__(self, prog: ConicProgram, b: Optional[np.ndarray] = None):
         built = perf_counter()
         self.prog = prog
+        m = self.m = prog.m
+        self.b = prog.b[None] if b is None else b
+        self.group = min(len(self.b), max(1, _SCHUR_CHUNK // m ** 2))
         psd, self.nonneg, self.free = ([bi for bi, blk in enumerate(prog.blocks) if blk.kind == kind]
                                        for kind in ("psd", "nonneg", "zero"))
         side = {bi: prog.blocks[bi].size for bi in psd}
@@ -428,19 +508,26 @@ class _Layout:
             runs[s] = (runs.get(s, (o,))[0], o + s * s)
         self.runs = [(s, lo, hi) for s, (lo, hi) in runs.items()]
         self.stacks = [(slice(lo, hi), (-1, s, s)) for s, lo, hi in self.runs]
-        self.slices = [(slice(o, o + s * s), (s, s)) for s, o in self.cuts]
+        self.slices = [(slice(o, o + s * s), s) for s, o in self.cuts]
         self.tperm = np.arange(self.N)
         for s, lo, hi in self.runs:
             self.tperm[lo:hi] = self.tperm[lo:hi].reshape(-1, s, s).transpose(0, 2, 1).ravel()
         self.ident = np.concatenate([np.zeros(0), *(np.eye(s).ravel() for s, _ in self.cuts)])
         self.eyes = self.blocks(self.ident)
-        self.c = np.concatenate([np.zeros(0), *(prog.C[bi].ravel() for bi in self.psd)])
+        # the costs of the psd cells, the nonneg and the free entries are (1, .) rows, of the shape a
+        # batch of one has, so that such a batch takes them without broadcasting
+        self.c = np.concatenate([np.zeros(0), *(prog.C[bi].ravel() for bi in self.psd)])[None]
         # each block's nonzeros, sorted by (row, cell), at its cell offset: every row's cells and
         # every cell's rows come in ascending order, the orders in which scipy's CSR and CSC sum
         data = [prog.A[bi] for bi in self.psd]
-        self.rows = np.concatenate([np.zeros(0, np.intp), *(d.rows for d in data)])
-        self.cols = np.concatenate([np.zeros(0, np.intp), *(d.cols + o for d, (_, o) in zip(data, self.cuts))])
-        self.vals = np.concatenate([np.zeros(0), *(d.vals for d in data)])
+        rows = np.concatenate([np.zeros(0, np.intp), *(d.rows for d in data)])
+        cols = np.concatenate([np.zeros(0, np.intp), *(d.cols + o for d, (_, o) in zip(data, self.cuts))])
+        vals = np.concatenate([np.zeros(0), *(d.vals for d in data)])
+        width = len(vals)
+        rows = np.concatenate([rows + m * k for k in range(self.group)])
+        cols = np.concatenate([cols + self.N * k for k in range(self.group)])
+        vals = np.concatenate([vals] * self.group)
+        self.data = [(rows[:B * width], cols[:B * width], vals[:B * width]) for B in range(self.group + 1)]
         self.span = _row_spans(prog, psd)
         # a block whose dense span copy would exceed one chunk keeps, in place of that copy, its data
         # over the span as CSR
@@ -448,112 +535,154 @@ class _Layout:
                     if (hi - lo) * side[bi] ** 2 > _SCHUR_CHUNK}
         self.dense = {bi: _stacked_data(prog, [bi], self.span[bi]).reshape(-1, side[bi], side[bi])
                       for bi in psd if bi not in self.csr}
-        # Al (m, n_l), cl (n_l,) of the nonneg blocks and F (m, p), c_f (p,) of the zero blocks
+        # Al (m, n_l), cl (1, n_l) of the nonneg blocks and F (m, p), c_f (1, p) of the zero blocks
         self.Al, self.F = _stacked_data(prog, self.nonneg), _stacked_data(prog, self.free)
-        self.cl, self.c_f = (np.concatenate([np.zeros(0), *(prog.C[bi] for bi in bis)])
+        self.cl, self.c_f = (np.concatenate([np.zeros(0), *(prog.C[bi] for bi in bis)])[None]
                              for bis in (self.nonneg, self.free))
-        # T and Q2 of the null-space Newton step (see `_Factorization`), from one QR of F per solve
+        # T and Q2 of the null-space Newton step (see `_Factorization`), from one QR of F
         start = perf_counter()
         self.T = self.Q2 = None
         if self.F.shape[1]:
             self.T, self.Q2 = _free_basis(self.F, [(bi, prog.blocks[bi].size) for bi in self.free])
         qr_seconds = perf_counter() - start
-        self.nu = sum(prog.blocks[bi].size for bi in psd) + len(self.cl)
-        self.scale = max(1.0, float(np.max(np.abs(prog.b), initial=0.0)),
-                         *(float(np.max(np.abs(C), initial=0.0)) for C in prog.C))
-        self.bnorm = 1.0 + float(np.linalg.norm(prog.b))
+        n_l, p = self.cl.shape[1], self.c_f.shape[1]
+        self.nu = sum(prog.blocks[bi].size for bi in psd) + n_l
+        c_max = [float(np.max(np.abs(C), initial=0.0)) for C in prog.C]
+        b_max = np.abs(self.b).max(axis=1, initial=0.0).tolist()
+        self.scale = np.array([max(1.0, row_max, *c_max) for row_max in b_max])
+        self.bnorm = 1.0 + np.sqrt(np.vecdot(self.b, self.b))  # 1 + np.linalg.norm of each row, to the bit
         self.cnorm = 1.0 + float(np.sqrt(sum(np.sum(C ** 2) for C in prog.C)))
         # the psd row spans, nonzeros and blocks on the nonzero path, and the multiply-adds of one
         # Schur formation, nnz (s^2 + hi - lo) on that path and (hi - lo)^2 s^2 on the dense one;
-        # the Cholesky factorizations of the Schur system; the free columns p and the side
-        # m - p of the matrix each iteration factors; the wall seconds of this build and of each
-        # phase, which each step adds itself, the QR of F counted as factoring, not as the build
-        seconds = {"layout": 0.0, "residuals": 0.0, "schur": 0.0, "factor": qr_seconds, "direction": 0.0,
-                   "step": 0.0}
+        # the Cholesky factorizations of the Schur system of each right-hand side; the free columns
+        # p and the side m - p of the matrix each iteration factors; the wall seconds of this build
+        # and of each phase, which each step adds itself, the QR of F counted as factoring, not as
+        # the build.  `solve_batch` restarts the phase seconds for each batch, from ``built``
+        self.built = {"layout": 0.0, "residuals": 0.0, "schur": 0.0, "factor": qr_seconds, "direction": 0.0,
+                      "step": 0.0}
         nnz = {bi: len(prog.A[bi].vals) for bi in psd}
         madds = sum(nnz[bi] * (side[bi] ** 2 + hi - lo) if bi in self.csr else (hi - lo) ** 2 * side[bi] ** 2
                     for bi, (lo, hi) in self.span.items())
         self.stats = {"row_spans": self.span, "nonzeros": nnz, "sparse_schur": sorted(self.csr),
-                      "schur_madds": madds, "factorizations": 0, "free_columns": len(self.c_f),
-                      "factored_side": prog.m - len(self.c_f), "seconds": seconds}
-        seconds["layout"] = perf_counter() - built - qr_seconds
+                      "schur_madds": madds, "factorizations": [0] * len(self.b), "free_columns": p,
+                      "factored_side": m - p}
+        self.built["layout"] = perf_counter() - built - qr_seconds
+        self.stats["seconds"] = dict(self.built)
 
     def blocks(self, V: np.ndarray) -> list[np.ndarray]:
-        """The (s, s) views of flat cell vector V's psd blocks, in the order of ``psd``."""
-        return [V[cells].reshape(shape) for cells, shape in self.slices]
+        """The views of flat cell vector V's psd blocks, in the order of ``psd``: (s, s) each, or
+        (B, s, s) for the rows of a (B, N) V."""
+        if V.ndim == 1:
+            return [V[cells].reshape(s, s) for cells, s in self.slices]
+        return [V[:, cells].reshape(-1, s, s) for cells, s in self.slices]
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        """A(V) = (<A_k, V>)_k over every psd block of flat cell vector V."""
-        return np.bincount(self.rows, self.vals * V[self.cols], minlength=self.prog.m)
+        """A(V) = (<A_k, V>)_k over every psd block of each row of (B, N) V, flat cell vectors."""
+        B = len(V)
+        rows, cols, vals = self.data[B]
+        return np.bincount(rows, vals * V.ravel()[cols], minlength=B * self.m).reshape(B, self.m)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """A^T y = sum_k y_k A_k over every psd block, as a flat cell vector."""
-        return np.bincount(self.cols, self.vals * y[self.rows], minlength=self.N)
+        """A^T y = sum_k y_k A_k over every psd block, as a flat cell vector, for each row of (B, m) y."""
+        B = len(y)
+        rows, cols, vals = self.data[B]
+        return np.bincount(cols, vals * y.ravel()[rows], minlength=B * self.N).reshape(B, self.N)
 
     def sym(self, V: np.ndarray) -> np.ndarray:
-        """Every psd block of flat cell vector V symmetrized, (V + V^T) / 2."""
-        return 0.5 * (V + V[self.tperm])
+        """Every psd block of flat cell vectors V symmetrized, (V + V^T) / 2."""
+        return 0.5 * (V + V.take(self.tperm, axis=-1))
 
     def zinv_product(self, Zinv: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Z^{-1} (V W) on every psd block, as a flat cell vector: one stacked product per run."""
-        out = np.empty(self.N)
+        """Z^{-1} (V W) on every psd block of each row of (B, N) V, W and Z^{-1}, as flat cell vectors:
+        one stacked product per run.  Blocks of one side are one run, of the whole vectors."""
+        if len(self.stacks) == 1:
+            (_, shape), = self.stacks
+            return np.matmul(Zinv.reshape(shape), np.matmul(V.reshape(shape), W.reshape(shape))).reshape(V.shape)
+        out = np.empty(V.shape)
         for cells, shape in self.stacks:
-            Zs, Vs, Ws, Os = (U[cells].reshape(shape) for U in (Zinv, V, W, out))
-            np.matmul(Zs, np.matmul(Vs, Ws), out=Os)
+            Zs, Vs, Ws = (U[:, cells].reshape(shape) for U in (Zinv, V, W))
+            out[:, cells] = np.matmul(Zs, np.matmul(Vs, Ws)).reshape(len(out), -1)
         return out
 
-    def start(self) -> _Point:
-        """X = Z = scale * I, xl = zl = scale, xf = 0 and y = 0."""
-        s, n_l = self.scale, len(self.cl)
-        return _Point(s * self.ident, s * self.ident, s * np.ones(n_l), s * np.ones(n_l),
-                      np.zeros(len(self.c_f)), np.zeros(self.prog.m))
+    def start(self, ids) -> _Point:
+        """X = Z = scale * I, xl = zl = scale, xf = 0 and y = 0 for the right-hand sides ``ids``."""
+        ids = np.asarray(ids, dtype=np.intp)
+        s, B = self.scale[ids][:, None], len(ids)
+        n_l, p = self.cl.shape[1], self.c_f.shape[1]
+        return _Point(s * self.ident, s * self.ident, s * np.ones((B, n_l)), s * np.ones((B, n_l)),
+                      np.zeros((B, p)), np.zeros((B, self.m)), ids)
 
     def primal_residual(self, rhs: np.ndarray, X: np.ndarray, xl: np.ndarray, xf: np.ndarray) -> np.ndarray:
-        """rhs - A(X) - Al xl - F xf."""
-        return rhs - self.apply(X) - self.Al @ xl - self.F @ xf
+        """rhs - A(X) - Al xl - F xf, of which an empty part subtracts nothing."""
+        r = rhs - self.apply(X)
+        if self.nonneg:
+            r -= np.matvec(self.Al, xl)
+        if self.free:
+            r -= np.matvec(self.F, xf)
+        return r
 
     def residuals(self, pt: _Point) -> _Residuals:
         start = perf_counter()
-        rp = self.primal_residual(self.prog.b, pt.X, pt.xl, pt.xf)
+        b = self.b.take(pt.ids, axis=0)
+        rp = self.primal_residual(b, pt.X, pt.xl, pt.xf)
         Rd = self.c - self.adjoint(pt.y) - pt.Z
-        rl = self.cl - self.Al.T @ pt.y - pt.zl
-        rf = self.c_f - self.F.T @ pt.y
-        dnorm = math.sqrt(float(Rd @ Rd) + float(rl @ rl) + float(rf @ rf))
-        gap = float(pt.X @ pt.Z) + float(pt.xl @ pt.zl)
-        pobj = float(self.c @ pt.X) + float(self.cl @ pt.xl) + float(self.c_f @ pt.xf)
-        dobj = float(self.prog.b @ pt.y)
+        # an empty nonneg or free part has an empty residual
+        rl = self.cl - np.matvec(self.Al.T, pt.y) - pt.zl if self.nonneg else pt.zl
+        rf = self.c_f - np.matvec(self.F.T, pt.y) if self.free else pt.xf
+        # the dot products of each row, as floats, summed and scaled row by row
+        xz, xc, dobj, rr, dd = (np.vecdot(pt.X, pt.Z).tolist(), np.vecdot(pt.X, self.c).tolist(),
+                                np.vecdot(b, pt.y).tolist(), np.vecdot(rp, rp).tolist(), np.vecdot(Rd, Rd).tolist())
+        lz, lc, ll, fc, ff = (_dots(pt.xl, pt.zl), _dots(pt.xl, self.cl), _dots(rl, rl), _dots(pt.xf, self.c_f),
+                              _dots(rf, rf))
+        gap, pobj, pres, dres = zip(*[
+            (xz_k + lz_k, xc_k + lc_k + fc_k, math.sqrt(rr_k) / bnorm, math.sqrt(dd_k + ll_k + ff_k) / self.cnorm)
+            for xz_k, lz_k, xc_k, lc_k, fc_k, rr_k, dd_k, ll_k, ff_k, bnorm in
+            zip(xz, lz, xc, lc, fc, rr, dd, ll, ff, self.bnorm[pt.ids].tolist())])
         self.stats["seconds"]["residuals"] += perf_counter() - start
-        return _Residuals(rp, Rd, rl, rf, gap, pobj, dobj, float(np.linalg.norm(rp)) / self.bnorm,
-                          dnorm / self.cnorm)
+        return _Residuals(rp, Rd, rl, rf, gap, pobj, dobj, pres, dres)
 
     def schur(self, pt: _Point, res: _Residuals) -> tuple[np.ndarray, np.ndarray, _Factorization]:
-        """Z^{-1} and Z^{-1} Rd X as flat cell vectors, and the factored Schur complement
-        M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms."""
+        """Z^{-1} and Z^{-1} Rd X as flat cell vectors, and the factored Schur complements
+        M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms, of each row of the batch.
+
+        A row whose Z or K does not factor is listed in the factorization's ``failed``; the Z^{-1}
+        of a row whose Z does not factor is zero, so that its other terms stay finite."""
         start = perf_counter()
-        M = np.zeros((self.prog.m, self.prog.m))
-        Zinv = np.empty(self.N)
-        for bi, X, Z, Zi, I in zip(self.psd, *map(self.blocks, (pt.X, pt.Z, Zinv)), self.eyes):
-            Zi[...] = cho_solve(cho_factor(Z), I)
+        M = np.zeros((len(pt.X), self.m, self.m))
+        Zinv = np.empty(pt.Z.shape)
+        singular = set()
+        for i, (Zk, Zik) in enumerate(zip(pt.Z, Zinv)):
+            try:
+                for Zb, Zib, I in zip(self.blocks(Zk), self.blocks(Zik), self.eyes):
+                    Zib[...] = cho_solve(cho_factor(Zb), I)
+            except np.linalg.LinAlgError:
+                singular.add(i)
+                Zik[...] = 0.0
+        for bi, X, Zi in zip(self.psd, self.blocks(pt.X), self.blocks(Zinv)):
             lo, hi = self.span[bi]
             if bi in self.csr:
-                _schur_psd_nonzeros(M[lo:hi, lo:hi], self.csr[bi], X, Zi)
+                for Mk, Xk, Zik in zip(M, X, Zi):
+                    _schur_psd_nonzeros(Mk[lo:hi, lo:hi], self.csr[bi], Xk, Zik)
             else:
-                _schur_psd(M[lo:hi, lo:hi], self.dense[bi], X, Zi)
+                _schur_psd(M[:, lo:hi, lo:hi], self.dense[bi], X, Zi)
         ZRX = self.zinv_product(Zinv, res.Rd, pt.X)  # a term of both directions
         if self.cl.size:  # M holds no -0.0, so adding the zero term of no nonneg entries keeps its bits
-            M += (self.Al * (pt.xl / pt.zl)) @ self.Al.T
-        M += M.T
+            M += np.matmul(self.Al * (pt.xl / pt.zl)[:, None, :], self.Al.T)
+        M += M.swapaxes(1, 2)
         M *= 0.5
         formed = perf_counter()
-        fact = _Factorization(M, self.T, self.Q2, self.stats)
+        fact = _Factorization(M, self.T, self.Q2, singular)
+        if self.stats["factored_side"]:
+            for i, k in enumerate(pt.ids.tolist()):
+                self.stats["factorizations"][k] += i not in singular
         self.stats["seconds"]["schur"] += formed - start
         self.stats["seconds"]["factor"] += perf_counter() - formed
         return Zinv, ZRX, fact
 
     def direction(self, pt: _Point, res: _Residuals, newton: tuple, pred: Optional[_Point] = None,
-                  steps: Optional[tuple[float, float]] = None) -> _Point:
-        """The predictor direction from `schur`'s ``newton``; given the predictor ``pred`` and its
-        ``steps``, the corrector: toward Mehrotra's sigma mu, with the second-order term dZ dX.
+                  steps: Optional[tuple[list, list]] = None) -> _Point:
+        """The predictor directions from `schur`'s ``newton``; given the predictors ``pred`` and
+        their ``steps``, the correctors: toward Mehrotra's sigma mu, with the second-order term dZ dX.
 
         One refinement pass follows the first solve.  Its right-hand side is what the step leaves of
         the primal equation A(dX) + Al dxl + F dxf = rp, of which dX's rounding, growing with
@@ -564,46 +693,84 @@ class _Layout:
         X, xl, zl = pt.X, pt.xl, pt.zl
         sigma_mu = 0.0
         if pred is not None:  # sigma is the cube of the ratio of <X, Z> after the predictor step
-            (ap, ad), gap = steps, res.gap
-            gap_aff = (float((X + ap * pred.X) @ (pt.Z + ad * pred.Z))
-                       + float((xl + ap * pred.xl) @ (zl + ad * pred.zl)))
-            sigma_mu = (min(1.0, max(1e-8, (gap_aff / gap) ** 3)) if gap > 0 else 0.1) * (gap / self.nu)
+            ap, ad = map(_column, steps)
+            aff_l = _dots(xl + ap * pred.xl, zl + ad * pred.zl) if self.nonneg else _dots(xl, zl)
+            sigma_mu = _column([(min(1.0, max(1e-8, ((a + b) / gap) ** 3)) if gap > 0 else 0.1) * (gap / self.nu)
+                                for a, b, gap in zip(_dots(X + ap * pred.X, pt.Z + ad * pred.Z), aff_l, res.gap)])
         G = sigma_mu * Zinv - X - ZRX
-        gl = sigma_mu / zl - xl - res.rl * xl / zl
         if pred is not None:
             G -= self.zinv_product(Zinv, pred.Z, pred.X)
-            gl -= pred.zl * pred.xl / zl
-        h = res.rp - self.apply(G) - self.Al @ gl
+        h = res.rp - self.apply(G)
+        gl = xl  # the nonneg part, empty without nonneg entries
+        if self.nonneg:
+            gl = sigma_mu / zl - xl - res.rl * xl / zl
+            if pred is not None:
+                gl -= pred.zl * pred.xl / zl
+            h -= np.matvec(self.Al, gl)
 
         def lifted(v, GX, R, gx, r):
             """The step of multipliers v, from the primal parts GX, gx and the dual parts R, r."""
-            Aty, aty = self.adjoint(v), self.Al.T @ v
-            return self.sym(GX + self.zinv_product(Zinv, Aty, X)), R - Aty, gx + aty * xl / zl, r - aty
+            Aty = self.adjoint(v)
+            dX, dZ = self.sym(GX + self.zinv_product(Zinv, Aty, X)), R - Aty
+            if not self.nonneg:
+                return dX, dZ, gx, r
+            aty = np.matvec(self.Al.T, v)
+            return dX, dZ, gx + aty * xl / zl, r - aty
 
         dy, dxf = fact.solve(h, res.rf)
         dX, dZ, dxl, dzl = lifted(dy, G, res.Rd, gl, res.rl)
-        ey, exf = fact.solve(self.primal_residual(res.rp, dX, dxl, dxf), res.rf - self.F.T @ dy)
+        rf = res.rf - np.matvec(self.F.T, dy) if self.free else res.rf
+        ey, exf = fact.solve(self.primal_residual(res.rp, dX, dxl, dxf), rf)
         dX, dZ, dxl, dzl = lifted(ey, dX, dZ, dxl, dzl)
         self.stats["seconds"]["direction"] += perf_counter() - start
-        return _Point(dX, dZ, dxl, dzl, dxf + exf, dy + ey)
+        return _Point(dX, dZ, dxl, dzl, dxf + exf if self.free else dxf, dy + ey, pt.ids)
 
-    def steps(self, pt: _Point, d: _Point) -> tuple[float, float]:
-        """Primal and dual steps: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in the cone,
-        the least of the stacked nonneg part's ratio and every psd block's step."""
+    def steps(self, pt: _Point, d: _Point) -> tuple[list[float], list[float]]:
+        """Primal and dual steps of each row: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in
+        the cone, the least of the stacked nonneg part's ratio and every psd block's step."""
         start = perf_counter()
-        ap, ad = (min((_max_step_nonneg(v, dv), *map(_max_step_psd, self.blocks(V), self.blocks(D))))
+        ap, ad = ([min((nonneg, *map(_max_step_psd, self.blocks(Vk), self.blocks(Dk))))
+                   for nonneg, Vk, Dk in zip(_max_steps_nonneg(v, dv), V, D)]
                   for V, D, v, dv in ((pt.X, d.X, pt.xl, d.xl), (pt.Z, d.Z, pt.zl, d.zl)))
         self.stats["seconds"]["step"] += perf_counter() - start
         return ap, ad
 
-    def moved(self, pt: _Point, d: _Point, ap: float, ad: float) -> _Point:
-        """The point a primal step ap and a dual step ad along d reach, each psd block symmetrized."""
-        return _Point(self.sym(pt.X + ap * d.X), self.sym(pt.Z + ad * d.Z), pt.xl + ap * d.xl,
-                      pt.zl + ad * d.zl, pt.xf + ap * d.xf, pt.y + ad * d.y)
+    def moved(self, pt: _Point, d: _Point, ap, ad) -> _Point:
+        """The points the primal steps ap and the dual steps ad along d reach, each a (B, 1) column
+        of one step per row (see `_column`) or one float for all, each psd block symmetrized."""
+        xl, zl, xf = ((pt.xl + ap * d.xl, pt.zl + ad * d.zl) if self.nonneg else (pt.xl, pt.zl)) + (
+            (pt.xf + ap * d.xf,) if self.free else (pt.xf,))
+        return _Point(self.sym(pt.X + ap * d.X), self.sym(pt.Z + ad * d.Z), xl, zl, xf, pt.y + ad * d.y, pt.ids)
+
+    def solution(self, pt: _Point, res: _Residuals, i: int, status: Status, iterations: int,
+                 trace: list[dict]) -> SDPSolution:
+        """Row i of the batch ``pt`` and of its residuals as the solution of its right-hand side, the
+        flat and stacked parts sliced back into their blocks, in declared order, and copied."""
+        out = dict(zip(self.psd, zip(self.blocks(pt.X[i]), self.blocks(pt.Z[i]))))
+        for bis, x, z in ((self.nonneg, pt.xl[i], pt.zl[i]), (self.free, pt.xf[i], np.zeros(pt.xf.shape[1]))):
+            cuts = np.cumsum([self.prog.blocks[bi].size for bi in bis[:-1]], dtype=int)
+            out.update(zip(bis, zip(np.split(x, cuts), np.split(z, cuts))))
+        blocks = range(len(self.prog.blocks))
+        return SDPSolution(
+            status=status,
+            X=[out[bi][0].copy() for bi in blocks],
+            y=pt.y[i].copy(),
+            Z=[out[bi][1].copy() for bi in blocks],
+            primal_obj=res.pobj[i],
+            dual_obj=res.dobj[i],
+            gap=res.gap[i],
+            primal_residual=res.pres[i],
+            dual_residual=res.dres[i],
+            iterations=iterations,
+            mu_final=res.gap[i] / self.nu,
+            blocks=list(self.prog.blocks),
+            trace=trace,
+            stats={**self.stats, "factorizations": self.stats["factorizations"][int(pt.ids[i])]},
+        )
 
 
 def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolution:
-    """Run the interior-point iteration on a conic program.
+    """Run the interior-point iteration on a conic program: `solve_batch` of its own b alone.
 
     The blocks are split by kind once, on entry (see "Storage" above); X and Z
     return in declared block order, with Z = 0 on the zero blocks.  The
@@ -613,90 +780,101 @@ def solve(prog: ConicProgram, options: SolveOptions | None = None) -> SDPSolutio
     non-finite one.  A failed factorization also ends the solve as
     ``numerical_failure``, on the iterate it was formed at.
     """
+    return solve_batch(prog, [prog.b], options)[0]
+
+
+def solve_batch(prog: ConicProgram, objectives, options: SolveOptions | None = None) -> list[SDPSolution]:
+    """`solve` of ``prog`` with each right-hand side b of ``objectives`` in place of its own, in order.
+
+    The layout, the QR of F and the data copies are built once for all of
+    them.  The right-hand sides are solved in batches of as many as
+    (m, m) Schur complements fit `_SCHUR_CHUNK` floats, at least one: a
+    batch runs one iteration loop whose every phase takes all its rows at
+    once, each row with its own scale, stop tests, statuses, steps, trace
+    and count of factorizations, and leaves the batch when it stops.  A Z
+    or K that does not factor ends only its own row.  Each row's iterates
+    carry the bits a `solve` of that b alone gives.  The phase seconds in
+    ``stats`` are those of the batch, shared by its solutions, each with the
+    layout's build.
+    """
     opt = options or SolveOptions()
-    lay = _Layout(prog)
-    pt = lay.start()
-    status: Status = "max_iter"  # also where the loop breaks without naming a status
-    trace: list[dict] = []
-    last_steps = (0.0, 0.0)
-    finite = None  # the last finite iterate and its residuals
+    if not len(objectives):
+        return []
+    b = np.array(objectives, dtype=float)
+    if b.shape != (len(b), prog.m):
+        raise ValueError(f"each right-hand side must have the program's {prog.m} entries")
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
+    lay = _Layout(prog, b)
+    sols: list[SDPSolution] = []
+    for first in range(0, len(b), lay.group):
+        lay.stats["seconds"] = dict(lay.built)  # the batch's, which its solutions share
+        pt = lay.start(np.arange(first, min(len(b), first + lay.group)))
+        traces: dict[int, list[dict]] = {k: [] for k in pt.ids.tolist()}
+        last_steps = dict.fromkeys(traces, (0.0, 0.0))
+        ends: dict[int, SDPSolution] = {}
+        moved_from = None  # the last batch moved and its residuals: each row's last finite iterate
 
-    for it in range(opt.max_iter + 1):
-        res = lay.residuals(pt)
-        mu = res.gap / lay.nu
+        def end(i: int, status: Status, pt: _Point, res: _Residuals) -> None:
+            """Row i of ``pt`` is the solution of its right-hand side, after ``it`` iterations."""
+            k = int(pt.ids[i])
+            ends[k] = lay.solution(pt, res, i, status, it, traces[k])
 
-        trace.append(
-            {
-                "iter": it,
-                "mu": mu,
-                "gap": res.gap,
-                "pobj": res.pobj,
-                "dobj": res.dobj,
-                "pres": res.pres,
-                "dres": res.dres,
-                "step_p": last_steps[0],
-                "step_d": last_steps[1],
-            }
-        )
-        _log.debug(
-            "it %3d  mu %9.2e  gap %10.3e  pres %8.2e  dres %8.2e",
-            it, mu, res.pobj - res.dobj, res.pres, res.dres,
-        )
+        for it in range(opt.max_iter + 1):
+            res = lay.residuals(pt)
+            ids = pt.ids.tolist()
+            stopped = []
+            for i, (k, gap, pobj, dobj, pres, dres) in enumerate(zip(ids, *res[4:])):
+                mu = gap / lay.nu
+                last = last_steps[k]
+                traces[k].append({"iter": it, "mu": mu, "gap": gap, "pobj": pobj, "dobj": dobj, "pres": pres,
+                                  "dres": dres, "step_p": last[0], "step_d": last[1]})
+                _log.debug("b %d it %3d  mu %9.2e  gap %10.3e  pres %8.2e  dres %8.2e",
+                           k, it, mu, pobj - dobj, pres, dres)
+                if not (math.isfinite(mu) and math.isfinite(pobj) and math.isfinite(dobj)):
+                    end(i, "numerical_failure", *(moved_from or (pt, res)))  # the start is finite
+                elif abs(pobj - dobj) <= opt.gap_tol * (1.0 + abs(dobj)) and pres <= opt.feas_tol \
+                        and dres <= opt.feas_tol:
+                    end(i, "optimal", pt, res)
+                # out of iterations, or at the floating-point floor of the barrier, where there is
+                # nothing left to gain: stop with the current iterate rather than breaking the Newton
+                # system (max_iter flags that the requested tolerances were not met)
+                elif it == opt.max_iter or mu < 1e-16 * (1.0 + abs(dobj)):
+                    end(i, "max_iter", pt, res)
+                else:
+                    continue
+                stopped.append(i)
+            if stopped:
+                if len(stopped) == len(ids):
+                    break
+                keep = [i for i in range(len(ids)) if i not in stopped]
+                pt, res, ids = pt.take(keep), res.take(keep), [ids[i] for i in keep]
 
-        if not (math.isfinite(mu) and math.isfinite(res.pobj) and math.isfinite(res.dobj)):
-            status = "numerical_failure"
-            pt, res = finite or (pt, res)  # the start is finite, whatever its residuals
-            break
-        finite = (pt, res)  # no step changes a point in place
-        if (
-            abs(res.pobj - res.dobj) <= opt.gap_tol * (1.0 + abs(res.dobj))
-            and res.pres <= opt.feas_tol
-            and res.dres <= opt.feas_tol
-        ):
-            status = "optimal"
-            break
-        # out of iterations, or at the floating-point floor of the barrier,
-        # where there is nothing left to gain: stop with the current iterate
-        # rather than breaking the Newton system (max_iter flags that the
-        # requested tolerances were not met)
-        if it == opt.max_iter or mu < 1e-16 * (1.0 + abs(res.dobj)):
-            break
-
-        newton = None  # the last system and its factors are freed before the next is formed
-        try:
+            newton = None  # the last systems and their factors are freed before the next are formed
             newton = lay.schur(pt, res)
+            if newton[2].failed:  # a Z or K that does not factor ends its row on this iterate
+                for i in newton[2].failed:
+                    end(i, "numerical_failure", pt, res)
+                if len(newton[2].failed) == len(ids):
+                    break
+                keep = [i for i in range(len(ids)) if i not in newton[2].failed]
+                pt, res, ids = pt.take(keep), res.take(keep), [ids[i] for i in keep]
+                newton = (newton[0][keep], newton[1][keep], newton[2].take(keep))
             pred = lay.direction(pt, res, newton)
             d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred))
-        except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            break
-        ap, ad = lay.steps(pt, d)
-        ap = min(1.0, _STEP_FRACTION * ap)
-        ad = min(1.0, _STEP_FRACTION * ad)
-        if max(ap, ad) < 1e-10:
-            break  # step collapse: no further progress possible
-        last_steps = (ap, ad)
-        pt = lay.moved(pt, d, ap, ad)
-
-    # slice the flat and stacked parts back into their blocks, in declared order
-    out = dict(zip(lay.psd, zip(lay.blocks(pt.X), lay.blocks(pt.Z))))
-    for bis, x, z in ((lay.nonneg, pt.xl, pt.zl), (lay.free, pt.xf, np.zeros(len(pt.xf)))):
-        cuts = np.cumsum([prog.blocks[bi].size for bi in bis[:-1]], dtype=int)
-        out.update(zip(bis, zip(np.split(x, cuts), np.split(z, cuts))))
-
-    return SDPSolution(
-        status=status,
-        X=[out[bi][0].copy() for bi in range(len(prog.blocks))],
-        y=pt.y.copy(),
-        Z=[out[bi][1].copy() for bi in range(len(prog.blocks))],
-        primal_obj=res.pobj,
-        dual_obj=res.dobj,
-        gap=res.gap,
-        primal_residual=res.pres,
-        dual_residual=res.dres,
-        iterations=it,
-        mu_final=res.gap / lay.nu,
-        blocks=list(prog.blocks),
-        trace=trace,
-        stats=lay.stats,
-    )
+            steps = [(min(1.0, _STEP_FRACTION * ap), min(1.0, _STEP_FRACTION * ad))
+                     for ap, ad in zip(*lay.steps(pt, d))]
+            stuck = [i for i, step in enumerate(steps) if max(step) < 1e-10]
+            if stuck:  # step collapse: no further progress possible
+                for i in stuck:
+                    end(i, "max_iter", pt, res)
+                if len(stuck) == len(ids):
+                    break
+                keep = [i for i in range(len(ids)) if i not in stuck]
+                pt, res, d, ids = pt.take(keep), res.take(keep), d.take(keep), [ids[i] for i in keep]
+                steps = [steps[i] for i in keep]
+            last_steps.update(zip(ids, steps))
+            moved_from = (pt, res)
+            pt = lay.moved(pt, d, *map(_column, zip(*steps)))
+        sols += [ends[k] for k in traces]
+    return sols

@@ -9,7 +9,9 @@ its eigenvalues.  They are expanded here symbolically over exact rationals.
 feasible set onto two chosen first-order moments: for each direction it
 maximizes the projected linear functional, returning support points and
 values whose halfspaces sandwich the projected set from outside.  The
-relaxation is assembled once; each direction swaps only its objective.
+relaxation is assembled once, and the directions differ only in its
+right-hand side b: `sdp.solve_batch` solves them all over one layout, in
+one iteration loop, each with the bits of its own solve.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .polynomials import Polynomial
 from .relaxation import POPProblem, SemialgebraicSet, build_relaxation
-from .sdp import SolveOptions, solve
+from .sdp import SolveOptions, solve_batch
 
 MAX_SYMBOLIC_SIDE = 8
 
@@ -168,8 +170,10 @@ def shadow_support_points(
     For each unit direction c, maximizes c1*y_{e_i} + c2*y_{e_j} over the
     relaxation feasible set (y_0 = 1, moment and localizing blocks) and
     reports the optimizer's projected first-order moments together with the
-    support value.  Every returned halfspace {p : <c, p> <= value} contains
-    the projection of the original set.
+    support value, and the status of that direction's solve.  The halfspace
+    {p : <c, p> <= value} of an ``optimal`` point contains the projection of
+    the original set; a point of another status is no support point (see
+    `shadow_table`).
     """
     n = pop_set.space.n
     i, j = projection
@@ -178,17 +182,20 @@ def shadow_support_points(
     if i == j:
         raise ValueError("projection must name two distinct variables")
     asm, _ = build_relaxation(POPProblem(Polynomial.zero(n), pop_set), r)
-    out: list[ShadowPoint] = []
     ei = tuple(int(t == i) for t in range(n))
     ej = tuple(int(t == j) for t in range(n))
-    for c in directions:
-        cx, cy = float(c[0]), float(c[1])
-        asm.set_objective([("mu", Polynomial(n, {ei: cx, ej: cy}))], "max")
-        sol = solve(asm.program, options)
+    functionals = [[("mu", Polynomial(n, {ei: float(c[0]), ej: float(c[1])}))] for c in directions]
+    objectives = []
+    for functional in functionals:
+        asm.set_objective(functional, "max")
+        objectives.append(asm.program.b)
+    out: list[ShadowPoint] = []
+    for c, functional, sol in zip(directions, functionals, solve_batch(asm.program, objectives, options)):
+        asm.set_objective(functional, "max")
         y = asm.moments_of("mu", sol.y)
         out.append(
             ShadowPoint(
-                direction=(cx, cy),
+                direction=(float(c[0]), float(c[1])),
                 point=(float(y.value(ei)), float(y.value(ej))),
                 value=asm.bound_from(sol),
                 status=sol.status,

@@ -108,9 +108,10 @@ def reference_kkt_solve(M, F, h, rf) -> tuple[np.ndarray, np.ndarray]:
 
 
 def iterates_by_hand(lay, iterations: int):
-    """(point, residuals) of `solve`'s iterates 0..iterations on the layout ``lay``: residuals,
-    Schur, predictor, step search, corrector, step search and move, each called by hand."""
-    pt = lay.start()
+    """(point, residuals) of `solve`'s iterates 0..iterations on the layout ``lay``, batches of its
+    one right-hand side: residuals, Schur, predictor, step search, corrector, step search and
+    move, each called by hand."""
+    pt = lay.start([0])
     for it in range(iterations + 1):
         res = lay.residuals(pt)
         yield pt, res
@@ -119,8 +120,14 @@ def iterates_by_hand(lay, iterations: int):
         newton = lay.schur(pt, res)
         pred = lay.direction(pt, res, newton)
         d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred))
-        ap, ad = lay.steps(pt, d)
+        (ap,), (ad,) = lay.steps(pt, d)
         pt = lay.moved(pt, d, min(1.0, sdp._STEP_FRACTION * ap), min(1.0, sdp._STEP_FRACTION * ad))
+
+
+def first_row(batch):
+    """The first row of a batch of iterates or of residuals, without the batch axis."""
+    values = vars(batch).values() if isinstance(batch, sdp._Point) else batch
+    return type(batch)(*(v[0] for v in values))
 
 
 def dense_data(prog: ConicProgram) -> list[np.ndarray]:
@@ -135,21 +142,23 @@ def agree(got, want, *terms):
 
 
 def check_joint_products(rng, lay, prog: ConicProgram, dense: list[np.ndarray]) -> None:
-    """The layout's joint products A(V) and A^T y, and the residuals of a random point, against
-    np.einsum over the dense data of every row, each within 1e-13 of the largest dense term."""
+    """The layout's joint products A(V) and A^T y, and the residuals of a random point (a batch of
+    one), against np.einsum over the dense data of every row, each within 1e-13 of the largest
+    dense term."""
     V, y = rng.normal(size=lay.N), rng.normal(size=prog.m)
     terms = [np.einsum("kij,ij->k", dense[bi], G) for bi, G in zip(lay.psd, lay.blocks(V))]
-    agree(lay.apply(V), sum(terms, np.zeros(prog.m)), *terms)
-    for bi, Aty in zip(lay.psd, lay.blocks(lay.adjoint(y))):
+    agree(lay.apply(V[None])[0], sum(terms, np.zeros(prog.m)), *terms)
+    for bi, Aty in zip(lay.psd, lay.blocks(lay.adjoint(y[None])[0])):
         agree(Aty, np.einsum("kij,k->ij", dense[bi], y))
-    n_l, p = len(lay.cl), len(lay.c_f)
+    n_l, p = lay.Al.shape[1], lay.F.shape[1]
 
     def spd():
         return np.concatenate([np.zeros(0), *(random_spd(rng, s).ravel() for s, _ in lay.cuts)])
 
-    pt = sdp._Point(spd(), spd(), rng.random(n_l), rng.random(n_l), rng.normal(size=p),
-                    rng.normal(size=prog.m))
-    res = lay.residuals(pt)
+    batch = sdp._Point(spd()[None], spd()[None], rng.random((1, n_l)), rng.random((1, n_l)),
+                       rng.normal(size=(1, p)), rng.normal(size=(1, prog.m)), np.arange(1))
+    res = first_row(lay.residuals(batch))
+    pt = first_row(batch)
     terms = [np.einsum("kij,ij->k", dense[bi], X) for bi, X in zip(lay.psd, lay.blocks(pt.X))]
     Al_x, F_x = lay.Al @ pt.xl, lay.F @ pt.xf
     agree(res.rp, prog.b - sum(terms, np.zeros(prog.m)) - Al_x - F_x, prog.b, Al_x, F_x, *terms)
@@ -313,18 +322,18 @@ class TestNullSpaceStep:
         else:
             M = random_spd(rng, m, 0.1)
         T, Q2 = sdp._free_basis(F, [(0, p)]) if p else (None, None)
-        stats = {"factorizations": 0}
-        fact = sdp._Factorization(M, T, Q2, stats)
+        fact = sdp._Factorization(M[None], T, Q2)  # a batch of one system
         for _ in range(3):
             h, rf = rng.normal(size=m), rng.normal(size=p)
-            dy, dxf = fact.solve(h, rf)
+            (dy,), (dxf,) = fact.solve(h[None], rf[None])
             dy_ref, dxf_ref = reference_kkt_solve(M, F, h, rf)
             scale = 1.0 + np.abs(np.concatenate([dy_ref, dxf_ref])).max()
             assert np.abs(dy - dy_ref).max() <= 1e-10 * scale
             assert np.abs(dxf - dxf_ref).max(initial=0.0) <= 1e-10 * scale
             assert np.abs(F.T @ dy - rf).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(rf).max(initial=0.0))
         # one factorization of side m - p, none once the null space is empty
-        assert stats == {"factorizations": int(p < m)}
+        assert fact.failed == [] and len(fact.cho) == 1
+        assert [f[0].shape for f in fact.cho if f is not None] == [(m - p, m - p)] * (p < m)
 
     def test_basis_spans_the_null_space(self):
         rng = np.random.default_rng(3)
@@ -398,9 +407,9 @@ class TestRandomPrograms:
         for seed in range(4):
             noise = np.random.default_rng(seed)
 
-            def perturbed(M, *args):
+            def perturbed(M, *args):  # M: a batch of one Schur complement
                 P = M * (1.0 + eps * noise.normal(size=M.shape))
-                return factorization(0.5 * (P + P.T), *args)
+                return factorization(0.5 * (P + P.swapaxes(-1, -2)), *args)
 
             monkeypatch.setattr(sdp, "_Factorization", perturbed)
             for k, (prog, _, _) in enumerate(self._objective_programs()):
@@ -418,7 +427,8 @@ class TestRandomPrograms:
             (A,) = dense_data(prog)
             C, b = prog.C[0], prog.b
             lay = sdp._Layout(prog)
-            for it, (pt, res) in enumerate(iterates_by_hand(lay, sol.iterations)):
+            for it, (batch, ress) in enumerate(iterates_by_hand(lay, sol.iterations)):
+                pt, res = first_row(batch), first_row(ress)
                 (X,), (Z,), (Rd,), y = lay.blocks(pt.X), lay.blocks(pt.Z), lay.blocks(res.Rd), pt.y
                 slack = res.pobj - res.dobj - (float(np.sum(X * Rd)) - float(y @ res.rp))
                 size = (np.sum(np.abs(C * X)) + np.abs(b) @ np.abs(y) + np.sum(np.abs(X * Z))
@@ -1100,8 +1110,9 @@ class TestFlatLayout:
             A = scipy.sparse.hstack([scipy.sparse.csr_array((prog.m, 0)),
                                      *(sdp._span_csr(prog, bi, (0, prog.m)) for bi in lay.psd)], format="csr")
             V, y = rng.normal(size=lay.N), rng.normal(size=prog.m)
-            assert lay.apply(V).shape == (prog.m,) and np.array_equal(lay.apply(V), A @ V)
-            assert lay.adjoint(y).shape == (lay.N,) and np.array_equal(lay.adjoint(y), A.T @ y)
+            # a batch of one row
+            assert lay.apply(V[None]).shape == (1, prog.m) and np.array_equal(lay.apply(V[None])[0], A @ V)
+            assert lay.adjoint(y[None]).shape == (1, lay.N) and np.array_equal(lay.adjoint(y[None])[0], A.T @ y)
             held = {name: value.values() if isinstance(value, dict) else value if isinstance(value, list)
                     else [value] for name, value in vars(lay).items()}
             assert {name for name, values in held.items() if any(map(scipy.sparse.issparse, values))} <= {"csr"}
@@ -1117,10 +1128,11 @@ class TestFlatLayout:
 
         for prog in (self.program(), build_relaxation(build_eig_assign(3), 3)[0].program):
             lay = sdp._Layout(prog)
-            *_, (pt, res) = iterates_by_hand(lay, 2)
-            Zinv, _, fact = lay.schur(pt, res)
+            *_, (batch, res) = iterates_by_hand(lay, 2)
+            Zinv, _, fact = lay.schur(batch, res)
+            pt = first_row(batch)
             M = np.zeros((prog.m, prog.m))
-            for bi, X, Zi in zip(lay.psd, lay.blocks(pt.X), lay.blocks(Zinv)):
+            for bi, X, Zi in zip(lay.psd, lay.blocks(pt.X), lay.blocks(Zinv[0])):
                 lo, hi = lay.span[bi]
                 if bi in lay.csr:
                     sdp._schur_psd_nonzeros(M[lo:hi, lo:hi], lay.csr[bi], X, Zi)
@@ -1128,7 +1140,7 @@ class TestFlatLayout:
                     sdp._schur_psd(M[lo:hi, lo:hi], lay.dense[bi], X, Zi)
             M += (lay.Al * (pt.xl / pt.zl)) @ lay.Al.T
             M = 0.5 * (M + M.T)
-            assert fact.M.tobytes() == M.tobytes(), len(lay.cl)
+            assert fact.M.tobytes() == M.tobytes(), lay.Al.shape[1]
 
     def test_declared_order_returned_and_permutation_invariant(self):
         prog = self.program()
@@ -1155,13 +1167,14 @@ class TestIterationSteps:
         assert (sol.status, sol.iterations) == ("max_iter", 2)
         lay = sdp._Layout(prog)
         assert lay.psd == [0] and not lay.nonneg and not lay.free
-        *_, (pt, res) = iterates_by_hand(lay, 2)
+        *_, (batch, ress) = iterates_by_hand(lay, 2)
+        pt, res = first_row(batch), first_row(ress)
         assert pt.y.tobytes() == sol.y.tobytes()
         assert lay.blocks(pt.X)[0].tobytes() == sol.X[0].tobytes()
         assert lay.blocks(pt.Z)[0].tobytes() == sol.Z[0].tobytes()
         assert (res.pobj, res.dobj, res.gap, res.pres, res.dres) == (
             sol.primal_obj, sol.dual_obj, sol.gap, sol.primal_residual, sol.dual_residual)
-        assert lay.stats["factorizations"] == sol.stats["factorizations"]
+        assert lay.stats["factorizations"] == [sol.stats["factorizations"]]
 
 
 class TestSolveStats:
@@ -1239,11 +1252,12 @@ class TestSolveStats:
 
         sols = []
 
-        def record(prog, options):
-            sols.append((prog, solve(prog, options)))
-            return sols[-1][1]
+        def record(prog, objectives, options):
+            batch = sdp.solve_batch(prog, objectives, options)
+            sols.extend((prog, sol) for sol in batch)
+            return batch
 
-        monkeypatch.setattr(spectra, "solve", record)
+        monkeypatch.setattr(spectra, "solve_batch", record)
         spectra.shadow_support_points(build_polyopt().feasible_set, 2, spectra.unit_directions(4))
         assert len(sols) == 4
         for prog, sol in sols:
@@ -1313,11 +1327,12 @@ class TestLastIterate:
 
         sols = []
 
-        def record(prog, options):
-            sols.append(sdp.solve(prog, options))
-            return sols[-1]
+        def record(prog, objectives, options):
+            batch = sdp.solve_batch(prog, objectives, options)
+            sols.extend(batch)
+            return batch
 
-        monkeypatch.setattr(spectra, "solve", record)
+        monkeypatch.setattr(spectra, "solve_batch", record)
         spectra.shadow_support_points(build_polyopt().feasible_set, 2, spectra.unit_directions(64)[:1])
         (converged,) = sols
         assert converged.status == "optimal"
@@ -1337,3 +1352,159 @@ class TestLastIterate:
         last = sol.trace[-1]
         assert (sol.primal_residual, sol.dual_residual, sol.primal_obj, sol.dual_obj) == (
             last["pres"], last["dres"], last["pobj"], last["dobj"])
+
+
+def assert_same_solve(got, want) -> None:
+    """Two solutions with the same status, iterations, factorizations, bytes of y, X and Z, and trace."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert got.stats["factorizations"] == want.stats["factorizations"]
+    assert got.y.tobytes() == want.y.tobytes()
+    assert [V.tobytes() for V in (*got.X, *got.Z)] == [V.tobytes() for V in (*want.X, *want.Z)]
+    assert repr(got.trace) == repr(want.trace)  # the shortest repr tells every float apart
+    assert (got.primal_obj, got.dual_obj, got.gap, got.primal_residual, got.dual_residual, got.mu_final) == (
+        want.primal_obj, want.dual_obj, want.gap, want.primal_residual, want.dual_residual, want.mu_final)
+
+
+def own_solves(prog: ConicProgram, objectives, options=None) -> list:
+    """`solve` of ``prog`` with each right-hand side in place of its own, one at a time."""
+    own = []
+    for b in objectives:
+        prog.b = b
+        own.append(solve(prog, options))
+    return own
+
+
+def planar_shadow_program(directions: int):
+    """The order-2 relaxation of the planar POP and the right-hand side of each of ``directions``
+    unit directions of `shadow_support_points`."""
+    from momentsdp.casestudies import build_polyopt
+    from momentsdp.polynomials import Polynomial
+    from momentsdp.relaxation import POPProblem, build_relaxation
+    from momentsdp.spectra import unit_directions
+
+    asm, _ = build_relaxation(POPProblem(Polynomial.zero(2), build_polyopt().feasible_set), 2)
+    objectives = []
+    for cx, cy in unit_directions(directions):
+        asm.set_objective([("mu", Polynomial(2, {(1, 0): cx, (0, 1): cy}))], "max")
+        objectives.append(asm.program.b)
+    return asm.program, objectives
+
+
+def mixed_batch():
+    """A psd, nonneg and zero block program and five right-hand sides: its own, zero, scaled by
+    1000, shifted at random, and negated.  The first four end `optimal` after 8 to 13 iterations,
+    the last at the budget of 20, `max_iter`."""
+    prog, _, _ = mixed_cone_program(np.random.default_rng(5), 3, 3, 2, 6)
+    shift = np.random.default_rng(6).normal(size=prog.m)
+    objectives = [prog.b.copy(), 0.0 * prog.b, 1e3 * prog.b, prog.b + shift, -prog.b]
+    return prog, objectives, SolveOptions(gap_tol=1e-9, feas_tol=1e-8, max_iter=20)
+
+
+class TestSolveBatch:
+    def test_planar_shadow_equals_its_own_solves(self):
+        # m = 15, psd sides 6, 3, 3, 3 and the mass row: one batch of 64
+        prog, objectives = planar_shadow_program(64)
+        assert prog.m == 15 and sdp._Layout(prog, np.array(objectives)).group == 64
+        batch = sdp.solve_batch(prog, objectives)
+        own = own_solves(prog, objectives)
+        assert len(batch) == 64 and all(sol.status == "optimal" for sol in batch)
+        for got, want in zip(batch, own):
+            assert_same_solve(got, want)
+
+    def test_mixed_cones_equal_their_own_solves_at_different_iterations(self):
+        prog, objectives, options = mixed_batch()
+        assert [blk.kind for blk in prog.blocks] == ["psd", "nonneg", "zero"]
+        batch = sdp.solve_batch(prog, objectives, options)
+        own = own_solves(prog, objectives, options)
+        for got, want in zip(batch, own):
+            assert_same_solve(got, want)
+        # the rows leave the batch at different iterations, and the last one runs on alone
+        assert len({sol.iterations for sol in batch}) >= 3
+        assert [sol.status for sol in batch] == ["optimal"] * 4 + ["max_iter"] and batch[-1].iterations == 20
+
+    def test_nonzero_path_rows_in_batches_of_two(self):
+        # eig-assign n = 4 at r = 3 (m = 210): 2^17 floats hold two (m, m) Schur complements, so
+        # three right-hand sides run as batches of two and one, and the side-35 block forms each
+        # row's terms from its nonzeros
+        from momentsdp.casestudies import build_eig_assign
+        from momentsdp.relaxation import build_relaxation
+
+        prog = build_relaxation(build_eig_assign(4), 3)[0].program
+        objectives = [prog.b.copy(), 2.0 * prog.b, prog.b + np.random.default_rng(7).normal(size=prog.m)]
+        options = SolveOptions(max_iter=4)
+        batch = sdp.solve_batch(prog, objectives, options)
+        assert sdp._Layout(prog, np.array(objectives)).group == 2 and batch[0].stats["sparse_schur"] == [0]
+        for got, want in zip(batch, own_solves(prog, objectives, options)):
+            assert_same_solve(got, want)
+        assert batch[0].stats["seconds"] is batch[1].stats["seconds"] is not batch[2].stats["seconds"]
+
+    def test_solve_is_the_batch_of_one(self):
+        prog, objectives, options = mixed_batch()
+        prog.b = objectives[2]
+        assert_same_solve(sdp.solve_batch(prog, [prog.b], options)[0], solve(prog, options))
+        assert sdp.solve_batch(prog, [], options) == []
+
+    def test_right_hand_sides_are_checked(self):
+        prog, objectives, _ = mixed_batch()
+        with pytest.raises(ValueError, match="6 entries"):
+            sdp.solve_batch(prog, [np.ones(5)])
+        with pytest.raises(ValueError, match="finite"):
+            sdp.solve_batch(prog, [objectives[0], np.full(prog.m, np.nan)])
+
+    @pytest.mark.parametrize("which", ["K", "Z"])
+    def test_failed_factorization_ends_only_its_row(self, monkeypatch, which):
+        # the Cholesky of row 2's K (its Schur system on the null space of F') or of its Z
+        # (side 3) fails at iteration k: that row ends `numerical_failure` on iterate k, as its own
+        # solve does under the same failure, and the other rows keep their bytes
+        prog, objectives, options = mixed_batch()
+        k, side = 3, prog.m - 2 if which == "K" else 3
+        clean = sdp.solve_batch(prog, objectives, options)
+        seen = []
+        cho_factor = sdp.cho_factor
+
+        def record(a):
+            if a.shape == (side, side):
+                seen.append(a.tobytes())
+            return cho_factor(a)
+
+        prog.b = objectives[2]
+        monkeypatch.setattr(sdp, "cho_factor", record)
+        solve(prog, options)
+        target = seen[k]  # the (k + 1)-th factorization of its side, at iteration k
+
+        def failing(a):
+            if a.tobytes() == target:
+                raise np.linalg.LinAlgError("4-th leading minor of the array is not positive definite")
+            return cho_factor(a)
+
+        monkeypatch.setattr(sdp, "cho_factor", failing)
+        batch = sdp.solve_batch(prog, objectives, options)
+        alone = solve(prog, options)
+        assert (alone.status, alone.iterations, alone.stats["factorizations"]) == (
+            "numerical_failure", k, k + (which == "K"))
+        assert_same_solve(batch[2], alone)
+        ref = solve(prog, SolveOptions(options.gap_tol, options.feas_tol, max_iter=k))
+        assert batch[2].y.tobytes() == ref.y.tobytes()
+        for i in (0, 1, 3, 4):
+            assert_same_solve(batch[i], clean[i])
+
+    def test_small_group_cap_keeps_the_bytes(self, monkeypatch):
+        # a cap of 3 Schur complements of side 15 splits the 8 directions into batches of 3, 3
+        # and 2, each with its own phase seconds; every block stays on the dense path
+        prog, objectives = planar_shadow_program(8)
+        whole = sdp.solve_batch(prog, objectives)
+        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 3 * prog.m ** 2)
+        lay = sdp._Layout(prog, np.array(objectives))
+        assert lay.group == 3 and lay.stats["sparse_schur"] == []
+        split = sdp.solve_batch(prog, objectives)
+        for got, want in zip(split, whole):
+            assert_same_solve(got, want)
+        seconds = [sol.stats["seconds"] for sol in split]
+        assert seconds[0] is seconds[2] and seconds[3] is seconds[5] and seconds[6] is seconds[7]
+        assert seconds[2] is not seconds[3] and seconds[5] is not seconds[6]
+
+    def test_group_cap_from_the_schur_chunk(self):
+        # (m, m) Schur complements of at most `_SCHUR_CHUNK` floats in all, and at least one
+        for m, directions, group in [(15, 600, 582), (28, 200, 167), (28, 5, 5), (256, 3, 2), (257, 3, 1)]:
+            prog = ConicProgram([Block("nonneg", 1)], [np.ones((m, 1))], np.ones(m), [np.ones(1)])
+            assert sdp._Layout(prog, np.ones((directions, m))).group == group

@@ -4,13 +4,17 @@
   python3 tools/solve_hashes.py --src DIR --out FILE
 
 `momentsdp` is imported from DIR (a checkout's `src/`), and every module
-that bound `momentsdp.sdp.solve` gets a wrapper that records each solve.
+that bound `momentsdp.sdp.solve_batch` gets a wrapper that records each of
+its solutions, in order: `solve` is its batch of one, so each solve is
+recorded once.  A checkout without `solve_batch` gets the wrapper on
+`momentsdp.sdp.solve` instead.
 BLAS/OpenMP run on one thread, as in perfbench, unless the environment
 already sets a count.  The 90 solves are:
 
   - the 21 of the `solve` commands of `tools/reports.py`, run in process
     through `momentsdp.cli.main` from the repository root;
-  - the planar shadow at order 2 over 64 directions;
+  - the planar shadow at order 2 over 64 directions, solved as one batch
+    where the checkout has `solve_batch`;
   - eig-assign n = 4, 5 and 6 at order 3 (gap 1e-4, feas 1e-5), the
     eig-ladder of perfbench, and n = 5 at order 4.  `bound_and_moments`
     eliminates their linear equality first, so they solve programs of
@@ -165,16 +169,27 @@ def main() -> int:
 
     solves: list = []
     budgets: list[int] = []  # max_iter of each solve in ``solves``
-    original = sdp.solve
 
-    def recorded(prog, options=None):
-        solves.append(original(prog, options))
-        budgets.append((options or sdp.SolveOptions()).max_iter)
-        return solves[-1]
+    def record(sols: list, options) -> list:
+        solves.extend(sols)
+        budgets.extend([(options or sdp.SolveOptions()).max_iter] * len(sols))
+        return sols
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "momentsdp" and getattr(module, "solve", None) is original:
-            module.solve = recorded
+    # `solve` is the batch of one of `solve_batch`, so only the batch entry is wrapped where there is one
+    if hasattr(sdp, "solve_batch"):
+        name, original = "solve_batch", sdp.solve_batch
+
+        def recorded(prog, objectives, options=None):
+            return record(original(prog, objectives, options), options)
+    else:
+        name, original = "solve", sdp.solve
+
+        def recorded(prog, options=None):
+            return record([original(prog, options)], options)[0]
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "momentsdp" and getattr(module, name, None) is original:
+            setattr(module, name, recorded)
 
     lines, every, near = [], [], []
     start = time.perf_counter()
