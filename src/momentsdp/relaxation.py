@@ -107,10 +107,9 @@ class SemialgebraicSet:
         if self.ball_radius is None:
             return None
         n = self.space.n
-        p = Polynomial.constant(n, self.ball_radius)
-        for i in range(n):
-            p = p - Polynomial.variable(n, i) ** 2
-        return p
+        terms = {(0,) * n: self.ball_radius}
+        terms.update(((0,) * i + (2,) + (0,) * (n - i - 1), -1) for i in range(n))
+        return Polynomial(n, terms)
 
     def effective_inequalities(self) -> list[Polynomial]:
         out = list(self.inequalities)

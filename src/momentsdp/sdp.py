@@ -34,12 +34,18 @@ row as ``numerical_failure``; `_Layout.direction`, the predictors or the
 correctors, from two solves with those factors, the second a refinement pass
 on the primal equation; and `_Layout.steps`, the largest steps in the cone,
 of which the loop takes a fixed fraction.  A psd block's step to its
-boundary is an eigenvalue of the pencil (D, X), from one LAPACK dsygv call
-(`_max_step_psd`).
+boundary is min(1, -1/lambda_min(L^{-1} D L^{-T})), L the Cholesky factor
+of X (or of Z), and 1 where no eigenvalue is negative.  `schur` factors
+each block's Z and X once per iteration and inverts both factors
+(`_inverse_factor`); the steps of the predictor and of the corrector stack
+each run of equal sides' dX and dZ and take every eigenvalue from one
+stacked whitening and eigensolve (`_psd_steps`).  An X that does not factor,
+a rounding outside the cone, takes `_unfactored_step`.
 
 Batches.  Each row computes what a solve of its b alone computes, in the
 same order: the numpy calls that a batch shares act on each row as on a lone
-vector.  LAPACK runs once per row (the Cholesky factors, dsygv), `np.matmul`
+vector.  LAPACK runs once per row and block (the Cholesky factors and their
+inverses) or once per matrix of a stack (the eigenvalues), `np.matmul`
 takes a product of each row's own shapes, `np.vecdot` and `np.matvec` take
 each row's dot and matrix-vector products by the BLAS call a lone vector
 gets, and one `np.bincount` bins every row's products apart, at row and cell
@@ -59,9 +65,10 @@ cells, the blocks ordered by side so that each run of equal sides is one
 block: A(X), <A_k, G> and A^T y are one `np.bincount` each (in the order of
 scipy's CSR and CSC sums), every sum and the symmetrization (a gather
 through the transpose permutation) act on whole vectors, and each Z^{-1} V W
-is one stacked product per run.  Z^{-1}, the Schur terms and the steps run per
-block on views of the flat vectors; X and Z are sliced back into declared
-block order once, at the end.  Every sum over blocks takes the psd blocks
+is one stacked product per run, as is each step's whitening and eigensolve.
+Z^{-1}, the inverse factors and the Schur terms run per block on views of
+the flat vectors; X and Z are sliced back into declared block order once,
+at the end.  Every sum over blocks takes the psd blocks
 first, by side, then the nonneg part, then the free part.  A block's Schur
 terms fill only M[lo:hi, lo:hi], over its row span, the rows [lo, hi) from
 the first to the last one that touch it.  A block whose dense span copy
@@ -89,7 +96,8 @@ from typing import Literal, Optional
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dpotrf, dpotrs, dsygv, dtrtrs
+from numpy.linalg import _umath_linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 BlockKind = Literal["psd", "nonneg", "zero"]
 
@@ -262,18 +270,30 @@ def cho_solve(c_and_lower, b: np.ndarray, overwrite_b: bool = False) -> np.ndarr
     return dpotrs(c_and_lower[0], b, lower=1, overwrite_b=overwrite_b)[0]  # on a copy of b by default
 
 
-def _max_step_psd(X: np.ndarray, D: np.ndarray) -> float:
-    """Largest step t <= 1 keeping X + t D positive definite: min(1, -1/lambda_min(L^-1 D L^-T)), L = chol(X).
+def _inverse_factor(c: np.ndarray) -> np.ndarray:
+    """L^{-1} of the lower Cholesky factor L held in c's lower triangle, by LAPACK's dtrtri, in place
+    of c if c is Fortran-ordered; the upper triangle keeps c's cells, which the caller clears."""
+    return dtrtri(c, lower=1, overwrite_c=1)[0]
 
-    LAPACK's dsygv reduces D v = lambda X v to that symmetric problem (Toh,
-    Comput. Optim. Appl. 21, 2002); 1.0 when no eigenvalue is negative.  Where
-    dsygv fails, as on an X that does not factor, a rounding outside the cone,
-    the step is 1.0 if X + D factors and 0.0 otherwise.
+
+def _psd_steps(L: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Largest step t <= 1 keeping X + t D positive definite, for each (s, s) matrix of the stacks D
+    and L = chol(X)^{-1}, lower triangular with a zero upper triangle: -1/min(w, -1), w the least
+    eigenvalue of L D L' (Toh, Comput. Optim. Appl. 21, 2002).
+
+    Two stacked products whiten D, and one call of the gufunc behind `np.linalg.eigvalsh` takes every
+    matrix's eigenvalues by its own LAPACK call, so a stack gives each matrix the bits it gets alone.
+    The gufunc is called without that wrapper's checks, which cost more than the call on a batch of
+    one: a D with a NaN gives a NaN step, which the `min` of `_Layout.steps` passes over.
     """
-    w, _, info = dsygv(D, X, jobz="N")  # ascending eigenvalues
-    if info:
-        return 0.0 if dpotrf(X + D, lower=1, clean=0)[1] else 1.0
-    return min(1.0, -1.0 / w[0]) if w[0] < 0.0 else 1.0
+    w = _umath_linalg.eigvalsh_lo(np.matmul(np.matmul(L, D), L.swapaxes(-1, -2)))[..., 0]
+    return -1.0 / np.minimum(w, -1.0)
+
+
+def _unfactored_step(X: np.ndarray, D: np.ndarray) -> float:
+    """The step from an X that does not factor, a rounding outside the cone: 1.0 if X + D factors,
+    else 0.0."""
+    return 0.0 if dpotrf(X + D, lower=1, clean=0)[1] else 1.0
 
 
 def _column(values: list[float]):
@@ -324,6 +344,19 @@ class _Residuals(namedtuple("_Residuals", "rp Rd rl rf gap pobj dobj pres dres")
     def take(self, keep: list[int]) -> "_Residuals":
         """The rows ``keep`` of the batch."""
         return _Residuals(*(v[keep] for v in self[:4]), *([v[i] for i in keep] for v in self[4:]))
+
+
+class _Whitening(namedtuple("_Whitening", "runs unfactored")):
+    """The inverse Cholesky factors of a batch's psd iterates, for its step lengths: ``runs`` holds,
+    for each run of equal sides, the (B, 2, k, s, s) stack of L^{-1} of each row's X = L L' (index 0)
+    and Z (index 1), upper triangles zero, and ``unfactored`` lists, for each row, the positions in
+    ``psd`` of the blocks whose X does not factor, whose L^{-1} is zero."""
+
+    __slots__ = ()
+
+    def take(self, keep: list[int]) -> "_Whitening":
+        """The rows ``keep`` of the batch."""
+        return _Whitening([L[keep] for L in self.runs], [self.unfactored[i] for i in keep])
 
 
 def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]:
@@ -481,14 +514,16 @@ class _Layout:
     declared order within a side; ``cuts`` holds each one's (side, offset) in the flat cell
     vectors of length ``N``, ``runs`` the (side, start, stop) of each run of equal sides,
     ``stacks`` the (slice, shape) of the stacked views of each run, ``slices`` the (slice, side)
-    of each block, and ``tperm`` the gather that transposes every block.  ``b`` holds the
-    right-hand sides, one row each, and ``group`` the most of them one batch solves (see
-    `solve_batch`).  ``data[B]`` holds the (rows, cols, vals) of the nonzeros of all psd blocks
+    of each block, ``places`` each block's (run, position in its run), ``upper`` each run's
+    strict upper triangle as a mask, and ``tperm`` the gather that transposes every block.
+    ``b`` holds the right-hand sides, one row each, and ``group`` the most of them one batch
+    solves (see `solve_batch`).  ``data[B]`` holds the (rows, cols, vals) of the nonzeros of all psd blocks
     over the flat cells, block by block, once for each row k of a batch of B, at row offset k m
     and cell offset k N, for `apply` and `adjoint`.  The Schur terms read ``dense``, the
     (hi - lo, s, s) span copies of the blocks on the dense path, and ``csr``, the (hi - lo, s^2)
     CSR span data of the others.  The other methods are the phases of one iteration of a
-    batch."""
+    batch: `schur` also returns the `_Whitening` of the batch's X and Z, which goes with the
+    Newton systems, row for row, to the two `steps` of the iteration."""
 
     def __init__(self, prog: ConicProgram, b: Optional[np.ndarray] = None):
         built = perf_counter()
@@ -509,6 +544,9 @@ class _Layout:
         self.runs = [(s, lo, hi) for s, (lo, hi) in runs.items()]
         self.stacks = [(slice(lo, hi), (-1, s, s)) for s, lo, hi in self.runs]
         self.slices = [(slice(o, o + s * s), s) for s, o in self.cuts]
+        run = {s: r for r, (s, _, _) in enumerate(self.runs)}
+        self.places = [(run[s], (o - self.runs[run[s]][1]) // (s * s)) for s, o in self.cuts]
+        self.upper = [np.triu(np.ones((s, s), dtype=bool), 1) for s, _, _ in self.runs]
         self.tperm = np.arange(self.N)
         for s, lo, hi in self.runs:
             self.tperm[lo:hi] = self.tperm[lo:hi].reshape(-1, s, s).transpose(0, 2, 1).ravel()
@@ -641,23 +679,42 @@ class _Layout:
         self.stats["seconds"]["residuals"] += perf_counter() - start
         return _Residuals(rp, Rd, rl, rf, gap, pobj, dobj, pres, dres)
 
-    def schur(self, pt: _Point, res: _Residuals) -> tuple[np.ndarray, np.ndarray, _Factorization]:
-        """Z^{-1} and Z^{-1} Rd X as flat cell vectors, and the factored Schur complements
-        M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms, of each row of the batch.
+    def schur(self, pt: _Point, res: _Residuals) -> tuple[np.ndarray, np.ndarray, _Factorization, _Whitening]:
+        """Z^{-1} and Z^{-1} Rd X as flat cell vectors, the factored Schur complements
+        M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms, and the inverse factors of X
+        and Z that this iteration's steps take, of each row of the batch.
 
         A row whose Z or K does not factor is listed in the factorization's ``failed``; the Z^{-1}
         of a row whose Z does not factor is zero, so that its other terms stay finite."""
         start = perf_counter()
-        M = np.zeros((len(pt.X), self.m, self.m))
+        B = len(pt.X)
+        M = np.zeros((B, self.m, self.m))
         Zinv = np.empty(pt.Z.shape)
-        singular = set()
-        for i, (Zk, Zik) in enumerate(zip(pt.Z, Zinv)):
-            try:
-                for Zb, Zib, I in zip(self.blocks(Zk), self.blocks(Zik), self.eyes):
-                    Zib[...] = cho_solve(cho_factor(Zb), I)
-            except np.linalg.LinAlgError:
-                singular.add(i)
-                Zik[...] = 0.0
+        Ls = [np.zeros((B, 2, (hi - lo) // (s * s), s, s)) for s, lo, hi in self.runs]  # see `_Whitening`
+        singular, unfactored = set(), [[] for _ in range(B)]
+        for j, (Xs, Zs, Zis, I, (r, q)) in enumerate(zip(self.blocks(pt.X), self.blocks(pt.Z), self.blocks(Zinv),
+                                                         self.eyes, self.places)):
+            LX, LZ = Ls[r][:, 0, q], Ls[r][:, 1, q]
+            for i in range(B):
+                if i in singular:
+                    continue
+                try:
+                    c = cho_factor(Zs[i])
+                except np.linalg.LinAlgError:
+                    singular.add(i)
+                    continue
+                Zis[i] = cho_solve(c, I)
+                LZ[i] = _inverse_factor(c[0])
+                c, info = dpotrf(Xs[i], lower=1, clean=0)
+                if info:
+                    unfactored[i].append(j)
+                else:
+                    LX[i] = _inverse_factor(c)
+        for i in singular:
+            Zinv[i] = 0.0
+        for L, upper in zip(Ls, self.upper):
+            np.copyto(L, 0.0, where=upper)  # np.tril, with the mask built once
+        whitening = _Whitening(Ls, unfactored)
         for bi, X, Zi in zip(self.psd, self.blocks(pt.X), self.blocks(Zinv)):
             lo, hi = self.span[bi]
             if bi in self.csr:
@@ -677,7 +734,7 @@ class _Layout:
                 self.stats["factorizations"][k] += i not in singular
         self.stats["seconds"]["schur"] += formed - start
         self.stats["seconds"]["factor"] += perf_counter() - formed
-        return Zinv, ZRX, fact
+        return Zinv, ZRX, fact, whitening
 
     def direction(self, pt: _Point, res: _Residuals, newton: tuple, pred: Optional[_Point] = None,
                   steps: Optional[tuple[list, list]] = None) -> _Point:
@@ -689,7 +746,7 @@ class _Layout:
         ||Z^{-1}|| ~ 1/mu, takes the largest share, and of the free one F'dy = rf; its increments
         are added to every part of the step."""
         start = perf_counter()
-        Zinv, ZRX, fact = newton
+        Zinv, ZRX, fact, _ = newton
         X, xl, zl = pt.X, pt.xl, pt.zl
         sigma_mu = 0.0
         if pred is not None:  # sigma is the cube of the ratio of <X, Z> after the predictor step
@@ -725,13 +782,24 @@ class _Layout:
         self.stats["seconds"]["direction"] += perf_counter() - start
         return _Point(dX, dZ, dxl, dzl, dxf + exf if self.free else dxf, dy + ey, pt.ids)
 
-    def steps(self, pt: _Point, d: _Point) -> tuple[list[float], list[float]]:
+    def steps(self, pt: _Point, d: _Point, whitening: _Whitening) -> tuple[list[float], list[float]]:
         """Primal and dual steps of each row: the largest t <= 1 keeping X + t dX, resp. Z + t dZ, in
-        the cone, the least of the stacked nonneg part's ratio and every psd block's step."""
+        the cone, the least of the stacked nonneg part's ratio and every psd block's step.
+
+        Each run of equal sides stacks its dX and dZ as its ``whitening`` factors are stacked and
+        takes their steps by one `_psd_steps`; a block whose X does not factor takes
+        `_unfactored_step`."""
         start = perf_counter()
-        ap, ad = ([min((nonneg, *map(_max_step_psd, self.blocks(Vk), self.blocks(Dk))))
-                   for nonneg, Vk, Dk in zip(_max_steps_nonneg(v, dv), V, D)]
-                  for V, D, v, dv in ((pt.X, d.X, pt.xl, d.xl), (pt.Z, d.Z, pt.zl, d.zl)))
+        psd = np.ones((len(pt.X), 2))
+        for (cells, _), L in zip(self.stacks, whitening.runs):
+            D = np.concatenate((d.X[:, None, cells], d.Z[:, None, cells]), axis=1).reshape(L.shape)
+            psd = np.minimum(psd, _psd_steps(L, D).min(axis=-1))
+        ap, ad = psd.T.tolist()
+        for i, js in enumerate(whitening.unfactored):
+            for j in js:
+                ap[i] = min(ap[i], _unfactored_step(self.blocks(pt.X[i])[j], self.blocks(d.X[i])[j]))
+        ap, ad = ([min(nonneg, step) for nonneg, step in zip(_max_steps_nonneg(v, dv), steps)]
+                  for steps, v, dv in ((ap, pt.xl, d.xl), (ad, pt.zl, d.zl)))
         self.stats["seconds"]["step"] += perf_counter() - start
         return ap, ad
 
@@ -859,11 +927,11 @@ def solve_batch(prog: ConicProgram, objectives, options: SolveOptions | None = N
                     break
                 keep = [i for i in range(len(ids)) if i not in newton[2].failed]
                 pt, res, ids = pt.take(keep), res.take(keep), [ids[i] for i in keep]
-                newton = (newton[0][keep], newton[1][keep], newton[2].take(keep))
+                newton = (newton[0][keep], newton[1][keep], newton[2].take(keep), newton[3].take(keep))
             pred = lay.direction(pt, res, newton)
-            d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred))
+            d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred, newton[3]))
             steps = [(min(1.0, _STEP_FRACTION * ap), min(1.0, _STEP_FRACTION * ad))
-                     for ap, ad in zip(*lay.steps(pt, d))]
+                     for ap, ad in zip(*lay.steps(pt, d, newton[3]))]
             stuck = [i for i, step in enumerate(steps) if max(step) < 1e-10]
             if stuck:  # step collapse: no further progress possible
                 for i in stuck:

@@ -119,8 +119,8 @@ def iterates_by_hand(lay, iterations: int):
             return
         newton = lay.schur(pt, res)
         pred = lay.direction(pt, res, newton)
-        d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred))
-        (ap,), (ad,) = lay.steps(pt, d)
+        d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred, newton[3]))
+        (ap,), (ad,) = lay.steps(pt, d, newton[3])
         pt = lay.moved(pt, d, min(1.0, sdp._STEP_FRACTION * ap), min(1.0, sdp._STEP_FRACTION * ad))
 
 
@@ -845,10 +845,18 @@ class TestLapackCholesky:
         assert 50 < failures < 550
 
 
+def max_step(X: np.ndarray, D: np.ndarray) -> float:
+    """The solver's step for one pair: `_psd_steps` of the inverse factor of X that `_Layout.schur`
+    takes, or `_unfactored_step` where X does not factor."""
+    c, info = scipy.linalg.lapack.dpotrf(X, lower=1, clean=0)
+    if info:
+        return sdp._unfactored_step(X, D)
+    return float(sdp._psd_steps(np.tril(sdp._inverse_factor(c)), D))
+
+
 class TestStepLength:
-    def test_max_step_matches_reference_within_rounding(self):
-        # the random (X, D) of sides 1..8 and, of X of condition up to 1e12, of sides 1..18: the
-        # exact step is within 1e-6 of the bisection's, relative, or within that bisection's 2^-40
+    def pairs(self):
+        """The random (X, D) of sides 1..8 and, of X of condition up to 1e12, of sides 1..18."""
         rng = np.random.default_rng(1)
         pairs = []
         for trial in range(400):
@@ -862,27 +870,45 @@ class TestStepLength:
             Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
             X = (Q * np.geomspace(1.0, 10.0 ** -rng.uniform(0.0, 12.0), n)) @ Q.T
             pairs.append((0.5 * (X + X.T), 10.0 ** rng.uniform(-3.0, 1.0) * random_sym(rng, n)))
+        return pairs
+
+    def test_max_step_matches_reference_within_rounding(self):
+        # the exact step is within 1e-6 of the bisection's, relative, or within that bisection's
+        # 2^-40, one pair at a time and stacked by side
+        pairs = self.pairs()
         interior = 0
         for trial, (X, D) in enumerate(pairs):
             ref = reference_max_step_psd(X, D)
             interior += ref < 1.0
-            assert sdp._max_step_psd(X, D) == pytest.approx(ref, rel=1e-6, abs=2.0**-40), trial
+            assert max_step(X, D) == pytest.approx(ref, rel=1e-6, abs=2.0**-40), trial
         assert 200 < interior < len(pairs) - 20, interior
+        for n in range(1, 19):
+            trials = [t for t, (X, _) in enumerate(pairs) if len(X) == n]
+            factors = []
+            for t in trials:
+                c, info = scipy.linalg.lapack.dpotrf(pairs[t][0], lower=1, clean=0)
+                assert info == 0, t
+                factors.append(np.tril(sdp._inverse_factor(c)))
+            stacked = sdp._psd_steps(np.array(factors), np.array([pairs[t][1] for t in trials]))
+            for t, L, step in zip(trials, factors, stacked):
+                assert step == pytest.approx(reference_max_step_psd(*pairs[t]), rel=1e-6, abs=2.0**-40), t
+                assert step.tobytes() == sdp._psd_steps(L, pairs[t][1]).tobytes(), t  # the bytes it gets alone
 
     def test_x_that_does_not_factor(self):
         # a point a rounding outside the cone, or on its boundary: the step is 1 where X + D
         # factors and 0 where it does not
         for X in (np.diag([1.0, -1e-18]), np.diag([1.0, 0.0]), -np.eye(2)):
-            assert sdp._max_step_psd(X, 2.0 * np.eye(2)) == 1.0
-            assert sdp._max_step_psd(X, np.diag([0.0, -1.0])) == 0.0
-        assert sdp._max_step_psd(np.eye(2), np.eye(2)) == 1.0  # no boundary
-        assert sdp._max_step_psd(np.eye(2), -4.0 * np.eye(2)) == 0.25
+            assert scipy.linalg.lapack.dpotrf(X, lower=1)[1] > 0
+            assert max_step(X, 2.0 * np.eye(2)) == 1.0
+            assert max_step(X, np.diag([0.0, -1.0])) == 0.0
+        assert max_step(np.eye(2), np.eye(2)) == 1.0  # no boundary
+        assert max_step(np.eye(2), -4.0 * np.eye(2)) == 0.25
 
     def test_failed_factorizations_raise_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(sqrt2_program(), TIGHT)
-            assert sdp._max_step_psd(-np.eye(2), np.eye(2)) == 0.0
+            assert max_step(-np.eye(2), np.eye(2)) == 0.0
         assert sol.status == "optimal"
 
 
@@ -1129,7 +1155,7 @@ class TestFlatLayout:
         for prog in (self.program(), build_relaxation(build_eig_assign(3), 3)[0].program):
             lay = sdp._Layout(prog)
             *_, (batch, res) = iterates_by_hand(lay, 2)
-            Zinv, _, fact = lay.schur(batch, res)
+            Zinv, _, fact, _ = lay.schur(batch, res)
             pt = first_row(batch)
             M = np.zeros((prog.m, prog.m))
             for bi, X, Zi in zip(lay.psd, lay.blocks(pt.X), lay.blocks(Zinv[0])):
@@ -1485,6 +1511,36 @@ class TestSolveBatch:
         assert_same_solve(batch[2], alone)
         ref = solve(prog, SolveOptions(options.gap_tol, options.feas_tol, max_iter=k))
         assert batch[2].y.tobytes() == ref.y.tobytes()
+        for i in (0, 1, 3, 4):
+            assert_same_solve(batch[i], clean[i])
+
+    def test_x_that_does_not_factor_changes_only_its_row(self, monkeypatch):
+        # row 2's X (side 3) at iteration k is planted as one that does not factor: its primal steps
+        # there take the 1-or-0 rule of `_unfactored_step`, which gives 0, so its X stays put, as in
+        # its own solve under the same plant, and the other rows keep their bytes
+        prog, objectives, options = mixed_batch()
+        k = 5
+        clean = sdp.solve_batch(prog, objectives, options)
+        prog.b = objectives[2]
+        target = solve(prog, SolveOptions(options.gap_tol, options.feas_tol, max_iter=k)).X[0].tobytes()
+        dpotrf, unfactored_step = sdp.dpotrf, sdp._unfactored_step
+        rules = []
+
+        def failing(a, **kwargs):
+            c, info = dpotrf(a, **kwargs)
+            return (c, 1) if a.tobytes() == target else (c, info)
+
+        def recorded(X, D):
+            rules.append(unfactored_step(X, D))
+            return rules[-1]
+
+        monkeypatch.setattr(sdp, "dpotrf", failing)
+        monkeypatch.setattr(sdp, "_unfactored_step", recorded)
+        batch = sdp.solve_batch(prog, objectives, options)
+        assert rules[:2] == [0.0, 0.0]  # the predictor and the corrector of iteration k
+        assert batch[2].trace[k + 1]["step_p"] == 0.0 < batch[2].trace[k + 1]["step_d"]
+        assert batch[2].trace[k + 1]["step_p"] != clean[2].trace[k + 1]["step_p"]
+        assert_same_solve(batch[2], solve(prog, options))
         for i in (0, 1, 3, 4):
             assert_same_solve(batch[i], clean[i])
 

@@ -46,7 +46,11 @@ Once the file is written, the census of the 90 solves goes to stdout: the
 count of each status, then one `near budget: CASE #K iterations/max_iter`
 line for each solve that used at least 90% of its iteration budget, since a
 change of rounding can push such a solve to `max_iter` without any test
-failing.
+failing.  Last comes `floor: K of 100 optimal`, the count of `optimal` ends of
+the random 4 x 4 programs of `tests/test_sdp.py` (`random_feasible(rng, 4, 5)`
+for seeds 0-99) at gap 1e-11 and feas 1e-10, near the floating-point floor,
+where a change of rounding shows first.  The tool carries its own copy of
+that generator, so it runs on older checkouts too.
 """
 
 from __future__ import annotations
@@ -96,6 +100,35 @@ def census(solves: list, near: list[str]) -> str:
     lines += [f"status {status}: {statuses[status]}" for status in sorted(statuses)]
     lines += [f"near budget: {entry}" for entry in near]
     return "\n".join(lines) + "\n"
+
+
+def random_feasible(sdp, rng, n: int, m: int):
+    """`TestRandomPrograms._random_feasible` of `tests/test_sdp.py`: one psd block of side n and m
+    constraints, from a strictly feasible primal-dual pair."""
+    import numpy as np
+
+    A = np.empty((m, n, n))
+    for k in range(m):
+        T = rng.normal(size=(n, n))
+        A[k] = T + T.T
+    L = rng.normal(size=(n, n))
+    X0 = L @ L.T + 0.3 * np.eye(n)
+    L = rng.normal(size=(n, n))
+    Z0 = L @ L.T + 0.3 * np.eye(n)
+    y0 = rng.normal(size=m)
+    b = np.einsum("kij,ij->k", A, X0)
+    C = np.einsum("kij,k->ij", A, y0) + Z0
+    return sdp.ConicProgram(blocks=[sdp.Block("psd", n)], A=[A], b=b, C=[C])
+
+
+def floor_census(sdp) -> str:
+    """The count of `optimal` ends of the 100 random programs at gap 1e-11 and feas 1e-10."""
+    import numpy as np
+
+    options = sdp.SolveOptions(gap_tol=1e-11, feas_tol=1e-10)
+    optimal = sum(sdp.solve(random_feasible(sdp, np.random.default_rng(seed), 4, 5), options).status == "optimal"
+                  for seed in range(100))
+    return f"floor: {optimal} of 100 optimal\n"
 
 
 def load(src: Path):
@@ -166,6 +199,7 @@ def main() -> int:
     out = Path(args.out).resolve()
     momentsdp = load(Path(args.src))
     sdp = momentsdp.sdp
+    floor = floor_census(sdp)  # before the wrappers, which would record its solves
 
     solves: list = []
     budgets: list[int] = []  # max_iter of each solve in ``solves``
@@ -207,6 +241,7 @@ def main() -> int:
         print(f"{case}: built", file=sys.stderr)
     out.write_text("".join(lines))
     sys.stdout.write(census(every, near))
+    sys.stdout.write(floor)
     return 0
 
 
