@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpstrf
 
 from .moments import MomentVector, evaluate_stencil, moment_matrix_stencil
 from .polynomials import exponents_up_to, monomial_count
@@ -46,6 +44,7 @@ def moment_matrix(y: MomentVector, order: int) -> np.ndarray:
 def _pivoted_cholesky(M: np.ndarray, rank: int) -> tuple[np.ndarray, list[int]]:
     """(R, pivots) with M ~= R R' over the first min(rank, dpstrf's rank) pivots of LAPACK's
     diagonally pivoted Cholesky, dpstrf, whose ties break to the lowest index."""
+    from scipy.linalg.lapack import dpstrf
     L, piv, found, _ = dpstrf(M, lower=1)  # P' M P = L L', piv 1-based
     k = min(rank, found)
     R = np.empty((M.shape[0], k))
@@ -127,6 +126,7 @@ def _atoms(
 def _extract_general(
     y: MomentVector, M: np.ndarray, rank: int, r: int, tol: float, seed: int
 ) -> list[tuple[np.ndarray, float]]:
+    from scipy.linalg import schur
     n = y.nvars
     R, _ = _pivoted_cholesky(M, rank)
     rank = R.shape[1]
@@ -154,7 +154,7 @@ def _extract_general(
     lam = rng.random(n) + 0.1
     lam /= lam.sum()
     combo = sum(l * N for l, N in zip(lam, shifts))
-    _, Q = scipy.linalg.schur(np.asarray(combo), output="real")
+    _, Q = schur(np.asarray(combo), output="real")
     points = np.empty((rank, n))
     for j in range(rank):
         q = Q[:, j]

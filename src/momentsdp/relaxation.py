@@ -47,8 +47,6 @@ from time import perf_counter
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .moments import (
     MatrixStencil,
@@ -309,11 +307,15 @@ def prune_dependent_rows(rows: SparseRows, n_cols: int) -> np.ndarray:
     nor on how the moments are numbered.  The cutoff is dpstrf's n * eps *
     (largest pivot) on the squared scale; on eig-assign (n = 2..6) at r <= 4
     the smallest kept pivot is >= 2.0e-4 of the largest, the next <= 2.6e-15.
+    One row stays iff it has a nonzero coefficient or rhs, as dpstrf decides,
+    without scipy: a POP without equalities hands the prune its mass row only.
     """
-    if not len(rows):
-        return np.zeros(0, dtype=np.intp)
+    if len(rows) <= 1:
+        keep = len(rows) and (np.any(rows.coeffs != 0.0) or rows.rhs[0] != 0.0)
+        return np.arange(int(keep), dtype=np.intp)
+    from scipy.linalg.lapack import dpstrf
     G = _weighted_gram(rows, n_cols)
-    _, piv, rank, info = scipy.linalg.lapack.dpstrf(G, lower=1, overwrite_a=1)
+    _, piv, rank, info = dpstrf(G, lower=1, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpstrf")
     return np.sort(piv[:rank] - 1).astype(np.intp)
@@ -327,6 +329,7 @@ def _weighted_gram(rows: SparseRows, n_cols: int) -> np.ndarray:
     ascending column order; the strict upper triangle is left zero and,
     mostly, unmapped.
     """
+    import scipy.sparse
     n = len(rows)
     row_of = np.repeat(np.arange(n), np.diff(rows.indptr))
     nz, with_rhs = rows.coeffs != 0, np.flatnonzero(rows.rhs)

@@ -29,23 +29,27 @@ its wall seconds to ``stats``, those of the whole batch, which its solutions
 share: `_Layout.residuals`; `_Layout.schur`, the Schur complements M and the
 Newton systems' factors (`_Factorization`): the free entries' data F pin dy
 to F'dy = rf, so only M's projection onto the null space of F' is factored,
-by LAPACK's Cholesky called directly, and a failed factorization ends its
-row as ``numerical_failure``; `_Layout.direction`, the predictors or the
-correctors, from two solves with those factors, the second a refinement pass
-on the primal equation; and `_Layout.steps`, the largest steps in the cone,
-of which the loop takes a fixed fraction.  A psd block's step to its
-boundary is min(1, -1/lambda_min(L^{-1} D L^{-T})), L the Cholesky factor
-of X (or of Z), and 1 where no eigenvalue is negative.  `schur` factors
-each block's Z and X once per iteration and inverts both factors
-(`_inverse_factor`); the steps of the predictor and of the corrector stack
-each run of equal sides' dX and dZ and take every eigenvalue from one
-stacked whitening and eigensolve (`_psd_steps`).  An X that does not factor,
+and a failed factorization ends its row as ``numerical_failure``;
+`_Layout.direction`, the predictors or the correctors, from two solves with
+those factors, the second a refinement pass on the primal equation; and
+`_Layout.steps`, the largest steps in the cone, of which the loop takes a
+fixed fraction.  A psd block's step to its boundary is
+min(1, -1/lambda_min(L^{-1} D L^{-T})), L the Cholesky factor of X (or of
+Z), and 1 where no eigenvalue is negative.  `schur` factors each run of
+equal sides' Z and X once per iteration and inverts the factors, each by
+one stacked call; the steps of the predictor and of the corrector stack each
+run of equal sides' dX and dZ and take every eigenvalue from one stacked
+whitening and eigensolve (`_psd_steps`).  An X that does not factor,
 a rounding outside the cone, takes `_unfactored_step`.
+
+Factorizations.  `_cholesky` and `_tril_inverse` call the gufuncs behind
+`np.linalg` on stacks, without scipy: a Newton system keeps K's inverse
+factor W, Z^{-1} is W'W of Z's, and T comes from the inverse of R'.
 
 Batches.  Each row computes what a solve of its b alone computes, in the
 same order: the numpy calls that a batch shares act on each row as on a lone
-vector.  LAPACK runs once per row and block (the Cholesky factors and their
-inverses) or once per matrix of a stack (the eigenvalues), `np.matmul`
+vector.  LAPACK runs once per matrix of a stack (the Cholesky factors,
+the inverses and the eigenvalues), `np.matmul`
 takes a product of each row's own shapes, `np.vecdot` and `np.matvec` take
 each row's dot and matrix-vector products by the BLAS call a lone vector
 gets, and one `np.bincount` bins every row's products apart, at row and cell
@@ -65,9 +69,9 @@ cells, the blocks ordered by side so that each run of equal sides is one
 block: A(X), <A_k, G> and A^T y are one `np.bincount` each (in the order of
 scipy's CSR and CSC sums), every sum and the symmetrization (a gather
 through the transpose permutation) act on whole vectors, and each Z^{-1} V W
-is one stacked product per run, as is each step's whitening and eigensolve.
-Z^{-1}, the inverse factors and the Schur terms run per block on views of
-the flat vectors; X and Z are sliced back into declared block order once,
+is one stacked product per run, as are Z^{-1}, the factors and their
+inverses, and each step's whitening and eigensolve.  The Schur terms run
+per block on views of the flat vectors; X and Z are sliced back into declared block order once,
 at the end.  Every sum over blocks takes the psd blocks
 first, by side, then the nonneg part, then the free part.  A block's Schur
 terms fill only M[lo:hi, lo:hi], over its row span, the rows [lo, hi) from
@@ -95,9 +99,7 @@ from time import perf_counter
 from typing import Literal, Optional
 
 import numpy as np
-import scipy.sparse
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 BlockKind = Literal["psd", "nonneg", "zero"]
 
@@ -254,26 +256,41 @@ class SDPSolution:
     stats: dict = field(default_factory=dict)  # psd row spans, work counts, phase seconds; see `_Layout`
 
 
-def cho_factor(a: np.ndarray):
-    """scipy.linalg.cho_factor(a, lower=True, check_finite=False) minus its wrapper: same bits."""
-    c, info = dpotrf(a, lower=1, clean=0)  # on a copy of a
-    if info > 0:  # where scipy raises
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    return c, True
+def _cholesky(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factors of the (..., s, s) stack S, upper triangles zero, and the mask of
+    those that do not factor, which the gufunc behind `np.linalg.cholesky` fills with NaN, raising
+    the flag that wrapper raises on.  Each matrix takes its own LAPACK call, as it does alone."""
+    with np.errstate(invalid="ignore"):
+        L = _umath_linalg.cholesky_lo(S)
+    return L, np.isnan(L[..., 0, 0])
 
 
-def cho_solve(c_and_lower, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-    """scipy.linalg.cho_solve(c_and_lower, b, check_finite=False) for a lower factor: same bits.
-
-    With ``overwrite_b`` the solution is written into b itself, if b is a contiguous vector.
-    """
-    return dpotrs(c_and_lower[0], b, lower=1, overwrite_b=overwrite_b)[0]  # on a copy of b by default
+_LEAF = 32  # side up to which `_tril_inverse` inverts a diagonal block by LU
+_UPPER = [np.triu(np.ones((n, n), dtype=bool), 1) for n in range(_LEAF + 1)]  # strict upper triangles
 
 
-def _inverse_factor(c: np.ndarray) -> np.ndarray:
-    """L^{-1} of the lower Cholesky factor L held in c's lower triangle, by LAPACK's dtrtri, in place
-    of c if c is Fortran-ordered; the upper triangle keeps c's cells, which the caller clears."""
-    return dtrtri(c, lower=1, overwrite_c=1)[0]
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """L^{-1} of each lower-triangular matrix of the (..., n, n) stack L, upper triangle zero, by the
+    recursion [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]] with A of side
+    32 * 2^j < n, the largest, so that A's halves are of one side and recurse as one stack: the
+    gufunc behind `np.linalg.inv` at sides up to `_LEAF`, two stacked products a level.  Each
+    matrix takes its own calls, as it does alone; a NaN factor gives a NaN lower triangle."""
+    n = L.shape[-1]
+    if n <= _LEAF:
+        W = _umath_linalg.inv(L)
+        np.copyto(W, 0.0, where=_UPPER[n])  # LU's row swaps may leave roundings above the diagonal
+        return W
+    h = _LEAF << (((n - 1) // _LEAF).bit_length() - 1)
+    W = np.zeros(L.shape)
+    if 2 * h == n:
+        halves = _tril_inverse(np.stack((L[..., :h, :h], L[..., h:, h:]), axis=-3))
+        W[..., :h, :h], W[..., h:, h:] = halves[..., 0, :, :], halves[..., 1, :, :]
+    else:
+        W[..., :h, :h], W[..., h:, h:] = _tril_inverse(L[..., :h, :h]), _tril_inverse(L[..., h:, h:])
+    C = W[..., h:, :h]
+    np.matmul(W[..., h:, h:], np.matmul(L[..., h:, :h], W[..., :h, :h]), out=C)
+    np.negative(C, out=C)
+    return W
 
 
 def _psd_steps(L: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -291,9 +308,8 @@ def _psd_steps(L: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _unfactored_step(X: np.ndarray, D: np.ndarray) -> float:
-    """The step from an X that does not factor, a rounding outside the cone: 1.0 if X + D factors,
-    else 0.0."""
-    return 0.0 if dpotrf(X + D, lower=1, clean=0)[1] else 1.0
+    """The step from an X that does not factor, a rounding outside the cone: 1.0 if X + D factors, else 0.0."""
+    return 0.0 if _cholesky(X + D)[1] else 1.0
 
 
 def _column(values: list[float]):
@@ -375,44 +391,37 @@ class _Factorization:
     null space of F', also where M itself is singular on the range of F.  Then
     dxf = T'(h - M dy).  Without free entries (T is None) K is M itself; with
     p = m, dy = T rf and nothing is factored.  ``M`` is the (B, m, m) stack of
-    the batch's Schur complements; each K is factored by its own LAPACK call,
-    but those of the rows in ``skip``.  ``failed`` lists the rows skipped and
-    those whose K is not numerically positive definite.
+    the batch's Schur complements; one `_cholesky` factors their K, each kept
+    as W = L^{-1}, so that a solve with K is W'(W r).  ``failed`` lists the
+    rows of ``skip`` and those whose K is not numerically positive definite.
     """
 
     def __init__(self, M: np.ndarray, T: Optional[np.ndarray], Q2: Optional[np.ndarray],
                  skip: set = frozenset()):
         self.M, self.T, self.Q2 = M, T, Q2
-        K = M if T is None else np.matmul(Q2.T, np.matmul(M, Q2))
-        self.cho: list = [None] * len(M)
-        self.failed = list(skip)
+        self.W = K = M if T is None else np.matmul(Q2.T, np.matmul(M, Q2))
         if K.shape[-1]:  # the solve loop checks finiteness first, so K needs no scan
-            for i in range(len(K)):
-                if i not in skip:
-                    try:
-                        self.cho[i] = cho_factor(K[i])
-                    except np.linalg.LinAlgError:
-                        self.failed.append(i)
+            L, failed = _cholesky(K)
+            self.W, skip = _tril_inverse(L), skip.union(np.flatnonzero(failed).tolist())
+        self.failed = sorted(skip)
 
     def take(self, keep: list[int]) -> "_Factorization":
         """The factored systems of the rows ``keep`` of the batch."""
         part = copy.copy(self)
-        part.M, part.cho, part.failed = self.M[keep], [self.cho[i] for i in keep], []
+        part.M, part.W, part.failed = self.M[keep], self.W[keep], []
         return part
 
-    def _cho_solve(self, r: np.ndarray) -> np.ndarray:
-        """Each row of r solved with its own factor, in place."""
-        for c, ri in zip(self.cho, r):
-            cho_solve(c, ri, overwrite_b=True)
-        return r
+    def _k_solve(self, r: np.ndarray) -> np.ndarray:
+        """K^{-1} r for each row of r."""
+        return np.matvec(self.W.swapaxes(-1, -2), np.matvec(self.W, r))
 
     def solve(self, h: np.ndarray, rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve [[M, F], [F', 0]] [dy, dxf] = [h, rf] for each row of (B, m) h and (B, p) rf."""
         if self.T is None:
-            return self._cho_solve(h.copy()), np.zeros((len(h), 0))
+            return self._k_solve(h), np.zeros((len(h), 0))
         dy = np.matvec(self.T, rf)
         if self.Q2.shape[1]:
-            dy += np.matvec(self.Q2, self._cho_solve(np.matvec(self.Q2.T, h - np.matvec(self.M, dy))))
+            dy += np.matvec(self.Q2, self._k_solve(np.matvec(self.Q2.T, h - np.matvec(self.M, dy))))
         return dy, np.matvec(self.T.T, h - np.matvec(self.M, dy))
 
 
@@ -435,8 +444,8 @@ def _free_basis(F: np.ndarray, blocks: list[tuple[int, int]]) -> tuple[np.ndarra
         owner = [(bi, e) for bi, size in blocks for e in range(size)]
         raise ValueError("zero-block entries whose constraint columns depend on earlier ones: "
                          + ", ".join("block {} entry {}".format(*owner[j]) for j in dependent))
-    Tt, _ = dtrtrs(R[:p], Q[:, :p].T)  # R^{-1} Q1'; R's diagonal has no zero
-    return np.ascontiguousarray(Tt.T), np.ascontiguousarray(Q[:, p:])
+    T = np.matmul(Q[:, :p], _tril_inverse(R[:p].T))  # Q1 R^{-T}; R's diagonal has no zero
+    return T, np.ascontiguousarray(Q[:, p:])
 
 
 def _stacked_data(prog: ConicProgram, bis: list[int], span: Optional[tuple[int, int]] = None) -> np.ndarray:
@@ -454,7 +463,9 @@ def _stacked_data(prog: ConicProgram, bis: list[int], span: Optional[tuple[int, 
 
 
 def _span_csr(prog: ConicProgram, bi: int, span: tuple[int, int]) -> scipy.sparse.csr_array:
-    """psd block bi's constraint data over the rows [lo, hi) of ``span`` as a (hi - lo, s^2) CSR array."""
+    """psd block bi's constraint data over the rows [lo, hi) of ``span`` as a (hi - lo, s^2) CSR array;
+    scipy is imported here, for the blocks on the nonzero path only, whose solves amortize it."""
+    import scipy.sparse
     (lo, hi), s, data = span, prog.blocks[bi].size, prog.A[bi]
     indptr = np.searchsorted(data.rows, np.arange(lo, hi + 1))
     return scipy.sparse.csr_array((data.vals, data.cols, indptr), shape=(hi - lo, s * s))
@@ -514,8 +525,7 @@ class _Layout:
     declared order within a side; ``cuts`` holds each one's (side, offset) in the flat cell
     vectors of length ``N``, ``runs`` the (side, start, stop) of each run of equal sides,
     ``stacks`` the (slice, shape) of the stacked views of each run, ``slices`` the (slice, side)
-    of each block, ``places`` each block's (run, position in its run), ``upper`` each run's
-    strict upper triangle as a mask, and ``tperm`` the gather that transposes every block.
+    of each block and ``tperm`` the gather that transposes every block.
     ``b`` holds the right-hand sides, one row each, and ``group`` the most of them one batch
     solves (see `solve_batch`).  ``data[B]`` holds the (rows, cols, vals) of the nonzeros of all psd blocks
     over the flat cells, block by block, once for each row k of a batch of B, at row offset k m
@@ -544,14 +554,10 @@ class _Layout:
         self.runs = [(s, lo, hi) for s, (lo, hi) in runs.items()]
         self.stacks = [(slice(lo, hi), (-1, s, s)) for s, lo, hi in self.runs]
         self.slices = [(slice(o, o + s * s), s) for s, o in self.cuts]
-        run = {s: r for r, (s, _, _) in enumerate(self.runs)}
-        self.places = [(run[s], (o - self.runs[run[s]][1]) // (s * s)) for s, o in self.cuts]
-        self.upper = [np.triu(np.ones((s, s), dtype=bool), 1) for s, _, _ in self.runs]
         self.tperm = np.arange(self.N)
         for s, lo, hi in self.runs:
             self.tperm[lo:hi] = self.tperm[lo:hi].reshape(-1, s, s).transpose(0, 2, 1).ravel()
         self.ident = np.concatenate([np.zeros(0), *(np.eye(s).ravel() for s, _ in self.cuts)])
-        self.eyes = self.blocks(self.ident)
         # the costs of the psd cells, the nonneg and the free entries are (1, .) rows, of the shape a
         # batch of one has, so that such a batch takes them without broadcasting
         self.c = np.concatenate([np.zeros(0), *(prog.C[bi].ravel() for bi in self.psd)])[None]
@@ -684,37 +690,27 @@ class _Layout:
         M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms, and the inverse factors of X
         and Z that this iteration's steps take, of each row of the batch.
 
-        A row whose Z or K does not factor is listed in the factorization's ``failed``; the Z^{-1}
-        of a row whose Z does not factor is zero, so that its other terms stay finite."""
+        Each run of equal sides' X and Z, stacked (B, 2, k, s, s), take one `_cholesky` and one
+        `_tril_inverse`, and Z^{-1} = W'W, W = L^{-1} of Z.  A row whose Z or K does not factor is
+        listed in the factorization's ``failed``; a factor that does not exist has a zero inverse,
+        and its Z a zero Z^{-1}, so that the row's other terms stay finite."""
         start = perf_counter()
         B = len(pt.X)
         M = np.zeros((B, self.m, self.m))
         Zinv = np.empty(pt.Z.shape)
-        Ls = [np.zeros((B, 2, (hi - lo) // (s * s), s, s)) for s, lo, hi in self.runs]  # see `_Whitening`
-        singular, unfactored = set(), [[] for _ in range(B)]
-        for j, (Xs, Zs, Zis, I, (r, q)) in enumerate(zip(self.blocks(pt.X), self.blocks(pt.Z), self.blocks(Zinv),
-                                                         self.eyes, self.places)):
-            LX, LZ = Ls[r][:, 0, q], Ls[r][:, 1, q]
-            for i in range(B):
-                if i in singular:
-                    continue
-                try:
-                    c = cho_factor(Zs[i])
-                except np.linalg.LinAlgError:
-                    singular.add(i)
-                    continue
-                Zis[i] = cho_solve(c, I)
-                LZ[i] = _inverse_factor(c[0])
-                c, info = dpotrf(Xs[i], lower=1, clean=0)
-                if info:
-                    unfactored[i].append(j)
-                else:
-                    LX[i] = _inverse_factor(c)
-        for i in singular:
-            Zinv[i] = 0.0
-        for L, upper in zip(Ls, self.upper):
-            np.copyto(L, 0.0, where=upper)  # np.tril, with the mask built once
-        whitening = _Whitening(Ls, unfactored)
+        Ws, singular, unfactored = [], set(), [[] for _ in range(B)]
+        for s, lo, hi in self.runs:
+            XZ = np.concatenate((pt.X[:, None, lo:hi], pt.Z[:, None, lo:hi]), axis=1)
+            L, failed = _cholesky(XZ.reshape(B, 2, -1, s, s))
+            W = _tril_inverse(L)
+            if failed.any():
+                W[failed] = 0.0
+                singular.update(np.flatnonzero(failed[:, 1].any(axis=1)).tolist())
+                for i, q in np.argwhere(failed[:, 0]).tolist():  # q: the position in the run
+                    unfactored[i].append(self.cuts.index((s, lo)) + q)
+            Zinv[:, lo:hi] = np.matmul(W[:, 1].swapaxes(-1, -2), W[:, 1]).reshape(B, -1)
+            Ws.append(W)
+        whitening = _Whitening(Ws, unfactored)
         for bi, X, Zi in zip(self.psd, self.blocks(pt.X), self.blocks(Zinv)):
             lo, hi = self.span[bi]
             if bi in self.csr:

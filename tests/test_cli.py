@@ -114,11 +114,11 @@ class TestSolve:
         assert "minimal_time_status" not in vals  # fixed horizon: no second solve
 
     def test_failed_minimal_time_solve_is_reported(self, capsys):
-        # at 1e-8 the minimal-time solve of the regulator runs out of
+        # at 1e-7 the minimal-time solve of the regulator runs out of
         # iterations; the report says so after terminal_time, and the exit
         # code follows the first solve, whose bound is the one reported
         code, out, _ = run(
-            capsys, "solve", fx("lqr_scalar.gmp"), "--order", "3", "--tol", "1e-8"
+            capsys, "solve", fx("lqr_scalar.gmp"), "--order", "3", "--tol", "1e-7"
         )
         assert code == 0
         vals = report_values(out)

@@ -459,6 +459,19 @@ class TestRowPrune:
                 assert not _reduce(_augmented(row, n_cols), basis), "a dropped row is independent"
         return kept
 
+    @pytest.mark.parametrize("coeffs, rhs, kept", [
+        ({3: Fraction(-2), 4: Fraction(1, 3)}, Fraction(0), [0]),  # a nonzero row
+        ({}, Fraction(5), [0]),  # rhs only
+        ({}, Fraction(0), []),  # all zero
+        ({3: Fraction(0)}, Fraction(0), []),  # all zero, with an explicit zero
+    ])
+    def test_one_row_is_kept_as_dpstrf_keeps_it(self, coeffs, rhs, kept):
+        # the one-row shortcut against dpstrf of the row's 1 x 1 Gram matrix
+        rows = SparseRows.of([LinearRow(coeffs, rhs, "eq").family()])
+        _, piv, rank, info = scipy.linalg.lapack.dpstrf(relaxation._weighted_gram(rows, 5), lower=1)
+        assert info >= 0 and sorted(piv[:rank] - 1) == kept
+        assert prune_dependent_rows(rows, 5).tolist() == kept
+
     def test_eig_assign_equality_products(self):
         # eig-assign n = 3 at r = 3: the products of the equality constraints
         # with every monomial that fits carry many exact dependencies

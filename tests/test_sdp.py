@@ -331,9 +331,8 @@ class TestNullSpaceStep:
             assert np.abs(dy - dy_ref).max() <= 1e-10 * scale
             assert np.abs(dxf - dxf_ref).max(initial=0.0) <= 1e-10 * scale
             assert np.abs(F.T @ dy - rf).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(rf).max(initial=0.0))
-        # one factorization of side m - p, none once the null space is empty
-        assert fact.failed == [] and len(fact.cho) == 1
-        assert [f[0].shape for f in fact.cho if f is not None] == [(m - p, m - p)] * (p < m)
+        # one inverse factor of side m - p, empty once the null space is
+        assert fact.failed == [] and fact.W.shape == (1, m - p, m - p)
 
     def test_basis_spans_the_null_space(self):
         rng = np.random.default_rng(3)
@@ -798,60 +797,87 @@ class TestMixedConePrograms:
             assert lo - 1e-6 <= sol.dual_obj <= hi + 1e-6
 
 
-class TestLapackCholesky:
-    def test_bit_identical_to_scipy(self):
-        rng = np.random.default_rng(11)
-        for n in range(1, 41):
-            M = random_spd(rng, n)
-            for a in (M, np.asfortranarray(M)):
-                a0 = a.copy()
-                c, lower = sdp.cho_factor(a)
-                c_ref, lower_ref = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-                assert lower is lower_ref is True
-                assert c.dtype == c_ref.dtype and c.tobytes() == c_ref.tobytes(), n
-                assert a.tobytes() == a0.tobytes()
-                for b in (rng.normal(size=n), rng.normal(size=(n, 3)),
-                          np.asfortranarray(rng.normal(size=(n, 4)))):
-                    b0 = b.copy()
-                    x = sdp.cho_solve((c, lower), b)
-                    x_ref = scipy.linalg.cho_solve((c_ref, lower_ref), b, check_finite=False)
-                    assert x.shape == x_ref.shape and x.tobytes() == x_ref.tobytes(), (n, b.shape)
-                    assert b.tobytes() == b0.tobytes()
+class TestFactorHelpers:
+    def stacks(self, rng, n: int) -> np.ndarray:
+        """A (2, 3, n, n) stack of positive definite matrices with one indefinite among them."""
+        S = np.array([random_spd(rng, n) for _ in range(6)]).reshape(2, 3, n, n)
+        S[1, 0] = random_sym(rng, n) - 2.0 * n * np.eye(n)
+        return S
 
-    def test_raises_where_scipy_raises(self):
-        # sides 1..12 shifted to within 1e-13 * ||M|| of singular, so that
-        # rounding decides some of the outcomes
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 21, 32, 33, 64, 65, 100, 258])
+    def test_a_stack_gives_each_matrix_the_bytes_it_gets_alone(self, n):
+        S = self.stacks(np.random.default_rng(n), n)
+        S0 = S.copy()
+        L, failed = sdp._cholesky(S)
+        W = sdp._tril_inverse(L)
+        assert failed.tolist() == [[False] * 3, [True, False, False]]
+        assert np.isnan(L[1, 0]).all() and np.isnan(W[1, 0][np.tril_indices(n)]).all()
+        for idx in np.ndindex(2, 3):
+            L1, failed1 = sdp._cholesky(S[idx])
+            assert L1.tobytes() == L[idx].tobytes() and bool(failed1) == failed[idx], idx
+            assert sdp._tril_inverse(L1).tobytes() == W[idx].tobytes(), idx
+        assert S.tobytes() == S0.tobytes()
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 300])
+    def test_agrees_with_lapack_within_rounding(self, n):
+        # dpotrf's factor and dtrtri's inverse of it; side 300 recurses three levels below a
+        # side-256 block and beside one of 44
+        rng = np.random.default_rng(n)
+        M = random_spd(rng, n, float(n))
+        L, failed = sdp._cholesky(M)
+        c, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=1)
+        assert not failed and info == 0
+        assert np.all(np.triu(L, 1) == 0.0) and np.abs(L - c).max() <= 1e-14 * np.abs(c).max()
+        W = sdp._tril_inverse(L)
+        W_ref, info = scipy.linalg.lapack.dtrtri(L, lower=1)
+        assert info == 0 and np.all(np.triu(W, 1) == 0.0)
+        assert np.abs(W - W_ref).max() <= 1e-13 * np.abs(W_ref).max()
+        assert np.abs(W @ L - np.eye(n)).max() <= 1e-13
+
+    def test_failure_mask_is_where_numpy_cholesky_raises(self):
+        # sides 1..12 shifted to within 1e-13 * ||M|| of singular, so that rounding decides some
+        # of the outcomes, one matrix at a time and stacked by side
         rng = np.random.default_rng(12)
-        failures = 0
+        trials, expected = [], []
         for trial in range(600):
             n = 1 + trial % 12
             M = random_spd(rng, n) if trial % 2 else random_sym(rng, n)
             shift = rng.uniform(-1e-13, 1e-13) * np.linalg.norm(M, 2) - np.linalg.eigvalsh(M)[0]
             M = M + shift * np.eye(n)
+            trials.append(M)
+            expected.append(not _cholesky_succeeds(M))
             M0 = M.copy()
-            try:
-                scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-                expected = None
-            except np.linalg.LinAlgError as err:
-                expected = str(err)
-            if expected is None:
-                sdp.cho_factor(M)
-            else:
-                failures += 1
-                with pytest.raises(np.linalg.LinAlgError) as err:
-                    sdp.cho_factor(M)
-                assert str(err.value) == expected
+            assert bool(sdp._cholesky(M)[1]) == expected[-1], trial
             assert M.tobytes() == M0.tobytes()
-        assert 50 < failures < 550
+        assert 50 < sum(expected) < 550
+        for n in range(1, 13):
+            _, failed = sdp._cholesky(np.array(trials[n - 1::12]))
+            assert failed.tolist() == expected[n - 1::12], n
 
 
 def max_step(X: np.ndarray, D: np.ndarray) -> float:
     """The solver's step for one pair: `_psd_steps` of the inverse factor of X that `_Layout.schur`
     takes, or `_unfactored_step` where X does not factor."""
-    c, info = scipy.linalg.lapack.dpotrf(X, lower=1, clean=0)
-    if info:
+    L, failed = sdp._cholesky(X)
+    if failed:
         return sdp._unfactored_step(X, D)
-    return float(sdp._psd_steps(np.tril(sdp._inverse_factor(c)), D))
+    return float(sdp._psd_steps(sdp._tril_inverse(L), D))
+
+
+def cholesky_failing_on(target: bytes):
+    """`sdp._cholesky` that fails on each matrix of its stack whose bytes are ``target``, as a
+    matrix that does not factor fails: with a NaN factor and its mask set."""
+    cholesky = sdp._cholesky
+
+    def failing(S):
+        L, failed = cholesky(S)
+        failed = np.array(failed)
+        for idx in np.ndindex(failed.shape):
+            if S[idx].tobytes() == target:
+                L[idx], failed[idx] = np.nan, True
+        return L, failed
+
+    return failing
 
 
 class TestStepLength:
@@ -886,9 +912,9 @@ class TestStepLength:
             trials = [t for t, (X, _) in enumerate(pairs) if len(X) == n]
             factors = []
             for t in trials:
-                c, info = scipy.linalg.lapack.dpotrf(pairs[t][0], lower=1, clean=0)
-                assert info == 0, t
-                factors.append(np.tril(sdp._inverse_factor(c)))
+                L, failed = sdp._cholesky(pairs[t][0])
+                assert not failed, t
+                factors.append(sdp._tril_inverse(L))
             stacked = sdp._psd_steps(np.array(factors), np.array([pairs[t][1] for t in trials]))
             for t, L, step in zip(trials, factors, stacked):
                 assert step == pytest.approx(reference_max_step_psd(*pairs[t]), rel=1e-6, abs=2.0**-40), t
@@ -1301,16 +1327,16 @@ class TestSolveStats:
         ref = solve(sqrt2_program(), SolveOptions(max_iter=k))
         assert ref.status == "max_iter"
         calls = []
-        cho_factor = sdp.cho_factor
+        cholesky = sdp._cholesky
 
-        def failing(a):
-            if a.shape == (1, 1):  # M; Z is 2 x 2
+        def failing(S):
+            if S.shape[-2:] == (1, 1):  # M; Z is 2 x 2
                 if len(calls) == k:
-                    raise np.linalg.LinAlgError("1-th leading minor of the array is not positive definite")
-                calls.append(a)
-            return cho_factor(a)
+                    return np.full(S.shape, np.nan), np.ones(S.shape[:-2], dtype=bool)
+                calls.append(S)
+            return cholesky(S)
 
-        monkeypatch.setattr(sdp, "cho_factor", failing)
+        monkeypatch.setattr(sdp, "_cholesky", failing)
         sol = solve(sqrt2_program(), TIGHT)
         assert (sol.status, sol.iterations, sol.stats["factorizations"]) == ("numerical_failure", k, k + 1)
         last = sol.trace[-1]
@@ -1483,27 +1509,24 @@ class TestSolveBatch:
         # (side 3) fails at iteration k: that row ends `numerical_failure` on iterate k, as its own
         # solve does under the same failure, and the other rows keep their bytes
         prog, objectives, options = mixed_batch()
-        k, side = 3, prog.m - 2 if which == "K" else 3
+        k = 3
         clean = sdp.solve_batch(prog, objectives, options)
-        seen = []
-        cho_factor = sdp.cho_factor
-
-        def record(a):
-            if a.shape == (side, side):
-                seen.append(a.tobytes())
-            return cho_factor(a)
-
         prog.b = objectives[2]
-        monkeypatch.setattr(sdp, "cho_factor", record)
-        solve(prog, options)
-        target = seen[k]  # the (k + 1)-th factorization of its side, at iteration k
+        if which == "K":  # the (k + 1)-th matrix of side m - 2 factored, at iteration k
+            seen = []
+            cholesky = sdp._cholesky
 
-        def failing(a):
-            if a.tobytes() == target:
-                raise np.linalg.LinAlgError("4-th leading minor of the array is not positive definite")
-            return cho_factor(a)
+            def record(S):
+                if S.shape[-1] == prog.m - 2:
+                    seen.extend(a.tobytes() for a in S.reshape(-1, prog.m - 2, prog.m - 2))
+                return cholesky(S)
 
-        monkeypatch.setattr(sdp, "cho_factor", failing)
+            monkeypatch.setattr(sdp, "_cholesky", record)
+            solve(prog, options)
+            target = seen[k]
+        else:  # the Z of iteration k
+            target = solve(prog, SolveOptions(options.gap_tol, options.feas_tol, max_iter=k)).Z[0].tobytes()
+        monkeypatch.setattr(sdp, "_cholesky", cholesky_failing_on(target))
         batch = sdp.solve_batch(prog, objectives, options)
         alone = solve(prog, options)
         assert (alone.status, alone.iterations, alone.stats["factorizations"]) == (
@@ -1523,18 +1546,14 @@ class TestSolveBatch:
         clean = sdp.solve_batch(prog, objectives, options)
         prog.b = objectives[2]
         target = solve(prog, SolveOptions(options.gap_tol, options.feas_tol, max_iter=k)).X[0].tobytes()
-        dpotrf, unfactored_step = sdp.dpotrf, sdp._unfactored_step
+        unfactored_step = sdp._unfactored_step
         rules = []
-
-        def failing(a, **kwargs):
-            c, info = dpotrf(a, **kwargs)
-            return (c, 1) if a.tobytes() == target else (c, info)
 
         def recorded(X, D):
             rules.append(unfactored_step(X, D))
             return rules[-1]
 
-        monkeypatch.setattr(sdp, "dpotrf", failing)
+        monkeypatch.setattr(sdp, "_cholesky", cholesky_failing_on(target))
         monkeypatch.setattr(sdp, "_unfactored_step", recorded)
         batch = sdp.solve_batch(prog, objectives, options)
         assert rules[:2] == [0.0, 0.0]  # the predictor and the corrector of iteration k
