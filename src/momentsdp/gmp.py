@@ -422,7 +422,7 @@ def solve_gmp(g: GMPProblem, r: int, options: SolveOptions | None = None) -> GMP
     )
 
 
-# relative width of the slab that pins the cost in the minimal-time solve
+# least relative width of the slab that pins the cost in the minimal-time solve
 _PIN_SLACK = 1e-8
 
 
@@ -436,12 +436,12 @@ def resolve_minimal_time(
 
     A free-horizon occupation measure may park spurious mass at equilibria
     without changing the objective or any transport row, so the solver's
-    mass is only bounded below.  This second solve pins the cost to the
-    first-phase bound (within `_PIN_SLACK`, relative) and minimizes the total
+    mass is only bounded below.  This second solve pins the cost within the
+    first solve's gap tolerance (at least `_PIN_SLACK`, relative) of its
+    bound, which that solve knows no better, and minimizes the total
     occupation mass, i.e. the terminal time.  The returned result keeps the
     first phase's bound and status and records the second solve as
-    ``minimal_time``; the moments are replaced only when that solve ends
-    ``optimal``.
+    ``minimal_time``; the moments are replaced only when that ends ``optimal``.
 
     The second problem sits on a thin slab of the first one's feasible set,
     so its primal/dual objectives agree only to a few digits; the default
@@ -450,7 +450,8 @@ def resolve_minimal_time(
     g = dp.gmp
     if not dp.dynamics.autonomous:
         return first
-    eps = _PIN_SLACK * (1.0 + abs(first.bound))
+    base = options or SolveOptions()
+    eps = max(_PIN_SLACK, base.gap_tol) * (1.0 + abs(first.bound))
     pin_rel = "le" if g.sense == "min" else "ge"
     pin_rhs = first.bound + eps if g.sense == "min" else first.bound - eps
     pin = MomentConstraint(list(g.objective), pin_rhs - g.objective_constant, pin_rel)
@@ -461,7 +462,6 @@ def resolve_minimal_time(
         objective=[(name, one) for name, _ in dp.dynamics.cells],
         sense="min",
     )
-    base = options or SolveOptions()
     phase2_options = replace(
         base, gap_tol=max(1e-4, base.gap_tol), feas_tol=max(1e-5, base.feas_tol)
     )
