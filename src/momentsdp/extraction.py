@@ -3,13 +3,15 @@
 Flatness (rank M_{r-r_X}(y) equal to rank M_r(y)) certifies that the
 truncated moments come from an atomic measure, and the number of atoms is
 that common rank.  Extraction then proceeds by pivoted Cholesky of the
-moment matrix (LAPACK's dpstrf), column-echelon reduction of the factor to
-identify a monomial basis of the quotient, formation of single-variable
-shift matrices, simultaneous diagonalization through a real Schur
-decomposition of a random convex combination of the shifts (seeded, hence
-reproducible), and a Vandermonde-type least-squares fit for the weights.  A rebuilt-moment
-residual guards every answer: if the extracted atoms fail to reproduce the
-input moments, extraction reports failure rather than returning garbage.
+moment matrix (`sdp._pivoted_cholesky`, LAPACK dpstrf's rule in numpy),
+column-echelon reduction of the factor to identify a monomial basis of the
+quotient, formation of single-variable shift matrices, and simultaneous
+triangularization of the shifts in an orthonormal Schur basis of a random
+convex combination of them (seeded, hence reproducible): the QR factor of
+its eigenvectors, which must be real.  A Vandermonde-type least-squares fit
+gives the weights.  A rebuilt-moment residual guards every answer: if the
+extracted atoms fail to reproduce the input moments, extraction reports
+failure rather than returning garbage.  No step imports scipy.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .moments import MomentVector, evaluate_stencil, moment_matrix_stencil
 from .polynomials import exponents_up_to, monomial_count
+from .sdp import _pivoted_cholesky
 
 
 class ExtractionError(RuntimeError):
@@ -39,17 +42,6 @@ def numerical_rank(M: np.ndarray, tol: float = 1e-6) -> int:
 
 def moment_matrix(y: MomentVector, order: int) -> np.ndarray:
     return evaluate_stencil(moment_matrix_stencil(y.nvars, order), y)
-
-
-def _pivoted_cholesky(M: np.ndarray, rank: int) -> tuple[np.ndarray, list[int]]:
-    """(R, pivots) with M ~= R R' over the first min(rank, dpstrf's rank) pivots of LAPACK's
-    diagonally pivoted Cholesky, dpstrf, whose ties break to the lowest index."""
-    from scipy.linalg.lapack import dpstrf
-    L, piv, found, _ = dpstrf(M, lower=1)  # P' M P = L L', piv 1-based
-    k = min(rank, found)
-    R = np.empty((M.shape[0], k))
-    R[piv - 1] = np.tril(L[:, :k])
-    return R, (piv[:k] - 1).tolist()
 
 
 def _column_echelon_basis(R: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
@@ -126,7 +118,6 @@ def _atoms(
 def _extract_general(
     y: MomentVector, M: np.ndarray, rank: int, r: int, tol: float, seed: int
 ) -> list[tuple[np.ndarray, float]]:
-    from scipy.linalg import schur
     n = y.nvars
     R, _ = _pivoted_cholesky(M, rank)
     rank = R.shape[1]
@@ -154,7 +145,7 @@ def _extract_general(
     lam = rng.random(n) + 0.1
     lam /= lam.sum()
     combo = sum(l * N for l, N in zip(lam, shifts))
-    _, Q = schur(np.asarray(combo), output="real")
+    Q = _schur_basis(combo)
     points = np.empty((rank, n))
     for j in range(rank):
         q = Q[:, j]
@@ -170,6 +161,18 @@ def _extract_general(
     atoms = [(points[j].copy(), float(w[j])) for j in range(rank)]
     atoms.sort(key=lambda pw: tuple(pw[0]))
     return atoms
+
+
+def _schur_basis(combo: np.ndarray) -> np.ndarray:
+    """An orthonormal basis Q in which combo is upper triangular: with its eigenvectors V = QR,
+    Q' combo Q = R diag(values) R^{-1}.  The eigenvalues must be real."""
+    values, V = np.linalg.eig(combo)
+    if np.iscomplexobj(values):
+        raise ExtractionError(
+            "the random combination of the shift matrices has complex eigenvalues: "
+            "these moments give no real atoms at this rank"
+        )
+    return np.linalg.qr(V)[0]
 
 
 def _check_rebuilt(

@@ -10,7 +10,8 @@ product of an equality constraint with a monomial that fits the truncation.
 Stencils and products are integer arrays of moment ranks, and each exact
 coefficient becomes a float once per polynomial term.  The rows, explicit
 moment constraints first, travel as CSR arrays (`SparseRows`); the prune
-factors their Gram matrix, a sparse product, by pivoted Cholesky.  The
+factors their Gram matrix by pivoted Cholesky, in numpy up to
+`_NUMPY_PRUNE_ROWS` rows, by scipy's dpstrf above.  The
 moments are the dual vector of the conic program, so the solver's dual
 objective is the relaxation bound.
 
@@ -64,7 +65,7 @@ from .polynomials import (
     grlex_index,
     grlex_ranks,
 )
-from .sdp import Block, BlockData, ConicProgram, SDPSolution, SolveOptions, solve
+from .sdp import Block, BlockData, ConicProgram, SDPSolution, SolveOptions, _pivoted_cholesky, solve
 
 
 def half_degree(p: Polynomial) -> int:
@@ -292,6 +293,14 @@ def _over(c: Fraction, s: Fraction) -> float:
 _TIE_WEIGHT = 2.0**-40
 
 
+# Equality sets up to this many rows are pruned in numpy (`sdp._pivoted_cholesky` of
+# `_dense_gram`), larger ones by dpstrf of `_weighted_gram`: the numpy loop makes a few
+# calls a pivot where dpstrf factors by blocks.  At one BLAS thread on a 2-core Xeon the
+# numpy prune took 0.9-1.1x dpstrf's time at 66-211 eig-assign rows, 3.4x at 287
+# saturation-cell rows and 7x and 9x at 1,689 and 3,425 eig-assign rows.
+_NUMPY_PRUNE_ROWS = 256
+
+
 def prune_dependent_rows(rows: SparseRows, n_cols: int) -> np.ndarray:
     """Positions of a maximal independent subset of equality rows, ascending.
 
@@ -300,29 +309,58 @@ def prune_dependent_rows(rows: SparseRows, n_cols: int) -> np.ndarray:
     Ranks are those of the augmented [coefficients | rhs] rows: an inconsistent
     row stays (and `sdp.solve` refuses the program, whose zero-block columns
     are then dependent), a redundant consistent row, exact duplicates
-    included, goes.  LAPACK's pivoted Cholesky (dpstrf) of the
-    Gram matrix of the rows, each scaled to unit infinity-norm, picks
-    them greedily by largest remaining norm, as a column-pivoted QR would, with
-    exact ties to the earlier row, so the kept set depends neither on rounding
-    nor on how the moments are numbered.  The cutoff is dpstrf's n * eps *
-    (largest pivot) on the squared scale; on eig-assign (n = 2..6) at r <= 4
-    the smallest kept pivot is >= 2.0e-4 of the largest, the next <= 2.6e-15.
-    One row stays iff it has a nonzero coefficient or rhs, as dpstrf decides,
-    without scipy: a POP without equalities hands the prune its mass row only.
+    included, goes.  A pivoted Cholesky factorization of the Gram matrix of the
+    rows, each scaled to unit infinity-norm, picks them greedily by largest
+    remaining norm, as a column-pivoted QR would, with exact ties to the
+    earlier row, so the kept set depends neither on rounding nor on how the
+    moments are numbered.  It stops at LAPACK dpstrf's cutoff: a remaining
+    squared norm at most n * 2^-53 times the largest row's, n the number of
+    rows.  On eig-assign (n = 2..6) at r <= 4 the smallest kept pivot is
+    >= 2.0e-4 of the largest, the next <= 2.6e-15.
+
+    Two paths follow that rule and differ only in rounding: up to
+    `_NUMPY_PRUNE_ROWS` rows `sdp._pivoted_cholesky` of `_dense_gram`, without
+    scipy; above it dpstrf of `_weighted_gram`.
     """
-    if len(rows) <= 1:
-        keep = len(rows) and (np.any(rows.coeffs != 0.0) or rows.rhs[0] != 0.0)
-        return np.arange(int(keep), dtype=np.intp)
-    from scipy.linalg.lapack import dpstrf
-    G = _weighted_gram(rows, n_cols)
-    _, piv, rank, info = dpstrf(G, lower=1, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpstrf")
-    return np.sort(piv[:rank] - 1).astype(np.intp)
+    if len(rows) <= _NUMPY_PRUNE_ROWS:
+        piv = _pivoted_cholesky(_dense_gram(rows, n_cols), len(rows))[1]
+    else:
+        from scipy.linalg.lapack import dpstrf
+        _, piv, rank, info = dpstrf(_weighted_gram(rows, n_cols), lower=1, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpstrf")
+        piv = piv[:rank] - 1
+    return np.sort(piv).astype(np.intp)
+
+
+def _weighted_entries(rows: SparseRows, n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, value) of each nonzero of the [coefficients | rhs] rows, each row scaled to unit
+    infinity-norm and weighted by 1 + (n - 1 - i) * _TIE_WEIGHT; the rhs is column n_cols."""
+    n = len(rows)
+    row_of = np.repeat(np.arange(n), np.diff(rows.indptr))
+    nz, with_rhs = rows.coeffs != 0, np.flatnonzero(rows.rhs)
+    r = np.concatenate([row_of[nz], with_rhs])
+    c = np.concatenate([rows.cols[nz], np.full(len(with_rhs), n_cols)])
+    v = np.concatenate([rows.coeffs[nz], rows.rhs[with_rhs]])
+    top = np.zeros(n)
+    np.maximum.at(top, r, np.abs(v))
+    top[top == 0] = 1.0  # a row without entries gets no weight
+    w = (1.0 + (n - 1 - np.arange(n)) * _TIE_WEIGHT) / top
+    return r, c, v * w[r]
+
+
+def _dense_gram(rows: SparseRows, n_cols: int) -> np.ndarray:
+    """The Gram matrix of the `_weighted_entries` rows, dense, by one BLAS product of the rows
+    over the columns they use; its entries round as BLAS sums them, not as `_weighted_gram`'s."""
+    r, c, v = _weighted_entries(rows, n_cols)
+    used = np.bincount(c, minlength=n_cols + 1) > 0
+    W = np.zeros((len(rows), np.count_nonzero(used)))
+    W[r, (np.cumsum(used) - 1)[c]] = v
+    return W @ W.T
 
 
 def _weighted_gram(rows: SparseRows, n_cols: int) -> np.ndarray:
-    """Fortran-ordered Gram matrix of the scaled, tie-weighted [coefficients | rhs] rows.
+    """Fortran-ordered Gram matrix of the `_weighted_entries` rows.
 
     The lower triangle comes from the sparse product W W^T of those rows with
     their columns sorted, whose kernel (SMMP) sums each entry from 0 in
@@ -331,19 +369,10 @@ def _weighted_gram(rows: SparseRows, n_cols: int) -> np.ndarray:
     """
     import scipy.sparse
     n = len(rows)
-    row_of = np.repeat(np.arange(n), np.diff(rows.indptr))
-    nz, with_rhs = rows.coeffs != 0, np.flatnonzero(rows.rhs)
-    r = np.concatenate([row_of[nz], with_rhs])
-    c = np.concatenate([rows.cols[nz], np.full(len(with_rhs), n_cols)])
-    v = np.concatenate([rows.coeffs[nz], rows.rhs[with_rhs]])
+    r, c, v = _weighted_entries(rows, n_cols)
     order = np.lexsort((c, r))
-    r, c, v = r[order], c[order], v[order]
-    counts = np.bincount(r, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    top = np.ones(n)  # a row without entries gets no weight
-    top[counts > 0] = np.maximum.reduceat(np.abs(v), indptr[:-1][counts > 0])
-    w = (1.0 + (n - 1 - np.arange(n)) * _TIE_WEIGHT) / top
-    W = scipy.sparse.csr_array((v * w[r], c, indptr), shape=(n, n_cols + 1))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))])
+    W = scipy.sparse.csr_array((v[order], c[order], indptr), shape=(n, n_cols + 1))
     P = (W @ W.T).tocoo()
     lower = P.row >= P.col
     # An anonymous mapping (np.zeros asks for huge pages) claims a page only when

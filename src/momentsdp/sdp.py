@@ -45,6 +45,8 @@ a rounding outside the cone, takes `_unfactored_step`.
 Factorizations.  `_cholesky` and `_tril_inverse` call the gufuncs behind
 `np.linalg` on stacks, without scipy: a Newton system keeps K's inverse
 factor W, Z^{-1} is W'W of Z's, and T comes from the inverse of R'.
+`_pivoted_cholesky`, dpstrf's rule in numpy, serves the relaxation's row
+prune and the atom extraction, not the solver.
 
 Batches.  Each row computes what a solve of its b alone computes, in the
 same order: the numpy calls that a batch shares act on each row as on a lone
@@ -263,6 +265,42 @@ def _cholesky(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):
         L = _umath_linalg.cholesky_lo(S)
     return L, np.isnan(L[..., 0, 0])
+
+
+def _pivoted_cholesky(G: np.ndarray, k: int) -> tuple[np.ndarray, list[int]]:
+    """(R, pivots): at most k steps of the diagonally pivoted Cholesky factorization of the
+    symmetric positive semidefinite G by LAPACK dpstrf's rule, G ~= R R' with R of shape
+    (n, len(pivots)) in G's row order and R[pivots] lower triangular.
+
+    Each step pivots on the largest remaining diagonal entry, the first on ties; the loop stops
+    before one not above n * 2^-53 (LAPACK's DLAMCH('E')) times G's largest diagonal entry, or not
+    positive at the first step, or NaN.  As in dpstrf's unblocked loop, a remaining diagonal entry
+    is G's less the running sum of its squares, and a column is scaled by its pivot's 1 / root.
+    """
+    n = len(G)
+    diag = G.diagonal().copy()
+    d, squares, sq = diag.copy(), np.zeros(n), np.empty(n)
+    Lt = np.empty((min(k, n), n))  # row t holds column t of R
+    pivots: list[int] = []
+    stop = 0.0
+    for t, col in enumerate(Lt):
+        p = int(d.argmax())
+        ajj = float(d[p])
+        if not ajj > stop:
+            break
+        stop = stop or n * 2.0**-53 * ajj
+        np.matmul(Lt[:t, p], Lt[:t], out=col)
+        np.subtract(G[p], col, out=col)
+        root = math.sqrt(ajj)
+        col *= 1.0 / root
+        col[p] = root
+        squares += np.square(col, out=sq)
+        diag[p] = -np.inf  # never a pivot again
+        np.subtract(diag, squares, out=d)
+        pivots.append(p)
+    R = Lt[: len(pivots)].T.copy()
+    R[pivots] = np.tril(R[pivots])  # above the diagonal: roundings of zero, at earlier pivots
+    return R, pivots
 
 
 _LEAF = 32  # side up to which `_tril_inverse` inverts a diagonal block by LU

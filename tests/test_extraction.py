@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from momentsdp import extraction
 from momentsdp.casestudies import build_polyopt
 from momentsdp.extraction import (
     ExtractionError,
@@ -83,6 +85,74 @@ class TestPivotedCholesky:
         assert np.abs(R @ R.T - G @ G.T).max() <= 1e-12 * np.abs(G @ G.T).max()
 
 
+def dpstrf_pivoted_cholesky(M: np.ndarray, rank: int) -> tuple[np.ndarray, list[int]]:
+    """`_pivoted_cholesky` by LAPACK's dpstrf: (R, pivots) over its first min(rank, dpstrf's rank)
+    pivots, R in M's row order."""
+    L, piv, found, _ = scipy.linalg.lapack.dpstrf(M, lower=1)
+    k = min(rank, found)
+    R = np.empty((M.shape[0], k))
+    R[piv - 1] = np.tril(L[:, :k])
+    return R, (piv[:k] - 1).tolist()
+
+
+def random_atom_sets(count: int):
+    """(points, weights) of `count` sets of 1 to 3 atoms in 1 to 3 variables, 0.15 apart."""
+    rng = np.random.default_rng(17)
+    while count:
+        n, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        pts = rng.uniform(-1, 1, size=(k, n))
+        if all(np.linalg.norm(pts[i] - pts[j]) > 0.15 for i in range(k) for j in range(i + 1, k)):
+            count -= 1
+            yield pts, rng.uniform(0.1, 1.0, size=k)
+
+
+class TestAgainstLapack:
+    """The numpy pivoted Cholesky and Schur basis against LAPACK's, through scipy."""
+
+    @staticmethod
+    def cases():
+        """(y, r) of the moments that TestCertify certifies, then of twenty random atom sets."""
+        pts = np.random.default_rng(41).uniform(-1, 1, size=(3, 2))
+        yield bound_and_moments(build_polyopt(), 2, HI).moments, 2
+        yield lebesgue_moments_01(6), 3
+        yield MomentVector.from_atoms(pts, [0.2, 0.3, 0.5], 6), 3
+        yield MomentVector.from_atoms([(-0.5,), (0.5,)], [0.3, 0.9], 6), 3
+        yield MomentVector.from_atoms([(0.25,)], [1.0], 4), 2
+        for pts, ws in random_atom_sets(20):
+            yield MomentVector.from_atoms(pts, ws, 6), 3
+
+    def test_pivots_are_dpstrf_s(self):
+        for y, r in self.cases():
+            M = moment_matrix(y, r)
+            rank = numerical_rank(M, 1e-6)
+            R, pivots = _pivoted_cholesky(M, rank)
+            R0, pivots0 = dpstrf_pivoted_cholesky(M, rank)
+            assert pivots == pivots0
+            assert np.abs(R - R0).max() <= 1e-12 * np.sqrt(np.abs(M).max())
+
+    def test_atoms_are_those_of_scipy_schur(self, monkeypatch):
+        flat = 0
+        for y, r in self.cases():
+            if not certify(y, r, 1).flat:
+                continue
+            flat += 1
+            M = moment_matrix(y, r)
+            rank = numerical_rank(M, 1e-6)
+            atoms = _extract_general(y, M, rank, r, 1e-6, 0)
+            with monkeypatch.context() as m:
+                m.setattr(extraction, "_pivoted_cholesky", dpstrf_pivoted_cholesky)
+                m.setattr(extraction, "_schur_basis", lambda combo: scipy.linalg.schur(combo, output="real")[1])
+                want = _extract_general(y, M, rank, r, 1e-6, 0)
+            assert len(atoms) == len(want) == rank
+            for (p, w), (p0, w0) in zip(atoms, want):
+                assert np.abs(p - p0).max() <= 1e-10 and abs(w - w0) <= 1e-10
+        assert flat == 24  # all but the Lebesgue moments
+
+    def test_complex_eigenvalues_are_refused(self):
+        with pytest.raises(ExtractionError, match="complex eigenvalues"):
+            extraction._schur_basis(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
 class TestNumericalRank:
     def test_identity(self):
         assert numerical_rank(np.eye(3), 1e-6) == 3
@@ -130,25 +200,12 @@ class TestExtractAtoms:
         assert p[1] == pytest.approx((1 + np.sqrt(5.0)) / 2, abs=1e-7)
 
     def test_roundtrip_random_atom_sets(self):
-        rng = np.random.default_rng(17)
-        done = 0
-        while done < 50:
-            n = int(rng.integers(1, 4))
-            k = int(rng.integers(1, 4))
-            pts = rng.uniform(-1, 1, size=(k, n))
-            if not all(
-                np.linalg.norm(pts[i] - pts[j]) > 0.15
-                for i in range(k)
-                for j in range(i + 1, k)
-            ):
-                continue
-            done += 1
-            ws = rng.uniform(0.1, 1.0, size=k)
+        for pts, ws in random_atom_sets(50):
             y = MomentVector.from_atoms(pts, ws, 6)
             atoms = extract_atoms(y, 3, tol=1e-8)
-            assert len(atoms) == k
+            assert len(atoms) == len(pts)
             got = sorted([(tuple(p), w) for p, w in atoms])
-            want = sorted([(tuple(pts[i]), ws[i]) for i in range(k)])
+            want = sorted([(tuple(pts[i]), ws[i]) for i in range(len(pts))])
             for (gp, gw), (wp, ww) in zip(got, want):
                 assert max(abs(a - b) for a, b in zip(gp, wp)) < 1e-6
                 assert abs(gw - ww) < 1e-6

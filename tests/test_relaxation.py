@@ -1,4 +1,6 @@
+import contextlib
 import glob
+import io
 import os
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 import reference_assembly as reference
 import scipy.linalg
 
-from momentsdp import gmp, relaxation
+from momentsdp import cli, gmp, relaxation
 from momentsdp.casestudies import (
     build_eig_assign,
     build_polyopt,
@@ -31,12 +33,13 @@ from momentsdp.relaxation import (
     SparseRows,
     bound_and_moments,
     build_relaxation,
+    eliminate_linear_equalities,
     half_degree,
     measure_plan,
     prune_dependent_rows,
 )
 from momentsdp.problemfile import load_problem
-from momentsdp.sdp import SolveOptions
+from momentsdp.sdp import SolveOptions, _pivoted_cholesky
 from momentsdp.spectra import shadow_support_points
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -466,7 +469,7 @@ class TestRowPrune:
         ({3: Fraction(0)}, Fraction(0), []),  # all zero, with an explicit zero
     ])
     def test_one_row_is_kept_as_dpstrf_keeps_it(self, coeffs, rhs, kept):
-        # the one-row shortcut against dpstrf of the row's 1 x 1 Gram matrix
+        # one row against dpstrf of its 1 x 1 Gram matrix
         rows = SparseRows.of([LinearRow(coeffs, rhs, "eq").family()])
         _, piv, rank, info = scipy.linalg.lapack.dpstrf(relaxation._weighted_gram(rows, 5), lower=1)
         assert info >= 0 and sorted(piv[:rank] - 1) == kept
@@ -626,6 +629,93 @@ class TestRowPrune:
         twice = LinearRow({0: Fraction(2)}, Fraction(2), "eq")
         kept = self._check_prune([y0_is_1, twice, y0_is_2], 2)
         assert len(kept) == 2 and y0_is_2 in kept
+
+
+# the orders at which perfbench's fixtures-cli workload solves each fixture (None: the minimal one)
+CLI_ORDERS = {"bolza.gmp": 3, "decay_energy.gmp": 4, "eigassign2.pop": None, "eigassign3.pop": None,
+              "eigassign4.pop": 3, "lqr_scalar.gmp": 3, "pillow.pencil": None, "planar_nonconvex.pop": 3,
+              "power_chain.pencil": None, "saturation3.gmp": 3, "sqrt2.sdp": None, "sqrt2_point.sdp": None,
+              "unit_disk.pop": None}
+
+
+class TestNumpyPrune:
+    """`sdp._pivoted_cholesky` of `_dense_gram` keeps exactly the rows that dpstrf keeps of
+    `_weighted_gram`, and `prune_dependent_rows` keeps them whatever its row limit."""
+
+    @staticmethod
+    def _received(monkeypatch, run) -> list[tuple[SparseRows, int]]:
+        """The (rows, n_cols) of every prune that run() makes."""
+        seen = []
+        prune = relaxation.prune_dependent_rows
+
+        def record(rows, n_cols):
+            seen.append((rows, n_cols))
+            return prune(rows, n_cols)
+
+        with monkeypatch.context() as m:
+            m.setattr(relaxation, "prune_dependent_rows", record)
+            run()
+        return seen
+
+    @staticmethod
+    def _kept(monkeypatch, rows: SparseRows, n_cols: int) -> list[int]:
+        """dpstrf's kept rows, after checking that the numpy helper and the prune at either
+        limit keep the same and that the dense Gram matrix is the sparse one to rounding."""
+        G = relaxation._weighted_gram(rows, n_cols)
+        lower = np.tril(np.asarray(G))
+        dense = relaxation._dense_gram(rows, n_cols)
+        assert np.abs(dense - (lower + np.tril(lower, -1).T)).max() <= 1e-14 * np.abs(lower).max()
+        _, piv, rank, info = scipy.linalg.lapack.dpstrf(G, lower=1)
+        assert info >= 0
+        kept = sorted((piv[:rank] - 1).tolist())
+        assert sorted(_pivoted_cholesky(dense, len(rows))[1]) == kept
+        for limit in (0, len(rows)):  # the dpstrf path, then the numpy one
+            with monkeypatch.context() as m:
+                m.setattr(relaxation, "_NUMPY_PRUNE_ROWS", limit)
+                assert prune_dependent_rows(rows, n_cols).tolist() == kept
+        return kept
+
+    def test_fixtures_at_the_benchmark_orders(self, monkeypatch):
+        def run():
+            for name, order in CLI_ORDERS.items():
+                argv = ["solve", os.path.join(FIXTURES, name), "--extract"]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(argv + (["--order", str(order)] if order else []))
+
+        sets = self._received(monkeypatch, run)
+        # bolza, decay_energy and lqr_scalar (two phases each), eigassign2-4, planar_nonconvex,
+        # saturation3 and unit_disk
+        assert len(sets) == 11
+        for rows, n_cols in sets:
+            self._kept(monkeypatch, rows, n_cols)
+
+    def test_eig_ladder_saturation_cells_and_eig_assign(self, monkeypatch):
+        builds = [lambda n=n: build_relaxation(eliminate_linear_equalities(build_eig_assign(n))[0], 3)
+                  for n in (4, 5, 6)]
+        builds += [lambda k=k: build_gmp_relaxation(build_saturation_cells(k).gmp, k) for k in (2, 3, 4, 5)]
+        builds += [lambda n=n, r=r: build_relaxation(build_eig_assign(n), r)
+                   for n in (2, 3, 4) for r in range(build_eig_assign(n).minimal_order(), 5)]
+        sizes = []
+        for build in builds:
+            ((rows, n_cols),) = self._received(monkeypatch, build)
+            sizes.append((len(rows), len(self._kept(monkeypatch, rows, n_cols))))
+        assert sizes[:3] == [(66, 61), (126, 120), (211, 204)]  # the eig-ladder's reduced programs
+        assert max(sizes) == (737, 472)  # eig-assign n = 4 at r = 4
+
+    def test_planted_rows(self, monkeypatch):
+        ((rows, n_cols),) = self._received(monkeypatch, lambda: build_relaxation(build_eig_assign(3), 2))
+        kept = self._kept(monkeypatch, rows, n_cols)
+        first = kept[0]
+        planted = [row.family() for row in (
+            LinearRow({}, Fraction(3), "eq"),  # rhs only: independent of every row, stays
+            LinearRow({}, Fraction(0), "eq"),  # all zero: goes
+        )]
+        families = [(rows.coeffs[lo:hi], rows.cols[lo:hi][None], rows.rhs[i])
+                    for i, (lo, hi) in enumerate(zip(rows.indptr[:-1], rows.indptr[1:]))]
+        duplicate = len(families)  # an exact duplicate of a kept row, after it: goes
+        families.append(families[first])
+        grown = SparseRows.of(families + planted)
+        assert self._kept(monkeypatch, grown, n_cols) == kept + [duplicate + 1]
 
 
 def _eig_builds():
