@@ -22,25 +22,27 @@ Mehrotra predictor-corrector.  `solve_batch` holds the loop and the stop
 tests, and returns the last iterate under a status that says why it stopped;
 `solve` is its batch of one.  The loop runs a batch of right-hand sides b of
 one program at once: every iterate array carries a leading batch axis, one
-row per b, and a row leaves the batch when its own stop tests, steps or
-factorizations end it.  Each phase of an iteration is a step of its own on
-one record, `_Point`, the iterates and the search directions alike, and adds
-its wall seconds to ``stats``, those of the whole batch, which its solutions
-share: `_Layout.residuals`; `_Layout.schur`, the Schur complements M and the
-Newton systems' factors (`_Factorization`): the free entries' data F pin dy
-to F'dy = rf, so only M's projection onto the null space of F' is factored,
-and a failed factorization ends its row as ``numerical_failure``;
-`_Layout.direction`, the predictors or the correctors, from two solves with
-those factors, the second a refinement pass on the primal equation; and
-`_Layout.steps`, the largest steps in the cone, of which the loop takes a
-fixed fraction.  A psd block's step to its boundary is
-min(1, -1/lambda_min(L^{-1} D L^{-T})), L the Cholesky factor of X (or of
-Z), and 1 where no eigenvalue is negative.  `schur` factors each run of
-equal sides' Z and X once per iteration and inverts the factors, each by
-one stacked call; the steps of the predictor and of the corrector stack each
-run of equal sides' dX and dZ and take every eigenvalue from one stacked
-whitening and eigensolve (`_psd_steps`).  An X that does not factor,
-a rounding outside the cone, takes `_unfactored_step`.
+row per b.  A row ends when its stop tests end it, and on the iterate where
+its Newton systems do not factor or its steps collapse; the loop applies
+every end in one place, after the stop tests of an iterate, where the rows
+that end leave the batch (`_rows`).  Each phase of an iteration is a step
+of its own on one record, `_Point`, the iterates and the search directions
+alike, and adds its wall seconds to ``stats``, those of the whole
+batch, which its solutions share: `_Layout.residuals`; `_Layout.schur`, the
+Schur complements M and the Newton systems' factors (`_Factorization`), in
+one `_Newton` record: the free entries' data F pin dy to F'dy = rf, so only
+M's projection onto the null space of F' is factored, and a failed
+factorization ends its row as ``numerical_failure``; `_Layout.direction`,
+the predictors or the correctors, from two solves with those factors, the
+second a refinement pass on the primal equation; and `_Layout.steps`, the
+largest steps in the cone, of which the loop takes a fixed fraction.  A psd
+block's step to its boundary is min(1, -1/lambda_min(L^{-1} D L^{-T})), L the
+Cholesky factor of X (or of Z), and 1 where no eigenvalue is negative.
+`schur` factors each run of equal sides' Z and X once per iteration and
+inverts the factors, each by one stacked call; the steps of the predictor
+and of the corrector stack each run of equal sides' dX and dZ and take every
+eigenvalue from one stacked whitening and eigensolve (`_psd_steps`).  An X
+that does not factor, a rounding outside the cone, takes `_unfactored_step`.
 
 Factorizations.  `_cholesky` and `_tril_inverse` call the gufuncs behind
 `np.linalg` on stacks, without scipy: a Newton system keeps K's inverse
@@ -91,7 +93,6 @@ writes programs as ``kind: sdp`` text.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import operator
@@ -384,10 +385,6 @@ class _Point:
     y: np.ndarray
     ids: np.ndarray
 
-    def take(self, keep: list[int]) -> "_Point":
-        """The rows ``keep`` of the batch."""
-        return _Point(*(v[keep] for v in vars(self).values()))
-
 
 class _Residuals(namedtuple("_Residuals", "rp Rd rl rf gap pobj dobj pres dres")):
     """A batch's residuals (primal; dual on psd cells, nonneg and free), each with a leading batch
@@ -395,9 +392,12 @@ class _Residuals(namedtuple("_Residuals", "rp Rd rl rf gap pobj dobj pres dres")
 
     __slots__ = ()
 
-    def take(self, keep: list[int]) -> "_Residuals":
-        """The rows ``keep`` of the batch."""
-        return _Residuals(*(v[keep] for v in self[:4]), *([v[i] for i in keep] for v in self[4:]))
+
+def _rows(batch, keep: list[int]):
+    """The rows ``keep`` of a `_Point` or of `_Residuals`: of each field, an array with a leading batch
+    axis or a sequence of one float per row."""
+    fields = vars(batch).values() if isinstance(batch, _Point) else batch
+    return type(batch)(*(v[keep] if isinstance(v, np.ndarray) else [v[i] for i in keep] for v in fields))
 
 
 class _Whitening(namedtuple("_Whitening", "runs unfactored")):
@@ -407,10 +407,6 @@ class _Whitening(namedtuple("_Whitening", "runs unfactored")):
     ``psd`` of the blocks whose X does not factor, whose L^{-1} is zero."""
 
     __slots__ = ()
-
-    def take(self, keep: list[int]) -> "_Whitening":
-        """The rows ``keep`` of the batch."""
-        return _Whitening([L[keep] for L in self.runs], [self.unfactored[i] for i in keep])
 
 
 def _row_spans(prog: ConicProgram, psd: list[int]) -> dict[int, tuple[int, int]]:
@@ -431,7 +427,8 @@ class _Factorization:
     p = m, dy = T rf and nothing is factored.  ``M`` is the (B, m, m) stack of
     the batch's Schur complements; one `_cholesky` factors their K, each kept
     as W = L^{-1}, so that a solve with K is W'(W r).  ``failed`` lists the
-    rows of ``skip`` and those whose K is not numerically positive definite.
+    rows of ``skip`` and those whose K is not numerically positive definite,
+    whose W is zero, so that their solves stay finite.
     """
 
     def __init__(self, M: np.ndarray, T: Optional[np.ndarray], Q2: Optional[np.ndarray],
@@ -441,13 +438,9 @@ class _Factorization:
         if K.shape[-1]:  # the solve loop checks finiteness first, so K needs no scan
             L, failed = _cholesky(K)
             self.W, skip = _tril_inverse(L), skip.union(np.flatnonzero(failed).tolist())
+            if failed.any():
+                self.W[failed] = 0.0
         self.failed = sorted(skip)
-
-    def take(self, keep: list[int]) -> "_Factorization":
-        """The factored systems of the rows ``keep`` of the batch."""
-        part = copy.copy(self)
-        part.M, part.W, part.failed = self.M[keep], self.W[keep], []
-        return part
 
     def _k_solve(self, r: np.ndarray) -> np.ndarray:
         """K^{-1} r for each row of r."""
@@ -461,6 +454,13 @@ class _Factorization:
         if self.Q2.shape[1]:
             dy += np.matvec(self.Q2, self._k_solve(np.matvec(self.Q2.T, h - np.matvec(self.M, dy))))
         return dy, np.matvec(self.T.T, h - np.matvec(self.M, dy))
+
+
+class _Newton(namedtuple("_Newton", "Zinv ZRX fact whitening")):
+    """What `_Layout.schur` forms at a batch's iterate for its directions and steps, row for row:
+    Z^{-1} and Z^{-1} Rd X as flat cell vectors, the factored Newton systems and the whitening."""
+
+    __slots__ = ()
 
 
 def _free_basis(F: np.ndarray, blocks: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -515,19 +515,13 @@ def _schur_psd(M: np.ndarray, A: np.ndarray, X: np.ndarray, Zinv: np.ndarray) ->
     ``A`` is the dense (n, s, s) data of the rows of the block's span, and
     ``M`` the view of the Schur complement on those rows and columns.  Row k
     of the (n, s^2) products P is (Z^{-1} A_k X)^T, flattened, from two
-    stacked products, and M += A P^T is one GEMM.  For a batch, X, Z^{-1}
-    and M carry a leading axis, and each system takes the products of its own
-    shapes; a batch of one takes them without that axis, which costs less.
+    stacked products, and M += A P^T is one GEMM.  X, Z^{-1} and M carry
+    the leading batch axis, and each system takes the products of its own
+    shapes.
     """
     n, s, _ = A.shape
-    if X.ndim == 2:
-        P = np.matmul(Zinv, np.matmul(A, X)).transpose(0, 2, 1).reshape(n, s * s)
-        M += A.reshape(n, s * s) @ P.T
-    elif len(X) == 1:
-        _schur_psd(M[0], A, X[0], Zinv[0])
-    else:
-        P = np.matmul(Zinv[:, None], np.matmul(A, X[:, None])).transpose(0, 1, 3, 2).reshape(len(X), n, s * s)
-        M += np.matmul(A.reshape(n, s * s), P.transpose(0, 2, 1))
+    P = np.matmul(Zinv[:, None], np.matmul(A, X[:, None])).transpose(0, 1, 3, 2).reshape(len(X), n, s * s)
+    M += np.matmul(A.reshape(n, s * s), P.transpose(0, 2, 1))
 
 
 def _schur_psd_nonzeros(M: np.ndarray, A: scipy.sparse.csr_array, X: np.ndarray, Zinv: np.ndarray) -> None:
@@ -570,8 +564,8 @@ class _Layout:
     and cell offset k N, for `apply` and `adjoint`.  The Schur terms read ``dense``, the
     (hi - lo, s, s) span copies of the blocks on the dense path, and ``csr``, the (hi - lo, s^2)
     CSR span data of the others.  The other methods are the phases of one iteration of a
-    batch: `schur` also returns the `_Whitening` of the batch's X and Z, which goes with the
-    Newton systems, row for row, to the two `steps` of the iteration."""
+    batch: the `_Newton` that `schur` returns goes to the two `direction`s and, by its
+    ``whitening`` of the batch's X and Z, to the two `steps` of the iteration."""
 
     def __init__(self, prog: ConicProgram, b: Optional[np.ndarray] = None):
         built = perf_counter()
@@ -652,11 +646,8 @@ class _Layout:
         self.stats["seconds"] = dict(self.built)
 
     def blocks(self, V: np.ndarray) -> list[np.ndarray]:
-        """The views of flat cell vector V's psd blocks, in the order of ``psd``: (s, s) each, or
-        (B, s, s) for the rows of a (B, N) V."""
-        if V.ndim == 1:
-            return [V[cells].reshape(s, s) for cells, s in self.slices]
-        return [V[:, cells].reshape(-1, s, s) for cells, s in self.slices]
+        """The views of the psd blocks of flat cell vectors V, (..., N), in the order of ``psd``: (..., s, s) each."""
+        return [V[..., cells].reshape(*V.shape[:-1], s, s) for cells, s in self.slices]
 
     def apply(self, V: np.ndarray) -> np.ndarray:
         """A(V) = (<A_k, V>)_k over every psd block of each row of (B, N) V, flat cell vectors."""
@@ -676,7 +667,8 @@ class _Layout:
 
     def zinv_product(self, Zinv: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Z^{-1} (V W) on every psd block of each row of (B, N) V, W and Z^{-1}, as flat cell vectors:
-        one stacked product per run.  Blocks of one side are one run, of the whole vectors."""
+        one stacked product per run.  Blocks of one side are one run, of the whole vectors, without
+        the slices and the copy into ``out``, which take half of a side-10 block's 8 us."""
         if len(self.stacks) == 1:
             (_, shape), = self.stacks
             return np.matmul(Zinv.reshape(shape), np.matmul(V.reshape(shape), W.reshape(shape))).reshape(V.shape)
@@ -723,10 +715,10 @@ class _Layout:
         self.stats["seconds"]["residuals"] += perf_counter() - start
         return _Residuals(rp, Rd, rl, rf, gap, pobj, dobj, pres, dres)
 
-    def schur(self, pt: _Point, res: _Residuals) -> tuple[np.ndarray, np.ndarray, _Factorization, _Whitening]:
-        """Z^{-1} and Z^{-1} Rd X as flat cell vectors, the factored Schur complements
-        M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms, and the inverse factors of X
-        and Z that this iteration's steps take, of each row of the batch.
+    def schur(self, pt: _Point, res: _Residuals) -> _Newton:
+        """The `_Newton` of each row of the batch: Z^{-1} and Z^{-1} Rd X as flat cell vectors, the
+        factored Schur complements M_kl = sum_blocks tr(A_k Z^{-1} A_l X) plus the nonneg terms, and
+        the inverse factors of X and Z that this iteration's steps take.
 
         Each run of equal sides' X and Z, stacked (B, 2, k, s, s), take one `_cholesky` and one
         `_tril_inverse`, and Z^{-1} = W'W, W = L^{-1} of Z.  A row whose Z or K does not factor is
@@ -768,9 +760,9 @@ class _Layout:
                 self.stats["factorizations"][k] += i not in singular
         self.stats["seconds"]["schur"] += formed - start
         self.stats["seconds"]["factor"] += perf_counter() - formed
-        return Zinv, ZRX, fact, whitening
+        return _Newton(Zinv, ZRX, fact, whitening)
 
-    def direction(self, pt: _Point, res: _Residuals, newton: tuple, pred: Optional[_Point] = None,
+    def direction(self, pt: _Point, res: _Residuals, newton: _Newton, pred: Optional[_Point] = None,
                   steps: Optional[tuple[list, list]] = None) -> _Point:
         """The predictor directions from `schur`'s ``newton``; given the predictors ``pred`` and
         their ``steps``, the correctors: toward Mehrotra's sigma mu, with the second-order term dZ dX.
@@ -844,10 +836,10 @@ class _Layout:
             (pt.xf + ap * d.xf,) if self.free else (pt.xf,))
         return _Point(self.sym(pt.X + ap * d.X), self.sym(pt.Z + ad * d.Z), xl, zl, xf, pt.y + ad * d.y, pt.ids)
 
-    def solution(self, pt: _Point, res: _Residuals, i: int, status: Status, iterations: int,
-                 trace: list[dict]) -> SDPSolution:
+    def solution(self, pt: _Point, res: _Residuals, i: int, status: Status, trace: list[dict]) -> SDPSolution:
         """Row i of the batch ``pt`` and of its residuals as the solution of its right-hand side, the
-        flat and stacked parts sliced back into their blocks, in declared order, and copied."""
+        flat and stacked parts sliced back into their blocks, in declared order, and copied, after
+        as many iterations as ``trace`` holds records past the start's."""
         out = dict(zip(self.psd, zip(self.blocks(pt.X[i]), self.blocks(pt.Z[i]))))
         for bis, x, z in ((self.nonneg, pt.xl[i], pt.zl[i]), (self.free, pt.xf[i], np.zeros(pt.xf.shape[1]))):
             cuts = np.cumsum([self.prog.blocks[bi].size for bi in bis[:-1]], dtype=int)
@@ -863,7 +855,7 @@ class _Layout:
             gap=res.gap[i],
             primal_residual=res.pres[i],
             dual_residual=res.dres[i],
-            iterations=iterations,
+            iterations=len(trace) - 1,
             mu_final=res.gap[i] / self.nu,
             blocks=list(self.prog.blocks),
             trace=trace,
@@ -916,17 +908,14 @@ def solve_batch(prog: ConicProgram, objectives, options: SolveOptions | None = N
         last_steps = dict.fromkeys(traces, (0.0, 0.0))
         ends: dict[int, SDPSolution] = {}
         moved_from = None  # the last batch moved and its residuals: each row's last finite iterate
-
-        def end(i: int, status: Status, pt: _Point, res: _Residuals) -> None:
-            """Row i of ``pt`` is the solution of its right-hand side, after ``it`` iterations."""
-            k = int(pt.ids[i])
-            ends[k] = lay.solution(pt, res, i, status, it, traces[k])
-
+        halted: dict[int, Status] = {}  # the rows of that batch that end on it, with their status
         for it in range(opt.max_iter + 1):
             res = lay.residuals(pt)
-            ids = pt.ids.tolist()
-            stopped = []
-            for i, (k, gap, pobj, dobj, pres, dres) in enumerate(zip(ids, *res[4:])):
+            ended = {}  # the rows that end here, each with its status, iterate and residuals
+            for i, (k, gap, pobj, dobj, pres, dres) in enumerate(zip(pt.ids.tolist(), *res[4:])):
+                if i in halted:
+                    ended[i] = (halted[i], *moved_from)
+                    continue
                 mu = gap / lay.nu
                 last = last_steps[k]
                 traces[k].append({"iter": it, "mu": mu, "gap": gap, "pobj": pobj, "dobj": dobj, "pres": pres,
@@ -934,48 +923,35 @@ def solve_batch(prog: ConicProgram, objectives, options: SolveOptions | None = N
                 _log.debug("b %d it %3d  mu %9.2e  gap %10.3e  pres %8.2e  dres %8.2e",
                            k, it, mu, pobj - dobj, pres, dres)
                 if not (math.isfinite(mu) and math.isfinite(pobj) and math.isfinite(dobj)):
-                    end(i, "numerical_failure", *(moved_from or (pt, res)))  # the start is finite
+                    ended[i] = ("numerical_failure", *(moved_from or (pt, res)))  # the start is finite
                 elif abs(pobj - dobj) <= opt.gap_tol * (1.0 + abs(dobj)) and pres <= opt.feas_tol \
                         and dres <= opt.feas_tol:
-                    end(i, "optimal", pt, res)
+                    ended[i] = ("optimal", pt, res)
                 # out of iterations, or at the floating-point floor of the barrier, where there is
                 # nothing left to gain: stop with the current iterate rather than breaking the Newton
                 # system (max_iter flags that the requested tolerances were not met)
                 elif it == opt.max_iter or mu < 1e-16 * (1.0 + abs(dobj)):
-                    end(i, "max_iter", pt, res)
-                else:
-                    continue
-                stopped.append(i)
-            if stopped:
-                if len(stopped) == len(ids):
-                    break
-                keep = [i for i in range(len(ids)) if i not in stopped]
-                pt, res, ids = pt.take(keep), res.take(keep), [ids[i] for i in keep]
+                    ended[i] = ("max_iter", pt, res)
+            for i, (status, at, at_res) in ended.items():
+                k = int(at.ids[i])
+                ends[k] = lay.solution(at, at_res, i, status, traces[k])
+            if len(ended) == len(pt.ids):
+                break
+            if ended:
+                keep = [i for i in range(len(pt.ids)) if i not in ended]
+                pt, res = _rows(pt, keep), _rows(res, keep)
 
             newton = None  # the last systems and their factors are freed before the next are formed
             newton = lay.schur(pt, res)
-            if newton[2].failed:  # a Z or K that does not factor ends its row on this iterate
-                for i in newton[2].failed:
-                    end(i, "numerical_failure", pt, res)
-                if len(newton[2].failed) == len(ids):
-                    break
-                keep = [i for i in range(len(ids)) if i not in newton[2].failed]
-                pt, res, ids = pt.take(keep), res.take(keep), [ids[i] for i in keep]
-                newton = (newton[0][keep], newton[1][keep], newton[2].take(keep), newton[3].take(keep))
             pred = lay.direction(pt, res, newton)
-            d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred, newton[3]))
+            d = lay.direction(pt, res, newton, pred, lay.steps(pt, pred, newton.whitening))
             steps = [(min(1.0, _STEP_FRACTION * ap), min(1.0, _STEP_FRACTION * ad))
-                     for ap, ad in zip(*lay.steps(pt, d, newton[3]))]
-            stuck = [i for i, step in enumerate(steps) if max(step) < 1e-10]
-            if stuck:  # step collapse: no further progress possible
-                for i in stuck:
-                    end(i, "max_iter", pt, res)
-                if len(stuck) == len(ids):
-                    break
-                keep = [i for i in range(len(ids)) if i not in stuck]
-                pt, res, d, ids = pt.take(keep), res.take(keep), d.take(keep), [ids[i] for i in keep]
-                steps = [steps[i] for i in keep]
-            last_steps.update(zip(ids, steps))
+                     for ap, ad in zip(*lay.steps(pt, d, newton.whitening))]
+            # a row whose steps collapse can make no further progress, and one whose Z or K does not
+            # factor steps along no Newton direction: each ends on this iterate, when the next is checked
+            halted = {i: "max_iter" for i, step in enumerate(steps) if max(step) < 1e-10}
+            halted.update(dict.fromkeys(newton.fact.failed, "numerical_failure"))
+            last_steps.update(zip(pt.ids.tolist(), steps))
             moved_from = (pt, res)
             pt = lay.moved(pt, d, *map(_column, zip(*steps)))
         sols += [ends[k] for k in traces]

@@ -950,7 +950,7 @@ class TestSchurFormation:
             Zinv = np.linalg.inv(L @ L.T + 0.1 * np.eye(s))
             M0 = rng.normal(size=(m, m))
             M = M0.copy()
-            sdp._schur_psd(M, A, X, Zinv)
+            sdp._schur_psd(M[None], A, X[None], Zinv[None])
             M_ref = M0.copy()
             reference_schur_psd(M_ref, A, X, Zinv)
             assert np.array_equal(M, M_ref), (m, s)
@@ -969,7 +969,7 @@ class TestSchurFormation:
             X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
             M0 = rng.normal(size=(m, m))
             M = M0.copy()
-            sdp._schur_psd(M[lo:hi, lo:hi], A[lo:hi], X, Zinv)
+            sdp._schur_psd(M[None, lo:hi, lo:hi], A[lo:hi], X[None], Zinv[None])
             inside = np.zeros((m, m), dtype=bool)
             inside[lo:hi, lo:hi] = True
             assert M[~inside].tobytes() == M0[~inside].tobytes(), (m, s, lo, hi)
@@ -997,7 +997,7 @@ class TestSchurFormation:
             X, Zinv = random_spd(rng, s, 0.1), np.linalg.inv(random_spd(rng, s, 0.1))
             M0 = rng.normal(size=(m, m))
             M = M0.copy()
-            sdp._schur_psd(M[0:m, 0:m], lay.dense[0], X, Zinv)
+            sdp._schur_psd(M[None, 0:m, 0:m], lay.dense[0], X[None], Zinv[None])
             M_ref = M0.copy()
             reference_schur_psd(M_ref, A, X, Zinv)
             assert M.tobytes() == M_ref.tobytes(), (m, s)
@@ -1189,7 +1189,7 @@ class TestFlatLayout:
                 if bi in lay.csr:
                     sdp._schur_psd_nonzeros(M[lo:hi, lo:hi], lay.csr[bi], X, Zi)
                 else:
-                    sdp._schur_psd(M[lo:hi, lo:hi], lay.dense[bi], X, Zi)
+                    sdp._schur_psd(M[None, lo:hi, lo:hi], lay.dense[bi], X[None], Zi[None])
             M += (lay.Al * (pt.xl / pt.zl)) @ lay.Al.T
             M = 0.5 * (M + M.T)
             assert fact.M.tobytes() == M.tobytes(), lay.Al.shape[1]
@@ -1560,6 +1560,64 @@ class TestSolveBatch:
         assert batch[2].trace[k + 1]["step_p"] == 0.0 < batch[2].trace[k + 1]["step_d"]
         assert batch[2].trace[k + 1]["step_p"] != clean[2].trace[k + 1]["step_p"]
         assert_same_solve(batch[2], solve(prog, options))
+        for i in (0, 1, 3, 4):
+            assert_same_solve(batch[i], clean[i])
+
+    def test_step_collapse_ends_only_its_row(self, monkeypatch):
+        # row 2's steps from its iterate k are planted as zero: its steps collapse there, so it ends
+        # `max_iter` on iterate k, as its own solve does under the same plant, and the other rows keep
+        # their bytes
+        prog, objectives, options = mixed_batch()
+        k = 4
+        clean = sdp.solve_batch(prog, objectives, options)
+        prog.b = objectives[2]
+        ref = solve(prog, SolveOptions(options.gap_tol, options.feas_tol, max_iter=k))
+        target = ref.X[0].tobytes()  # the one psd block is the whole flat cell vector
+        steps = sdp._Layout.steps
+
+        def collapsing(lay, pt, d, whitening):
+            ap, ad = steps(lay, pt, d, whitening)
+            for i, X in enumerate(pt.X):
+                if X.tobytes() == target:
+                    ap[i] = ad[i] = 0.0
+            return ap, ad
+
+        monkeypatch.setattr(sdp._Layout, "steps", collapsing)
+        batch = sdp.solve_batch(prog, objectives, options)
+        alone = solve(prog, options)
+        assert (alone.status, alone.iterations) == ("max_iter", k) and clean[2].iterations > k
+        assert_same_solve(batch[2], alone)
+        assert batch[2].y.tobytes() == ref.y.tobytes()
+        for i in (0, 1, 3, 4):
+            assert_same_solve(batch[i], clean[i])
+
+    def test_non_finite_iterate_ends_only_its_row(self, monkeypatch):
+        # the move from row 2's iterate k is planted as one to a NaN X: that row ends
+        # `numerical_failure` on iterate k, its last finite one, with the non-finite record last in
+        # its trace, as its own solve does under the same plant, and the other rows keep their bytes
+        prog, objectives, options = mixed_batch()
+        k = 6
+        clean = sdp.solve_batch(prog, objectives, options)
+        prog.b = objectives[2]
+        ref = solve(prog, SolveOptions(options.gap_tol, options.feas_tol, max_iter=k))
+        target = ref.X[0].tobytes()
+        moved = sdp._Layout.moved
+
+        def poisoned(lay, pt, d, ap, ad):
+            out = moved(lay, pt, d, ap, ad)
+            for i, X in enumerate(pt.X):
+                if X.tobytes() == target:
+                    out.X[i] = np.nan
+            return out
+
+        monkeypatch.setattr(sdp._Layout, "moved", poisoned)
+        batch = sdp.solve_batch(prog, objectives, options)
+        alone = solve(prog, options)
+        assert (alone.status, alone.iterations) == ("numerical_failure", k + 1) and clean[2].iterations > k + 1
+        assert math.isnan(alone.trace[-1]["gap"]) and len(alone.trace) == k + 2
+        assert_same_solve(batch[2], alone)
+        assert batch[2].y.tobytes() == ref.y.tobytes()
+        assert [V.tobytes() for V in (*batch[2].X, *batch[2].Z)] == [V.tobytes() for V in (*ref.X, *ref.Z)]
         for i in (0, 1, 3, 4):
             assert_same_solve(batch[i], clean[i])
 
