@@ -167,9 +167,6 @@ class DynamicsSpec:
     def autonomous(self) -> bool:
         return self.horizon is None
 
-    def dynamics_space(self) -> VarSpace:
-        return VarSpace((TIME_VAR,) + self.states + self.controls)
-
     def occupation_names(self) -> tuple[str, ...]:
         time = () if self.autonomous else (TIME_VAR,)
         return time + self.states + self.controls

@@ -3,7 +3,7 @@
 Every file starts with ``kind: pop | gmp | sdp | pencil`` and continues in
 named ``[section]`` blocks; ``#`` starts a comment anywhere.  Polynomials use
 the expression syntax of the parser (rational coefficients, ``*``, ``^``,
-parentheses); all rational data round-trips exactly.
+parentheses); all rational data is parsed exactly.
 
 One rule holds in every kind: a header, a section and a `key:` line appear
 once, and a repeat is an error at its second line.  Only [constraints] may
@@ -28,8 +28,7 @@ gmp:    [measures]  name: v1 v2 ...        (omit when [dynamics] is present)
         [objective]  min|max  sum of <poly, measure> terms
         A [dynamics] section reads into one `DynamicsSpec`
         (`GMPFileData.dynamics`), whose cells and endpoint measures are the
-        file's measures.  `gmp_to_text` writes the file back; its
-        <poly, measure> sums come from `moment_sum_text`.
+        file's measures.
 
 sdp:    [blocks]  `kind size` per block (psd | nonneg | zero)
         [b]  whitespace-separated values, possibly over several lines
@@ -50,7 +49,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -65,7 +64,6 @@ from .gmp import (
     MomentConstraint,
     TIME_VAR,
     build_dynamics_gmp,
-    time_box,
 )
 from .polynomials import (
     Polynomial,
@@ -238,12 +236,12 @@ def _number(tok: str, line: int, what: str, parse: Callable = Fraction):
 
 @contextmanager
 def _at(line: int):
-    """Report a constructor's ValueError as a ProblemFileError at `line`."""
+    """Report a constructor's ValueError or MemoryError as a ProblemFileError at `line`."""
     try:
         yield
     except ProblemFileError:
         raise
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         raise ProblemFileError(str(e), line) from None
 
 
@@ -326,20 +324,6 @@ def _parse_pop(headers: dict[str, _Line], sections: list[_Section]) -> POPProble
         objective=_poly(body, space),
         feasible_set=_parse_support(_lines(secs, "constraints"), space, headers.get("ball")),
     )
-
-
-def pop_to_text(pop: POPProblem) -> str:
-    sp = pop.feasible_set.space
-    out = ["kind: pop", f"variables: {' '.join(sp.names)}"]
-    if pop.feasible_set.ball_radius is not None:
-        out.append(f"ball: {pop.feasible_set.ball_radius}")
-    out += ["", "[objective]", f"min {pop.objective.to_string(sp)}"]
-    out += ["", "[constraints]"]
-    for q in pop.feasible_set.inequalities:
-        out.append(f"{q.to_string(sp)} >= 0")
-    for q in pop.feasible_set.equalities:
-        out.append(f"{q.to_string(sp)} == 0")
-    return "\n".join(out) + "\n"
 
 
 # -- gmp ------------------------------------------------------------------------
@@ -513,84 +497,6 @@ def moment_sum_text(terms: Sequence[tuple[str, Polynomial]], spaces: dict[str, V
     return " + ".join(f"<{poly.to_string(spaces[name])}, {name}>" for name, poly in terms) or "0"
 
 
-def gmp_to_text(data: GMPFileData) -> str:
-    out = ["kind: gmp"]
-    dyn = data.dynamics
-    if dyn is None:
-        out += ["", "[measures]"]
-        for m in data.measures:
-            out.append(f"{m.name}: {' '.join(m.variables)}")
-    for m in data.measures:
-        supp = m.support
-        if not (supp.inequalities or supp.equalities or supp.ball_radius is not None):
-            continue
-        out += ["", f"[support {m.name}]"]
-        for q in supp.inequalities:
-            out.append(f"{q.to_string(supp.space)} >= 0")
-        for q in supp.equalities:
-            out.append(f"{q.to_string(supp.space)} == 0")
-        if supp.ball_radius is not None:
-            out.append(f"ball: {supp.ball_radius}")
-    if dyn is not None:
-        out += ["", "[dynamics]"]
-        out.append("horizon: free" if dyn.autonomous else f"horizon: fixed {dyn.horizon}")
-        out.append(f"state: {' '.join(dyn.states)}")
-        if dyn.controls:
-            out.append(f"control: {' '.join(dyn.controls)}")
-        dspace = dyn.dynamics_space()
-
-        def _endpoint_text(e: EndpointSpec) -> str:
-            if isinstance(e, str):
-                return f"measure {e}"
-            return "point " + " ".join(str(v) for v in e)
-
-        out.append(f"initial: {_endpoint_text(dyn.initial)}")
-        out.append(f"terminal: {_endpoint_text(dyn.terminal)}")
-        if not dyn.lagrangian.is_zero():
-            out.append(f"lagrangian: {dyn.lagrangian.to_string(dspace)}")
-        if dyn.terminal_cost is not None and not dyn.terminal_cost.is_zero():
-            out.append(f"terminal_cost: {dyn.terminal_cost.to_string(VarSpace(dyn.states))}")
-        for cname, fs in dyn.cells:
-            out.append(f"cell: {cname}")
-            for i, f in enumerate(fs, start=1):
-                out.append(f"f{i}: {f.to_string(dspace)}")
-
-    spaces = {m.name: m.support.space for m in data.measures}
-    if data.constraints:
-        out += ["", "[constraints]"]
-        rel_text = {"eq": "==", "ge": ">=", "le": "<="}
-        for con in data.constraints:
-            out.append(f"{moment_sum_text(con.terms, spaces)} {rel_text[con.relation]} {con.rhs}")
-    if data.objective is not None:
-        out += ["", "[objective]", f"{data.sense} {moment_sum_text(data.objective, spaces)}"]
-    return "\n".join(out) + "\n"
-
-
-def dynamics_to_file_data(dp: DynamicsProblem) -> GMPFileData:
-    """Fold an expanded dynamics problem back into its file form.
-
-    Inverse of `GMPFileData.instantiate` up to the relaxation order: the
-    generated transport rows and the auto-added time boxes are stripped so
-    the result serializes like a hand-written file.
-    """
-    dyn = dp.dynamics
-    cells = {name for name, _ in dyn.cells}
-    measures: list[MeasureDecl] = []
-    for m in dp.gmp.measures:
-        supp = m.support
-        if m.name in cells and not dyn.autonomous:
-            box = time_box(len(m.variables))
-            supp = replace(supp, inequalities=[q for q in supp.inequalities if q != box])
-        measures.append(MeasureDecl(m.name, supp))
-    return GMPFileData(
-        measures=measures,
-        constraints=list(dp.gmp.constraints[len(dp.liouville_rows):]),
-        objective=list(dp.gmp.objective),
-        sense=dp.gmp.sense,
-        dynamics=dyn,
-    )
-
-
 # -- sdp ------------------------------------------------------------------------
 
 
@@ -635,18 +541,20 @@ def _parse_sdp(sections: list[_Section]) -> ConicProgram:
         raise ProblemFileError("sdp files need a [blocks] section", 1)
     blocks_no, lines = secs["blocks"]
     blocks: list[Block] = []
+    C: list[np.ndarray] = []
     for line in lines:
         parts = line.text.split()
         if len(parts) != 2:
             raise ProblemFileError("block lines are `kind size`", line.no)
-        with _at(line.no):
-            blocks.append(Block(parts[0], int(parts[1])))  # type: ignore[arg-type]
+        size = _number(parts[1], line.no, "an integer block size", int)
+        with _at(line.no):  # a size numpy cannot allocate fails here too
+            blocks.append(Block(parts[0], size))  # type: ignore[arg-type]
+            C.append(np.zeros(blocks[-1].shape))
     b = [
         _number(t, line.no, "a finite value", _sdp_value)
         for line in _lines(secs, "b")
         for t in line.text.split()
     ]
-    C = [np.zeros(blk.shape) for blk in blocks]
     # a later entry for the same cell overwrites an earlier one
     cells: list[dict[tuple[int, int], float]] = [{} for _ in blocks]
     for k, (no, lines) in secs.items():
@@ -670,33 +578,6 @@ def _parse_sdp(sections: list[_Section]) -> ConicProgram:
     ]
     with _at(blocks_no):  # a program without cone blocks or constraints
         return ConicProgram(blocks=blocks, A=A, b=np.asarray(b), C=C)
-
-
-def sdp_to_text(prog: ConicProgram) -> str:
-    out = ["kind: sdp", "", "[blocks]"] + [f"{blk.kind} {blk.size}" for blk in prog.blocks]
-    out += ["", "[b]", " ".join(repr(float(v)) for v in prog.b)]
-
-    def _entries(bi: int, cols: np.ndarray, vals: np.ndarray) -> None:
-        # nonzeros of one block in cell order; psd blocks write the upper triangle
-        blk = prog.blocks[bi]
-        for col, v in zip(cols.tolist(), vals.tolist()):
-            i, j = divmod(col, blk.size) if blk.kind == "psd" else (col, col)
-            if i <= j:
-                out.append(f"{bi + 1} {i + 1} {j + 1} {v!r}")
-
-    out += ["", "[C]"]
-    for bi, mat in enumerate(prog.C):
-        flat = mat.reshape(-1)
-        (cols,) = np.nonzero(flat)
-        _entries(bi, cols, flat[cols])
-    # rows are sorted, so constraint k's entries of a block are one slice
-    starts = [np.searchsorted(data.rows, np.arange(prog.m + 1)) for data in prog.A]
-    for k in range(prog.m):
-        out += ["", f"[A {k + 1}]"]
-        for bi, data in enumerate(prog.A):
-            lo, hi = starts[bi][k], starts[bi][k + 1]
-            _entries(bi, data.cols[lo:hi], data.vals[lo:hi])
-    return "\n".join(out) + "\n"
 
 
 # -- pencil ---------------------------------------------------------------------
@@ -732,21 +613,6 @@ def _parse_pencil(headers: dict[str, _Line], sections: list[_Section]) -> Pencil
     )
 
 
-def pencil_to_text(pencil: Pencil, variable_names: Optional[Sequence[str]] = None) -> str:
-    names = list(variable_names or (f"x{i+1}" for i in range(pencil.nvars)))
-    out = ["kind: pencil", f"variables: {' '.join(names)}", f"side: {pencil.side}"]
-    for k, M in enumerate(pencil.coefficients):
-        header = "F0" if k == 0 else f"F {k}"
-        entries = []
-        for i in range(pencil.side):
-            for j in range(i, pencil.side):
-                if M[i][j] != 0:
-                    entries.append(f"{i + 1} {j + 1} {M[i][j]}")
-        if entries or k == 0:
-            out += ["", f"[{header}]"] + entries
-    return "\n".join(out) + "\n"
-
-
 # -- entry points ----------------------------------------------------------------
 
 
@@ -780,15 +646,3 @@ def load_problem(path: str) -> ParsedProblem:
     except UnicodeDecodeError as e:
         raise ProblemFileError(f"not UTF-8 text: {e.reason}", raw.count(b"\n", 0, e.start) + 1)
     return parse_problem_text(text)
-
-
-def problem_to_text(p: ParsedProblem) -> str:
-    if p.kind == "pop":
-        return pop_to_text(p.pop)
-    if p.kind == "gmp":
-        return gmp_to_text(p.gmp)
-    if p.kind == "sdp":
-        return sdp_to_text(p.sdp)
-    if p.kind == "pencil":
-        return pencil_to_text(p.pencil)
-    raise ValueError(f"unknown kind {p.kind!r}")

@@ -87,8 +87,8 @@ agreement with the dense path to rounding.  The working set lives only as
 long as the solve; each iteration frees the last Schur systems and their
 factors before it forms the next.
 
-This module holds the program and its solver only; `problemfile` reads and
-writes programs as ``kind: sdp`` text.
+This module holds the program and its solver only; `problemfile` reads
+programs from ``kind: sdp`` text.
 """
 
 from __future__ import annotations

@@ -455,12 +455,6 @@ FIXTURE_SOLVES = [
 
 class TestEveryFixture:
     @pytest.mark.parametrize("name,extra", FIXTURE_SOLVES, ids=[n for n, _ in FIXTURE_SOLVES])
-    def test_parses_solves_and_reserializes(self, capsys, name, extra):
-        from momentsdp.problemfile import load_problem, parse_problem_text, problem_to_text
-
-        path = fx(name)
-        code, out, _ = run(capsys, "solve", path, *extra)
+    def test_parses_and_solves(self, capsys, name, extra):
+        code, out, _ = run(capsys, "solve", fx(name), *extra)
         assert code == 0, out
-        p1 = load_problem(path)
-        p2 = parse_problem_text(problem_to_text(p1))
-        assert p1.kind == p2.kind

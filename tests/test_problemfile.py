@@ -2,7 +2,10 @@ import glob
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from test_sdp import assert_same_nonzeros, sqrt2_point_program, sqrt2_program
+from test_spectra import pillow_pencil, power_chain_pencil
 
 from momentsdp.casestudies import (
     build_bolza,
@@ -11,14 +14,16 @@ from momentsdp.casestudies import (
     build_occtraj,
     build_polyopt,
     build_saturation_cells,
+    build_unit_disk,
 )
 from momentsdp.cli import main
+from momentsdp.polynomials import parse_polynomial
 from momentsdp.problemfile import (
     ProblemFileError,
     load_problem,
     parse_problem_text,
-    problem_to_text,
 )
+from momentsdp.relaxation import POPProblem
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -71,6 +76,8 @@ MALFORMED = [
     ("pencil-two-F0", _PENCIL.format("2", "1") + "[F0]\n2 2 1\n", 8),
     ("pencil-two-F", _PENCIL.format("2", "1") + "[F 1]\n2 2 1\n", 8),
     ("pencil-side-too-large", _PENCIL.format("9", "1"), 3),
+    ("sdp-size-word", _SDP.replace("psd 2", "psd two").format("1", "1"), 3),
+    ("sdp-size-numpy-refuses", _SDP.replace("psd 2", "psd 99999999999").format("1", "1"), 3),
 ]
 
 
@@ -90,39 +97,6 @@ class TestFixtures:
         assert kinds["bolza.gmp"] == "gmp"
         assert len(kinds) >= 13
 
-    @pytest.mark.parametrize("path", fixture_paths(), ids=os.path.basename)
-    def test_parse_print_parse_is_identity(self, path):
-        p1 = load_problem(path)
-        text = problem_to_text(p1)
-        p2 = parse_problem_text(text)
-        assert p1.kind == p2.kind
-        if p1.kind == "pop":
-            assert p1.pop == p2.pop
-        elif p1.kind == "pencil":
-            assert p1.pencil == p2.pencil
-        elif p1.kind == "gmp":
-            assert p1.gmp.measures == p2.gmp.measures
-            assert p1.gmp.constraints == p2.gmp.constraints
-            assert p1.gmp.objective == p2.gmp.objective
-            assert p1.gmp.sense == p2.gmp.sense
-            d1, d2 = p1.gmp.dynamics, p2.gmp.dynamics
-            assert (d1 is None) == (d2 is None)
-            if d1 is not None:
-                assert d1 == d2
-                assert d1.cells == d2.cells
-                assert d1.initial == d2.initial and d1.terminal == d2.terminal
-        else:
-            import numpy as np
-
-            assert [(b.kind, b.size) for b in p1.sdp.blocks] == [
-                (b.kind, b.size) for b in p2.sdp.blocks
-            ]
-            assert np.array_equal(p1.sdp.b, p2.sdp.b)
-            for bi in range(len(p1.sdp.blocks)):
-                for part in ("rows", "cols", "vals"):
-                    assert np.array_equal(getattr(p1.sdp.A[bi], part), getattr(p2.sdp.A[bi], part))
-                assert np.array_equal(p1.sdp.C[bi], p2.sdp.C[bi])
-
     def test_gmp_fixtures_match_builders(self):
         cases = [
             ("decay_energy.gmp", build_occtraj),
@@ -141,6 +115,23 @@ class TestFixtures:
         for n in (2, 3, 4):
             parsed = load_problem(os.path.join(FIXTURES, f"eigassign{n}.pop"))
             assert parsed.pop == build_eig_assign(n)
+        disk = build_unit_disk()
+        objective = parse_polynomial("x1 + x2", disk.space)
+        assert load_problem(os.path.join(FIXTURES, "unit_disk.pop")).pop == POPProblem(objective, disk)
+
+    def test_sdp_fixtures_match_programs(self):
+        for fname, program in (("sqrt2.sdp", sqrt2_program), ("sqrt2_point.sdp", sqrt2_point_program)):
+            parsed, prog = load_problem(os.path.join(FIXTURES, fname)).sdp, program()
+            assert parsed.blocks == prog.blocks, fname
+            assert np.array_equal(parsed.b, prog.b), fname
+            for got, want in zip(parsed.A, prog.A, strict=True):
+                assert_same_nonzeros(got, want)
+            for got, want in zip(parsed.C, prog.C, strict=True):
+                assert np.array_equal(got, want), fname
+
+    def test_pencil_fixtures_match_pencils(self):
+        for fname, pencil in (("pillow.pencil", pillow_pencil), ("power_chain.pencil", power_chain_pencil)):
+            assert load_problem(os.path.join(FIXTURES, fname)).pencil == pencil(), fname
 
 
 class TestParseErrors:
@@ -260,6 +251,16 @@ class TestMalformedInput:
             load_problem(str(path))
         assert ei.value.line == 2
 
+    def test_block_size_numpy_cannot_allocate(self, monkeypatch):
+        # numpy's refusal is faked: with overcommit on, a real request may be granted
+        def refuse(shape):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ProblemFileError) as ei:
+            parse_problem_text(_SDP.format("1", "1"))
+        assert ei.value.line == 3 and "Unable to allocate" in str(ei.value)
+
     def test_cli_prints_one_error_line(self, tmp_path, capsys):
         for name, text, line in MALFORMED:
             path = tmp_path / name
@@ -299,16 +300,3 @@ class TestGMPSemantics:
         data = parse_problem_text(text).gmp
         with pytest.raises(ValueError):
             data.instantiate(1)
-
-
-class TestDynamicsSerialization:
-    def test_builders_serialize_and_reload(self):
-        from momentsdp.problemfile import dynamics_to_file_data, gmp_to_text
-
-        for builder in (build_occtraj, build_lqr, build_bolza, build_saturation_cells):
-            dp = builder(2)
-            data = dynamics_to_file_data(dp)
-            text = gmp_to_text(data)
-            back = parse_problem_text(text)
-            g, dp2 = back.gmp.instantiate(2)
-            assert g == dp.gmp, builder.__name__

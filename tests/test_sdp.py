@@ -11,11 +11,9 @@ import scipy.sparse
 
 from momentsdp import sdp
 from momentsdp.problemfile import (
-    ParsedProblem,
     ProblemFileError,
     load_problem,
     parse_problem_text,
-    problem_to_text,
 )
 from momentsdp.sdp import (
     Block,
@@ -597,7 +595,27 @@ class TestInterchangeFormat:
             b=np.array([1.0, 0.25]),
             C=[np.array([[0.5, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]), np.array([2.0])],
         )
-        text = problem_to_text(ParsedProblem("sdp", sdp=prog))
+        text = """kind: sdp
+[blocks]
+psd 2
+nonneg 2
+zero 1
+[b]
+1.0 0.25
+[C]
+1 1 1 0.5
+1 2 2 1.0
+2 2 2 1.0
+3 1 1 2.0
+[A 1]
+1 1 2 -0.5
+2 1 1 1.0
+3 1 1 0.5
+[A 2]
+1 1 1 1.0
+1 2 2 2.0
+2 2 2 3.0
+"""
         back = parse_problem_text(text).sdp
         assert [(blk.kind, blk.size) for blk in back.blocks] == [
             ("psd", 2),
@@ -610,11 +628,9 @@ class TestInterchangeFormat:
             assert np.array_equal(back.C[bi], prog.C[bi])
 
     def test_file_io(self, tmp_path):
-        prog = sqrt2_program()
-        path = str(tmp_path / "prog.sdp")
-        with open(path, "w") as f:
-            f.write(problem_to_text(ParsedProblem("sdp", sdp=prog)))
-        back = load_problem(path).sdp
+        path = tmp_path / "prog.sdp"
+        path.write_text("kind: sdp\n[blocks]\npsd 2\n[b]\n1\n[C]\n1 1 1 1/2\n1 2 2 1\n[A 1]\n1 1 2 -1/2\n")
+        back = load_problem(str(path)).sdp
         sol = solve(back, TIGHT)
         assert sol.dual_obj == pytest.approx(SQRT2, abs=1e-6)
 
@@ -743,19 +759,6 @@ class TestStoredForm:
             else:
                 assert np.all(Z == 0.0)
             assert np.abs(X - ref.X[order.index(bi)]).max() <= 1e-6, bi
-
-    def test_assembled_relaxation_roundtrips_through_text(self):
-        from momentsdp.casestudies import build_eig_assign
-        from momentsdp.relaxation import build_relaxation
-
-        prog = build_relaxation(build_eig_assign(3), 2)[0].program
-        assert {blk.kind for blk in prog.blocks} == {"psd", "zero"}
-        back = parse_problem_text(problem_to_text(ParsedProblem("sdp", sdp=prog))).sdp
-        assert [(b.kind, b.size) for b in back.blocks] == [(b.kind, b.size) for b in prog.blocks]
-        assert np.array_equal(back.b, prog.b)
-        for bi in range(len(prog.blocks)):
-            assert_same_nonzeros(back.A[bi], prog.A[bi])
-            assert np.array_equal(back.C[bi], prog.C[bi])
 
 
 class TestConcurrency:
